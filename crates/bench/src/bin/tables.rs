@@ -6,7 +6,8 @@
 //! tables --figure 1       # one figure
 //! tables --ablations      # NoMoreMaster / latency / threshold ablations
 //! tables --accuracy       # just the accuracy-vs-message-cost table
-//! tables --quick          # reduced processor counts (smoke test)
+//! tables --quick          # everything at reduced processor counts (smoke test);
+//!                         # combined with a selection, that selection only
 //! ```
 
 use loadex_bench as bench;
@@ -15,7 +16,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut which_table: Option<u32> = None;
     let mut which_figure: Option<u32> = None;
-    let mut all = args.is_empty();
+    let mut all = false;
     let mut quick = false;
     let mut ablations = false;
     let mut accuracy = false;
@@ -41,6 +42,9 @@ fn main() {
             }
         }
     }
+    // No selection means everything (at the reduced counts under `--quick`).
+    let selected = which_table.is_some() || which_figure.is_some() || ablations || accuracy;
+    all |= !selected;
     let (p_small, p_large): (Vec<usize>, Vec<usize>) = if quick {
         (vec![8], vec![16])
     } else {

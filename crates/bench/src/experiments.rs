@@ -9,10 +9,11 @@ use loadex_core::{
 use loadex_sim::ActorId;
 use loadex_solver::mapping::{self, MappingParams, NodeType};
 use loadex_solver::{
-    run, CommMode, ExecBackend, RunReport, SolverConfig, Strategy, ThreadedBackend,
+    derive_threshold, run, CommMode, ExecBackend, RunReport, SolverConfig, Strategy,
+    ThreadedBackend,
 };
 use loadex_sparse::models::{paper_matrices, MatrixModel, ProblemSet};
-use loadex_sparse::{AssemblyTree, Symmetry};
+use loadex_sparse::Symmetry;
 
 /// Baseline configuration used by all table experiments.
 pub fn config_for(nprocs: usize) -> SolverConfig {
@@ -410,17 +411,11 @@ pub fn ablation_threshold(nprocs: usize, model: &MatrixModel) -> Table {
         &["threshold x", "messages", "time (s)", "mem peak (M)"],
     );
     let tree = model.build_tree();
+    let mut cfg = config_for(nprocs);
+    let plan = mapping::plan(&tree, nprocs, mapping_params(&cfg));
     for scale in [0.25f64, 1.0, 4.0, 16.0] {
-        // Derive the default threshold, then scale it.
-        let base = config_for(nprocs);
-        let probe = run(&tree, &base).unwrap(); // warms nothing, but gives defaults
-        let _ = probe;
-        let mut cfg = config_for(nprocs);
-        // Emulate scaling by running with an explicit threshold derived from
-        // a 1x run's implicit setting: re-derive through the public API.
-        let plan = mapping::plan(&tree, nprocs, mapping_params(&cfg));
-        let _ = plan;
-        cfg.threshold = Some(scaled_default_threshold(&tree, &cfg, scale));
+        // The threshold a run derives by default, scaled.
+        cfg.threshold = Some(derive_threshold(&tree, &plan, &cfg, scale));
         let r = run(&tree, &cfg).unwrap();
         t.row(vec![
             format!("{scale}"),
@@ -430,37 +425,6 @@ pub fn ablation_threshold(nprocs: usize, model: &MatrixModel) -> Table {
         ]);
     }
     t
-}
-
-/// Scaled version of the solver's default threshold derivation (kept in sync
-/// with `loadex_solver::run`'s §2.3 rule).
-fn scaled_default_threshold(tree: &AssemblyTree, cfg: &SolverConfig, scale: f64) -> Threshold {
-    let plan = mapping::plan(tree, cfg.nprocs, mapping_params(cfg));
-    let ef = match tree.sym {
-        Symmetry::Symmetric => 0.5,
-        Symmetry::Unsymmetric => 1.0,
-    };
-    let mut n = 0u32;
-    let mut mem = 0.0;
-    let mut work = 0.0;
-    for (i, t) in plan.ntype.iter().enumerate() {
-        if *t != NodeType::Type2 {
-            continue;
-        }
-        let node = &tree.nodes[i];
-        let ncb = node.ncb().max(1);
-        let share_rows = (ncb / 8).clamp(cfg.kmin_rows.min(ncb), cfg.kmax_rows) as f64;
-        mem += share_rows * node.nfront as f64 * ef;
-        work += tree.flops(i) / ncb as f64 * share_rows;
-        n += 1;
-    }
-    if n == 0 {
-        return Threshold::new(1.0, 1.0);
-    }
-    Threshold::new(
-        (work / n as f64 * 0.25 * scale).max(1.0),
-        (mem / n as f64 * 0.25 * scale).max(1.0),
-    )
 }
 
 /// Extension experiment: quantify each mechanism's **view coherence** — the

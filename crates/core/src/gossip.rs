@@ -130,12 +130,9 @@ impl Mechanism for GossipMechanism {
     fn on_timer(&mut self, out: &mut Outbox) {
         let digest = self.digest();
         let msg = StateMsg::Gossip { entries: digest };
-        let size = msg.wire_size();
-        for peer in self.next_peers() {
-            out.send(peer, msg.clone());
-            self.stats.msgs_sent += 1;
-            self.stats.bytes_sent += size;
-        }
+        let peers = self.next_peers();
+        self.stats.count_sent(&msg, peers.len());
+        out.multicast(peers, msg);
     }
 
     fn timer_period(&self) -> Option<SimDuration> {
@@ -193,12 +190,12 @@ mod tests {
         let d1: Vec<_> = out.drain().map(|o| o.dest).collect();
         m.on_timer(&mut out);
         let d2: Vec<_> = out.drain().map(|o| o.dest).collect();
-        assert_eq!(d1, vec![Dest::One(ActorId(1)), Dest::One(ActorId(2))]);
-        assert_eq!(d2, vec![Dest::One(ActorId(3)), Dest::One(ActorId(4))]);
+        assert_eq!(d1, vec![Dest::Many(vec![ActorId(1), ActorId(2)])]);
+        assert_eq!(d2, vec![Dest::Many(vec![ActorId(3), ActorId(4)])]);
         // Rotation skips self and wraps.
         m.on_timer(&mut out);
         let d3: Vec<_> = out.drain().map(|o| o.dest).collect();
-        assert_eq!(d3, vec![Dest::One(ActorId(1)), Dest::One(ActorId(2))]);
+        assert_eq!(d3, vec![Dest::Many(vec![ActorId(1), ActorId(2)])]);
     }
 
     #[test]
@@ -267,8 +264,10 @@ mod tests {
                 let mut o = Outbox::new();
                 m.on_timer(&mut o);
                 for staged in o.drain() {
-                    if let Dest::One(to) = staged.dest {
-                        inflight.push((m.rank(), to, staged.msg));
+                    if let Dest::Many(peers) = staged.dest {
+                        for to in peers {
+                            inflight.push((m.rank(), to, staged.msg.clone()));
+                        }
                     }
                 }
             }

@@ -20,7 +20,7 @@
 use crate::load::{Load, Threshold};
 use crate::mech::{ChangeOrigin, Gate, MechStats, Mechanism, Notify};
 use crate::msg::StateMsg;
-use crate::outbox::Outbox;
+use crate::outbox::{ranks_in, Outbox};
 use crate::view::LoadTable;
 use loadex_obs::ProtocolEvent;
 use loadex_sim::ActorId;
@@ -28,7 +28,7 @@ use loadex_sim::ActorId;
 /// Increment-based mechanism with the `MasterToAll` reservation broadcast.
 ///
 /// ```
-/// use loadex_core::{IncrementMechanism, Mechanism, ChangeOrigin, Load, Outbox, Threshold};
+/// use loadex_core::{Dest, IncrementMechanism, Mechanism, ChangeOrigin, Load, Outbox, Threshold};
 /// use loadex_sim::ActorId;
 ///
 /// // Process 0 of a 4-process system, broadcasting on 1000-unit drifts.
@@ -40,7 +40,8 @@ use loadex_sim::ActorId;
 /// assert!(out.is_empty());
 /// // …until the threshold trips and a delta goes to every other process.
 /// mech.on_local_change(Load::work(600.0), ChangeOrigin::Local, &mut out);
-/// assert_eq!(out.len(), 3);
+/// let all_others = vec![ActorId(1), ActorId(2), ActorId(3)];
+/// assert_eq!(out.peek()[0].dest, Dest::Many(all_others));
 ///
 /// // A slave selection reserves load on the chosen slaves system-wide.
 /// out.drain().count();
@@ -88,14 +89,9 @@ impl IncrementMechanism {
     }
 
     fn send_to_interested(&mut self, msg: StateMsg, out: &mut Outbox) {
-        let size = msg.wire_size();
-        for p in 0..self.view.nprocs() {
-            if self.interested[p] {
-                out.send(ActorId(p), msg.clone());
-                self.stats.msgs_sent += 1;
-                self.stats.bytes_sent += size;
-            }
-        }
+        let dests = ranks_in(&self.interested);
+        self.stats.count_sent(&msg, dests.len());
+        out.multicast(dests, msg);
     }
 }
 
@@ -212,7 +208,7 @@ impl Mechanism for IncrementMechanism {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::outbox::Dest;
+    use crate::outbox::{Dest, OutMsg};
 
     fn mech(n: usize) -> (IncrementMechanism, Outbox) {
         (
@@ -229,15 +225,15 @@ mod tests {
         assert!(out.is_empty());
         m.on_local_change(Load::work(4.0), ChangeOrigin::Local, &mut out);
         let staged: Vec<_> = out.drain().collect();
-        assert_eq!(staged.len(), 2);
-        for s in &staged {
-            assert_eq!(
-                s.msg,
-                StateMsg::UpdateDelta {
+        assert_eq!(
+            staged,
+            vec![OutMsg {
+                dest: Dest::Many(vec![ActorId(1), ActorId(2)]),
+                msg: StateMsg::UpdateDelta {
                     delta: Load::work(12.0)
-                }
-            );
-        }
+                },
+            }]
+        );
         // Accumulator reset after flush (Algorithm 3 line 10).
         m.on_local_change(Load::work(4.0), ChangeOrigin::Local, &mut out);
         assert!(out.is_empty());
@@ -369,7 +365,7 @@ mod tests {
         m.on_state_msg(ActorId(2), StateMsg::NoMoreMaster, &mut out);
         m.on_local_change(Load::work(100.0), ChangeOrigin::Local, &mut out);
         let dests: Vec<_> = out.drain().map(|s| s.dest).collect();
-        assert_eq!(dests, vec![Dest::One(ActorId(3)), Dest::One(ActorId(4))]);
+        assert_eq!(dests, vec![Dest::Many(vec![ActorId(3), ActorId(4)])]);
         // But a MasterToAll still reaches everyone.
         m.complete_decision(&[(ActorId(1), Load::work(5.0))], &mut out);
         assert_eq!(out.drain().next().unwrap().dest, Dest::AllOthers);

@@ -23,6 +23,7 @@
 //!    of the snapshot approach that §4.5 measures.
 
 use crate::load::Load;
+use crate::msg::StateMsg;
 use crate::outbox::Outbox;
 use crate::view::LoadTable;
 use loadex_sim::{ActorId, SimDuration};
@@ -80,6 +81,14 @@ pub struct MechStats {
     pub snapshot_rebroadcasts: u64,
     /// Messages whose answer was delayed for sequentialisation.
     pub delayed_answers: u64,
+}
+
+impl MechStats {
+    /// Account for `copies` copies of `msg` handed to the transport.
+    pub fn count_sent(&mut self, msg: &StateMsg, copies: usize) {
+        self.msgs_sent += copies as u64;
+        self.bytes_sent += msg.wire_size() * copies as u64;
+    }
 }
 
 /// Which mechanism a configuration selects (used by the harness).

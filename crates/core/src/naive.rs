@@ -13,7 +13,7 @@
 use crate::load::{Load, Threshold};
 use crate::mech::{ChangeOrigin, Gate, MechStats, Mechanism, Notify};
 use crate::msg::StateMsg;
-use crate::outbox::Outbox;
+use crate::outbox::{ranks_in, Outbox};
 use crate::view::LoadTable;
 use loadex_obs::ProtocolEvent;
 use loadex_sim::ActorId;
@@ -55,14 +55,9 @@ impl NaiveMechanism {
     }
 
     fn send_to_interested(&mut self, msg: StateMsg, out: &mut Outbox) {
-        let size = msg.wire_size();
-        for p in 0..self.view.nprocs() {
-            if self.interested[p] {
-                out.send(ActorId(p), msg.clone());
-                self.stats.msgs_sent += 1;
-                self.stats.bytes_sent += size;
-            }
-        }
+        let dests = ranks_in(&self.interested);
+        self.stats.count_sent(&msg, dests.len());
+        out.multicast(dests, msg);
     }
 }
 
@@ -137,7 +132,7 @@ impl Mechanism for NaiveMechanism {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::outbox::Dest;
+    use crate::outbox::{Dest, OutMsg};
 
     fn mech(n: usize) -> (NaiveMechanism, Outbox) {
         (
@@ -162,15 +157,16 @@ mod tests {
         m.on_local_change(Load::work(6.0), ChangeOrigin::Local, &mut out);
         // Drift from last_sent (0) is now 12 > 10: broadcast absolute value.
         let staged: Vec<_> = out.drain().collect();
-        assert_eq!(staged.len(), 2, "one per other process");
-        for s in &staged {
-            assert_eq!(
-                s.msg,
-                StateMsg::Update {
+        assert_eq!(
+            staged,
+            vec![OutMsg {
+                dest: Dest::Many(vec![ActorId(1), ActorId(2)]),
+                msg: StateMsg::Update {
                     load: Load::work(12.0)
-                }
-            );
-        }
+                },
+            }],
+            "one copy per other process"
+        );
     }
 
     #[test]
@@ -222,7 +218,7 @@ mod tests {
         m.on_state_msg(ActorId(1), StateMsg::NoMoreMaster, &mut out);
         m.on_local_change(Load::work(100.0), ChangeOrigin::Local, &mut out);
         let dests: Vec<_> = out.drain().map(|s| s.dest).collect();
-        assert_eq!(dests, vec![Dest::One(ActorId(2))]);
+        assert_eq!(dests, vec![Dest::Many(vec![ActorId(2)])]);
     }
 
     #[test]

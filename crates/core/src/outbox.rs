@@ -16,12 +16,19 @@ use loadex_obs::ProtocolEvent;
 use loadex_sim::ActorId;
 
 /// Where a staged message goes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Dest {
     /// A single process.
     One(ActorId),
+    /// Each of these processes, in this order (see [`Outbox::multicast`]).
+    Many(Vec<ActorId>),
     /// Every process except the sender.
     AllOthers,
+}
+
+/// The ranks whose entry in `mask` is set, in rank order.
+pub(crate) fn ranks_in(mask: &[bool]) -> Vec<ActorId> {
+    (0..mask.len()).filter(|&p| mask[p]).map(ActorId).collect()
 }
 
 /// One staged outgoing message.
@@ -87,6 +94,29 @@ impl Outbox {
         });
     }
 
+    /// Stage one message for each of `dests`, in order, as a single entry:
+    /// the payload is staged once, and the embedding routes it to every
+    /// destination. Observed as one send per destination, exactly as the
+    /// same [`Outbox::send`]s would be. No destination stages nothing.
+    pub fn multicast(&mut self, dests: Vec<ActorId>, msg: StateMsg) {
+        if dests.is_empty() {
+            return;
+        }
+        if self.observe {
+            let (kind, bytes) = (msg.kind_name(), msg.wire_size());
+            self.events
+                .extend(dests.iter().map(|&to| ProtocolEvent::StateSend {
+                    to: Some(to),
+                    kind,
+                    bytes,
+                }));
+        }
+        self.msgs.push(OutMsg {
+            dest: Dest::Many(dests),
+            msg,
+        });
+    }
+
     /// Stage a broadcast to all other processes (observed as a single
     /// logical send with no destination).
     pub fn broadcast(&mut self, msg: StateMsg) {
@@ -121,7 +151,7 @@ impl Outbox {
         &self.events
     }
 
-    /// Number of staged messages.
+    /// Number of staged messages (a multicast is one).
     pub fn len(&self) -> usize {
         self.msgs.len()
     }
@@ -147,6 +177,31 @@ mod tests {
         assert_eq!(drained[0].dest, Dest::One(ActorId(1)));
         assert_eq!(drained[1].dest, Dest::AllOthers);
         assert!(ob.is_empty());
+    }
+
+    #[test]
+    fn observed_multicast_stages_what_per_peer_sends_did() {
+        let msg = StateMsg::UpdateDelta {
+            delta: Load::work(3.0),
+        };
+        let dests = vec![ActorId(4), ActorId(1), ActorId(2)];
+        let mut per_peer = Outbox::observed();
+        let mut multi = Outbox::observed();
+        for &q in &dests {
+            per_peer.send(q, msg.clone());
+        }
+        multi.multicast(dests.clone(), msg.clone());
+        assert_eq!(multi.peek_events(), per_peer.peek_events());
+        assert_eq!(
+            multi.peek(),
+            &[OutMsg {
+                dest: Dest::Many(dests),
+                msg
+            }]
+        );
+        multi.multicast(Vec::new(), StateMsg::EndSnp);
+        assert_eq!(multi.len(), 1, "no destination stages nothing");
+        assert_eq!(multi.peek_events().len(), 3);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use crate::load::Load;
 use crate::mech::{ChangeOrigin, Gate, MechStats, Mechanism, Notify};
 use crate::msg::StateMsg;
-use crate::outbox::Outbox;
+use crate::outbox::{ranks_in, Outbox};
 use crate::view::LoadTable;
 use loadex_obs::ProtocolEvent;
 use loadex_sim::{ActorId, SimDuration};
@@ -58,14 +58,9 @@ impl PeriodicMechanism {
     }
 
     fn send_to_interested(&mut self, msg: StateMsg, out: &mut Outbox) {
-        let size = msg.wire_size();
-        for p in 0..self.view.nprocs() {
-            if self.interested[p] {
-                out.send(ActorId(p), msg.clone());
-                self.stats.msgs_sent += 1;
-                self.stats.bytes_sent += size;
-            }
-        }
+        let dests = ranks_in(&self.interested);
+        self.stats.count_sent(&msg, dests.len());
+        out.multicast(dests, msg);
     }
 }
 
@@ -141,6 +136,7 @@ impl Mechanism for PeriodicMechanism {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::outbox::Dest;
 
     fn mech(n: usize) -> (PeriodicMechanism, Outbox) {
         (
@@ -162,7 +158,8 @@ mod tests {
         m.on_local_change(Load::work(5.0), ChangeOrigin::Local, &mut out);
         m.on_timer(&mut out);
         let msgs: Vec<_> = out.drain().collect();
-        assert_eq!(msgs.len(), 2);
+        assert_eq!(msgs.len(), 1);
+        assert_eq!(msgs[0].dest, Dest::Many(vec![ActorId(1), ActorId(2)]));
         assert_eq!(
             msgs[0].msg,
             StateMsg::Update {
@@ -181,7 +178,7 @@ mod tests {
         assert!(out.is_empty(), "no change since last heartbeat");
         m.on_local_change(Load::work(1.0), ChangeOrigin::Local, &mut out);
         m.on_timer(&mut out);
-        assert_eq!(out.len(), 2);
+        assert_eq!(out.len(), 1);
     }
 
     #[test]
@@ -197,6 +194,6 @@ mod tests {
         m.on_local_change(Load::work(5.0), ChangeOrigin::Local, &mut out);
         m.on_timer(&mut out);
         let dests: Vec<_> = out.drain().map(|o| o.dest).collect();
-        assert_eq!(dests, vec![crate::outbox::Dest::One(ActorId(1))]);
+        assert_eq!(dests, vec![Dest::Many(vec![ActorId(1)])]);
     }
 }

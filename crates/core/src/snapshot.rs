@@ -33,7 +33,7 @@
 use crate::load::Load;
 use crate::mech::{ChangeOrigin, Gate, MechStats, Mechanism, Notify};
 use crate::msg::StateMsg;
-use crate::outbox::Outbox;
+use crate::outbox::{ranks_in, Outbox};
 use crate::view::LoadTable;
 use loadex_obs::ProtocolEvent;
 use loadex_sim::ActorId;
@@ -175,11 +175,6 @@ impl SnapshotMechanism {
         self.leader == Some(self.me)
     }
 
-    fn count_send(&mut self, msg: &StateMsg, ndest: u64) {
-        self.stats.msgs_sent += ndest;
-        self.stats.bytes_sent += msg.wire_size() * ndest;
-    }
-
     fn my_state(&self) -> Load {
         self.view.my_load()
     }
@@ -198,17 +193,14 @@ impl SnapshotMechanism {
             partial: self.my_partial,
         };
         if self.gather_target == self.view.nprocs() - 1 {
-            self.count_send(&msg, (self.view.nprocs() - 1) as u64);
+            self.stats.count_sent(&msg, self.view.nprocs() - 1);
             out.broadcast(msg);
         } else {
             // Partial snapshot: only the candidate subset is queried (and
             // thus synchronized); disjoint snapshots proceed concurrently.
-            for q in 0..self.view.nprocs() {
-                if self.gather_set[q] {
-                    self.count_send(&msg, 1);
-                    out.send(ActorId(q), msg.clone());
-                }
-            }
+            let dests = ranks_in(&self.gather_set);
+            self.stats.count_sent(&msg, dests.len());
+            out.multicast(dests, msg);
         }
         self.stats.snapshots_started += 1;
     }
@@ -274,7 +266,7 @@ impl SnapshotMechanism {
                 load: self.my_state(),
                 req,
             };
-            self.count_send(&answer, 1);
+            self.stats.count_sent(&answer, 1);
             out.send(pi, answer);
             notifies.push(Notify::Blocked);
             // Lines 23–27 as seen from a gathering initiator that just lost
@@ -300,7 +292,7 @@ impl SnapshotMechanism {
                     load: self.my_state(),
                     req,
                 };
-                self.count_send(&answer, 1);
+                self.stats.count_sent(&answer, 1);
                 out.send(pi, answer);
             }
         }
@@ -353,7 +345,7 @@ impl SnapshotMechanism {
                         load: self.my_state(),
                         req: self.request[l.index()],
                     };
-                    self.count_send(&answer, 1);
+                    self.stats.count_sent(&answer, 1);
                     out.send(l, answer);
                     self.delayed[l.index()] = false;
                 }
@@ -485,21 +477,18 @@ impl Mechanism for SnapshotMechanism {
             debug_assert_ne!(p, self.me);
             self.view.add(p, dl);
             let msg = StateMsg::MasterToSlave { delta: dl };
-            self.count_send(&msg, 1);
+            self.stats.count_sent(&msg, 1);
             out.send(p, msg);
         }
         // Finalize-the-snapshot: release exactly the processes we queried.
         let end = StateMsg::EndSnp;
         if self.gather_target == self.view.nprocs() - 1 {
-            self.count_send(&end, (self.view.nprocs() - 1) as u64);
+            self.stats.count_sent(&end, self.view.nprocs() - 1);
             out.broadcast(end);
         } else {
-            for q in 0..self.view.nprocs() {
-                if self.gather_set[q] {
-                    self.count_send(&end, 1);
-                    out.send(ActorId(q), end.clone());
-                }
-            }
+            let dests = ranks_in(&self.gather_set);
+            self.stats.count_sent(&end, dests.len());
+            out.multicast(dests, end);
         }
         self.leader = None;
         self.phase = Phase::Idle;
@@ -515,7 +504,7 @@ impl Mechanism for SnapshotMechanism {
                         load: self.my_state(),
                         req: self.request[l.index()],
                     };
-                    self.count_send(&answer, 1);
+                    self.stats.count_sent(&answer, 1);
                     out.send(l, answer);
                     self.delayed[l.index()] = false;
                 }
@@ -577,6 +566,11 @@ mod tests {
             for OutMsg { dest, msg } in out.drain() {
                 match dest {
                     Dest::One(to) => self.queue.push_back((from, to, msg)),
+                    Dest::Many(qs) => {
+                        for q in qs {
+                            self.queue.push_back((from, q, msg.clone()));
+                        }
+                    }
                     Dest::AllOthers => {
                         for p in 0..n {
                             if p != from.index() {

@@ -17,17 +17,13 @@
 //!   endpoint per OS thread, with the same two-channel discipline. Used by
 //!   the examples and integration tests to run the mechanism state machines
 //!   under genuine asynchrony.
-//! * [`mailbox::Mailbox`] — the receive-side queue pair implementing the
-//!   "state messages first" polling order of Algorithm 1.
 
 pub mod channel;
-pub mod mailbox;
 pub mod model;
 pub mod simnet;
 pub mod thread;
 
 pub use channel::{Channel, Envelope};
-pub use mailbox::Mailbox;
 pub use model::NetworkModel;
 pub use simnet::{Delivery, SimNetwork};
 pub use thread::{CommEndpoint, Endpoint, RecvError, ThreadNetwork};

@@ -10,6 +10,17 @@
 //! `SimNetwork` computes delivery times; the caller schedules them on the
 //! event calendar. This keeps the crate independent of any particular event
 //! type.
+//!
+//! A one-to-many send goes through [`SimNetwork::multicast`]: each copy is
+//! routed on its own link exactly as [`SimNetwork::send`] would route it,
+//! but no payload is cloned. Destinations are handed back grouped by
+//! arrival time, so the caller can put each group on the calendar as a
+//! single fan-out entry (`loadex_sim::Scheduler::schedule_fanout_at`).
+//! Usually every copy arrives at once and there is one group. A copy held
+//! back by FIFO order on its link — say a small update sent right behind a
+//! larger message to the same peer — lands in a later group. Within a group
+//! the destinations keep their send order, which is the order separate
+//! same-instant calendar entries would have popped in.
 
 use crate::channel::{Channel, Envelope};
 use crate::model::NetworkModel;
@@ -70,6 +81,10 @@ pub struct SimNetwork {
     /// embeddings that already stamp the mechanisms' own staged events (the
     /// solver engine) leave it disabled so sends are not double-counted.
     recorder: Recorder,
+    /// Scratch for [`SimNetwork::multicast`]: each copy's arrival, and one
+    /// arrival group's destinations.
+    arrivals: Vec<(SimTime, ActorId)>,
+    group: Vec<ActorId>,
 }
 
 impl SimNetwork {
@@ -86,6 +101,8 @@ impl SimNetwork {
             bytes_state: 0,
             bytes_regular: 0,
             recorder: Recorder::disabled(),
+            arrivals: Vec::new(),
+            group: Vec::new(),
         }
     }
 
@@ -128,6 +145,63 @@ impl SimNetwork {
         size: u64,
         msg: M,
     ) -> Delivery<M> {
+        Delivery {
+            at: self.route(now, from, to, channel, size),
+            envelope: Envelope::new(from, to, channel, size, msg),
+        }
+    }
+
+    /// Send one message from `from` to each of `dests`, in that order, at
+    /// time `now`. Every copy is routed as [`SimNetwork::send`] would route
+    /// it; the payload stays with the caller. `deliver(at, group)` is called
+    /// once per distinct arrival time, earliest first, with the destinations
+    /// arriving then in `dests` order.
+    ///
+    /// Panics as [`SimNetwork::send`] does.
+    pub fn multicast(
+        &mut self,
+        now: SimTime,
+        from: ActorId,
+        dests: &[ActorId],
+        channel: Channel,
+        size: u64,
+        mut deliver: impl FnMut(SimTime, &[ActorId]),
+    ) {
+        let mut arrivals = std::mem::take(&mut self.arrivals);
+        arrivals.clear();
+        for &to in dests {
+            arrivals.push((self.route(now, from, to, channel, size), to));
+        }
+        match arrivals.first() {
+            None => {}
+            Some(&(first, _)) if arrivals.iter().all(|&(at, _)| at == first) => {
+                deliver(first, dests)
+            }
+            Some(_) => {
+                // Stable: a group keeps its destinations in send order.
+                arrivals.sort_by_key(|&(at, _)| at);
+                let mut group = std::mem::take(&mut self.group);
+                for run in arrivals.chunk_by(|a, b| a.0 == b.0) {
+                    group.clear();
+                    group.extend(run.iter().map(|&(_, to)| to));
+                    deliver(run[0].0, &group);
+                }
+                self.group = group;
+            }
+        }
+        self.arrivals = arrivals;
+    }
+
+    /// Account for one message and advance its link's clocks; returns when
+    /// it reaches `to`.
+    fn route(
+        &mut self,
+        now: SimTime,
+        from: ActorId,
+        to: ActorId,
+        channel: Channel,
+        size: u64,
+    ) -> SimTime {
         assert!(from.index() < self.nprocs, "sender out of range");
         assert!(to.index() < self.nprocs, "receiver out of range");
         assert_ne!(from, to, "self-send");
@@ -137,7 +211,7 @@ impl SimNetwork {
                 kind: channel.name(),
                 bytes: size,
             });
-        let at = match channel {
+        match channel {
             Channel::State => {
                 self.sent_state += 1;
                 self.bytes_state += size;
@@ -170,10 +244,6 @@ impl SimNetwork {
                 self.link_clear_at[idx] = at;
                 at
             }
-        };
-        Delivery {
-            at,
-            envelope: Envelope::new(from, to, channel, size, msg),
         }
     }
 
@@ -307,6 +377,73 @@ mod tests {
         dests.sort_unstable();
         assert_eq!(dests, vec![0, 1, 3]);
         assert!(ds.iter().all(|d| d.envelope.msg == 42));
+        assert_eq!(net.sent_state(), 3);
+    }
+
+    #[test]
+    fn multicast_splits_fifo_delayed_destinations_into_a_later_group() {
+        let model = NetworkModel {
+            latency: SimDuration::ZERO,
+            bandwidth: 1e6, // 1 byte = 1 µs
+            overhead: SimDuration::ZERO,
+        };
+        let mut net = SimNetwork::new(5, model);
+        let mut twin = SimNetwork::new(5, model);
+        // A large message to P2 is still in flight on the 0→2 link.
+        for n in [&mut net, &mut twin] {
+            n.send(
+                SimTime::ZERO,
+                ActorId(0),
+                ActorId(2),
+                Channel::State,
+                1_000,
+                (),
+            );
+        }
+        let dests = [ActorId(4), ActorId(2), ActorId(1), ActorId(3)];
+        let mut groups = Vec::new();
+        net.multicast(
+            SimTime::ZERO,
+            ActorId(0),
+            &dests,
+            Channel::State,
+            10,
+            |at, g| groups.push((at, g.to_vec())),
+        );
+        assert_eq!(
+            groups,
+            vec![
+                (SimTime(10_000), vec![ActorId(4), ActorId(1), ActorId(3)]),
+                (SimTime(1_000_000), vec![ActorId(2)]),
+            ]
+        );
+        // Same arrivals, counters and link clocks as one send per peer.
+        for &to in &dests {
+            let d = twin.send(SimTime::ZERO, ActorId(0), to, Channel::State, 10, ());
+            assert!(groups.iter().any(|(at, g)| *at == d.at && g.contains(&to)));
+        }
+        assert_eq!(net.sent_state(), twin.sent_state());
+        assert_eq!(net.bytes_state(), twin.bytes_state());
+        assert_eq!(net.link_clear_at, twin.link_clear_at);
+    }
+
+    #[test]
+    fn multicast_without_delay_is_one_group_in_send_order() {
+        let mut net = SimNetwork::new(4, fixed_model(3));
+        let mut groups = Vec::new();
+        let dests = [ActorId(3), ActorId(0), ActorId(2)];
+        net.multicast(
+            SimTime(5),
+            ActorId(1),
+            &dests,
+            Channel::State,
+            8,
+            |at, g| groups.push((at, g.to_vec())),
+        );
+        assert_eq!(groups, vec![(SimTime(3_005), dests.to_vec())]);
+        net.multicast(SimTime(5), ActorId(1), &[], Channel::State, 8, |_, _| {
+            panic!("no destination, no group")
+        });
         assert_eq!(net.sent_state(), 3);
     }
 

@@ -8,6 +8,18 @@
 //! Splitting `World` from `Scheduler` sidesteps the usual borrow tangle: the
 //! world may freely schedule new events while handling one, because the
 //! calendar is never borrowed by the world itself.
+//!
+//! # Fan-out entries
+//!
+//! [`Scheduler::schedule_fanout_at`] stores one event for many actors as a
+//! single calendar entry. When it pops, the simulator hands the event to
+//! each destination in turn — one [`World::handle`] call and one processed
+//! step each — before it pops the calendar again. This is exactly the order
+//! the same destinations would get as separate [`Scheduler::schedule_at`]
+//! calls made back to back: those entries share a time and take consecutive
+//! sequence numbers, so no other entry can pop between them, and anything
+//! scheduled while they are handled gets a larger sequence number and pops
+//! after the last of them.
 
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
@@ -30,9 +42,29 @@ impl std::fmt::Display for ActorId {
     }
 }
 
+/// Who a calendar entry is for.
+enum Target {
+    One(ActorId),
+    /// At least two actors, delivered in this order.
+    Many(Box<[ActorId]>),
+}
+
+/// The calendar's entry type.
+type Calendar<E> = EventQueue<(Target, E)>;
+
+/// Push `event` for `dests` at `at`: nothing for no destination, a plain
+/// entry for one, a fan-out entry for more.
+fn push_fanout<E>(queue: &mut Calendar<E>, at: SimTime, dests: &[ActorId], event: E) {
+    match dests {
+        [] => {}
+        [one] => queue.push(at, (Target::One(*one), event)),
+        many => queue.push(at, (Target::Many(many.into()), event)),
+    }
+}
+
 /// Handle through which a [`World`] schedules future events.
 pub struct Scheduler<'a, E> {
-    queue: &'a mut EventQueue<(ActorId, E)>,
+    queue: &'a mut Calendar<E>,
     now: SimTime,
     stop_requested: &'a mut bool,
 }
@@ -46,14 +78,24 @@ impl<'a, E> Scheduler<'a, E> {
 
     /// Schedule `event` for `actor` at `delay` from now.
     pub fn schedule_in(&mut self, delay: SimDuration, actor: ActorId, event: E) {
-        self.queue.push(self.now + delay, (actor, event));
+        self.queue
+            .push(self.now + delay, (Target::One(actor), event));
     }
 
     /// Schedule `event` for `actor` at absolute time `at`. Events scheduled
     /// in the past are clamped to "now" (they run after already-pending
     /// events at the current instant).
     pub fn schedule_at(&mut self, at: SimTime, actor: ActorId, event: E) {
-        self.queue.push(at.max(self.now), (actor, event));
+        self.queue
+            .push(at.max(self.now), (Target::One(actor), event));
+    }
+
+    /// Schedule a copy of `event` for each of `dests`, in that order, at
+    /// absolute time `at` (clamped to "now" like [`Scheduler::schedule_at`]),
+    /// as one calendar entry. Delivery is the same as one `schedule_at` per
+    /// destination made back to back; see the [module docs](self).
+    pub fn schedule_fanout_at(&mut self, at: SimTime, dests: &[ActorId], event: E) {
+        push_fanout(self.queue, at.max(self.now), dests, event);
     }
 
     /// Ask the simulator to stop after the current event completes.
@@ -138,10 +180,21 @@ pub enum StopReason {
 /// assert_eq!(sim.now().as_nanos(), 9 * 10_000);
 /// ```
 pub struct Simulator<E> {
-    queue: EventQueue<(ActorId, E)>,
+    queue: Calendar<E>,
+    /// The undelivered rest of the fan-out entry popped last, if any.
+    fanout: Option<Fanout<E>>,
     now: SimTime,
     processed: u64,
     config: SimConfig,
+}
+
+/// A fan-out entry part way through delivery.
+struct Fanout<E> {
+    time: SimTime,
+    dests: Box<[ActorId]>,
+    /// Index in `dests` of the next destination.
+    next: usize,
+    event: E,
 }
 
 impl<E> Simulator<E> {
@@ -149,6 +202,7 @@ impl<E> Simulator<E> {
     pub fn new(config: SimConfig) -> Self {
         Simulator {
             queue: EventQueue::new(),
+            fanout: None,
             now: SimTime::ZERO,
             processed: 0,
             config,
@@ -167,22 +221,58 @@ impl<E> Simulator<E> {
 
     /// Schedule an initial event before the run starts (or between steps).
     pub fn schedule_at(&mut self, at: SimTime, actor: ActorId, event: E) {
-        self.queue.push(at.max(self.now), (actor, event));
+        self.queue
+            .push(at.max(self.now), (Target::One(actor), event));
     }
 
-    /// Deliver a single event to the world. Returns `None` if the run is over
-    /// and the reason why.
+    /// Schedule a copy of `event` for each of `dests` before the run starts
+    /// (or between steps), as one calendar entry; see
+    /// [`Scheduler::schedule_fanout_at`].
+    pub fn schedule_fanout_at(&mut self, at: SimTime, dests: &[ActorId], event: E) {
+        push_fanout(&mut self.queue, at.max(self.now), dests, event);
+    }
+}
+
+impl<E: Clone> Simulator<E> {
+    /// The next delivery: the rest of the current fan-out entry first, then
+    /// the calendar's earliest entry. An entry past the horizon stays pending.
+    fn next_delivery(&mut self) -> Result<(SimTime, ActorId, E), StopReason> {
+        if let Some(f) = self.fanout.as_mut() {
+            let actor = f.dests[f.next];
+            f.next += 1;
+            if f.next < f.dests.len() {
+                return Ok((f.time, actor, f.event.clone()));
+            }
+            let f = self.fanout.take().expect("fan-out in progress");
+            return Ok((f.time, actor, f.event));
+        }
+        match self.queue.peek_time() {
+            None => return Err(StopReason::Drained),
+            Some(time) if time > self.config.horizon => return Err(StopReason::Horizon),
+            Some(_) => {}
+        }
+        let (time, (target, event)) = self.queue.pop().expect("peeked");
+        match target {
+            Target::One(actor) => Ok((time, actor, event)),
+            Target::Many(dests) => {
+                let actor = dests[0];
+                self.fanout = Some(Fanout {
+                    time,
+                    dests,
+                    next: 1,
+                    event: event.clone(),
+                });
+                Ok((time, actor, event))
+            }
+        }
+    }
+
+    /// Deliver a single event to the world, or say why the run is over.
     pub fn step<W: World<Event = E>>(&mut self, world: &mut W) -> Result<(), StopReason> {
         if self.processed >= self.config.max_events {
             return Err(StopReason::EventLimit);
         }
-        let Some((time, (actor, event))) = self.queue.pop() else {
-            return Err(StopReason::Drained);
-        };
-        if time > self.config.horizon {
-            // Put nothing back; the run is over.
-            return Err(StopReason::Horizon);
-        }
+        let (time, actor, event) = self.next_delivery()?;
         debug_assert!(time >= self.now, "time went backwards");
         self.now = time;
         self.processed += 1;
@@ -360,5 +450,42 @@ mod tests {
         let mut w = Record(vec![]);
         sim.run(&mut w);
         assert_eq!(w.0, vec![4, 2, 7, 0], "insertion order preserved at ties");
+    }
+
+    #[test]
+    fn fanout_delivers_each_destination_before_later_entries() {
+        // Each delivery of event 1 schedules event 2 for itself at the same
+        // instant; those must all wait for the rest of the fan-out.
+        struct Log(Vec<(usize, u8)>);
+        impl World for Log {
+            type Event = u8;
+            fn handle(&mut self, _: SimTime, a: ActorId, ev: u8, s: &mut Scheduler<'_, u8>) {
+                self.0.push((a.index(), ev));
+                if ev == 1 {
+                    s.schedule_in(SimDuration::ZERO, a, 2);
+                }
+            }
+        }
+        let mut sim = Simulator::new(SimConfig::default());
+        sim.schedule_at(SimTime(5), ActorId(9), 0);
+        sim.schedule_fanout_at(SimTime(5), &[ActorId(3), ActorId(1), ActorId(2)], 1);
+        sim.schedule_fanout_at(SimTime(5), &[], 7);
+        sim.schedule_fanout_at(SimTime(5), &[ActorId(8)], 3);
+        let mut w = Log(vec![]);
+        assert_eq!(sim.run(&mut w), StopReason::Drained);
+        assert_eq!(
+            w.0,
+            vec![
+                (9, 0),
+                (3, 1),
+                (1, 1),
+                (2, 1),
+                (8, 3),
+                (3, 2),
+                (1, 2),
+                (2, 2)
+            ]
+        );
+        assert_eq!(sim.processed(), 8, "one step per destination");
     }
 }

@@ -15,6 +15,15 @@
 //!   they were scheduled. This makes every run bit-reproducible.
 //! * [`Simulator`] / [`World`] — the run loop. The `World` owns all process
 //!   state; the simulator owns time and the calendar.
+//! * Fan-out entries — [`Scheduler::schedule_fanout_at`] puts one event for
+//!   many actors on the calendar as a single entry, so a broadcast to `P−1`
+//!   processes costs one calendar push and pop instead of `P−1`. On delivery
+//!   the simulator hands each destination its own copy, one
+//!   [`World::handle`] call and one processed step each, before it pops the
+//!   calendar again. That is exactly the order of `P−1` separate entries:
+//!   they would share a time and take consecutive sequence numbers, so no
+//!   other entry could pop between them, and anything scheduled while they
+//!   are handled gets a larger sequence number and pops after the last one.
 //! * [`rng`] — a small, self-contained, splittable PRNG (SplitMix64 and
 //!   xoshiro256**) so that simulation randomness is stable across platforms
 //!   and dependency versions.

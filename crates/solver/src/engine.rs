@@ -27,8 +27,8 @@ use crate::report::{Activity, ProcReport, RunReport, Timeline};
 use crate::sched;
 use crate::work::{self, Task, TaskKind};
 use loadex_core::{
-    AnyMechanism, ChangeOrigin, Gate, Load, LoadTable, MechKind, Mechanism, Notify, OutMsg, Outbox,
-    StateMsg, Threshold,
+    AnyMechanism, ChangeOrigin, Dest, Gate, Load, LoadTable, MechKind, Mechanism, Notify, OutMsg,
+    Outbox, StateMsg,
 };
 use loadex_net::{Channel, SimNetwork};
 use loadex_obs::{MetricsRegistry, ProtocolEvent, Recorder, ViewAccuracyProbe};
@@ -200,7 +200,9 @@ impl SolverWorld {
             "speed factors must be positive"
         );
         let entry_factor = work::entry_factor(tree.sym);
-        let threshold = cfg.threshold.unwrap_or_else(|| default_threshold(&tree));
+        let threshold = cfg
+            .threshold
+            .unwrap_or_else(|| crate::run::derive_threshold(&tree, &plan, &cfg, 1.0));
         let mut procs: Vec<ProcRt> = (0..nprocs)
             .map(|p| {
                 let mech = work::build_mechanism(&cfg, &plan, threshold, p);
@@ -468,46 +470,36 @@ impl SolverWorld {
                 self.recorder.emit(now, ActorId(p), ev);
             }
         }
+        // Every staged message, whatever its destination, is routed as a
+        // multicast and lands on the calendar as one fan-out entry per
+        // arrival time.
+        let from = ActorId(p);
         let staged: Vec<OutMsg> = self.procs[p].outbox.drain().collect();
         for OutMsg { dest, msg } in staged {
-            let size = msg.wire_size();
-            match dest {
-                loadex_core::Dest::One(to) => {
-                    let d = self
-                        .net
-                        .send(now, ActorId(p), to, Channel::State, size, msg);
-                    if obs {
-                        self.metrics
-                            .observe("state_msg_latency_ns", d.at.since(now).as_nanos() as f64);
-                    }
-                    sched.schedule_at(d.at, to, Ev::State(ActorId(p), d.envelope.msg));
+            let all_others: Vec<ActorId>;
+            let dests: &[ActorId] = match &dest {
+                Dest::One(to) => std::slice::from_ref(to),
+                Dest::Many(dests) => dests,
+                Dest::AllOthers => {
+                    all_others = (0..self.cfg.nprocs)
+                        .filter(|&q| q != p)
+                        .map(ActorId)
+                        .collect();
+                    &all_others
                 }
-                loadex_core::Dest::AllOthers => {
-                    for q in 0..self.cfg.nprocs {
-                        if q != p {
-                            let d = self.net.send(
-                                now,
-                                ActorId(p),
-                                ActorId(q),
-                                Channel::State,
-                                size,
-                                msg.clone(),
-                            );
-                            if obs {
-                                self.metrics.observe(
-                                    "state_msg_latency_ns",
-                                    d.at.since(now).as_nanos() as f64,
-                                );
-                            }
-                            sched.schedule_at(
-                                d.at,
-                                ActorId(q),
-                                Ev::State(ActorId(p), d.envelope.msg),
-                            );
+            };
+            let metrics = &mut self.metrics;
+            let size = msg.wire_size();
+            self.net
+                .multicast(now, from, dests, Channel::State, size, |at, group| {
+                    if obs {
+                        let latency = at.since(now).as_nanos() as f64;
+                        for _ in group {
+                            metrics.observe("state_msg_latency_ns", latency);
                         }
                     }
-                }
-            }
+                    sched.schedule_fanout_at(at, group, Ev::State(from, msg.clone()));
+                });
         }
     }
 
@@ -1625,16 +1617,6 @@ impl SolverWorld {
     }
 }
 
-/// Threshold defaulting: §2.3 recommends "a threshold of the same order as
-/// the granularity of the tasks appearing in the slave selections". We use
-/// 2% of the mean Type-2-scale front cost.
-pub(crate) fn default_threshold(tree: &AssemblyTree) -> Threshold {
-    let n = tree.len().max(1) as f64;
-    let mean_flops = tree.total_flops() / n;
-    let mean_front = (0..tree.len()).map(|i| tree.front_entries(i)).sum::<f64>() / n;
-    Threshold::new((mean_flops * 0.5).max(1.0), (mean_front * 0.5).max(1.0))
-}
-
 impl World for SolverWorld {
     type Event = Ev;
 
@@ -1732,13 +1714,6 @@ mod tests {
         assert_eq!(w.chunk_flops(), 1e8);
         w.cfg.task_chunk = SimDuration::ZERO;
         assert_eq!(w.chunk_flops(), f64::INFINITY);
-    }
-
-    #[test]
-    fn default_threshold_positive() {
-        let tree = by_name("GUPTA3").unwrap().build_tree();
-        let thr = default_threshold(&tree);
-        assert!(thr.work > 0.0 && thr.mem > 0.0);
     }
 
     #[test]

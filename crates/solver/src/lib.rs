@@ -44,4 +44,4 @@ pub use config::{CommMode, ExecBackend, SolverConfig, Strategy, ThreadedBackend}
 pub use error::{ConfigError, RunError};
 pub use mapping::{NodeType, TreePlan};
 pub use report::RunReport;
-pub use run::{run, run_observed, Runtime};
+pub use run::{derive_threshold, run, run_observed, Runtime};

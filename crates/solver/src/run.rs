@@ -1,9 +1,8 @@
 //! Experiment entry points: the [`Runtime`] dispatcher and its one-call
 //! convenience wrappers.
 //!
-//! A [`Runtime`] validates a [`SolverConfig`] once, derives the static plan
-//! and broadcast threshold, then dispatches to the configured
-//! [`ExecBackend`]: the discrete-event simulator ([`ExecBackend::Sim`]) or
+//! A [`Runtime`] validates a [`SolverConfig`] once, derives the static plan,
+//! then dispatches to the configured [`ExecBackend`]: the discrete-event simulator ([`ExecBackend::Sim`]) or
 //! the real-thread backend ([`ExecBackend::Threaded`], §4.5). Both produce
 //! the same [`RunReport`] schema, and both return typed [`RunError`]s
 //! instead of panicking.
@@ -66,25 +65,22 @@ impl Runtime {
         tree: &AssemblyTree,
         recorder: Recorder,
     ) -> Result<RunReport, RunError> {
-        let plan = mapping::plan(
-            tree,
-            self.cfg.nprocs,
-            MappingParams {
-                alpha: self.cfg.mapping_alpha,
-                type2_min_front: self.cfg.type2_min_front,
-                kmin_rows: self.cfg.kmin_rows,
-                type3_min_front: self.cfg.type3_min_front,
-                speed_factors: self.cfg.speed_factors.clone(),
-            },
-        );
-        let mut cfg = self.cfg.clone();
-        if cfg.threshold.is_none() {
-            cfg.threshold = Some(derive_threshold(tree, &plan, &cfg));
-        }
+        let plan = mapping::plan(tree, self.cfg.nprocs, mapping_params(&self.cfg));
+        let cfg = self.cfg.clone();
         match cfg.backend {
             ExecBackend::Sim => run_sim(tree, plan, cfg, recorder),
             ExecBackend::Threaded(t) => crate::threaded::run(tree, plan, cfg, t, recorder),
         }
+    }
+}
+
+fn mapping_params(cfg: &SolverConfig) -> MappingParams {
+    MappingParams {
+        alpha: cfg.mapping_alpha,
+        type2_min_front: cfg.type2_min_front,
+        kmin_rows: cfg.kmin_rows,
+        type3_min_front: cfg.type3_min_front,
+        speed_factors: cfg.speed_factors.clone(),
     }
 }
 
@@ -135,14 +131,20 @@ fn run_sim(
     Ok(world.report())
 }
 
-/// §2.3: "it is consistent to choose a threshold of the same order as the
-/// granularity of the tasks appearing in the slave selections." We derive it
-/// from the mean Type 2 slave share (a quarter of it, so shares themselves
-/// always cross the threshold but the small-task noise does not).
-pub(crate) fn derive_threshold(
+/// The broadcast threshold both backends use when the configuration leaves
+/// it unset. §2.3: "it is consistent to choose a threshold of the same order
+/// as the granularity of the tasks appearing in the slave selections." We
+/// derive it from the mean Type 2 slave share (a quarter of it, so shares
+/// themselves always cross the threshold but the small-task noise does not).
+///
+/// Both components are multiplied by `scale` before they are clamped to at
+/// least 1. Runs with no explicit threshold use `scale` 1; the threshold
+/// ablation sweeps it.
+pub fn derive_threshold(
     tree: &AssemblyTree,
     plan: &crate::mapping::TreePlan,
     cfg: &SolverConfig,
+    scale: f64,
 ) -> loadex_core::Threshold {
     use crate::mapping::NodeType;
     use loadex_sparse::Symmetry;
@@ -167,13 +169,13 @@ pub(crate) fn derive_threshold(
     if n == 0 {
         // No parallel tasks: any coarse threshold works; take 1% of totals.
         return loadex_core::Threshold::new(
-            (tree.total_flops() * 0.01).max(1.0),
-            (tree.total_factor_entries() * 0.01).max(1.0),
+            (tree.total_flops() * 0.01 * scale).max(1.0),
+            (tree.total_factor_entries() * 0.01 * scale).max(1.0),
         );
     }
     loadex_core::Threshold::new(
-        (work / n as f64 * 0.25).max(1.0),
-        (mem / n as f64 * 0.25).max(1.0),
+        (work / n as f64 * 0.25 * scale).max(1.0),
+        (mem / n as f64 * 0.25 * scale).max(1.0),
     )
 }
 
@@ -341,6 +343,17 @@ mod tests {
         let r2 = run(&t, &c).unwrap();
         assert_eq!(r2.factor_time, r.factor_time);
         assert_eq!(r2.state_msgs, r.state_msgs);
+    }
+
+    #[test]
+    fn derived_threshold_is_positive_and_scales() {
+        let tree = by_name("GUPTA3").unwrap().build_tree();
+        let cfg = SolverConfig::new(8);
+        let plan = mapping::plan(&tree, 8, mapping_params(&cfg));
+        let one = derive_threshold(&tree, &plan, &cfg, 1.0);
+        assert!(one.work > 0.0 && one.mem > 0.0);
+        let four = derive_threshold(&tree, &plan, &cfg, 4.0);
+        assert_eq!(four.work, (one.work * 4.0).max(1.0));
     }
 
     #[test]

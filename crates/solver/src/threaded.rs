@@ -252,23 +252,27 @@ fn flush_cell(
     let mut ok = true;
     for OutMsg { dest, msg } in staged {
         let size = msg.wire_size();
-        match dest {
+        let sent = match dest {
             Dest::One(to) => {
                 ok &= tx.send(to, size, msg);
-                coord.net_state_msgs.fetch_add(1, Ordering::Relaxed);
-                coord.net_state_bytes.fetch_add(size, Ordering::Relaxed);
+                1
+            }
+            Dest::Many(dests) => {
+                for &to in &dests {
+                    ok &= tx.send(to, size, msg.clone());
+                }
+                dests.len()
             }
             Dest::AllOthers => {
                 let delivered = tx.broadcast(size, &msg);
                 ok &= delivered == nprocs - 1;
-                coord
-                    .net_state_msgs
-                    .fetch_add(delivered as u64, Ordering::Relaxed);
-                coord
-                    .net_state_bytes
-                    .fetch_add(delivered as u64 * size, Ordering::Relaxed);
+                delivered
             }
-        }
+        } as u64;
+        coord.net_state_msgs.fetch_add(sent, Ordering::Relaxed);
+        coord
+            .net_state_bytes
+            .fetch_add(sent * size, Ordering::Relaxed);
     }
     ok
 }
@@ -1416,7 +1420,7 @@ pub(crate) fn run(
     let nprocs = cfg.nprocs;
     let threshold = cfg
         .threshold
-        .unwrap_or_else(|| crate::engine::default_threshold(tree));
+        .unwrap_or_else(|| crate::run::derive_threshold(tree, &plan, &cfg, 1.0));
     let clock = WallClock::starting_now(t.time_scale);
     let deadline = clock.epoch() + t.wall_timeout;
     let coord = Coord::new(tree, &plan);

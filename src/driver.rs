@@ -98,6 +98,11 @@ impl<M: Mechanism> Driver<M> {
                 Dest::One(to) => {
                     self.ep.send(to, Channel::State, size, msg);
                 }
+                Dest::Many(dests) => {
+                    for to in dests {
+                        self.ep.send(to, Channel::State, size, msg.clone());
+                    }
+                }
                 Dest::AllOthers => {
                     self.ep.broadcast(Channel::State, size, &msg);
                 }

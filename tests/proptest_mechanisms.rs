@@ -29,6 +29,11 @@ impl Postman {
         for OutMsg { dest, msg } in out.drain() {
             match dest {
                 Dest::One(to) => self.queues[from.index() * self.n + to.index()].push_back(msg),
+                Dest::Many(dests) => {
+                    for to in dests {
+                        self.queues[from.index() * self.n + to.index()].push_back(msg.clone());
+                    }
+                }
                 Dest::AllOthers => {
                     for q in 0..self.n {
                         if q != from.index() {

@@ -19,6 +19,11 @@ fn flush(ep: &Endpoint<StateMsg>, out: &mut Outbox) {
             Dest::One(to) => {
                 ep.send(to, Channel::State, size, msg);
             }
+            Dest::Many(dests) => {
+                for to in dests {
+                    ep.send(to, Channel::State, size, msg.clone());
+                }
+            }
             Dest::AllOthers => {
                 ep.broadcast(Channel::State, size, &msg);
             }

@@ -183,6 +183,11 @@ fn flush(ep: &Endpoint<StateMsg>, out: &mut Outbox) {
             loadex::core::Dest::One(to) => {
                 ep.send(to, Channel::State, size, m.msg);
             }
+            loadex::core::Dest::Many(dests) => {
+                for to in dests {
+                    ep.send(to, Channel::State, size, m.msg.clone());
+                }
+            }
             loadex::core::Dest::AllOthers => {
                 ep.broadcast(Channel::State, size, &m.msg);
             }
