@@ -15,18 +15,22 @@
 //!   **workload-based** (§4.2.2) slave selection by irregular 1D row
 //!   blocking with granularity constraints, plus memory-aware task
 //!   selection.
-//! * [`engine`] — Algorithm 1 per process: receive state messages first,
-//!   then application messages, else compute; masters open a dynamic
-//!   decision at every Type 2 activation. Supports the single-threaded model
-//!   (a process cannot compute and communicate simultaneously) and the §4.5
-//!   threaded variant (a communication thread polls the state channel every
-//!   50 µs and pauses the computation during snapshots).
+//! * `process` (internal) — Algorithm 1 per process, written once for both
+//!   backends: receive state messages first, then application messages,
+//!   else compute; masters open a dynamic decision at every Type 2
+//!   activation. The procedures run over a per-process `Proc` and a small
+//!   `Host` trait each backend implements.
+//! * [`engine`] — the discrete-event backend driving those procedures.
+//!   Supports the single-threaded model (a process cannot compute and
+//!   communicate simultaneously) and the §4.5 threaded variant (a
+//!   communication thread polls the state channel every 50 µs and pauses the
+//!   computation during snapshots).
 //! * [`report`] — everything the paper's tables measure: factorization time,
 //!   per-process active-memory peaks, state-message counts, decision counts,
 //!   snapshot time breakdowns.
-//! * [`threaded`] — the real-thread execution backend: one OS thread per
-//!   process over `loadex_net::thread` endpoints, with the §4.5 dedicated
-//!   communication thread as an option.
+//! * [`threaded`] — the real-thread execution backend driving the same
+//!   procedures: one OS thread per process over `loadex_net::thread`
+//!   endpoints, with the §4.5 dedicated communication thread as an option.
 //! * [`run`] — the [`Runtime`] entry point dispatching between the two
 //!   backends, plus one-call wrappers.
 
@@ -34,6 +38,7 @@ pub mod config;
 pub mod engine;
 pub mod error;
 pub mod mapping;
+mod process;
 pub mod report;
 pub mod run;
 pub mod sched;

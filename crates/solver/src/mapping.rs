@@ -119,8 +119,7 @@ fn lpt(
     order.sort_by(|&a, &b| {
         items[b]
             .1
-            .partial_cmp(&items[a].1)
-            .unwrap()
+            .total_cmp(&items[a].1)
             .then(items[a].0.cmp(&items[b].0))
     });
     let mut assign = vec![0u32; items.len()];
@@ -129,7 +128,7 @@ fn lpt(
             .min_by(|&a, &b| {
                 let fa = (loads[a] + items[idx].1) / speed(a);
                 let fb = (loads[b] + items[idx].1) / speed(b);
-                fa.partial_cmp(&fb).unwrap()
+                fa.total_cmp(&fb)
             })
             .unwrap();
         assign[idx] = bin as u32;

@@ -4,8 +4,9 @@
 //! vendored `serde` shim, so the bench CLI can dump a machine-readable
 //! successor to `tables_output.txt`.
 
+use loadex_core::MechStats;
 use loadex_obs::span::{self, Span, SpanState};
-use loadex_obs::{AccuracyReport, MetricsSnapshot};
+use loadex_obs::{AccuracyReport, MetricsSnapshot, ViewAccuracyProbe};
 use loadex_sim::{SimDuration, SimTime, StatSet, Welford};
 use serde::{ser::JsonMap, Serialize};
 
@@ -160,6 +161,167 @@ impl RunReport {
             return "(timeline recording disabled; set SolverConfig::record_timeline)".into();
         }
         span::render_gantt(&self.spans(), self.factor_time, width)
+    }
+}
+
+/// One process's contribution to a [`RunReport`].
+pub(crate) struct ProcOutcome {
+    pub(crate) mem_peak_entries: f64,
+    pub(crate) mem_final_entries: f64,
+    pub(crate) busy: SimDuration,
+    pub(crate) blocked: SimDuration,
+    pub(crate) stats: MechStats,
+    pub(crate) timeline: Timeline,
+}
+
+/// Messages and bytes the transport carried, per channel.
+pub(crate) struct NetCounters {
+    pub(crate) state_msgs: u64,
+    pub(crate) state_bytes: u64,
+    pub(crate) regular_msgs: u64,
+    pub(crate) regular_bytes: u64,
+}
+
+/// Union of the intervals during which at least one snapshot was in flight,
+/// and the peak number of concurrent snapshots.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct SnapUnion {
+    active: u32,
+    from: SimTime,
+    pub(crate) union: SimDuration,
+    pub(crate) max: u32,
+}
+
+impl SnapUnion {
+    pub(crate) fn begin(&mut self, now: SimTime) {
+        if self.active == 0 {
+            self.from = now;
+        }
+        self.active += 1;
+        self.max = self.max.max(self.active);
+    }
+
+    pub(crate) fn end(&mut self, now: SimTime) {
+        debug_assert!(self.active > 0, "snapshot end without a begin");
+        self.active = self.active.saturating_sub(1);
+        if self.active == 0 {
+            self.union += now.since(self.from);
+        }
+    }
+
+    /// Close a still-open interval at the end of the run.
+    pub(crate) fn close(&mut self, now: SimTime) {
+        if self.active > 0 {
+            self.union += now.since(self.from);
+            self.active = 0;
+        }
+    }
+}
+
+/// The simulator's sampled view-error accumulators (the `view_err_*` fields
+/// of [`RunReport`]); empty on the threaded backend.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct ViewErrSamples {
+    pub(crate) time_work: Welford,
+    pub(crate) time_mem: Welford,
+    pub(crate) decision_work: Welford,
+    pub(crate) decision_mem: Welford,
+}
+
+/// The run-wide results a backend hands to [`RunReport::build`].
+pub(crate) struct RunTotals {
+    pub(crate) backend: &'static str,
+    pub(crate) factor_time: SimTime,
+    pub(crate) net: NetCounters,
+    pub(crate) app_msgs: u64,
+    pub(crate) snapshots: SnapUnion,
+    pub(crate) events_dropped: u64,
+    /// The run's histograms.
+    pub(crate) metrics: MetricsSnapshot,
+    pub(crate) view_err: ViewErrSamples,
+    /// The accuracy probe, closed at the factorization time here.
+    pub(crate) probe: Option<ViewAccuracyProbe>,
+}
+
+impl RunReport {
+    /// Fold per-process outcomes and run totals into the report. The metrics
+    /// snapshot carries everything the scalar fields summarize: the
+    /// per-mechanism totals, the network counters and the histograms.
+    pub(crate) fn build(outs: Vec<ProcOutcome>, run: RunTotals) -> RunReport {
+        let procs: Vec<ProcReport> = outs
+            .iter()
+            .map(|o| ProcReport {
+                mem_peak_entries: o.mem_peak_entries,
+                mem_final_entries: o.mem_final_entries,
+                state_msgs_sent: o.stats.msgs_sent,
+                state_bytes_sent: o.stats.bytes_sent,
+                decisions: o.stats.decisions,
+                busy: o.busy,
+                blocked: o.blocked,
+            })
+            .collect();
+        let total = |f: fn(&MechStats) -> u64| outs.iter().map(|o| f(&o.stats)).sum::<u64>();
+        let (decisions, state_msgs, state_bytes) = (
+            total(|s| s.decisions),
+            total(|s| s.msgs_sent),
+            total(|s| s.bytes_sent),
+        );
+        let snapshots_started = total(|s| s.snapshots_started);
+        let mut counters = StatSet::new();
+        counters.add("net_state_msgs", run.net.state_msgs);
+        counters.add("net_regular_msgs", run.net.regular_msgs);
+        counters.add("net_state_bytes", run.net.state_bytes);
+        counters.add("net_regular_bytes", run.net.regular_bytes);
+        let mut metrics = run.metrics;
+        let folded = [
+            ("state_msgs_sent", state_msgs),
+            ("state_bytes_sent", state_bytes),
+            ("state_msgs_received", total(|s| s.msgs_received)),
+            ("decisions", decisions),
+            ("snapshots_started", snapshots_started),
+            ("snapshot_rebroadcasts", total(|s| s.snapshot_rebroadcasts)),
+            ("delayed_answers", total(|s| s.delayed_answers)),
+            ("app_msgs", run.app_msgs),
+            ("events_dropped", run.events_dropped),
+        ];
+        for (name, v) in counters.iter().chain(folded) {
+            metrics.counters.insert(name.to_string(), v);
+        }
+        let gauges = [
+            (
+                "mem_peak_entries",
+                procs.iter().map(|p| p.mem_peak_entries).fold(0.0, f64::max),
+            ),
+            ("factor_time_s", run.factor_time.as_secs_f64()),
+            ("snapshot_union_s", run.snapshots.union.as_secs_f64()),
+            ("snapshot_max_concurrent", run.snapshots.max as f64),
+        ];
+        for (name, v) in gauges {
+            metrics.gauges.insert(name.to_string(), v);
+        }
+        RunReport {
+            backend: run.backend,
+            factor_time: run.factor_time,
+            decisions,
+            state_msgs,
+            state_bytes,
+            app_msgs: run.app_msgs,
+            snapshot_union_time: run.snapshots.union,
+            snapshot_max_concurrent: run.snapshots.max,
+            snapshots_started,
+            counters,
+            view_err_time_work: run.view_err.time_work,
+            view_err_time_mem: run.view_err.time_mem,
+            view_err_decision_work: run.view_err.decision_work,
+            view_err_decision_mem: run.view_err.decision_mem,
+            timelines: outs.into_iter().map(|o| o.timeline).collect(),
+            procs,
+            metrics,
+            accuracy: run.probe.map(|mut probe| {
+                probe.finish(run.factor_time);
+                probe.report()
+            }),
+        }
     }
 }
 

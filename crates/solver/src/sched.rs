@@ -126,11 +126,7 @@ pub fn select_slaves_among(
     }
     debug_assert!(cands.iter().all(|(p, _)| *p != me));
     // Deterministic order: by level, ties by rank.
-    cands.sort_by(|a, b| {
-        a.1.partial_cmp(&b.1)
-            .unwrap()
-            .then(a.0.index().cmp(&b.0.index()))
-    });
+    cands.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.index().cmp(&b.0.index())));
 
     let per_row = match cfg.strategy {
         Strategy::MemoryBased => mem_per_row,
@@ -290,7 +286,7 @@ pub fn pick_task(cfg: &SolverConfig, view: &LoadTable, ready: &[ReadyTask]) -> O
             ready
                 .iter()
                 .enumerate()
-                .min_by(|a, b| a.1.alloc.partial_cmp(&b.1.alloc).unwrap())
+                .min_by(|a, b| a.1.alloc.total_cmp(&b.1.alloc))
                 .map(|(i, _)| i)
         }
     }

@@ -27,4 +27,14 @@ for mech in naive increments snapshot; do
         --matrix TWOTONE --procs 8 --mech "$mech" --audit
 done
 
+# Deterministic tables: every section of `tables --all` except the wall-clock
+# §4.5 threaded-backend table must match the committed tables_output.txt byte
+# for byte (about a minute, most of it spent in that threaded table).
+echo "==> tables --all vs tables_output.txt (threaded-backend table excluded)"
+cargo run --release --offline -q -p loadex-bench --bin tables -- --all |
+    awk '/^== §4.5 threaded execution backend/ {skip = 1}
+         skip && /^$/ {skip = 0; next}
+         !skip' |
+    diff -u tables_output.txt -
+
 echo "All checks passed."

@@ -21,8 +21,6 @@
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the system inventory.
 
-pub mod driver;
-
 pub use loadex_core as core;
 pub use loadex_net as net;
 pub use loadex_obs as obs;

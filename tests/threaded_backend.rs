@@ -4,7 +4,7 @@
 
 use loadex::core::{Gate, Load, MechKind, Mechanism, Outbox, SnapshotMechanism, StateMsg};
 use loadex::net::{Channel, Endpoint, RecvError, ThreadNetwork};
-use loadex::sim::{ActorId, SimRng, SimTime};
+use loadex::sim::{ActorId, SimDuration, SimRng, SimTime};
 use loadex::solver::{self, ExecBackend, RunError, SolverConfig, ThreadedBackend};
 use loadex::sparse::{gen, symbolic, AssemblyTree, Symmetry};
 use std::time::Duration;
@@ -47,20 +47,34 @@ fn run_threaded(tree: &AssemblyTree, c: &SolverConfig, t: ThreadedBackend) -> so
 #[test]
 fn completes_under_all_mechanisms_with_and_without_comm_thread() {
     let tree = small_tree();
-    for mech in [MechKind::Naive, MechKind::Increments, MechKind::Snapshot] {
+    // Periodic and gossip disseminate only from their timer, which lives on
+    // the comm thread or, without one, in the worker's main loop: state
+    // traffic shows that timer path fired. Their 5 ms period sits well
+    // inside this tree's ~80 ms makespan (the 100 ms default does not).
+    for mech in [
+        MechKind::Naive,
+        MechKind::Increments,
+        MechKind::Snapshot,
+        MechKind::Periodic,
+        MechKind::Gossip,
+    ] {
         for comm in [true, false] {
             let t = if comm {
                 fast()
             } else {
                 fast().without_comm_thread()
             };
-            let r = run_threaded(&tree, &cfg(4, mech), t);
+            let mut c = cfg(4, mech);
+            c.periodic_interval = SimDuration::from_millis(5);
+            c.gossip_interval = SimDuration::from_millis(5);
+            let r = run_threaded(&tree, &c, t);
             assert_eq!(r.backend, "threaded");
             assert!(r.factor_time > SimTime::ZERO, "{mech} comm={comm}");
             assert_eq!(r.procs.len(), 4);
             assert!(r.decisions > 0, "{mech} comm={comm}: no dynamic decisions");
             assert!(r.mem_peak_entries() > 0.0, "{mech} comm={comm}");
             assert!(r.app_msgs > 0, "{mech} comm={comm}: no application traffic");
+            assert!(r.state_msgs > 0, "{mech} comm={comm}: no state traffic");
         }
     }
 }
