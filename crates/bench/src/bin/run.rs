@@ -21,11 +21,15 @@
 //! <https://ui.perfetto.dev>), the full run report + metrics registry as
 //! JSON, and the raw protocol-event stream as JSONL.
 //!
-//! `--accuracy-out` attaches the view-accuracy probe (ground-truth vs.
-//! believed views, staleness, decision regret) and writes its report as
-//! JSON. `--audit` records the protocol-event stream and checks it against
-//! the strict protocol invariants (`loadex_obs::ProtocolAuditor`); any
-//! violation is printed and fails the run with a non-zero exit status.
+//! `--probe` attaches the view-accuracy probe (ground-truth vs. believed
+//! views, decision-time error, staleness, decision regret), sampling its
+//! time series every 500 ms of simulated time, and prints its summary;
+//! `--accuracy-out` does the same and also writes the report as JSON.
+//! `--audit` records the protocol-event stream and checks it against the
+//! strict protocol invariants (`loadex_obs::ProtocolAuditor`); any
+//! violation is printed and fails the run with a non-zero exit status, as
+//! does a stream the recorder had to truncate (the audit would check an
+//! incomplete history).
 
 use loadex_bench::config_for;
 use loadex_core::MechKind;
@@ -177,15 +181,9 @@ fn main() {
     if let Some(us) = latency_us {
         cfg.network.latency = SimDuration::from_micros(us);
     }
-    if probe {
-        cfg.coherence_probe = Some(SimDuration::from_millis(500));
-    }
-    if accuracy_out.is_some() {
+    if probe || accuracy_out.is_some() {
         cfg = cfg.with_accuracy(true);
-        // The probe samples its time series on the coherence tick.
-        if cfg.coherence_probe.is_none() {
-            cfg.coherence_probe = Some(SimDuration::from_millis(500));
-        }
+        cfg.coherence_probe = Some(SimDuration::from_millis(500));
     }
 
     let tree = model.build_tree();
@@ -251,7 +249,14 @@ fn main() {
         let acc = r.accuracy.as_ref().expect("accuracy was enabled");
         write(path, "accuracy report", acc.to_json());
     }
-    let audit_failed = if audit {
+    let audit_failed = if audit && rec.dropped() > 0 {
+        eprintln!(
+            "audit: stream truncated, {} events dropped; not auditing an incomplete stream \
+             (record fewer events: a smaller --procs or matrix)",
+            rec.dropped()
+        );
+        true
+    } else if audit {
         let report = ProtocolAuditor::strict().audit(&events);
         if report.is_clean() {
             eprintln!("audit: {} events, 0 violations (strict)", report.events);
@@ -290,23 +295,19 @@ fn main() {
         println!("snapshot concur.   : {}", r.snapshot_max_concurrent);
         println!("snapshots started  : {}", r.snapshots_started);
     }
-    if probe {
-        println!(
-            "view error (time)  : mean {:.3e} / max {:.3e} work units",
-            r.view_err_time_work.mean(),
-            r.view_err_time_work.max()
-        );
-    }
-    println!(
-        "view error (decis.): mean {:.3e} / max {:.3e} work units",
-        r.view_err_decision_work.mean(),
-        r.view_err_decision_work.max()
-    );
     if let Some(acc) = &r.accuracy {
         let s = &acc.summary;
         println!(
-            "view accuracy      : mean {:.3e} / max {:.3e} work units, staleness {:.3} s mean",
-            s.mean_abs_err_work, s.max_abs_err_work, s.mean_staleness_s
+            "view error (time)  : mean {:.3e} / max {:.3e} work units",
+            s.mean_abs_err_work, s.max_abs_err_work
+        );
+        println!(
+            "view error (decis.): mean {:.3e} / max {:.3e} work units",
+            s.mean_decision_err_work, s.max_decision_err_work
+        );
+        println!(
+            "staleness          : mean {:.3} s / max {:.3} s",
+            s.mean_staleness_s, s.max_staleness_s
         );
         println!(
             "decision regret    : {} / {} decisions, gap mean {:.3e} / max {:.3e}",

@@ -429,9 +429,10 @@ pub fn ablation_threshold(nprocs: usize, model: &MatrixModel) -> Table {
 
 /// Extension experiment: quantify each mechanism's **view coherence** — the
 /// error between what processes believe about each other's load and the
-/// ground truth, both uniformly in time and at the decision instants (the
-/// error the schedulers actually consume). This is the property the paper
-/// discusses qualitatively throughout; here it is measured.
+/// ground truth, both sampled uniformly in time (the accuracy probe's
+/// series) and at the decision instants (the error the schedulers actually
+/// consume). This is the property the paper discusses qualitatively
+/// throughout; here it is measured.
 pub fn ablation_coherence(nprocs: usize, model: &MatrixModel) -> Table {
     use loadex_sim::SimDuration;
     let mut t = Table::new(
@@ -450,15 +451,25 @@ pub fn ablation_coherence(nprocs: usize, model: &MatrixModel) -> Table {
     );
     let tree = model.build_tree();
     for mech in MechKind::ALL {
-        let mut cfg = config_for(nprocs).with_mechanism(mech);
+        let mut cfg = config_for(nprocs).with_mechanism(mech).with_accuracy(true);
         cfg.coherence_probe = Some(SimDuration::from_millis(500));
         let r = run(&tree, &cfg).unwrap();
+        let acc = r.accuracy.as_ref().expect("accuracy was enabled");
+        // Every tick averages the same number of pairs, so the mean of the
+        // tick means is the mean over all sampled pairs.
+        let ticks = acc.series.len().max(1) as f64;
+        let t_mean = acc.series.iter().map(|p| p.mean_abs_err_work).sum::<f64>() / ticks;
+        let t_max = acc
+            .series
+            .iter()
+            .map(|p| p.max_abs_err_work)
+            .fold(0.0, f64::max);
         t.row(vec![
             mech.name().to_string(),
-            format!("{:.3e}", r.view_err_time_work.mean()),
-            format!("{:.3e}", r.view_err_time_work.max()),
-            format!("{:.3e}", r.view_err_decision_work.mean()),
-            format!("{:.3e}", r.view_err_decision_work.max()),
+            format!("{t_mean:.3e}"),
+            format!("{t_max:.3e}"),
+            format!("{:.3e}", acc.summary.mean_decision_err_work),
+            format!("{:.3e}", acc.summary.max_decision_err_work),
             r.state_msgs.to_string(),
         ]);
     }
@@ -576,7 +587,6 @@ pub fn ablation_partial_snapshot(nprocs: usize, model: &MatrixModel) -> Table {
 /// epidemic gossip (the memberlist/Serf style of load dissemination). Same
 /// solver, same tree, same decisions: only the dissemination changes.
 pub fn extended_comparison(nprocs: usize, model: &MatrixModel) -> Table {
-    use loadex_sim::SimDuration;
     let mut t = Table::new(
         format!(
             "Extension: five dissemination mechanisms, {} on {nprocs} procs",
@@ -593,16 +603,16 @@ pub fn extended_comparison(nprocs: usize, model: &MatrixModel) -> Table {
     );
     let tree = model.build_tree();
     for mech in MechKind::EXTENDED {
-        let mut cfg = config_for(nprocs).with_mechanism(mech);
-        cfg.coherence_probe = Some(SimDuration::from_millis(500));
+        let cfg = config_for(nprocs).with_mechanism(mech).with_accuracy(true);
         let r = run(&tree, &cfg).unwrap();
+        let acc = r.accuracy.as_ref().expect("accuracy was enabled");
         t.row(vec![
             mech.name().to_string(),
             f(r.seconds()),
             r.state_msgs.to_string(),
             r.state_bytes.to_string(),
             f(r.mem_peak_millions()),
-            format!("{:.2e}", r.view_err_decision_work.mean()),
+            format!("{:.2e}", acc.summary.mean_decision_err_work),
         ]);
     }
     t

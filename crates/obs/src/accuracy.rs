@@ -12,6 +12,9 @@
 //!   less than a persistently-wrong one;
 //! * **staleness** — the age of the freshest information an observer holds
 //!   about a subject (time since the last belief refresh about that peer);
+//! * **decision-time error** — `|believed − true|` over the deciding
+//!   master's row at each dynamic decision: the error the schedulers
+//!   actually consume;
 //! * **decision regret** — fed in by the scheduler: how often a slave
 //!   selection made on the believed view differs from the selection the
 //!   ground-truth view would have produced, and by how much load.
@@ -23,7 +26,7 @@
 //! signals — every truth or belief change first settles the affected pairs
 //! up to the change instant.
 
-use loadex_sim::SimTime;
+use loadex_sim::{SimTime, Welford};
 use serde::{ser::JsonMap, Serialize};
 
 /// Pair-state: accumulated error/staleness integrals for one
@@ -89,6 +92,17 @@ pub struct AccuracySummary {
     pub mean_staleness_s: f64,
     /// Oldest information age reached by any pair, in seconds.
     pub max_staleness_s: f64,
+    /// `(decision, peer)` samples behind the decision-time errors.
+    pub decision_err_samples: u64,
+    /// Mean absolute workload error of the deciding master's view at its
+    /// decisions, over every peer.
+    pub mean_decision_err_work: f64,
+    /// Largest such workload error.
+    pub max_decision_err_work: f64,
+    /// Mean absolute memory error of the master's view at its decisions.
+    pub mean_decision_err_mem: f64,
+    /// Largest such memory error.
+    pub max_decision_err_mem: f64,
     /// Dynamic decisions replayed against the ground truth.
     pub decisions: u64,
     /// Decisions whose believed-view selection differed from the
@@ -117,6 +131,10 @@ impl AccuracySummary {
             self.max_rel_err_mem,
             self.mean_staleness_s,
             self.max_staleness_s,
+            self.mean_decision_err_work,
+            self.max_decision_err_work,
+            self.mean_decision_err_mem,
+            self.max_decision_err_mem,
             self.mean_regret_gap,
             self.max_regret_gap,
         ]
@@ -139,6 +157,11 @@ impl Serialize for AccuracySummary {
             .field("max_rel_err_mem", &self.max_rel_err_mem)
             .field("mean_staleness_s", &self.mean_staleness_s)
             .field("max_staleness_s", &self.max_staleness_s)
+            .field("decision_err_samples", &self.decision_err_samples)
+            .field("mean_decision_err_work", &self.mean_decision_err_work)
+            .field("max_decision_err_work", &self.max_decision_err_work)
+            .field("mean_decision_err_mem", &self.mean_decision_err_mem)
+            .field("max_decision_err_mem", &self.max_decision_err_mem)
             .field("decisions", &self.decisions)
             .field("regrets", &self.regrets)
             .field("mean_regret_gap", &self.mean_regret_gap)
@@ -192,6 +215,9 @@ pub struct ViewAccuracyProbe {
     /// Integral of information age over time, in seconds² (per pair, summed).
     int_stale_s2: f64,
     max_stale_s: f64,
+    /// `|belief − truth|` over the master's row at each decision.
+    decision_err_work: Welford,
+    decision_err_mem: Welford,
     decisions: u64,
     regrets: u64,
     gap_sum: f64,
@@ -233,6 +259,8 @@ impl ViewAccuracyProbe {
             max_rel_mem: 0.0,
             int_stale_s2: 0.0,
             max_stale_s: 0.0,
+            decision_err_work: Welford::default(),
+            decision_err_mem: Welford::default(),
             decisions: 0,
             regrets: 0,
             gap_sum: 0.0,
@@ -327,11 +355,18 @@ impl ViewAccuracyProbe {
         self.beliefs[i] = (work, mem);
     }
 
-    /// Record one replayed dynamic decision: whether the believed-view
+    /// Record one replayed dynamic decision of master `p`: the error of its
+    /// view of every peer at this instant, whether the believed-view
     /// selection `mismatch`ed the ground-truth selection, and the
     /// ground-truth load `gap` (per assigned row) it cost. NaN gaps are
     /// recorded as mismatch-only.
-    pub fn record_decision(&mut self, mismatch: bool, gap: f64) {
+    pub fn record_decision(&mut self, p: usize, mismatch: bool, gap: f64) {
+        for q in (0..self.nprocs).filter(|&q| q != p) {
+            let (bw, bm) = self.beliefs[self.idx(p, q)];
+            let (tw, tm) = self.truth[q];
+            self.decision_err_work.push((bw - tw).abs());
+            self.decision_err_mem.push((bm - tm).abs());
+        }
         self.decisions += 1;
         if mismatch {
             self.regrets += 1;
@@ -417,6 +452,11 @@ impl ViewAccuracyProbe {
             max_rel_err_mem: self.max_rel_mem,
             mean_staleness_s: mean(self.int_stale_s2),
             max_staleness_s: self.max_stale_s,
+            decision_err_samples: self.decision_err_work.count(),
+            mean_decision_err_work: self.decision_err_work.mean(),
+            max_decision_err_work: self.decision_err_work.max(),
+            mean_decision_err_mem: self.decision_err_mem.mean(),
+            max_decision_err_mem: self.decision_err_mem.max(),
             decisions: self.decisions,
             regrets: self.regrets,
             mean_regret_gap: if self.decisions > 0 {
@@ -495,14 +535,35 @@ mod tests {
     #[test]
     fn decisions_and_regret_accumulate() {
         let mut p = ViewAccuracyProbe::new(2);
-        p.record_decision(false, 0.0);
-        p.record_decision(true, 4.0);
-        p.record_decision(true, 2.0);
+        p.record_decision(0, false, 0.0);
+        p.record_decision(0, true, 4.0);
+        p.record_decision(1, true, 2.0);
         let s = p.summary();
         assert_eq!(s.decisions, 3);
         assert_eq!(s.regrets, 2);
         assert!((s.mean_regret_gap - 2.0).abs() < 1e-9);
         assert_eq!(s.max_regret_gap, 4.0);
+    }
+
+    #[test]
+    fn decision_error_folds_the_masters_row() {
+        // Three processes. Master 0 believes (5, 1) of P1 and (0, 0) of P2;
+        // the truth is (2, 1) and (4, 3). P1's own wrong belief about P2 and
+        // the self-pair (truth (9, 9) vs nothing) must not count.
+        let mut p = ViewAccuracyProbe::new(3);
+        p.set_truth(ns(0), 0, 9.0, 9.0);
+        p.set_truth(ns(0), 1, 2.0, 1.0);
+        p.set_truth(ns(0), 2, 4.0, 3.0);
+        p.set_belief(ns(0), 0, 1, 5.0, 1.0);
+        p.set_belief(ns(0), 1, 2, 100.0, 100.0);
+        p.record_decision(0, false, 0.0);
+        let s = p.summary();
+        assert_eq!(s.decision_err_samples, 2);
+        assert!((s.mean_decision_err_work - 3.5).abs() < 1e-12, "{s:?}");
+        assert_eq!(s.max_decision_err_work, 4.0);
+        assert!((s.mean_decision_err_mem - 1.5).abs() < 1e-12, "{s:?}");
+        assert_eq!(s.max_decision_err_mem, 3.0);
+        assert!(s.is_finite());
     }
 
     #[test]
@@ -551,6 +612,9 @@ mod tests {
             "max_abs_err_work",
             "mean_rel_err_work",
             "mean_staleness_s",
+            "decision_err_samples",
+            "mean_decision_err_work",
+            "max_decision_err_mem",
             "decisions",
             "regrets",
             "mean_regret_gap",

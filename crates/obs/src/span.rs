@@ -42,7 +42,7 @@ pub struct Span {
     pub start: SimTime,
     /// Span end.
     pub end: SimTime,
-    /// Activity during the span.
+    /// What the process did during the span.
     pub state: SpanState,
 }
 
@@ -138,36 +138,6 @@ pub fn spans_from_events(
             p.spans
         })
         .collect()
-}
-
-/// Convert a transition-style timeline (`(time, state)`, ascending) into
-/// spans over `[0, horizon)`.
-pub fn transitions_to_spans(timeline: &[(SimTime, SpanState)], horizon: SimTime) -> Vec<Span> {
-    let mut spans = Vec::new();
-    let mut since = SimTime::ZERO;
-    let mut state = SpanState::Idle;
-    for &(at, next) in timeline {
-        if at > since && next != state {
-            spans.push(Span {
-                start: since,
-                end: at,
-                state,
-            });
-            since = at;
-        }
-        // Same-state transitions (or same-instant overrides) just update.
-        if next != state {
-            state = next;
-        }
-    }
-    if horizon > since {
-        spans.push(Span {
-            start: since,
-            end: horizon,
-            state,
-        });
-    }
-    spans
 }
 
 /// Render per-process spans as an ASCII Gantt chart of `width` columns:
@@ -284,36 +254,6 @@ mod tests {
         let spans = spans_from_events(&events, 1, SimTime(10));
         assert_eq!(spans[0].len(), 1);
         assert_eq!(spans[0][0].state, SpanState::Idle);
-    }
-
-    #[test]
-    fn transitions_roundtrip() {
-        let tl = vec![
-            (SimTime(0), SpanState::Busy),
-            (SimTime(10), SpanState::Blocked),
-            (SimTime(15), SpanState::Idle),
-        ];
-        let spans = transitions_to_spans(&tl, SimTime(20));
-        assert_eq!(
-            spans,
-            vec![
-                Span {
-                    start: SimTime(0),
-                    end: SimTime(10),
-                    state: SpanState::Busy
-                },
-                Span {
-                    start: SimTime(10),
-                    end: SimTime(15),
-                    state: SpanState::Blocked
-                },
-                Span {
-                    start: SimTime(15),
-                    end: SimTime(20),
-                    state: SpanState::Idle
-                },
-            ]
-        );
     }
 
     #[test]

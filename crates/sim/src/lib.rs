@@ -27,8 +27,8 @@
 //! * [`rng`] — a small, self-contained, splittable PRNG (SplitMix64 and
 //!   xoshiro256**) so that simulation randomness is stable across platforms
 //!   and dependency versions.
-//! * [`stats`] — counters, gauges with time-integrals, and streaming moments
-//!   used by the experiment harness.
+//! * [`stats`] — gauges with time-integrals and streaming moments used by
+//!   the experiment harness.
 //!
 //! The engine is deliberately generic: the network model lives in
 //! `loadex-net`, the application (a multifrontal solver) in `loadex-solver`.
@@ -42,5 +42,5 @@ pub mod time;
 pub use engine::{ActorId, Scheduler, SimConfig, Simulator, StopReason, World};
 pub use queue::EventQueue;
 pub use rng::{SimRng, SplitMix64};
-pub use stats::{Counter, StatSet, TimeWeightedGauge, Welford};
+pub use stats::{TimeWeightedGauge, Welford};
 pub use time::{SimDuration, SimTime};

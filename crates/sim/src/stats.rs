@@ -1,39 +1,14 @@
 //! Lightweight statistics primitives for the experiment harness.
 //!
-//! Three shapes cover everything the paper reports:
+//! Two shapes (event counts live in the observability layer's metrics
+//! registry):
 //!
-//! * [`Counter`] — monotone event counts (messages sent, decisions taken).
 //! * [`TimeWeightedGauge`] — a quantity that varies over simulated time and
 //!   whose *peak* and *time-average* matter (active memory, §4.4).
 //! * [`Welford`] — streaming mean/variance/min/max for per-sample metrics
-//!   (snapshot durations, message latencies).
+//!   (the accuracy probe's decision-time view errors).
 
 use crate::time::SimTime;
-use std::collections::BTreeMap;
-
-/// A monotone counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increment by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
 
 /// A gauge sampled against simulated time, tracking current value, peak, and
 /// the time integral (for time-averages).
@@ -207,58 +182,10 @@ impl Welford {
     }
 }
 
-/// A named collection of counters, for ad-hoc instrumentation.
-#[derive(Clone, Debug, Default)]
-pub struct StatSet {
-    counters: BTreeMap<&'static str, u64>,
-}
-
-impl StatSet {
-    /// Create an empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increment `name` by `n` (creating it at zero first).
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_insert(0) += n;
-    }
-
-    /// Increment `name` by one.
-    pub fn inc(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
-    /// Read `name` (zero if absent).
-    pub fn get(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Iterate `(name, value)` in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Merge another set into this one by summing.
-    pub fn merge(&mut self, other: &StatSet) {
-        for (k, v) in other.iter() {
-            self.add(k, v);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::time::SimDuration;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::default();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn gauge_peak_and_average() {
@@ -332,20 +259,5 @@ mod tests {
         assert_eq!(w.variance(), 0.0);
         assert_eq!(w.min(), 0.0);
         assert_eq!(w.max(), 0.0);
-    }
-
-    #[test]
-    fn statset_merge_and_iter_order() {
-        let mut a = StatSet::new();
-        a.inc("msgs");
-        a.add("bytes", 100);
-        let mut b = StatSet::new();
-        b.add("msgs", 2);
-        a.merge(&b);
-        assert_eq!(a.get("msgs"), 3);
-        assert_eq!(a.get("bytes"), 100);
-        assert_eq!(a.get("missing"), 0);
-        let names: Vec<_> = a.iter().map(|(k, _)| k).collect();
-        assert_eq!(names, vec!["bytes", "msgs"]);
     }
 }

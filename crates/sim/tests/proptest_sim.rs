@@ -178,7 +178,7 @@ proptest! {
         for &(dt, v) in &steps {
             let d = SimDuration::from_nanos(dt);
             integral += value * d.as_secs_f64();
-            now = now + d;
+            now += d;
             g.set(now, v);
             value = v;
         }

@@ -198,16 +198,18 @@ pub struct SolverConfig {
     /// are frequent). `SimDuration::ZERO` disables chunking: a task then
     /// blocks messages until it fully completes.
     pub task_chunk: SimDuration,
-    /// Instrumentation: when set, the engine samples every process's view
-    /// error against the ground truth with this period (the "coherence" the
-    /// paper's mechanisms trade off against traffic). Decision-time errors
-    /// are always recorded.
+    /// Instrumentation: the sampling period of the accuracy probe's time
+    /// series ([`AccuracyReport::series`](loadex_obs::AccuracyReport)): every
+    /// tick records the system-wide view error against the ground truth (the
+    /// "coherence" the paper's mechanisms trade off against traffic). Only
+    /// takes effect with [`SolverConfig::accuracy`] on the simulator backend;
+    /// the probe's time-weighted and decision-time errors need no ticks.
     pub coherence_probe: Option<SimDuration>,
     /// Instrumentation: maintain a
     /// [`ViewAccuracyProbe`](loadex_obs::ViewAccuracyProbe) across the run —
     /// ground truth vs. every process's believed view, time-weighted view
-    /// error/staleness integrals, and decision-regret replay at every
-    /// dynamic slave selection. Pure bookkeeping: enabling it changes no
+    /// error/staleness integrals, and the master's view error and a
+    /// decision-regret replay at every dynamic slave selection. Pure bookkeeping: enabling it changes no
     /// scheduling outcome. The result lands in
     /// [`RunReport::accuracy`](crate::report::RunReport::accuracy).
     pub accuracy: bool,
@@ -225,9 +227,6 @@ pub struct SolverConfig {
     pub gossip_interval: SimDuration,
     /// Peers contacted per gossip round.
     pub gossip_fanout: usize,
-    /// Record per-process activity timelines (see
-    /// [`RunReport::render_gantt`](crate::report::RunReport::render_gantt)).
-    pub record_timeline: bool,
     /// Which execution backend carries out the run: the discrete-event
     /// simulator or real OS threads.
     pub backend: ExecBackend,
@@ -263,7 +262,6 @@ impl SolverConfig {
             periodic_interval: SimDuration::from_millis(100),
             gossip_interval: SimDuration::from_millis(100),
             gossip_fanout: 2,
-            record_timeline: false,
             backend: ExecBackend::Sim,
         }
     }

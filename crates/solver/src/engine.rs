@@ -29,7 +29,7 @@
 use crate::config::{CommMode, SolverConfig};
 use crate::mapping::{NodeType, TreePlan};
 use crate::process::{self, Cx, Host, NodeState, Proc};
-use crate::report::{Activity, NetCounters, RunReport, RunTotals, SnapUnion, ViewErrSamples};
+use crate::report::{NetCounters, RunReport, RunTotals, SnapUnion};
 use crate::work::{self, Task};
 use loadex_core::{AnyMechanism, Dest, Mechanism, OutMsg, Outbox, StateMsg};
 use loadex_net::{Channel, SimNetwork};
@@ -81,7 +81,7 @@ pub enum Ev {
     TaskDone(u64),
     /// Communication-thread poll tick (threaded mode).
     Poll,
-    /// Coherence-probe tick (instrumentation; see
+    /// Accuracy-probe sampling tick (instrumentation; see
     /// [`SolverConfig::coherence_probe`]).
     Probe,
     /// Dissemination timer of the periodic/gossip extension mechanisms.
@@ -144,14 +144,13 @@ struct SimState {
     snp: SnapUnion,
     done_at: Option<SimTime>,
     finished_at: SimTime,
-    /// Sampled view error (coherence-probe ticks and decisions) against
-    /// the committed-workload ground truth: the load a perfect scheduler
-    /// would want, in-flight slave tasks included (the increments
-    /// mechanism's reservation broadcast tracks exactly this quantity).
-    coh: ViewErrSamples,
     /// View-accuracy probe (enabled by [`SolverConfig::accuracy`]): ground
-    /// truth vs. believed views, staleness, decision regret. Pure
-    /// bookkeeping — it schedules nothing and never changes a decision.
+    /// truth vs. believed views, staleness, decision-time error and regret.
+    /// The ground truth is the committed workload: the load a perfect
+    /// scheduler would want, in-flight slave tasks included (the increments
+    /// mechanism's reservation broadcast tracks exactly this quantity).
+    /// Pure bookkeeping — apart from its own sampling ticks it schedules
+    /// nothing and never changes a decision.
     probe: Option<ViewAccuracyProbe>,
     // Observability (see [`SolverWorld::set_recorder`]).
     recorder: Recorder,
@@ -160,7 +159,7 @@ struct SimState {
 
 impl SimState {
     /// Open or close `p`'s blocked interval to match its compute state.
-    fn note_block_state(&mut self, record_timeline: bool, p: usize, now: SimTime) {
+    fn note_block_state(&mut self, p: usize, now: SimTime) {
         let rt = &mut self.procs[p];
         let blocked = matches!(rt.state, PState::WaitSnapshot | PState::Paused { .. });
         match (blocked, rt.blocked_since) {
@@ -177,31 +176,7 @@ impl SimState {
             }
             _ => {}
         }
-        if record_timeline {
-            if blocked {
-                rt.core.push_activity(now, Activity::Blocked);
-            } else if matches!(rt.state, PState::Idle) {
-                rt.core.push_activity(now, Activity::Idle);
-            }
-        }
     }
-}
-
-/// `|view_p(q) − truth(q)|` in work and memory units, for every peer `q` of
-/// `p`.
-fn view_errors(procs: &[ProcRt], p: usize) -> impl Iterator<Item = (f64, f64)> + '_ {
-    let view = procs[p].mech.view();
-    procs
-        .iter()
-        .enumerate()
-        .filter(move |&(q, _)| q != p)
-        .map(move |(q, rt)| {
-            let seen = view.get(ActorId(q));
-            (
-                (seen.work - rt.core.true_work).abs(),
-                (seen.mem - rt.core.true_mem).abs(),
-            )
-        })
 }
 
 impl SolverWorld {
@@ -252,7 +227,6 @@ impl SolverWorld {
             snp: SnapUnion::default(),
             done_at: None,
             finished_at: SimTime::ZERO,
-            coh: ViewErrSamples::default(),
             probe,
             recorder: Recorder::disabled(),
             metrics: MetricsRegistry::new(),
@@ -268,9 +242,9 @@ impl SolverWorld {
     /// Attach an event recorder. When it is enabled, every mechanism outbox
     /// starts staging [`ProtocolEvent`]s (stamped `(time, rank)` here as they
     /// are flushed), the engine emits its own decision/task/memory/blocking
-    /// events, and the latency / snapshot-duration / view-staleness
-    /// histograms are populated. A disabled recorder keeps all of this at a
-    /// single boolean check per site.
+    /// events, and the latency / snapshot-duration histograms are
+    /// populated. A disabled recorder keeps all of this at a single boolean
+    /// check per site.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         let on = recorder.is_enabled();
         for rt in &mut self.st.procs {
@@ -378,7 +352,6 @@ impl SolverWorld {
                 snapshots: st.snp,
                 events_dropped: st.recorder.dropped(),
                 metrics: st.metrics.snapshot(),
-                view_err: st.coh,
                 // A copy: report() can be called repeatedly.
                 probe: st.probe.clone(),
             },
@@ -458,8 +431,7 @@ impl SimHost<'_, '_, '_> {
     // ----- blocked-time accounting ---------------------------------------
 
     fn note_block_state(&mut self) {
-        self.w
-            .note_block_state(self.cx.cfg.record_timeline, self.p, self.now);
+        self.w.note_block_state(self.p, self.now);
     }
 
     // ----- the Algorithm 1 loop ------------------------------------------
@@ -523,7 +495,8 @@ impl SimHost<'_, '_, '_> {
 
     fn on_kick(&mut self) {
         let (p, now) = (self.p, self.now);
-        if p == 0 {
+        // The sampling tick only feeds the accuracy probe.
+        if p == 0 && self.w.probe.is_some() {
             if let Some(period) = self.cx.cfg.coherence_probe {
                 self.sched.schedule_at(now + period, ActorId(0), Ev::Probe);
             }
@@ -616,20 +589,12 @@ impl SimHost<'_, '_, '_> {
     }
 
     fn on_probe(&mut self) {
-        let Some(period) = self.cx.cfg.coherence_probe else {
+        let (Some(period), Some(probe)) = (self.cx.cfg.coherence_probe, self.w.probe.as_mut())
+        else {
             return;
         };
-        let w = &mut *self.w;
-        for p in 0..w.procs.len() {
-            for (work, mem) in view_errors(&w.procs, p) {
-                w.coh.time_work.push(work);
-                w.coh.time_mem.push(mem);
-            }
-        }
-        if let Some(probe) = w.probe.as_mut() {
-            probe.sample(self.now);
-        }
-        if w.done_at.is_none() {
+        probe.sample(self.now);
+        if self.w.done_at.is_none() {
             self.sched
                 .schedule_at(self.now + period, ActorId(0), Ev::Probe);
         }
@@ -782,23 +747,6 @@ impl<'w> Host<'w> for SimHost<'w, '_, '_> {
             _ => {}
         }
     }
-
-    /// How wrong is the master's view at the instant it schedules? This is
-    /// the error the paper's mechanisms exist to bound. With observability
-    /// on, the same samples also go into log-scale histograms: the tail
-    /// matters more than the mean for scheduling quality.
-    fn decision_samples(&mut self) {
-        let obs = self.w.recorder.is_enabled();
-        let w = &mut *self.w;
-        for (work, mem) in view_errors(&w.procs, self.p) {
-            w.coh.decision_work.push(work);
-            w.coh.decision_mem.push(mem);
-            if obs {
-                w.metrics.observe("view_staleness_decision_work", work);
-                w.metrics.observe("view_staleness_decision_mem", mem);
-            }
-        }
-    }
 }
 
 impl World for SolverWorld {
@@ -825,7 +773,7 @@ impl World for SolverWorld {
     fn on_finish(&mut self, now: SimTime) {
         self.st.finished_at = now;
         for p in 0..self.st.procs.len() {
-            self.st.note_block_state(self.cfg.record_timeline, p, now);
+            self.st.note_block_state(p, now);
             self.st.procs[p].core.close(now);
         }
         self.st.snp.close(now);
@@ -914,24 +862,6 @@ mod tests {
         u.begin(SimTime(20_000));
         u.close(SimTime(20_500));
         assert_eq!(u.union, SimDuration::from_nanos(5_500));
-    }
-
-    #[test]
-    fn note_activity_deduplicates() {
-        let mut w = mini_world(2);
-        let core = &mut w.st.procs[0].core;
-        core.push_activity(SimTime(1), Activity::Busy);
-        core.push_activity(SimTime(2), Activity::Busy);
-        core.push_activity(SimTime(2), Activity::Idle);
-        core.push_activity(SimTime(2), Activity::Blocked);
-        assert_eq!(
-            core.timeline,
-            vec![
-                (SimTime(1), Activity::Busy),
-                (SimTime(2), Activity::Blocked)
-            ],
-            "same-instant transitions collapse, repeats dedup"
-        );
     }
 
     #[test]

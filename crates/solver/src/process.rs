@@ -14,16 +14,16 @@
 //! A backend implements [`Host`], which carries only what differs between
 //! the two: the clock, access to the mechanism (and the flush of its
 //! outbox), application sends, the ground-truth hooks of the accuracy probe,
-//! node-part completion, where CB pieces are retained and freed, the
-//! snapshot-union accounting and the simulator's decision-time view-error
-//! samples. The procedures are generic over the host (static dispatch): the
-//! hot paths — a `local_change` per finished chunk, an outbox flush per
-//! state message — cost no allocation and no virtual call.
+//! node-part completion, where CB pieces are retained and freed, and the
+//! snapshot-union accounting. The procedures are generic over the host
+//! (static dispatch): the hot paths — a `local_change` per finished chunk,
+//! an outbox flush per state message — cost no allocation and no virtual
+//! call.
 
 use crate::config::{SolverConfig, Strategy};
 use crate::engine::AppMsg;
 use crate::mapping::{NodeType, TreePlan};
-use crate::report::{Activity, ProcOutcome, Timeline};
+use crate::report::ProcOutcome;
 use crate::sched;
 use crate::work::{self, Task, TaskKind};
 use loadex_core::{
@@ -133,7 +133,6 @@ pub(crate) struct Proc {
     /// Message-treatment time charged to the next compute chunk.
     pub(crate) overhead: SimDuration,
     masters_left: u32,
-    pub(crate) timeline: Timeline,
     /// When this process's in-flight snapshot started waiting (drives the
     /// `snapshot_duration_ns` histogram).
     snp_opened_at: Option<SimTime>,
@@ -152,25 +151,8 @@ impl Proc {
             busy: SimDuration::ZERO,
             overhead: SimDuration::ZERO,
             masters_left: plan.masters_per_proc[p],
-            timeline: Vec::new(),
             snp_opened_at: None,
         }
-    }
-
-    /// Append a timeline transition; repeats are dropped and same-instant
-    /// transitions collapse to the latest.
-    pub(crate) fn push_activity(&mut self, now: SimTime, act: Activity) {
-        let tl = &mut self.timeline;
-        if tl.last().map(|&(_, a)| a) == Some(act) {
-            return;
-        }
-        if tl.last().map(|&(t, _)| t) == Some(now) {
-            tl.pop();
-            if tl.last().map(|&(_, a)| a) == Some(act) {
-                return;
-            }
-        }
-        tl.push((now, act));
     }
 
     /// Close the memory gauge at the end of the run.
@@ -186,7 +168,6 @@ impl Proc {
             busy: self.busy,
             blocked,
             stats,
-            timeline: self.timeline.clone(),
         }
     }
 }
@@ -244,8 +225,6 @@ pub(crate) trait Host<'a> {
     /// Align the backend's process state with the mechanism's blocked flag.
     /// Called after notifications and when a decision starts waiting.
     fn reconcile_block(&mut self) {}
-    /// Sample the master's view error at a decision.
-    fn decision_samples(&mut self) {}
 }
 
 /// Enqueue the process's subtree tasks (ascending node order), activate its
@@ -381,7 +360,6 @@ fn least_loaded(cfg: &SolverConfig, view: &LoadTable, k: usize) -> Vec<ActorId> 
 fn do_selection<'a, H: Host<'a>>(h: &mut H, node: u32) {
     let cx = h.cx();
     let (me, now) = (h.rank(), h.now());
-    h.decision_samples();
     let n = &cx.tree.nodes[node as usize];
     let m = n.nfront as f64;
     let ncb = n.ncb();
@@ -415,9 +393,10 @@ fn do_selection<'a, H: Host<'a>>(h: &mut H, node: u32) {
         let notifies = mech.complete_decision(&assignments, out);
         (shares, notifies)
     });
-    // Decision regret: replay the same selection against the ground truth
-    // (before this decision commits) and record whether staleness changed
-    // the outcome.
+    // Decision-time view error and regret: compare the master's view with
+    // the ground truth (before this decision commits) and replay the same
+    // selection against the truth to see whether staleness changed the
+    // outcome.
     h.probe(|probe| {
         let mut truth = LoadTable::new(ActorId(me), cx.cfg.nprocs);
         for (q, &(w, mem)) in probe.truth_vector().iter().enumerate() {
@@ -432,7 +411,7 @@ fn do_selection<'a, H: Host<'a>>(h: &mut H, node: u32) {
             work_per_row,
             allowed.as_deref(),
         );
-        probe.record_decision(r.mismatch, r.gap);
+        probe.record_decision(me, r.mismatch, r.gap);
     });
     if H::SHARES_COMMITTED_AT_DECISION {
         for s in &shares {
@@ -668,7 +647,6 @@ pub(crate) fn start_task<'a, H: Host<'a>>(h: &mut H, idx: usize) -> (Task, SimDu
     let dur = SimDuration::from_secs_f64(seg / work::speed_of(cx.cfg, p)) + proc.overhead;
     proc.overhead = SimDuration::ZERO;
     proc.busy += dur;
-    note_activity(h, Activity::Busy);
     h.recorder()
         .emit_with(h.now(), ActorId(p), || ProtocolEvent::TaskStart {
             node: task.node as u64,
@@ -682,7 +660,6 @@ pub(crate) fn start_task<'a, H: Host<'a>>(h: &mut H, idx: usize) -> (Task, SimDu
 /// either resumes next (front of the queue) or completes.
 pub(crate) fn finish_chunk<'a, H: Host<'a>>(h: &mut H, mut task: Task) {
     let cx = h.cx();
-    note_activity(h, Activity::Idle);
     h.recorder()
         .emit_with(h.now(), ActorId(h.rank()), || ProtocolEvent::TaskEnd {
             node: task.node as u64,
@@ -821,14 +798,6 @@ fn touch_truth<'a, H: Host<'a>>(h: &mut H) {
 /// Tell the mechanism about a change of the process's own load.
 pub(crate) fn local_change<'a, H: Host<'a>>(h: &mut H, delta: Load, origin: ChangeOrigin) {
     h.mech_mut(|m, out| m.on_local_change(delta, origin, out));
-}
-
-/// Record an activity transition when timelines are on.
-pub(crate) fn note_activity<'a, H: Host<'a>>(h: &mut H, act: Activity) {
-    if h.cx().cfg.record_timeline {
-        let now = h.now();
-        h.proc().push_activity(now, act);
-    }
 }
 
 #[cfg(test)]

@@ -5,26 +5,9 @@
 //! successor to `tables_output.txt`.
 
 use loadex_core::MechStats;
-use loadex_obs::span::{self, Span, SpanState};
 use loadex_obs::{AccuracyReport, MetricsSnapshot, ViewAccuracyProbe};
-use loadex_sim::{SimDuration, SimTime, StatSet, Welford};
+use loadex_sim::{SimDuration, SimTime};
 use serde::{ser::JsonMap, Serialize};
-
-/// What a process was doing during a timeline interval.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Activity {
-    /// Waiting for messages or work.
-    Idle,
-    /// Computing a task chunk.
-    Busy,
-    /// Blocked in the snapshot protocol.
-    Blocked,
-}
-
-/// A per-process activity timeline: `(transition time, new activity)`,
-/// ascending. Recorded when
-/// [`SolverConfig::record_timeline`](crate::config::SolverConfig) is set.
-pub type Timeline = Vec<(SimTime, Activity)>;
 
 /// Per-process statistics of one run.
 #[derive(Clone, Debug, Default)]
@@ -74,27 +57,14 @@ pub struct RunReport {
     pub snapshot_max_concurrent: u32,
     /// Snapshots initiated in total (including rebroadcasts).
     pub snapshots_started: u64,
-    /// Extra named counters (mechanism message kinds etc.).
-    pub counters: StatSet,
-    /// View error |view_p(q) − true(q)| in workload units, sampled uniformly
-    /// in time over all (p, q) pairs (needs `coherence_probe`).
-    pub view_err_time_work: Welford,
-    /// Same, memory units.
-    pub view_err_time_mem: Welford,
-    /// View error sampled at each dynamic decision, master's view only — the
-    /// error that actually feeds the schedulers.
-    pub view_err_decision_work: Welford,
-    /// Same, memory units.
-    pub view_err_decision_mem: Welford,
-    /// Per-process activity timelines (empty unless recording was enabled).
-    pub timelines: Vec<Timeline>,
-    /// Frozen metrics registry of the run: MechStats totals and network
-    /// counters as counters, plus the latency / snapshot-duration /
-    /// view-staleness histograms when the run was observed (see
+    /// Frozen metrics registry of the run, the one counter registry:
+    /// MechStats totals and the network's `net_*` message and byte counts
+    /// as counters, plus the latency / snapshot-duration histograms when
+    /// the run was observed (see
     /// [`SolverWorld::set_recorder`](crate::engine::SolverWorld::set_recorder)).
     pub metrics: MetricsSnapshot,
     /// View-accuracy report — ground-truth vs. believed views, staleness,
-    /// and decision regret (`None` unless
+    /// decision-time error and decision regret (`None` unless
     /// [`SolverConfig::accuracy`](crate::config::SolverConfig::accuracy) was
     /// set).
     pub accuracy: Option<AccuracyReport>,
@@ -130,38 +100,6 @@ impl RunReport {
     pub fn seconds(&self) -> f64 {
         self.factor_time.as_secs_f64()
     }
-
-    /// The recorded timelines as per-process [`Span`] lists (closed at the
-    /// makespan), the shape the `loadex-obs` span/exporter layer consumes.
-    pub fn spans(&self) -> Vec<Vec<Span>> {
-        self.timelines
-            .iter()
-            .map(|tl| {
-                let transitions: Vec<(SimTime, SpanState)> = tl
-                    .iter()
-                    .map(|&(t, a)| {
-                        let s = match a {
-                            Activity::Idle => SpanState::Idle,
-                            Activity::Busy => SpanState::Busy,
-                            Activity::Blocked => SpanState::Blocked,
-                        };
-                        (t, s)
-                    })
-                    .collect();
-                span::transitions_to_spans(&transitions, self.factor_time)
-            })
-            .collect()
-    }
-
-    /// Render the recorded timelines as an ASCII Gantt chart of `width`
-    /// columns: `#` busy, `S` blocked in the snapshot protocol, `.` idle.
-    /// Returns an explanatory placeholder if recording was off.
-    pub fn render_gantt(&self, width: usize) -> String {
-        if self.timelines.iter().all(|t| t.is_empty()) {
-            return "(timeline recording disabled; set SolverConfig::record_timeline)".into();
-        }
-        span::render_gantt(&self.spans(), self.factor_time, width)
-    }
 }
 
 /// One process's contribution to a [`RunReport`].
@@ -171,7 +109,6 @@ pub(crate) struct ProcOutcome {
     pub(crate) busy: SimDuration,
     pub(crate) blocked: SimDuration,
     pub(crate) stats: MechStats,
-    pub(crate) timeline: Timeline,
 }
 
 /// Messages and bytes the transport carried, per channel.
@@ -218,16 +155,6 @@ impl SnapUnion {
     }
 }
 
-/// The simulator's sampled view-error accumulators (the `view_err_*` fields
-/// of [`RunReport`]); empty on the threaded backend.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct ViewErrSamples {
-    pub(crate) time_work: Welford,
-    pub(crate) time_mem: Welford,
-    pub(crate) decision_work: Welford,
-    pub(crate) decision_mem: Welford,
-}
-
 /// The run-wide results a backend hands to [`RunReport::build`].
 pub(crate) struct RunTotals {
     pub(crate) backend: &'static str,
@@ -238,7 +165,6 @@ pub(crate) struct RunTotals {
     pub(crate) events_dropped: u64,
     /// The run's histograms.
     pub(crate) metrics: MetricsSnapshot,
-    pub(crate) view_err: ViewErrSamples,
     /// The accuracy probe, closed at the factorization time here.
     pub(crate) probe: Option<ViewAccuracyProbe>,
 }
@@ -267,13 +193,12 @@ impl RunReport {
             total(|s| s.bytes_sent),
         );
         let snapshots_started = total(|s| s.snapshots_started);
-        let mut counters = StatSet::new();
-        counters.add("net_state_msgs", run.net.state_msgs);
-        counters.add("net_regular_msgs", run.net.regular_msgs);
-        counters.add("net_state_bytes", run.net.state_bytes);
-        counters.add("net_regular_bytes", run.net.regular_bytes);
         let mut metrics = run.metrics;
         let folded = [
+            ("net_state_msgs", run.net.state_msgs),
+            ("net_regular_msgs", run.net.regular_msgs),
+            ("net_state_bytes", run.net.state_bytes),
+            ("net_regular_bytes", run.net.regular_bytes),
             ("state_msgs_sent", state_msgs),
             ("state_bytes_sent", state_bytes),
             ("state_msgs_received", total(|s| s.msgs_received)),
@@ -284,7 +209,7 @@ impl RunReport {
             ("app_msgs", run.app_msgs),
             ("events_dropped", run.events_dropped),
         ];
-        for (name, v) in counters.iter().chain(folded) {
+        for (name, v) in folded {
             metrics.counters.insert(name.to_string(), v);
         }
         let gauges = [
@@ -309,12 +234,6 @@ impl RunReport {
             snapshot_union_time: run.snapshots.union,
             snapshot_max_concurrent: run.snapshots.max,
             snapshots_started,
-            counters,
-            view_err_time_work: run.view_err.time_work,
-            view_err_time_mem: run.view_err.time_mem,
-            view_err_decision_work: run.view_err.decision_work,
-            view_err_decision_mem: run.view_err.decision_mem,
-            timelines: outs.into_iter().map(|o| o.timeline).collect(),
             procs,
             metrics,
             accuracy: run.probe.map(|mut probe| {
@@ -323,16 +242,6 @@ impl RunReport {
             }),
         }
     }
-}
-
-fn welford_fields(w: &Welford, out: &mut String) {
-    let mut m = JsonMap::new(out);
-    m.field("count", &w.count())
-        .field("mean", &w.mean())
-        .field("stddev", &w.stddev())
-        .field("min", &if w.count() == 0 { 0.0 } else { w.min() })
-        .field("max", &if w.count() == 0 { 0.0 } else { w.max() });
-    m.end();
 }
 
 impl Serialize for ProcReport {
@@ -351,7 +260,6 @@ impl Serialize for ProcReport {
 
 impl Serialize for RunReport {
     fn serialize_json(&self, out: &mut String) {
-        let counters: std::collections::BTreeMap<&str, u64> = self.counters.iter().collect();
         let mut m = JsonMap::new(out);
         m.field("backend", &self.backend)
             .field("factor_time_s", &self.seconds())
@@ -364,19 +272,6 @@ impl Serialize for RunReport {
             .field("snapshots_started", &self.snapshots_started)
             .field("mem_peak_entries", &self.mem_peak_entries())
             .field("efficiency", &self.efficiency())
-            .field("counters", &counters)
-            .field_with("view_err_time_work", |o| {
-                welford_fields(&self.view_err_time_work, o)
-            })
-            .field_with("view_err_time_mem", |o| {
-                welford_fields(&self.view_err_time_mem, o)
-            })
-            .field_with("view_err_decision_work", |o| {
-                welford_fields(&self.view_err_decision_work, o)
-            })
-            .field_with("view_err_decision_mem", |o| {
-                welford_fields(&self.view_err_decision_mem, o)
-            })
             .field("procs", &self.procs)
             .field("metrics", &self.metrics)
             .field("accuracy", &self.accuracy);
@@ -412,12 +307,6 @@ mod tests {
             snapshot_union_time: SimDuration::ZERO,
             snapshot_max_concurrent: 0,
             snapshots_started: 0,
-            counters: StatSet::new(),
-            view_err_time_work: Welford::default(),
-            view_err_time_mem: Welford::default(),
-            view_err_decision_work: Welford::default(),
-            view_err_decision_mem: Welford::default(),
-            timelines: vec![],
             metrics: Default::default(),
             accuracy: None,
         };
@@ -440,12 +329,6 @@ mod tests {
             snapshot_union_time: SimDuration::ZERO,
             snapshot_max_concurrent: 0,
             snapshots_started: 0,
-            counters: StatSet::new(),
-            view_err_time_work: Welford::default(),
-            view_err_time_mem: Welford::default(),
-            view_err_decision_work: Welford::default(),
-            view_err_decision_mem: Welford::default(),
-            timelines: vec![],
             metrics: Default::default(),
             accuracy: None,
         };

@@ -306,18 +306,15 @@ mod tests {
         assert_eq!(r.metrics.counter("state_bytes_sent"), r.state_bytes);
         assert_eq!(r.metrics.counter("decisions"), r.decisions);
         assert_eq!(r.metrics.counter("snapshots_started"), r.snapshots_started);
+        // The network's counts sit in the same registry.
         assert_eq!(
             r.metrics.counter("net_state_msgs"),
-            r.counters.get("net_state_msgs")
+            r.metrics.histograms["state_msg_latency_ns"].count,
+            "one latency sample per state message on the wire"
         );
         // Run histograms are populated under the snapshot mechanism.
         assert!(r.metrics.histograms["state_msg_latency_ns"].count > 0);
         assert!(r.metrics.histograms["snapshot_duration_ns"].count > 0);
-        assert_eq!(
-            r.metrics.histograms["view_staleness_decision_work"].count,
-            r.decisions * 3,
-            "one staleness sample per (decision, other proc)"
-        );
         // Every protocol event kind the snapshot run exercises shows up.
         for kind in [
             "state_send",

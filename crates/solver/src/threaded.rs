@@ -29,19 +29,16 @@
 //!   producer directly: it sends an explicit `CbFree` on the regular channel
 //!   (not counted as an application message).
 //! * **Snapshot union.** One shared `SnapUnion` behind a lock.
-//! * **Decision-time samples.** The coherence Welfords (`view_err_*`) are
-//!   not sampled: there is no stop-the-world instant to compare every pair
-//!   at. The report still uses the simulator's counter and gauge keys, so
-//!   table code is backend-agnostic.
+//!
+//! The report uses the simulator's counter and gauge keys, so table code is
+//! backend-agnostic.
 
 use crate::config::{SolverConfig, ThreadedBackend};
 use crate::engine::AppMsg;
 use crate::error::RunError;
 use crate::mapping::TreePlan;
 use crate::process::{self, Cx, Host, NodeState, Proc};
-use crate::report::{
-    Activity, NetCounters, ProcOutcome, RunReport, RunTotals, SnapUnion, ViewErrSamples,
-};
+use crate::report::{NetCounters, ProcOutcome, RunReport, RunTotals, SnapUnion};
 use crate::work;
 use loadex_core::{AnyMechanism, Dest, Load, Mechanism, Notify, OutMsg, Outbox, StateMsg};
 use loadex_net::{Channel, CommEndpoint, Endpoint, Envelope, RecvError, ThreadNetwork};
@@ -626,7 +623,7 @@ impl Worker<'_> {
                 }
             }
         }
-        self.leave_blocked(t0, Activity::Idle);
+        self.leave_blocked(t0);
         self.apply_stashed();
     }
 
@@ -641,21 +638,19 @@ impl Worker<'_> {
             }
             drop(self.cell.1.wait_timeout(g, WAIT_SLICE).expect(POISONED));
         }
-        self.leave_blocked(t0, Activity::Busy);
+        self.leave_blocked(t0);
     }
 
     fn enter_blocked(&mut self) -> Instant {
         self.recorder
             .emit_with(self.clock.now(), ActorId(self.p), || ProtocolEvent::Blocked);
-        process::note_activity(self, Activity::Blocked);
         Instant::now()
     }
 
-    fn leave_blocked(&mut self, t0: Instant, next: Activity) {
+    fn leave_blocked(&mut self, t0: Instant) {
         self.blocked_wall += t0.elapsed();
         self.recorder
             .emit_with(self.clock.now(), ActorId(self.p), || ProtocolEvent::Resumed);
-        process::note_activity(self, next);
     }
 
     // ----- the Algorithm 1 loop --------------------------------------------
@@ -687,7 +682,6 @@ impl Worker<'_> {
     }
 
     fn idle_wait(&mut self) {
-        process::note_activity(self, Activity::Idle);
         let recv = if self.comm_enabled {
             self.ep.recv_regular_timeout(WAIT_SLICE)
         } else {
@@ -918,7 +912,6 @@ pub(crate) fn run(
             snapshots,
             events_dropped: recorder.dropped(),
             metrics: registry.snapshot(),
-            view_err: ViewErrSamples::default(),
             probe: probe.map(|probe| lock(&probe).clone()),
         },
     ))

@@ -128,44 +128,30 @@ mod tests {
     fn dense_symbolic(p: &SparsePattern) -> (Vec<Option<u32>>, Vec<u64>) {
         let n = p.n();
         let mut a = vec![vec![false; n]; n];
-        for i in 0..n {
-            a[i][i] = true;
+        for (i, row) in a.iter_mut().enumerate() {
+            row[i] = true;
             for &j in p.neighbors(i) {
-                a[i][j as usize] = true;
+                row[j as usize] = true;
             }
         }
         // Fill: L pattern by column-wise elimination.
         for k in 0..n {
-            for i in k + 1..n {
-                if a[i][k] {
-                    for j in k + 1..n {
-                        if a[j][k] {
-                            a[i][j] = true;
-                            a[j][i] = true;
-                        }
-                    }
+            // Eliminating k connects every pair of its later neighbours.
+            let below: Vec<usize> = (k + 1..n).filter(|&i| a[i][k]).collect();
+            for &i in &below {
+                for &j in &below {
+                    a[i][j] = true;
                 }
             }
         }
         // Column counts of L = entries at or below diagonal.
-        let mut counts = vec![0u64; n];
-        for j in 0..n {
-            for i in j..n {
-                if a[i][j] {
-                    counts[j] += 1;
-                }
-            }
-        }
+        let counts = (0..n)
+            .map(|j| (j..n).filter(|&i| a[i][j]).count() as u64)
+            .collect();
         // Parent: first off-diagonal nonzero in column j of L.
-        let mut parent = vec![None; n];
-        for j in 0..n {
-            for i in j + 1..n {
-                if a[i][j] {
-                    parent[j] = Some(i as u32);
-                    break;
-                }
-            }
-        }
+        let parent = (0..n)
+            .map(|j| (j + 1..n).find(|&i| a[i][j]).map(|i| i as u32))
+            .collect();
         (parent, counts)
     }
 

@@ -375,17 +375,23 @@ mod tests {
         // Dense LU without pivoting.
         let n = 4;
         let mut d = vec![vec![0.0; n]; n];
-        for j in 0..n {
-            for (&r, &v) in a.col_rows(j).iter().zip(a.col_values(j)) {
-                d[r as usize][j] = v;
-            }
+        let entries = (0..n).flat_map(|j| {
+            a.col_rows(j)
+                .iter()
+                .zip(a.col_values(j))
+                .map(move |(&r, &v)| (r as usize, j, v))
+        });
+        for (r, j, v) in entries {
+            d[r][j] = v;
         }
         for kcol in 0..n {
-            for i in kcol + 1..n {
-                let m = d[i][kcol] / d[kcol][kcol];
-                d[i][kcol] = m;
-                for j in kcol + 1..n {
-                    d[i][j] -= m * d[kcol][j];
+            let (top, below) = d.split_at_mut(kcol + 1);
+            let pivot = &top[kcol];
+            for row in below {
+                let m = row[kcol] / pivot[kcol];
+                row[kcol] = m;
+                for (x, &p) in row[kcol + 1..].iter_mut().zip(&pivot[kcol + 1..]) {
+                    *x -= m * p;
                 }
             }
         }

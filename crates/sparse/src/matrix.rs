@@ -164,11 +164,15 @@ mod tests {
         // Dense reference.
         let n = 6;
         let mut dense = vec![vec![0.0; n]; n];
-        for j in 0..n {
-            for (&r, &v) in a.col_rows(j).iter().zip(a.col_values(j)) {
-                dense[r as usize][j] = v;
-                dense[j][r as usize] = v;
-            }
+        let entries = (0..n).flat_map(|j| {
+            a.col_rows(j)
+                .iter()
+                .zip(a.col_values(j))
+                .map(move |(&r, &v)| (r as usize, j, v))
+        });
+        for (r, j, v) in entries {
+            dense[r][j] = v;
+            dense[j][r] = v;
         }
         for i in 0..n {
             let want: f64 = (0..n).map(|j| dense[i][j] * x[j]).sum();

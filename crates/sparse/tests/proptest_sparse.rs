@@ -13,39 +13,27 @@ use proptest::prelude::*;
 fn dense_reference(p: &SparsePattern) -> (Vec<Option<u32>>, Vec<u64>) {
     let n = p.n();
     let mut a = vec![vec![false; n]; n];
-    for i in 0..n {
-        a[i][i] = true;
+    for (i, row) in a.iter_mut().enumerate() {
+        row[i] = true;
         for &j in p.neighbors(i) {
-            a[i][j as usize] = true;
+            row[j as usize] = true;
         }
     }
     for k in 0..n {
-        for i in k + 1..n {
-            if a[i][k] {
-                for j in k + 1..n {
-                    if a[j][k] {
-                        a[i][j] = true;
-                        a[j][i] = true;
-                    }
-                }
+        // Eliminating k connects every pair of its later neighbours.
+        let below: Vec<usize> = (k + 1..n).filter(|&i| a[i][k]).collect();
+        for &i in &below {
+            for &j in &below {
+                a[i][j] = true;
             }
         }
     }
-    let mut counts = vec![0u64; n];
-    let mut parent = vec![None; n];
-    for j in 0..n {
-        for i in j..n {
-            if a[i][j] {
-                counts[j] += 1;
-            }
-        }
-        for i in j + 1..n {
-            if a[i][j] {
-                parent[j] = Some(i as u32);
-                break;
-            }
-        }
-    }
+    let counts = (0..n)
+        .map(|j| (j..n).filter(|&i| a[i][j]).count() as u64)
+        .collect();
+    let parent = (0..n)
+        .map(|j| (j + 1..n).find(|&i| a[i][j]).map(|i| i as u32))
+        .collect();
     (parent, counts)
 }
 
@@ -154,19 +142,16 @@ fn dense_cholesky(a: &[Vec<f64>]) -> Option<Vec<Vec<f64>>> {
     let n = a.len();
     let mut l = vec![vec![0.0; n]; n];
     for j in 0..n {
-        let mut d = a[j][j];
-        for k in 0..j {
-            d -= l[j][k] * l[j][k];
-        }
+        let d = l[j][..j].iter().fold(a[j][j], |d, x| d - x * x);
         if d <= 0.0 {
             return None;
         }
         l[j][j] = d.sqrt();
         for i in j + 1..n {
-            let mut s = a[i][j];
-            for k in 0..j {
-                s -= l[i][k] * l[j][k];
-            }
+            let s = l[i][..j]
+                .iter()
+                .zip(&l[j][..j])
+                .fold(a[i][j], |s, (x, y)| s - x * y);
             l[i][j] = s / l[j][j];
         }
     }
@@ -198,28 +183,31 @@ proptest! {
             dom[i as usize] += v.abs();
             dom[j as usize] += v.abs();
         }
-        for i in 0..n {
-            trips.push((i as u32, i as u32, dom[i]));
+        for (i, &d) in dom.iter().enumerate() {
+            trips.push((i as u32, i as u32, d));
         }
         let a = SymCsc::from_triplets(n, &trips);
         let f = cholesky(&a).expect("diagonally dominant must factor");
 
         // Dense reference.
         let mut dense = vec![vec![0.0; n]; n];
-        for j in 0..n {
-            for (&r, &v) in a.col_rows(j).iter().zip(a.col_values(j)) {
-                dense[r as usize][j] = v;
-                dense[j][r as usize] = v;
-            }
+        let entries = (0..n).flat_map(|j| {
+            a.col_rows(j)
+                .iter()
+                .zip(a.col_values(j))
+                .map(move |(&r, &v)| (r as usize, j, v))
+        });
+        for (r, j, v) in entries {
+            dense[r][j] = v;
+            dense[j][r] = v;
         }
         let lref = dense_cholesky(&dense).expect("reference must factor");
-        for j in 0..n {
-            let (rows, vals) = f.col(j);
+        for (j, (rows, vals)) in (0..n).map(|j| (j, f.col(j))) {
             for (&i, &v) in rows.iter().zip(vals) {
+                let want = lref[i as usize][j];
                 prop_assert!(
-                    (v - lref[i as usize][j]).abs() < 1e-8 * (1.0 + v.abs()),
-                    "L[{i}][{j}] = {v}, reference {}",
-                    lref[i as usize][j]
+                    (v - want).abs() < 1e-8 * (1.0 + v.abs()),
+                    "L[{i}][{j}] = {v}, reference {want}"
                 );
             }
         }
@@ -263,8 +251,8 @@ proptest! {
             dom[i as usize] += v.abs();
             dom[j as usize] += v.abs();
         }
-        for i in 0..n {
-            trips.push((i as u32, i as u32, dom[i]));
+        for (i, &d) in dom.iter().enumerate() {
+            trips.push((i as u32, i as u32, d));
         }
         let a = SymCsc::from_triplets(n, &trips);
         let sym = mf_analyze(&a.pattern(), MfOptions { amalg_pivots: amalg });
@@ -303,8 +291,8 @@ proptest! {
             trips.push((i, j, v)); // genuinely unsymmetric values
             dom[i as usize] += v.abs();
         }
-        for i in 0..n {
-            trips.push((i as u32, i as u32, dom[i] + 0.5));
+        for (i, &d) in dom.iter().enumerate() {
+            trips.push((i as u32, i as u32, d + 0.5));
         }
         let a = GenCsc::from_triplets(n, &trips);
         let f = lu(&a).expect("row-dominant must factor without pivoting");

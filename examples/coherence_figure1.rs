@@ -6,7 +6,7 @@
 //! cargo run --example coherence_figure1
 //! ```
 //!
-//! Timeline of the figure: P2 starts a costly task at `t1`; P0 performs a
+//! Sequence of the figure: P2 starts a costly task at `t1`; P0 performs a
 //! slave selection at `t2` choosing P2; P1 performs another at `t3 < t4`
 //! (the end of P2's task). Under the naive mechanism P1 cannot know about
 //! P0's choice — P2 itself has not even received the work yet — so P1 piles

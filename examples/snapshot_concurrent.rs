@@ -65,7 +65,7 @@ fn main() {
                 let deadline = Instant::now() + Duration::from_secs(10);
                 let mut done_since: Option<Instant> = None;
                 loop {
-                    if let Some(env) = ep.recv_timeout(Duration::from_millis(5)).ok() {
+                    if let Ok(env) = ep.recv_timeout(Duration::from_millis(5)) {
                         let notifies = mech.on_state_msg(env.from, env.msg, &mut out);
                         flush(&ep, &mut out);
                         for n in notifies {

@@ -17,7 +17,7 @@ run cargo test --workspace --offline -q
 # wall-timeout valve inside the backend turns most hangs into typed errors
 # already; this is the backstop.
 run timeout 300 cargo test --offline --test threaded_backend -q
-run cargo clippy --workspace --offline -- -D warnings
+run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo fmt --check
 # Strict protocol-invariant audit over one seeded run per mechanism: the
 # auditor replays the recorded event stream and any violation (snapshot

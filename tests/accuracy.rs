@@ -116,9 +116,13 @@ fn both_backends_emit_the_same_accuracy_schema() {
         "summary schemas must be identical across backends"
     );
     assert!(!keys(&ss.to_json()).is_empty());
-    // The static plan is shared: both backends replay the same decisions.
+    // The static plan is shared: both backends replay the same decisions,
+    // and both sample the master's view error against every peer at each.
     assert_eq!(ss.decisions, ts.decisions);
     assert!(ts.horizon_s > 0.0);
+    assert!(ts.decision_err_samples > 0, "threaded decision-time error");
+    assert_eq!(ss.decision_err_samples, ss.decisions * 3);
+    assert_eq!(ts.decision_err_samples, ts.decisions * 3);
 }
 
 #[test]

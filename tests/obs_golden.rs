@@ -87,7 +87,6 @@ fn exports_are_well_formed_and_metrics_match_report() {
     assert_eq!(r.metrics.counter("state_msgs_sent"), r.state_msgs);
     assert_eq!(r.metrics.counter("decisions"), r.decisions);
     assert!(r.metrics.histograms["snapshot_duration_ns"].count > 0);
-    assert!(r.metrics.histograms["view_staleness_decision_work"].count > 0);
 
     // The report JSON carries the same numbers.
     let json = r.to_json();

@@ -118,8 +118,8 @@ proptest! {
             post.stage(to, &mut out);
         }
         for (p, m) in mechs.iter().enumerate() {
-            for q in 0..n {
-                let err = (m.view().get(ActorId(q)).work - truth[q]).abs();
+            for (q, &t) in truth.iter().enumerate() {
+                let err = (m.view().get(ActorId(q)).work - t).abs();
                 prop_assert!(
                     err <= thr.work + 1e-9,
                     "{kind:?}: P{p} view of P{q} err {err}"

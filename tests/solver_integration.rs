@@ -3,8 +3,10 @@
 //! strategy and communication mode.
 
 use loadex::core::MechKind;
+use loadex::obs::span::{render_gantt, spans_from_events};
+use loadex::obs::Recorder;
 use loadex::solver::mapping::{plan, MappingParams};
-use loadex::solver::{run, CommMode, SolverConfig, Strategy};
+use loadex::solver::{run, run_observed, CommMode, SolverConfig, Strategy};
 use loadex::sparse::symbolic::{analyze_with_ordering, Ordering, SymbolicOptions};
 use loadex::sparse::{gen, AssemblyTree, Symmetry};
 
@@ -289,33 +291,35 @@ fn leader_policy_changes_behavior_not_correctness() {
 fn coherence_probe_collects_samples() {
     use loadex::sim::SimDuration;
     let tree = grid_tree(24);
-    let mut cfg = small_cfg(4);
+    let mut cfg = small_cfg(4).with_accuracy(true);
     cfg.coherence_probe = Some(SimDuration::from_micros(100));
     let r = run(&tree, &cfg).unwrap();
-    assert!(r.view_err_time_work.count() > 0, "probe must sample");
-    assert!(
-        r.view_err_decision_work.count() > 0,
-        "decisions must sample"
+    let acc = r.accuracy.as_ref().expect("accuracy enabled");
+    assert!(!acc.series.is_empty(), "probe must sample");
+    assert_eq!(
+        acc.summary.decision_err_samples,
+        r.decisions * 3,
+        "decisions must sample every peer"
     );
-    assert!(r.view_err_time_work.mean() >= 0.0);
-    // Without the probe, only decision samples appear.
-    let r2 = run(&tree, &small_cfg(4)).unwrap();
-    assert_eq!(r2.view_err_time_work.count(), 0);
-    assert!(r2.view_err_decision_work.count() > 0);
+    assert!(acc.series.iter().all(|p| p.mean_abs_err_work >= 0.0));
+    // Without the sampling period, only decision samples appear.
+    let r2 = run(&tree, &small_cfg(4).with_accuracy(true)).unwrap();
+    let acc2 = r2.accuracy.as_ref().expect("accuracy enabled");
+    assert!(acc2.series.is_empty());
+    assert!(acc2.summary.decision_err_samples > 0);
 }
 
 #[test]
 fn snapshot_decision_views_are_most_accurate() {
     // The paper's quality ordering (§4.4): at decision time the snapshot's
     // view beats increments, which beats naive.
-    use loadex::sim::SimDuration;
     let tree = grid_tree(40);
     let mut errs = Vec::new();
     for mech in MechKind::ALL {
-        let mut cfg = small_cfg(8).with_mechanism(mech);
-        cfg.coherence_probe = Some(SimDuration::from_millis(1));
+        let cfg = small_cfg(8).with_mechanism(mech).with_accuracy(true);
         let r = run(&tree, &cfg).unwrap();
-        errs.push((mech, r.view_err_decision_work.mean()));
+        let acc = r.accuracy.as_ref().expect("accuracy enabled");
+        errs.push((mech, acc.summary.mean_decision_err_work));
     }
     let get = |k: MechKind| errs.iter().find(|(m, _)| *m == k).unwrap().1;
     assert!(
@@ -329,24 +333,22 @@ fn snapshot_decision_views_are_most_accurate() {
 #[test]
 fn timeline_records_and_renders() {
     let tree = grid_tree(24);
-    let mut cfg = small_cfg(4).with_mechanism(MechKind::Snapshot);
-    cfg.record_timeline = true;
-    let r = run(&tree, &cfg).unwrap();
-    assert_eq!(r.timelines.len(), 4);
-    assert!(r.timelines.iter().all(|t| !t.is_empty()));
-    // Transitions are time-ordered.
-    for tl in &r.timelines {
-        for w in tl.windows(2) {
-            assert!(w[0].0 <= w[1].0);
+    let cfg = small_cfg(4).with_mechanism(MechKind::Snapshot);
+    let rec = Recorder::enabled();
+    let r = run_observed(&tree, &cfg, rec.clone()).unwrap();
+    let spans = spans_from_events(&rec.take(), 4, r.factor_time);
+    assert_eq!(spans.len(), 4);
+    assert!(spans.iter().all(|s| !s.is_empty()));
+    // Spans are time-ordered and do not overlap.
+    for s in &spans {
+        for w in s.windows(2) {
+            assert!(w[0].start <= w[0].end && w[0].end <= w[1].start);
         }
     }
-    let g = r.render_gantt(60);
+    let g = render_gantt(&spans, r.factor_time, 60);
     assert!(g.contains("P0"), "{g}");
     assert!(g.contains('#'), "someone must compute:\n{g}");
     assert!(g.contains('S'), "snapshot blocking must appear:\n{g}");
-    // Recording off → placeholder.
-    let r2 = run(&tree, &small_cfg(4)).unwrap();
-    assert!(r2.render_gantt(40).contains("disabled"));
 }
 
 #[test]

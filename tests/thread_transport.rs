@@ -91,18 +91,17 @@ fn increments_views_converge_across_threads() {
 
     let results: Vec<(usize, f64, IncrementMechanism)> =
         handles.into_iter().map(|h| h.join().unwrap()).collect();
-    let mut truth = vec![0.0; N];
+    let mut truth = [0.0; N];
     for (rank, load, _) in &results {
         truth[*rank] = *load;
     }
     for (rank, _, mech) in &results {
-        for q in 0..N {
+        for (q, &t) in truth.iter().enumerate() {
             let believed = mech.view().get(ActorId(q)).work;
-            let err = (believed - truth[q]).abs();
+            let err = (believed - t).abs();
             assert!(
                 err <= thr.work + 1e-9,
-                "P{rank}'s view of P{q}: {believed} vs true {} (err {err})",
-                truth[q]
+                "P{rank}'s view of P{q}: {believed} vs true {t} (err {err})"
             );
         }
     }
@@ -163,13 +162,13 @@ fn naive_views_converge_across_threads() {
 
     let results: Vec<(usize, f64, NaiveMechanism)> =
         handles.into_iter().map(|h| h.join().unwrap()).collect();
-    let mut truth = vec![0.0; N];
+    let mut truth = [0.0; N];
     for (rank, load, _) in &results {
         truth[*rank] = *load;
     }
     for (rank, _, mech) in &results {
-        for q in 0..N {
-            let err = (mech.view().get(ActorId(q)).work - truth[q]).abs();
+        for (q, &t) in truth.iter().enumerate() {
+            let err = (mech.view().get(ActorId(q)).work - t).abs();
             assert!(err <= thr.work + 1e-9, "P{rank} view of P{q} err {err}");
         }
     }

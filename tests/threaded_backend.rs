@@ -95,8 +95,11 @@ fn report_schema_matches_sim_backend() {
         "net_regular_msgs",
         "net_regular_bytes",
     ] {
-        assert!(thr.counters.get(key) > 0, "threaded missing counter {key}");
-        assert!(sim.counters.get(key) > 0, "sim missing counter {key}");
+        assert!(
+            thr.metrics.counter(key) > 0,
+            "threaded missing counter {key}"
+        );
+        assert!(sim.metrics.counter(key) > 0, "sim missing counter {key}");
     }
     assert_eq!(thr.metrics.counter("decisions"), thr.decisions);
     assert_eq!(thr.metrics.counter("state_msgs_sent"), thr.state_msgs);
