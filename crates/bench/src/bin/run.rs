@@ -38,7 +38,36 @@ use loadex_sim::SimDuration;
 use loadex_solver::{run_observed, CommMode, ExecBackend, Strategy, ThreadedBackend};
 use loadex_sparse::models::by_name;
 use serde::Serialize;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
+use std::str::FromStr;
 use std::time::Duration;
+
+/// Parse the value of a numeric flag, or report it and exit with status 2.
+fn num<T: FromStr>(flag: &str, value: &str) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().unwrap_or_else(|e| {
+        eprintln!("invalid value {value:?} for {flag}: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// Write one output file through a buffered writer, or report the failure
+/// and exit with status 1.
+fn write_file(path: &str, what: &str, render: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>) {
+    let result = File::create(path).and_then(|f| {
+        let mut w = BufWriter::new(f);
+        render(&mut w)?;
+        w.flush()
+    });
+    if let Err(e) = result {
+        eprintln!("cannot write {what} to {path}: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("wrote {what} to {path}");
+}
 
 fn main() {
     let mut matrix = "TWOTONE".to_string();
@@ -75,7 +104,7 @@ fn main() {
         };
         match a.as_str() {
             "--matrix" => matrix = next(),
-            "--procs" => procs = next().parse().expect("--procs N"),
+            "--procs" => procs = num(a, &next()),
             "--mech" => {
                 mech = match next().as_str() {
                     "naive" => MechKind::Naive,
@@ -109,15 +138,13 @@ fn main() {
                 }
             },
             "--no-comm-thread" => comm_thread = false,
-            "--poll-us" => poll_us = Some(next().parse().expect("--poll-us N")),
-            "--time-scale" => time_scale = Some(next().parse().expect("--time-scale X")),
-            "--wall-timeout-s" => {
-                wall_timeout_s = Some(next().parse().expect("--wall-timeout-s N"))
-            }
-            "--partial" => partial = Some(next().parse().expect("--partial K")),
+            "--poll-us" => poll_us = Some(num(a, &next())),
+            "--time-scale" => time_scale = Some(num(a, &next())),
+            "--wall-timeout-s" => wall_timeout_s = Some(num(a, &next())),
+            "--partial" => partial = Some(num(a, &next())),
             "--no-nomaster" => nomaster = false,
-            "--chunk-ms" => chunk_ms = Some(next().parse().expect("--chunk-ms N")),
-            "--latency-us" => latency_us = Some(next().parse().expect("--latency-us N")),
+            "--chunk-ms" => chunk_ms = Some(num(a, &next())),
+            "--latency-us" => latency_us = Some(num(a, &next())),
             "--probe" => probe = true,
             "--trace-out" => trace_out = Some(next()),
             "--metrics-out" => metrics_out = Some(next()),
@@ -229,25 +256,20 @@ fn main() {
             rec.dropped()
         );
     }
-    let write = |path: &str, what: &str, data: String| {
-        if let Err(e) = std::fs::write(path, data) {
-            eprintln!("cannot write {what} to {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote {what} to {path}");
-    };
     if let Some(path) = &trace_out {
-        write(path, "Chrome trace", chrome::to_string(&events));
+        write_file(path, "Chrome trace", |w| chrome::write_to(&events, w));
     }
     if let Some(path) = &events_out {
-        write(path, "event JSONL", jsonl::to_string(&events));
+        write_file(path, "event JSONL", |w| jsonl::write_to(&events, w));
     }
     if let Some(path) = &metrics_out {
-        write(path, "run metrics", r.to_json());
+        write_file(path, "run metrics", |w| w.write_all(r.to_json().as_bytes()));
     }
     if let Some(path) = &accuracy_out {
         let acc = r.accuracy.as_ref().expect("accuracy was enabled");
-        write(path, "accuracy report", acc.to_json());
+        write_file(path, "accuracy report", |w| {
+            w.write_all(acc.to_json().as_bytes())
+        });
     }
     let audit_failed = if audit && rec.dropped() > 0 {
         eprintln!(

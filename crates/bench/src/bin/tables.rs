@@ -11,6 +11,27 @@
 //! ```
 
 use loadex_bench as bench;
+use std::ops::RangeInclusive;
+
+/// Parse the number after `flag` (one of `valid`), or report it and exit
+/// with status 2.
+fn select(flag: &str, value: Option<&String>, valid: RangeInclusive<u32>) -> u32 {
+    let Some(value) = value else {
+        eprintln!("missing value after {flag}");
+        std::process::exit(2);
+    };
+    match value.parse() {
+        Ok(n) if valid.contains(&n) => n,
+        _ => {
+            eprintln!(
+                "invalid value {value:?} for {flag}: expected {}-{}",
+                valid.start(),
+                valid.end()
+            );
+            std::process::exit(2);
+        }
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -27,12 +48,8 @@ fn main() {
             "--quick" => quick = true,
             "--ablations" => ablations = true,
             "--accuracy" => accuracy = true,
-            "--table" => {
-                which_table = it.next().and_then(|v| v.parse().ok());
-            }
-            "--figure" => {
-                which_figure = it.next().and_then(|v| v.parse().ok());
-            }
+            "--table" => which_table = Some(select(a, it.next(), 1..=7)),
+            "--figure" => which_figure = Some(select(a, it.next(), 1..=2)),
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(

@@ -20,16 +20,6 @@ pub fn config_for(nprocs: usize) -> SolverConfig {
     SolverConfig::new(nprocs)
 }
 
-fn mapping_params(cfg: &SolverConfig) -> MappingParams {
-    MappingParams {
-        alpha: cfg.mapping_alpha,
-        type2_min_front: cfg.type2_min_front,
-        kmin_rows: cfg.kmin_rows,
-        type3_min_front: cfg.type3_min_front,
-        speed_factors: cfg.speed_factors.clone(),
-    }
-}
-
 fn sym_str(s: Symmetry) -> &'static str {
     match s {
         Symmetry::Symmetric => "SYM",
@@ -77,7 +67,7 @@ pub fn table3() -> Table {
         let mut cells = vec![m.name.to_string()];
         for np in [32usize, 64, 128] {
             let cfg = config_for(np);
-            let plan = mapping::plan(&tree, np, mapping_params(&cfg));
+            let plan = mapping::plan(&tree, np, MappingParams::from(&cfg));
             cells.push(plan.n_decisions.to_string());
             cells.push(
                 paper::table3(m.name, np)
@@ -298,7 +288,7 @@ pub fn figure2() -> Table {
     let nprocs = 4;
     let mut cfg = config_for(nprocs);
     cfg.type2_min_front = 300;
-    let plan = mapping::plan(&tree, nprocs, mapping_params(&cfg));
+    let plan = mapping::plan(&tree, nprocs, MappingParams::from(&cfg));
     let depths = tree.depths();
     let mut t = Table::new(
         "Figure 2: tree distribution over 4 processors (upper tree)",
@@ -412,7 +402,7 @@ pub fn ablation_threshold(nprocs: usize, model: &MatrixModel) -> Table {
     );
     let tree = model.build_tree();
     let mut cfg = config_for(nprocs);
-    let plan = mapping::plan(&tree, nprocs, mapping_params(&cfg));
+    let plan = mapping::plan(&tree, nprocs, MappingParams::from(&cfg));
     for scale in [0.25f64, 1.0, 4.0, 16.0] {
         // The threshold a run derives by default, scaled.
         cfg.threshold = Some(derive_threshold(&tree, &plan, &cfg, scale));

@@ -7,14 +7,7 @@ use loadex_solver::mapping::{self, MappingParams};
 use loadex_sparse::models::paper_matrices;
 
 fn params(np: usize) -> MappingParams {
-    let c = config_for(np);
-    MappingParams {
-        alpha: c.mapping_alpha,
-        type2_min_front: c.type2_min_front,
-        kmin_rows: c.kmin_rows,
-        type3_min_front: c.type3_min_front,
-        speed_factors: Vec::new(),
-    }
+    MappingParams::from(&config_for(np))
 }
 
 fn decisions(name: &str, np: usize) -> usize {

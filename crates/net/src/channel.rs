@@ -15,19 +15,6 @@ pub enum Channel {
     Regular,
 }
 
-impl Channel {
-    /// All channels, in polling priority order.
-    pub const ALL: [Channel; 2] = [Channel::State, Channel::Regular];
-
-    /// Stable lowercase name (used as the transport-level event `kind`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Channel::State => "state",
-            Channel::Regular => "regular",
-        }
-    }
-}
-
 /// A message in flight or in a mailbox.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Envelope<M> {
@@ -59,12 +46,6 @@ impl<M> Envelope<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn priority_order_is_state_first() {
-        assert_eq!(Channel::ALL[0], Channel::State);
-        assert_eq!(Channel::ALL[1], Channel::Regular);
-    }
 
     #[test]
     fn envelope_fields() {

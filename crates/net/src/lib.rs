@@ -17,6 +17,10 @@
 //!   endpoint per OS thread, with the same two-channel discipline. Used by
 //!   the examples and integration tests to run the mechanism state machines
 //!   under genuine asynchrony.
+//!
+//! Neither transport records events: what each mechanism sends is staged by
+//! the mechanism and stamped by the solver into the run's
+//! `loadex_obs::Recorder`, so every send is counted once.
 
 pub mod channel;
 pub mod model;

@@ -24,7 +24,6 @@
 
 use crate::channel::{Channel, Envelope};
 use crate::model::NetworkModel;
-use loadex_obs::{ProtocolEvent, Recorder};
 use loadex_sim::{ActorId, SimTime};
 
 /// A computed delivery: the envelope plus the time it reaches the receiver's
@@ -75,12 +74,6 @@ pub struct SimNetwork {
     /// Bytes sent per channel.
     bytes_state: u64,
     bytes_regular: u64,
-    /// Optional transport-level event sink: every physical `send` emits a
-    /// [`ProtocolEvent::StateSend`] whose `kind` is the channel name. Harnesses
-    /// that drive mechanisms directly over the network attach a recorder here;
-    /// embeddings that already stamp the mechanisms' own staged events (the
-    /// solver engine) leave it disabled so sends are not double-counted.
-    recorder: Recorder,
     /// Scratch for [`SimNetwork::multicast`]: each copy's arrival, and one
     /// arrival group's destinations.
     arrivals: Vec<(SimTime, ActorId)>,
@@ -100,17 +93,9 @@ impl SimNetwork {
             sent_regular: 0,
             bytes_state: 0,
             bytes_regular: 0,
-            recorder: Recorder::disabled(),
             arrivals: Vec::new(),
             group: Vec::new(),
         }
-    }
-
-    /// Attach an event recorder; every subsequent [`SimNetwork::send`] emits
-    /// a transport-level `state_send` event stamped with the send time and
-    /// the sending rank.
-    pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.recorder = recorder;
     }
 
     /// Number of processes.
@@ -205,12 +190,6 @@ impl SimNetwork {
         assert!(from.index() < self.nprocs, "sender out of range");
         assert!(to.index() < self.nprocs, "receiver out of range");
         assert_ne!(from, to, "self-send");
-        self.recorder
-            .emit_with(now, from, || ProtocolEvent::StateSend {
-                to: Some(to),
-                kind: channel.name(),
-                bytes: size,
-            });
         match channel {
             Channel::State => {
                 self.sent_state += 1;
@@ -452,35 +431,6 @@ mod tests {
     fn self_send_panics() {
         let mut net = SimNetwork::new(2, fixed_model(1));
         net.send(SimTime::ZERO, ActorId(0), ActorId(0), Channel::State, 1, ());
-    }
-
-    #[test]
-    fn recorder_captures_physical_sends() {
-        let mut net = SimNetwork::new(3, fixed_model(1));
-        let rec = Recorder::enabled();
-        net.set_recorder(rec.clone());
-        net.send(SimTime(7), ActorId(0), ActorId(1), Channel::State, 10, ());
-        net.send(SimTime(9), ActorId(1), ActorId(2), Channel::Regular, 20, ());
-        let evs = rec.take();
-        assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].time, SimTime(7));
-        assert_eq!(evs[0].actor, ActorId(0));
-        assert_eq!(
-            evs[0].event,
-            ProtocolEvent::StateSend {
-                to: Some(ActorId(1)),
-                kind: "state",
-                bytes: 10
-            }
-        );
-        assert_eq!(
-            evs[1].event,
-            ProtocolEvent::StateSend {
-                to: Some(ActorId(2)),
-                kind: "regular",
-                bytes: 20
-            }
-        );
     }
 
     #[test]

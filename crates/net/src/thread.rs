@@ -23,9 +23,8 @@
 //!   [`RecvError::Disconnected`] once every other participant is gone.
 
 use crate::channel::{Channel, Envelope};
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use loadex_obs::{ProtocolEvent, Recorder};
-use loadex_sim::{ActorId, SimTime};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use loadex_sim::ActorId;
 use std::time::{Duration, Instant};
 
 /// Error from a blocking receive.
@@ -35,6 +34,16 @@ pub enum RecvError {
     Timeout,
     /// All senders to this endpoint were dropped.
     Disconnected,
+}
+
+impl From<RecvTimeoutError> for RecvError {
+    fn from(e: RecvTimeoutError) -> Self {
+        if e.is_timeout() {
+            RecvError::Timeout
+        } else {
+            RecvError::Disconnected
+        }
+    }
 }
 
 /// One participant's handle on the network.
@@ -47,13 +56,6 @@ pub struct Endpoint<M> {
     regular_tx: Vec<Option<Sender<Envelope<M>>>>,
     state_rx: Receiver<Envelope<M>>,
     regular_rx: Receiver<Envelope<M>>,
-    /// Optional event sink ([`Endpoint::observe`]): sends and receives emit
-    /// transport-level events stamped with wall time since `epoch`. The
-    /// recorder log is behind a mutex, so endpoints on different threads can
-    /// share one log.
-    recorder: Recorder,
-    /// Time origin of emitted events.
-    epoch: Instant,
 }
 
 /// The state-channel half of an [`Endpoint`], split off with
@@ -65,8 +67,6 @@ pub struct CommEndpoint<M> {
     nprocs: usize,
     state_tx: Vec<Option<Sender<Envelope<M>>>>,
     state_rx: Receiver<Envelope<M>>,
-    recorder: Recorder,
-    epoch: Instant,
 }
 
 /// Factory for a fully-connected set of endpoints.
@@ -108,8 +108,6 @@ impl ThreadNetwork {
                     .collect(),
                 state_rx: srx,
                 regular_rx: rrx,
-                recorder: Recorder::disabled(),
-                epoch: Instant::now(),
             })
             .collect()
     }
@@ -126,44 +124,18 @@ impl<M> Endpoint<M> {
         self.nprocs
     }
 
-    /// Attach an event recorder. Every subsequent send emits `state_send`
-    /// and every received envelope emits `state_recv` (the event `kind` is
-    /// the channel name), stamped with nanoseconds since `epoch` — pass the
-    /// same recorder clone and epoch to every endpoint so one merged,
-    /// consistently-clocked log emerges.
-    pub fn observe(&mut self, recorder: Recorder, epoch: Instant) {
-        self.recorder = recorder;
-        self.epoch = epoch;
-    }
-
-    /// Wall time since the observation epoch, as a simulation timestamp.
-    fn now(&self) -> SimTime {
-        SimTime(self.epoch.elapsed().as_nanos() as u64)
-    }
-
-    fn note_recv(&self, env: &Envelope<M>) {
-        self.recorder
-            .emit_with(self.now(), self.rank, || ProtocolEvent::StateRecv {
-                from: env.from,
-                kind: env.channel.name(),
-                bytes: env.size,
-            });
-    }
-
     /// Split off the state-channel half for a dedicated communication thread
     /// (§4.5). The returned [`CommEndpoint`] shares this endpoint's state
-    /// queue and recorder; after calling this, receive on the main endpoint
-    /// only through [`Endpoint::try_recv_regular`] /
-    /// [`Endpoint::recv_regular_timeout`] — a state receive here would race
-    /// the comm thread for the same messages.
+    /// queue; after calling this, receive on the main endpoint only through
+    /// [`Endpoint::try_recv_regular`] / [`Endpoint::recv_regular_timeout`] —
+    /// a state receive here would race the comm thread for the same
+    /// messages.
     pub fn comm_half(&self) -> CommEndpoint<M> {
         CommEndpoint {
             rank: self.rank,
             nprocs: self.nprocs,
             state_tx: self.state_tx.clone(),
             state_rx: self.state_rx.clone(),
-            recorder: self.recorder.clone(),
-            epoch: self.epoch,
         }
     }
 
@@ -172,12 +144,6 @@ impl<M> Endpoint<M> {
     pub fn send(&self, to: ActorId, channel: Channel, size: u64, msg: M) -> bool {
         assert_ne!(to, self.rank, "self-send");
         assert!(to.index() < self.nprocs, "rank out of range");
-        self.recorder
-            .emit_with(self.now(), self.rank, || ProtocolEvent::StateSend {
-                to: Some(to),
-                kind: channel.name(),
-                bytes: size,
-            });
         let env = Envelope::new(self.rank, to, channel, size, msg);
         let tx = match channel {
             Channel::State => &self.state_tx[to.index()],
@@ -199,31 +165,21 @@ impl<M> Endpoint<M> {
 
     /// Non-blocking receive, state channel first.
     pub fn try_recv(&self) -> Option<Envelope<M>> {
-        match self.state_rx.try_recv() {
-            Ok(env) => {
-                self.note_recv(&env);
-                return Some(env);
-            }
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => {}
-        }
-        let env = self.regular_rx.try_recv().ok()?;
-        self.note_recv(&env);
-        Some(env)
+        self.state_rx
+            .try_recv()
+            .or_else(|_| self.regular_rx.try_recv())
+            .ok()
     }
 
     /// Non-blocking receive from the state channel only.
     pub fn try_recv_state(&self) -> Option<Envelope<M>> {
-        let env = self.state_rx.try_recv().ok()?;
-        self.note_recv(&env);
-        Some(env)
+        self.state_rx.try_recv().ok()
     }
 
     /// Non-blocking receive from the regular channel only (the main thread's
     /// receive primitive once a [`CommEndpoint`] owns the state channel).
     pub fn try_recv_regular(&self) -> Option<Envelope<M>> {
-        let env = self.regular_rx.try_recv().ok()?;
-        self.note_recv(&env);
-        Some(env)
+        self.regular_rx.try_recv().ok()
     }
 
     /// Blocking receive with a deadline, state channel first.
@@ -238,18 +194,12 @@ impl<M> Endpoint<M> {
         let mut slice = Duration::from_micros(50);
         loop {
             let state_alive = match self.state_rx.try_recv() {
-                Ok(env) => {
-                    self.note_recv(&env);
-                    return Ok(env);
-                }
+                Ok(env) => return Ok(env),
                 Err(TryRecvError::Empty) => true,
                 Err(TryRecvError::Disconnected) => false,
             };
             match self.regular_rx.try_recv() {
-                Ok(env) => {
-                    self.note_recv(&env);
-                    return Ok(env);
-                }
+                Ok(env) => return Ok(env),
                 Err(TryRecvError::Empty) => {}
                 Err(TryRecvError::Disconnected) if !state_alive => {
                     return Err(RecvError::Disconnected);
@@ -268,7 +218,6 @@ impl<M> Endpoint<M> {
                 &self.regular_rx
             };
             if let Ok(env) = rx.recv_timeout(slice.min(deadline - now)) {
-                self.note_recv(&env);
                 return Ok(env);
             }
             slice = (slice * 2).min(Duration::from_millis(2));
@@ -277,30 +226,14 @@ impl<M> Endpoint<M> {
 
     /// Blocking receive from the state channel only, with a deadline.
     pub fn recv_state_timeout(&self, timeout: Duration) -> Result<Envelope<M>, RecvError> {
-        let env = self.state_rx.recv_timeout(timeout).map_err(|e| {
-            if e.is_timeout() {
-                RecvError::Timeout
-            } else {
-                RecvError::Disconnected
-            }
-        })?;
-        self.note_recv(&env);
-        Ok(env)
+        Ok(self.state_rx.recv_timeout(timeout)?)
     }
 
     /// Blocking receive from the regular channel only, with a deadline (the
     /// main thread's receive primitive once a [`CommEndpoint`] owns the
     /// state channel).
     pub fn recv_regular_timeout(&self, timeout: Duration) -> Result<Envelope<M>, RecvError> {
-        let env = self.regular_rx.recv_timeout(timeout).map_err(|e| {
-            if e.is_timeout() {
-                RecvError::Timeout
-            } else {
-                RecvError::Disconnected
-            }
-        })?;
-        self.note_recv(&env);
-        Ok(env)
+        Ok(self.regular_rx.recv_timeout(timeout)?)
     }
 
     /// Receive everything currently pending without blocking, all state
@@ -340,30 +273,11 @@ impl<M> CommEndpoint<M> {
         self.nprocs
     }
 
-    fn now(&self) -> SimTime {
-        SimTime(self.epoch.elapsed().as_nanos() as u64)
-    }
-
-    fn note_recv(&self, env: &Envelope<M>) {
-        self.recorder
-            .emit_with(self.now(), self.rank, || ProtocolEvent::StateRecv {
-                from: env.from,
-                kind: env.channel.name(),
-                bytes: env.size,
-            });
-    }
-
     /// Send a state message to `to`. Panics on self-send or out-of-range
     /// rank. Returns `false` if the destination endpoint was dropped.
     pub fn send(&self, to: ActorId, size: u64, msg: M) -> bool {
         assert_ne!(to, self.rank, "self-send");
         assert!(to.index() < self.nprocs, "rank out of range");
-        self.recorder
-            .emit_with(self.now(), self.rank, || ProtocolEvent::StateSend {
-                to: Some(to),
-                kind: Channel::State.name(),
-                bytes: size,
-            });
         let env = Envelope::new(self.rank, to, Channel::State, size, msg);
         self.state_tx[to.index()]
             .as_ref()
@@ -386,24 +300,14 @@ impl<M> CommEndpoint<M> {
 
     /// Non-blocking receive from the state channel.
     pub fn try_recv(&self) -> Option<Envelope<M>> {
-        let env = self.state_rx.try_recv().ok()?;
-        self.note_recv(&env);
-        Some(env)
+        self.state_rx.try_recv().ok()
     }
 
     /// Blocking receive from the state channel with a deadline. Wakes as
     /// soon as a message arrives (the timeout is the comm thread's poll
     /// period — an upper bound on servicing latency, not added latency).
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope<M>, RecvError> {
-        let env = self.state_rx.recv_timeout(timeout).map_err(|e| {
-            if e.is_timeout() {
-                RecvError::Timeout
-            } else {
-                RecvError::Disconnected
-            }
-        })?;
-        self.note_recv(&env);
-        Ok(env)
+        Ok(self.state_rx.recv_timeout(timeout)?)
     }
 }
 
@@ -450,42 +354,6 @@ mod tests {
             assert_eq!(env.msg, 7);
         }
         h.join().unwrap();
-    }
-
-    #[test]
-    fn observed_endpoints_emit_send_and_recv() {
-        let mut eps = ThreadNetwork::new::<u32>(2);
-        let rec = Recorder::enabled();
-        let epoch = Instant::now();
-        for ep in &mut eps {
-            ep.observe(rec.clone(), epoch);
-        }
-        let b = eps.pop().unwrap();
-        let a = eps.pop().unwrap();
-        a.send(ActorId(1), Channel::State, 12, 5);
-        let env = b.recv_timeout(Duration::from_secs(1)).unwrap();
-        assert_eq!(env.msg, 5);
-        let evs = rec.take();
-        assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].actor, ActorId(0));
-        assert_eq!(
-            evs[0].event,
-            ProtocolEvent::StateSend {
-                to: Some(ActorId(1)),
-                kind: "state",
-                bytes: 12
-            }
-        );
-        assert_eq!(evs[1].actor, ActorId(1));
-        assert_eq!(
-            evs[1].event,
-            ProtocolEvent::StateRecv {
-                from: ActorId(0),
-                kind: "state",
-                bytes: 12
-            }
-        );
-        assert!(evs[1].time >= evs[0].time, "shared epoch orders the stamps");
     }
 
     #[test]

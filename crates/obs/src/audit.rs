@@ -34,7 +34,6 @@
 
 use crate::event::{EventRecord, ProtocolEvent};
 use loadex_sim::{ActorId, SimTime};
-use serde::{ser::JsonMap, Serialize};
 use std::collections::BTreeMap;
 
 /// One detected invariant violation.
@@ -347,15 +346,6 @@ impl std::fmt::Display for Violation {
     }
 }
 
-impl Serialize for Violation {
-    fn serialize_json(&self, out: &mut String) {
-        let mut map = JsonMap::new(out);
-        map.field("kind", self.name())
-            .field("detail", &self.to_string());
-        map.end();
-    }
-}
-
 /// Result of one audit pass.
 #[derive(Clone, Debug, Default)]
 pub struct AuditReport {
@@ -369,16 +359,6 @@ impl AuditReport {
     /// True when no invariant was violated.
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
-    }
-}
-
-impl Serialize for AuditReport {
-    fn serialize_json(&self, out: &mut String) {
-        let mut map = JsonMap::new(out);
-        map.field("events", &self.events)
-            .field("clean", &self.is_clean())
-            .field("violations", &self.violations);
-        map.end();
     }
 }
 
@@ -447,11 +427,6 @@ impl ProtocolAuditor {
     /// reservation-total checks. This is the CI-gate mode.
     pub fn strict() -> Self {
         ProtocolAuditor { strict: true }
-    }
-
-    /// Whether strict mode is on.
-    pub fn is_strict(&self) -> bool {
-        self.strict
     }
 
     /// Audit a recorded event stream. The stream is stable-sorted by
@@ -963,7 +938,6 @@ mod tests {
             at: SimTime(99),
         };
         assert!(v.to_string().contains("P3"));
-        let json = serde::json::to_string(&v);
-        assert!(json.contains("double_blocked"));
+        assert_eq!(v.name(), "double_blocked");
     }
 }

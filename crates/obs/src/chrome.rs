@@ -100,8 +100,10 @@ fn write_instant(
     ev.end();
 }
 
-/// Render an event stream as a Chrome `trace_event` JSON document.
-pub fn to_string(events: &[EventRecord]) -> String {
+/// Render an event stream as a Chrome `trace_event` JSON document. The
+/// document is built whole: its spans need the entire stream anyway, and it
+/// is small next to the JSONL export.
+fn render(events: &[EventRecord]) -> String {
     let nprocs = events
         .iter()
         .map(|e| e.actor.index() + 1)
@@ -234,7 +236,7 @@ pub fn to_string(events: &[EventRecord]) -> String {
 
 /// Write the Chrome trace for `events` to `w`.
 pub fn write_to(events: &[EventRecord], w: &mut impl Write) -> io::Result<()> {
-    w.write_all(to_string(events).as_bytes())
+    w.write_all(render(events).as_bytes())
 }
 
 #[cfg(test)]
@@ -252,7 +254,7 @@ mod tests {
 
     #[test]
     fn empty_stream_is_valid_wrapper() {
-        let s = to_string(&[]);
+        let s = render(&[]);
         assert!(s.starts_with("{\"traceEvents\":["));
         assert!(s.contains("\"displayTimeUnit\":\"ms\""));
     }
@@ -270,7 +272,7 @@ mod tests {
             ),
             rec(1_000, 1, ProtocolEvent::TaskEnd { node: 1 }),
         ];
-        let s = to_string(&events);
+        let s = render(&events);
         // Adjacent objects with no separator would corrupt the JSON array.
         assert!(
             !s.contains("}{"),
@@ -298,7 +300,7 @@ mod tests {
             rec(2_000, 1, ProtocolEvent::SnapshotStart { req: 7 }),
             rec(5_000, 1, ProtocolEvent::SnapshotEnd { req: 7 }),
         ];
-        let s = to_string(&events);
+        let s = render(&events);
         assert!(
             s.contains(r#""name":"Busy","cat":"activity","ph":"X","ts":0,"dur":1"#),
             "{s}"
@@ -317,7 +319,7 @@ mod tests {
             rec(1_000, 0, ProtocolEvent::SnapshotStart { req: 3 }),
             rec(9_000, 0, ProtocolEvent::Blocked),
         ];
-        let s = to_string(&events);
+        let s = render(&events);
         assert!(s.contains(r#""name":"snapshot (unfinished)""#), "{s}");
         assert!(s.contains(r#""ts":1,"dur":8"#), "{s}");
     }
@@ -329,7 +331,7 @@ mod tests {
             2,
             ProtocolEvent::DecisionComplete { node: 4, slaves: 3 },
         )];
-        let s = to_string(&events);
+        let s = render(&events);
         assert!(
             s.contains(r#""name":"decision","cat":"decision","ph":"i""#),
             "{s}"

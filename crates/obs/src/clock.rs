@@ -1,8 +1,8 @@
 //! Wall-clock → simulated-time mapping for real-thread runs.
 //!
-//! The discrete-event backend stamps every [`ProtocolEvent`]
-//! (crate::ProtocolEvent) with simulated nanoseconds. The threaded backend
-//! runs on the wall clock, compressed by a configurable `time_scale` (wall
+//! The discrete-event backend stamps every
+//! [`ProtocolEvent`](crate::ProtocolEvent) with simulated nanoseconds. The
+//! threaded backend runs on the wall clock, compressed by a configurable `time_scale` (wall
 //! seconds per simulated second). A [`WallClock`] performs that conversion so
 //! both backends produce event logs in the *same* time base — the JSONL and
 //! Chrome exporters, span renderers and latency analyses apply unchanged.

@@ -1,352 +1,32 @@
 //! JSONL export: one event per line, in emission order.
 //!
 //! The format is deliberately flat and stable (`{"t":..,"p":..,"ev":..,
-//! ...payload}`) so runs can be diffed, grepped, and replayed. A
-//! deterministic simulation produces byte-identical JSONL for the same seed
-//! (covered by a golden test in `loadex-bench`).
+//! ...payload}`) so runs can be diffed and grepped. A deterministic
+//! simulation produces byte-identical JSONL for the same seed (covered by
+//! the golden test `tests/obs_golden.rs`).
 
-use crate::event::{EventRecord, ProtocolEvent};
-use loadex_sim::{ActorId, SimTime};
+use crate::event::EventRecord;
 use serde::Serialize;
-use std::collections::BTreeMap;
 use std::io::{self, Write};
 
-/// Render events as a JSONL string (each line one JSON object, `\n`
-/// terminated).
-pub fn to_string(events: &[EventRecord]) -> String {
-    let mut out = String::new();
-    for ev in events {
-        ev.serialize_json(&mut out);
-        out.push('\n');
-    }
-    out
-}
+/// Bytes of serialized records gathered before each hand-off to the writer.
+const FLUSH_BYTES: usize = 64 * 1024;
 
-/// Write events as JSONL to `w`.
-pub fn write_to(events: &[EventRecord], w: &mut impl Write) -> io::Result<()> {
-    w.write_all(to_string(events).as_bytes())
-}
-
-/// Error produced while parsing a JSONL export back into events.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ParseError {
-    /// 1-based line number the error occurred on.
-    pub line: usize,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "jsonl line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-/// Parse a JSONL export (as produced by [`to_string`]) back into event
-/// records. Empty lines are skipped; any malformed line aborts with a
-/// [`ParseError`] naming it.
+/// Write events as JSONL to `w`: each line one JSON object, `\n` terminated.
 ///
-/// Message/task kind strings are interned against the fixed vocabulary the
-/// solver emits, so the round trip restores the exact `&'static str` the
-/// event carried.
-pub fn parse(input: &str) -> Result<Vec<EventRecord>, ParseError> {
-    let mut out = Vec::new();
-    for (idx, line) in input.lines().enumerate() {
-        let lineno = idx + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let fields = parse_flat_object(line).map_err(|message| ParseError {
-            line: lineno,
-            message,
-        })?;
-        let rec = record_from_fields(&fields).map_err(|message| ParseError {
-            line: lineno,
-            message,
-        })?;
-        out.push(rec);
-    }
-    Ok(out)
-}
-
-/// A scalar value in a flat JSONL object.
-#[derive(Clone, Debug, PartialEq)]
-enum Scalar {
-    /// Raw numeric token, kept as text so callers pick u64 vs f64 parsing.
-    Num(String),
-    Str(String),
-    Null,
-}
-
-/// The fixed kind vocabulary (`StateMsg::kind_name` plus `TaskKind::name`)
-/// used to restore `&'static str` fields on parse.
-const KNOWN_KINDS: &[&str] = &[
-    // StateMsg kinds
-    "update",
-    "update_delta",
-    "master_to_all",
-    "no_more_master",
-    "start_snp",
-    "snp",
-    "end_snp",
-    "master_to_slave",
-    "gossip",
-    // TaskKind names
-    "subtree",
-    "type1",
-    "type2_master",
-    "type2_slave",
-    "type2_whole",
-    "root_part",
-];
-
-fn intern_kind(s: &str) -> Result<&'static str, String> {
-    KNOWN_KINDS
-        .iter()
-        .find(|k| **k == s)
-        .copied()
-        .ok_or_else(|| format!("unknown kind {s:?}"))
-}
-
-/// Parse one flat (non-nested) JSON object into a key → scalar map.
-fn parse_flat_object(line: &str) -> Result<BTreeMap<String, Scalar>, String> {
-    let mut map = BTreeMap::new();
-    let bytes = line.trim().as_bytes();
-    let mut i = 0usize;
-    let eat_ws = |i: &mut usize| {
-        while *i < bytes.len() && bytes[*i].is_ascii_whitespace() {
-            *i += 1;
-        }
-    };
-    let expect = |i: &mut usize, c: u8| -> Result<(), String> {
-        if *i < bytes.len() && bytes[*i] == c {
-            *i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", c as char, i))
-        }
-    };
-    eat_ws(&mut i);
-    expect(&mut i, b'{')?;
-    eat_ws(&mut i);
-    if i < bytes.len() && bytes[i] == b'}' {
-        return Ok(map);
-    }
-    loop {
-        eat_ws(&mut i);
-        let key = parse_string(bytes, &mut i)?;
-        eat_ws(&mut i);
-        expect(&mut i, b':')?;
-        eat_ws(&mut i);
-        let val = if i < bytes.len() && bytes[i] == b'"' {
-            Scalar::Str(parse_string(bytes, &mut i)?)
-        } else if bytes[i..].starts_with(b"null") {
-            i += 4;
-            Scalar::Null
-        } else {
-            let start = i;
-            while i < bytes.len()
-                && !matches!(bytes[i], b',' | b'}')
-                && !bytes[i].is_ascii_whitespace()
-            {
-                i += 1;
-            }
-            let tok = std::str::from_utf8(&bytes[start..i]).map_err(|_| "invalid utf-8")?;
-            if tok.is_empty() {
-                return Err(format!("empty value for key {key:?}"));
-            }
-            Scalar::Num(tok.to_string())
-        };
-        map.insert(key, val);
-        eat_ws(&mut i);
-        if i >= bytes.len() {
-            return Err("unterminated object".to_string());
-        }
-        match bytes[i] {
-            b',' => {
-                i += 1;
-            }
-            b'}' => {
-                i += 1;
-                break;
-            }
-            other => return Err(format!("unexpected {:?} at byte {}", other as char, i)),
+/// Records are serialized into one reused buffer that is handed to `w`
+/// every ~64 KiB, so memory stays flat however long the stream is.
+pub fn write_to(events: &[EventRecord], w: &mut impl Write) -> io::Result<()> {
+    let mut buf = String::with_capacity(2 * FLUSH_BYTES);
+    for ev in events {
+        ev.serialize_json(&mut buf);
+        buf.push('\n');
+        if buf.len() >= FLUSH_BYTES {
+            w.write_all(buf.as_bytes())?;
+            buf.clear();
         }
     }
-    eat_ws(&mut i);
-    if i != bytes.len() {
-        return Err("trailing garbage after object".to_string());
-    }
-    Ok(map)
-}
-
-/// Parse a JSON string starting at `bytes[*i] == '"'`, advancing `i` past
-/// the closing quote.
-fn parse_string(bytes: &[u8], i: &mut usize) -> Result<String, String> {
-    if *i >= bytes.len() || bytes[*i] != b'"' {
-        return Err(format!("expected string at byte {}", i));
-    }
-    *i += 1;
-    let mut s = String::new();
-    while *i < bytes.len() {
-        match bytes[*i] {
-            b'"' => {
-                *i += 1;
-                return Ok(s);
-            }
-            b'\\' => {
-                *i += 1;
-                if *i >= bytes.len() {
-                    break;
-                }
-                match bytes[*i] {
-                    b'"' => s.push('"'),
-                    b'\\' => s.push('\\'),
-                    b'/' => s.push('/'),
-                    b'n' => s.push('\n'),
-                    b't' => s.push('\t'),
-                    b'r' => s.push('\r'),
-                    b'b' => s.push('\u{8}'),
-                    b'f' => s.push('\u{c}'),
-                    b'u' => {
-                        if *i + 4 >= bytes.len() {
-                            return Err("truncated \\u escape".to_string());
-                        }
-                        let hex = std::str::from_utf8(&bytes[*i + 1..*i + 5])
-                            .map_err(|_| "invalid \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape")?;
-                        s.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                        *i += 4;
-                    }
-                    other => return Err(format!("unknown escape \\{}", other as char)),
-                }
-                *i += 1;
-            }
-            _ => {
-                // Copy the full UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*i..]).map_err(|_| "invalid utf-8")?;
-                let ch = rest.chars().next().unwrap();
-                s.push(ch);
-                *i += ch.len_utf8();
-            }
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn get_u64(m: &BTreeMap<String, Scalar>, key: &str) -> Result<u64, String> {
-    match m.get(key) {
-        Some(Scalar::Num(raw)) => raw
-            .parse::<u64>()
-            .or_else(|_| {
-                // write_f64 may render integral values in exponent form.
-                raw.parse::<f64>().map_err(|_| ()).and_then(|f| {
-                    if f.fract() == 0.0 && f >= 0.0 && f <= u64::MAX as f64 {
-                        Ok(f as u64)
-                    } else {
-                        Err(())
-                    }
-                })
-            })
-            .map_err(|_| format!("field {key:?} is not a u64: {raw:?}")),
-        Some(_) => Err(format!("field {key:?} is not a number")),
-        None => Err(format!("missing field {key:?}")),
-    }
-}
-
-fn get_f64(m: &BTreeMap<String, Scalar>, key: &str) -> Result<f64, String> {
-    match m.get(key) {
-        Some(Scalar::Num(raw)) => raw
-            .parse::<f64>()
-            .map_err(|_| format!("field {key:?} is not an f64: {raw:?}")),
-        // The serializer maps non-finite floats to null.
-        Some(Scalar::Null) => Ok(f64::NAN),
-        Some(_) => Err(format!("field {key:?} is not a number")),
-        None => Err(format!("missing field {key:?}")),
-    }
-}
-
-fn get_str<'m>(m: &'m BTreeMap<String, Scalar>, key: &str) -> Result<&'m str, String> {
-    match m.get(key) {
-        Some(Scalar::Str(s)) => Ok(s),
-        Some(_) => Err(format!("field {key:?} is not a string")),
-        None => Err(format!("missing field {key:?}")),
-    }
-}
-
-fn get_opt_actor(m: &BTreeMap<String, Scalar>, key: &str) -> Result<Option<ActorId>, String> {
-    match m.get(key) {
-        Some(Scalar::Null) => Ok(None),
-        Some(Scalar::Num(_)) => Ok(Some(ActorId(get_u64(m, key)? as usize))),
-        Some(_) => Err(format!("field {key:?} is not a process rank")),
-        None => Err(format!("missing field {key:?}")),
-    }
-}
-
-fn record_from_fields(m: &BTreeMap<String, Scalar>) -> Result<EventRecord, String> {
-    let t = SimTime(get_u64(m, "t")?);
-    let p = ActorId(get_u64(m, "p")? as usize);
-    let ev = get_str(m, "ev")?;
-    let event = match ev {
-        "state_send" => ProtocolEvent::StateSend {
-            to: get_opt_actor(m, "to")?,
-            kind: intern_kind(get_str(m, "kind")?)?,
-            bytes: get_u64(m, "bytes")?,
-        },
-        "state_recv" => ProtocolEvent::StateRecv {
-            from: ActorId(get_u64(m, "from")? as usize),
-            kind: intern_kind(get_str(m, "kind")?)?,
-            bytes: get_u64(m, "bytes")?,
-        },
-        "snapshot_start" => ProtocolEvent::SnapshotStart {
-            req: get_u64(m, "req")?,
-        },
-        "snapshot_end" => ProtocolEvent::SnapshotEnd {
-            req: get_u64(m, "req")?,
-        },
-        "election_won" => ProtocolEvent::ElectionWon {
-            req: get_u64(m, "req")?,
-        },
-        "election_lost" => ProtocolEvent::ElectionLost {
-            req: get_u64(m, "req")?,
-            winner: ActorId(get_u64(m, "winner")? as usize),
-        },
-        "delayed_answer" => ProtocolEvent::DelayedAnswer {
-            to: ActorId(get_u64(m, "to")? as usize),
-            req: get_u64(m, "req")?,
-        },
-        "decision_open" => ProtocolEvent::DecisionOpen {
-            node: get_u64(m, "node")?,
-        },
-        "decision_complete" => ProtocolEvent::DecisionComplete {
-            node: get_u64(m, "node")?,
-            slaves: get_u64(m, "slaves")? as u32,
-        },
-        "blocked" => ProtocolEvent::Blocked,
-        "resumed" => ProtocolEvent::Resumed,
-        "task_start" => ProtocolEvent::TaskStart {
-            node: get_u64(m, "node")?,
-            kind: intern_kind(get_str(m, "kind")?)?,
-        },
-        "task_end" => ProtocolEvent::TaskEnd {
-            node: get_u64(m, "node")?,
-        },
-        "mem_alloc" => ProtocolEvent::MemAlloc {
-            entries: get_f64(m, "entries")?,
-        },
-        "mem_free" => ProtocolEvent::MemFree {
-            entries: get_f64(m, "entries")?,
-        },
-        other => return Err(format!("unknown event {other:?}")),
-    };
-    Ok(EventRecord {
-        time: t,
-        actor: p,
-        event,
-    })
+    w.write_all(buf.as_bytes())
 }
 
 #[cfg(test)]
@@ -354,6 +34,27 @@ mod tests {
     use super::*;
     use crate::event::ProtocolEvent;
     use loadex_sim::{ActorId, SimTime};
+
+    fn render(events: &[EventRecord]) -> String {
+        let mut out = Vec::new();
+        write_to(events, &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    /// More records than fit in several flushes of the buffer.
+    fn long_stream() -> Vec<EventRecord> {
+        (0..10_000u64)
+            .map(|n| EventRecord {
+                time: SimTime(n * 1_000),
+                actor: ActorId(n as usize % 7),
+                event: ProtocolEvent::StateSend {
+                    to: Some(ActorId(n as usize % 5)),
+                    kind: "update_delta",
+                    bytes: 32,
+                },
+            })
+            .collect()
+    }
 
     #[test]
     fn one_object_per_line() {
@@ -369,149 +70,52 @@ mod tests {
                 event: ProtocolEvent::Resumed,
             },
         ];
-        let s = to_string(&events);
         assert_eq!(
-            s,
+            render(&events),
             "{\"t\":1,\"p\":0,\"ev\":\"blocked\"}\n{\"t\":2,\"p\":1,\"ev\":\"resumed\"}\n"
         );
     }
 
     #[test]
     fn empty_log_is_empty_string() {
-        assert_eq!(to_string(&[]), "");
+        assert_eq!(render(&[]), "");
     }
 
     #[test]
-    fn parse_round_trips_every_variant() {
-        let events = vec![
-            EventRecord {
-                time: SimTime(1),
-                actor: ActorId(0),
-                event: ProtocolEvent::StateSend {
-                    to: None,
-                    kind: "update",
-                    bytes: 24,
-                },
-            },
-            EventRecord {
-                time: SimTime(2),
-                actor: ActorId(1),
-                event: ProtocolEvent::StateSend {
-                    to: Some(ActorId(3)),
-                    kind: "master_to_slave",
-                    bytes: 16,
-                },
-            },
-            EventRecord {
-                time: SimTime(3),
-                actor: ActorId(2),
-                event: ProtocolEvent::StateRecv {
-                    from: ActorId(1),
-                    kind: "update_delta",
-                    bytes: 32,
-                },
-            },
-            EventRecord {
-                time: SimTime(4),
-                actor: ActorId(0),
-                event: ProtocolEvent::SnapshotStart { req: 7 },
-            },
-            EventRecord {
-                time: SimTime(5),
-                actor: ActorId(0),
-                event: ProtocolEvent::ElectionWon { req: 7 },
-            },
-            EventRecord {
-                time: SimTime(6),
-                actor: ActorId(1),
-                event: ProtocolEvent::ElectionLost {
-                    req: 4,
-                    winner: ActorId(0),
-                },
-            },
-            EventRecord {
-                time: SimTime(7),
-                actor: ActorId(2),
-                event: ProtocolEvent::DelayedAnswer {
-                    to: ActorId(1),
-                    req: 4,
-                },
-            },
-            EventRecord {
-                time: SimTime(8),
-                actor: ActorId(0),
-                event: ProtocolEvent::SnapshotEnd { req: 7 },
-            },
-            EventRecord {
-                time: SimTime(9),
-                actor: ActorId(0),
-                event: ProtocolEvent::DecisionOpen { node: 42 },
-            },
-            EventRecord {
-                time: SimTime(10),
-                actor: ActorId(0),
-                event: ProtocolEvent::DecisionComplete {
-                    node: 42,
-                    slaves: 3,
-                },
-            },
-            EventRecord {
-                time: SimTime(11),
-                actor: ActorId(3),
-                event: ProtocolEvent::Blocked,
-            },
-            EventRecord {
-                time: SimTime(12),
-                actor: ActorId(3),
-                event: ProtocolEvent::Resumed,
-            },
-            EventRecord {
-                time: SimTime(13),
-                actor: ActorId(1),
-                event: ProtocolEvent::TaskStart {
-                    node: 9,
-                    kind: "type2_master",
-                },
-            },
-            EventRecord {
-                time: SimTime(14),
-                actor: ActorId(1),
-                event: ProtocolEvent::TaskEnd { node: 9 },
-            },
-            EventRecord {
-                time: SimTime(15),
-                actor: ActorId(2),
-                event: ProtocolEvent::MemAlloc { entries: 1234.5 },
-            },
-            EventRecord {
-                time: SimTime(16),
-                actor: ActorId(2),
-                event: ProtocolEvent::MemFree { entries: 1e3 },
-            },
-        ];
-        let text = to_string(&events);
-        let parsed = parse(&text).expect("round trip");
-        assert_eq!(parsed, events);
-    }
-
-    #[test]
-    fn parse_skips_blank_lines() {
-        let parsed = parse("\n{\"t\":1,\"p\":0,\"ev\":\"blocked\"}\n\n").unwrap();
-        assert_eq!(parsed.len(), 1);
-    }
-
-    #[test]
-    fn parse_reports_line_numbers() {
-        let err = parse("{\"t\":1,\"p\":0,\"ev\":\"blocked\"}\n{broken}\n").unwrap_err();
-        assert_eq!(err.line, 2);
-    }
-
-    #[test]
-    fn parse_rejects_unknown_events_and_kinds() {
-        assert!(parse("{\"t\":1,\"p\":0,\"ev\":\"warp\"}\n").is_err());
+    fn output_spanning_several_flushes_is_each_record_in_order() {
+        let events = long_stream();
+        let expected: String = events.iter().map(|e| e.to_json() + "\n").collect();
         assert!(
-            parse("{\"t\":1,\"p\":0,\"ev\":\"state_send\",\"to\":null,\"kind\":\"carrier\",\"bytes\":1}\n")
-                .is_err()
+            expected.len() > 3 * FLUSH_BYTES,
+            "must span several flushes"
         );
+        assert_eq!(render(&events), expected);
+    }
+
+    /// Accepts one `write` call, then fails every later one.
+    struct FailsOnSecondWrite {
+        writes: usize,
+    }
+
+    impl Write for FailsOnSecondWrite {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            if self.writes >= 2 {
+                return Err(io::Error::other("disk full"));
+            }
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn writer_error_is_returned() {
+        let mut w = FailsOnSecondWrite { writes: 0 };
+        let err = write_to(&long_stream(), &mut w).unwrap_err();
+        assert_eq!(err.to_string(), "disk full");
+        assert_eq!(w.writes, 2, "the error stops the export");
     }
 }

@@ -6,16 +6,17 @@
 //! of that is captured:
 //!
 //! * [`ProtocolEvent`] — a typed event taxonomy replacing stringly-typed
-//!   trace records, emitted by the mechanisms (`loadex-core`), both
-//!   transports (`loadex-net`), and the solver engine (`loadex-solver`).
+//!   trace records. The mechanisms (`loadex-core`) stage their events and
+//!   the solver (`loadex-solver`) stamps them, with its own, into the run's
+//!   [`Recorder`]: that is the one event source.
 //! * [`Recorder`] — a cloneable event sink. Disabled recorders are a single
 //!   pointer-is-none check per emission site, so instrumented hot paths cost
 //!   nothing in the default configuration.
 //! * [`MetricsRegistry`] — named counters, gauges, and log-scale-bucket
 //!   [`Histogram`]s; snapshotted into a serializable [`MetricsSnapshot`].
-//! * Exporters — [`jsonl::export`] (one JSON object per event line) and
-//!   [`chrome::export`] (Chrome `trace_event` format: open the file in
-//!   `chrome://tracing` or <https://ui.perfetto.dev>).
+//! * Exporters — [`jsonl::write_to`] (one JSON object per event line,
+//!   streamed) and [`chrome::write_to`] (Chrome `trace_event` format: open
+//!   the file in `chrome://tracing` or <https://ui.perfetto.dev>).
 //! * [`span`] — per-process Busy/Blocked/Idle spans reconstructed from the
 //!   event stream, plus the ASCII Gantt renderer used by `examples/gantt.rs`.
 //! * [`ViewAccuracyProbe`] — ground truth vs. believed `LoadTable`s:

@@ -5,8 +5,8 @@
 //! a single `Option` discriminant check (measured < 2% overhead on the
 //! mechanism micro-benches), while **enabled** recorders share one bounded
 //! in-memory log behind a mutex — cheap enough for simulation runs, and
-//! thread-safe so the real `ThreadNetwork` transport can emit from worker
-//! threads.
+//! thread-safe so the threaded backend's worker and communication threads
+//! can emit into one log.
 
 use crate::event::{EventRecord, ProtocolEvent};
 use loadex_sim::{ActorId, SimTime};
@@ -101,17 +101,11 @@ impl Recorder {
         self.inner.as_ref().map_or(0, |l| l.lock().unwrap().dropped)
     }
 
-    /// Take all held events out (they are removed from the log).
+    /// Take all held events out (they are removed from the log, which
+    /// gives up its buffer).
     pub fn take(&self) -> Vec<EventRecord> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |l| l.lock().unwrap().events.drain(..).collect())
-    }
-
-    /// Copy of all held events, leaving the log intact.
-    pub fn snapshot(&self) -> Vec<EventRecord> {
         self.inner.as_ref().map_or_else(Vec::new, |l| {
-            l.lock().unwrap().events.iter().cloned().collect()
+            Vec::from(std::mem::take(&mut l.lock().unwrap().events))
         })
     }
 }

@@ -135,8 +135,9 @@ pub enum ExecBackend {
 }
 
 impl ExecBackend {
-    /// Stable lowercase name (appears in [`RunReport::backend`]
-    /// (crate::report::RunReport::backend) and serialized reports).
+    /// Stable lowercase name (appears in
+    /// [`RunReport::backend`](crate::report::RunReport::backend) and
+    /// serialized reports).
     pub fn name(&self) -> &'static str {
         match self {
             ExecBackend::Sim => "sim",

@@ -789,17 +789,7 @@ mod tests {
     fn mini_world(nprocs: usize) -> SolverWorld {
         let tree = by_name("TWOTONE").unwrap().build_tree();
         let cfg = SolverConfig::new(nprocs);
-        let plan = mapping::plan(
-            &tree,
-            nprocs,
-            MappingParams {
-                alpha: cfg.mapping_alpha,
-                type2_min_front: cfg.type2_min_front,
-                kmin_rows: cfg.kmin_rows,
-                type3_min_front: cfg.type3_min_front,
-                speed_factors: Vec::new(),
-            },
-        );
+        let plan = mapping::plan(&tree, nprocs, MappingParams::from(&cfg));
         SolverWorld::new(tree, plan, cfg)
     }
 

@@ -31,7 +31,7 @@
 //! * [`threaded`] — the real-thread execution backend driving the same
 //!   procedures: one OS thread per process over `loadex_net::thread`
 //!   endpoints, with the §4.5 dedicated communication thread as an option.
-//! * [`run`] — the [`Runtime`] entry point dispatching between the two
+//! * [`run`](mod@run) — the [`Runtime`] entry point dispatching between the two
 //!   backends, plus one-call wrappers.
 
 pub mod config;

@@ -12,6 +12,7 @@
 //! * The largest root front becomes the **Type 3** 2D-cyclic node
 //!   (ScaLAPACK in the paper) with no dynamic decision.
 
+use crate::config::SolverConfig;
 use loadex_sparse::AssemblyTree;
 
 /// Classification of an assembly-tree node.
@@ -72,6 +73,19 @@ pub struct MappingParams {
     /// Per-process speed factors for heterogeneous platforms (empty =
     /// homogeneous): static bin-packing weights costs by speed.
     pub speed_factors: Vec<f64>,
+}
+
+impl From<&SolverConfig> for MappingParams {
+    /// The classification thresholds and speed factors of `cfg`.
+    fn from(cfg: &SolverConfig) -> Self {
+        MappingParams {
+            alpha: cfg.mapping_alpha,
+            type2_min_front: cfg.type2_min_front,
+            kmin_rows: cfg.kmin_rows,
+            type3_min_front: cfg.type3_min_front,
+            speed_factors: cfg.speed_factors.clone(),
+        }
+    }
 }
 
 /// Subtree peak of active memory restricted to the nodes collapsed into

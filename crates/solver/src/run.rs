@@ -65,22 +65,12 @@ impl Runtime {
         tree: &AssemblyTree,
         recorder: Recorder,
     ) -> Result<RunReport, RunError> {
-        let plan = mapping::plan(tree, self.cfg.nprocs, mapping_params(&self.cfg));
+        let plan = mapping::plan(tree, self.cfg.nprocs, MappingParams::from(&self.cfg));
         let cfg = self.cfg.clone();
         match cfg.backend {
             ExecBackend::Sim => run_sim(tree, plan, cfg, recorder),
             ExecBackend::Threaded(t) => crate::threaded::run(tree, plan, cfg, t, recorder),
         }
-    }
-}
-
-fn mapping_params(cfg: &SolverConfig) -> MappingParams {
-    MappingParams {
-        alpha: cfg.mapping_alpha,
-        type2_min_front: cfg.type2_min_front,
-        kmin_rows: cfg.kmin_rows,
-        type3_min_front: cfg.type3_min_front,
-        speed_factors: cfg.speed_factors.clone(),
     }
 }
 
@@ -346,7 +336,7 @@ mod tests {
     fn derived_threshold_is_positive_and_scales() {
         let tree = by_name("GUPTA3").unwrap().build_tree();
         let cfg = SolverConfig::new(8);
-        let plan = mapping::plan(&tree, 8, mapping_params(&cfg));
+        let plan = mapping::plan(&tree, 8, MappingParams::from(&cfg));
         let one = derive_threshold(&tree, &plan, &cfg, 1.0);
         assert!(one.work > 0.0 && one.mem > 0.0);
         let four = derive_threshold(&tree, &plan, &cfg, 4.0);
@@ -368,17 +358,7 @@ mod tests {
     fn decisions_match_static_plan() {
         let t = by_name("GUPTA3").unwrap().build_tree();
         let c = SolverConfig::new(8);
-        let plan = mapping::plan(
-            &t,
-            8,
-            MappingParams {
-                alpha: c.mapping_alpha,
-                type2_min_front: c.type2_min_front,
-                kmin_rows: c.kmin_rows,
-                type3_min_front: c.type3_min_front,
-                speed_factors: Vec::new(),
-            },
-        );
+        let plan = mapping::plan(&t, 8, MappingParams::from(&c));
         let r = run(&t, &c).unwrap();
         assert_eq!(r.decisions as usize, plan.n_decisions);
     }

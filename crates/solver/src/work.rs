@@ -202,17 +202,7 @@ mod tests {
     fn mechanisms_seed_initial_work() {
         let tree = by_name("GUPTA3").unwrap().build_tree();
         let cfg = SolverConfig::new(4);
-        let plan = mapping::plan(
-            &tree,
-            4,
-            MappingParams {
-                alpha: cfg.mapping_alpha,
-                type2_min_front: cfg.type2_min_front,
-                kmin_rows: cfg.kmin_rows,
-                type3_min_front: cfg.type3_min_front,
-                speed_factors: Vec::new(),
-            },
-        );
+        let plan = mapping::plan(&tree, 4, MappingParams::from(&cfg));
         let thr = Threshold::new(1.0, 1.0);
         for kind in MechKind::ALL {
             let m = build_mechanism(&cfg.clone().with_mechanism(kind), &plan, thr, 1);

@@ -17,6 +17,8 @@ use loadex::obs::span::{render_gantt, spans_from_events};
 use loadex::obs::{chrome, Recorder};
 use loadex::solver::{run_observed, SolverConfig};
 use loadex::sparse::models::by_name;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 
 fn main() {
     let nprocs: usize = std::env::args()
@@ -47,7 +49,12 @@ fn main() {
                 r.snapshot_max_concurrent
             );
             if let Some(path) = &trace_path {
-                match std::fs::write(path, chrome::to_string(&events)) {
+                let written = File::create(path).and_then(|f| {
+                    let mut w = BufWriter::new(f);
+                    chrome::write_to(&events, &mut w)?;
+                    w.flush()
+                });
+                match written {
                     Ok(()) => println!("wrote Chrome trace to {path} (open in chrome://tracing)"),
                     Err(e) => eprintln!("cannot write {path}: {e}"),
                 }

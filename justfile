@@ -19,7 +19,7 @@ test-threaded:
 
 # Lints as errors.
 clippy:
-    cargo clippy --workspace --offline -- -D warnings
+    cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Apply formatting.
 fmt:

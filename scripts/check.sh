@@ -19,6 +19,14 @@ run cargo test --workspace --offline -q
 run timeout 300 cargo test --offline --test threaded_backend -q
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo fmt --check
+# Rustdoc: broken or ambiguous intra-doc links fail the gate.
+RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps --offline
+# The benchmark package (perfbench/, outside the workspace) builds with
+# --locked against its own lock file and calls the crates' public API; its
+# self-test runs every workload's code path at tiny scale (~20 s), so an API
+# or dependency-edge change that would break the benchmark fails here.
+CARGO_TARGET_DIR=.bench_build run cargo test --release --offline --locked \
+    --manifest-path perfbench/Cargo.toml -q
 # Strict protocol-invariant audit over one seeded run per mechanism: the
 # auditor replays the recorded event stream and any violation (snapshot
 # pairing, clock monotonicity, reservation totals, ...) fails the gate.

@@ -77,18 +77,7 @@ fn decision_count_is_mechanism_independent() {
     // same number of dynamic decisions.
     let tree = grid_tree(24);
     let cfg = small_cfg(6);
-    let expected = plan(
-        &tree,
-        6,
-        MappingParams {
-            alpha: cfg.mapping_alpha,
-            type2_min_front: cfg.type2_min_front,
-            kmin_rows: cfg.kmin_rows,
-            type3_min_front: cfg.type3_min_front,
-            speed_factors: Vec::new(),
-        },
-    )
-    .n_decisions as u64;
+    let expected = plan(&tree, 6, MappingParams::from(&cfg)).n_decisions as u64;
     assert!(expected > 0, "test needs parallel tasks");
     for mech in MechKind::ALL {
         let r = run(&tree, &cfg.clone().with_mechanism(mech)).unwrap();
