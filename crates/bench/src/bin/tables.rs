@@ -1,16 +1,23 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! tables --all            # everything (several minutes)
+//! tables --all            # every deterministic table and figure (~10 s)
 //! tables --table 3        # one table
 //! tables --figure 1       # one figure
 //! tables --ablations      # NoMoreMaster / latency / threshold ablations
 //! tables --accuracy       # just the accuracy-vs-message-cost table
+//! tables --threaded       # the §4.5 real-thread backend table (wall clock)
 //! tables --quick          # everything at reduced processor counts (smoke test);
 //!                         # combined with a selection, that selection only
 //! ```
+//!
+//! Every table but `--threaded` comes from the deterministic simulator, so
+//! `tables --all` reproduces `tables_output.txt` byte for byte. The §4.5
+//! table runs real OS threads and sleeps through virtualized compute: its
+//! numbers vary from run to run, and it is printed only when asked for.
 
 use loadex_bench as bench;
+use loadex_solver::ThreadedBackend;
 use std::ops::RangeInclusive;
 
 /// Parse the number after `flag` (one of `valid`), or report it and exit
@@ -41,6 +48,7 @@ fn main() {
     let mut quick = false;
     let mut ablations = false;
     let mut accuracy = false;
+    let mut threaded = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -48,19 +56,21 @@ fn main() {
             "--quick" => quick = true,
             "--ablations" => ablations = true,
             "--accuracy" => accuracy = true,
+            "--threaded" => threaded = true,
             "--table" => which_table = Some(select(a, it.next(), 1..=7)),
             "--figure" => which_figure = Some(select(a, it.next(), 1..=2)),
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
-                    "usage: tables [--all] [--quick] [--ablations] [--accuracy] [--table N] [--figure N]"
+                    "usage: tables [--all] [--quick] [--ablations] [--accuracy] [--threaded] [--table N] [--figure N]"
                 );
                 std::process::exit(2);
             }
         }
     }
     // No selection means everything (at the reduced counts under `--quick`).
-    let selected = which_table.is_some() || which_figure.is_some() || ablations || accuracy;
+    let selected =
+        which_table.is_some() || which_figure.is_some() || ablations || accuracy || threaded;
     all |= !selected;
     let (p_small, p_large): (Vec<usize>, Vec<usize>) = if quick {
         (vec![8], vec![16])
@@ -124,13 +134,21 @@ fn main() {
         );
         println!("{}", bench::extended_comparison(np, &large[0]).render());
         println!("{}", bench::ablation_chunk(np, &large[2]).render());
-        // Real threads: cap the process count — this one spawns 2 OS threads
-        // per process.
-        println!(
-            "{}",
-            bench::threaded_backend_comparison(np.min(8), &large[0]).render()
-        );
         println!("{}", bench::ablation_scalability(&large[2]).render());
         println!("{}", bench::ablation_heterogeneous(np, &large[2]).render());
+    }
+    if threaded {
+        // Real threads: 8 processes at any size — this one spawns 2 OS
+        // threads per process. `--quick` compresses wall time 20× further,
+        // for a smoke test only: the comm thread's fixed poll period then
+        // costs 20× more simulated time.
+        let mut backend = ThreadedBackend::new();
+        if quick {
+            backend = backend.with_time_scale(backend.time_scale / 20.0);
+        }
+        println!(
+            "{}",
+            bench::threaded_backend_comparison(8, &large[0], backend).render()
+        );
     }
 }

@@ -727,7 +727,13 @@ pub fn ablation_heterogeneous(nprocs: usize, model: &MatrixModel) -> Table {
 /// the dedicated communication thread. The story to look for is the snapshot
 /// row: total blocked time collapses once state messages are serviced
 /// concurrently with the computation instead of at task-chunk boundaries.
-pub fn threaded_backend_comparison(nprocs: usize, model: &MatrixModel) -> Table {
+/// `backend` sets the real-thread runs' options (time scale, timeout); each
+/// runs once as given and once without its communication thread.
+pub fn threaded_backend_comparison(
+    nprocs: usize,
+    model: &MatrixModel,
+    backend: ThreadedBackend,
+) -> Table {
     let mut t = Table::new(
         format!(
             "§4.5 threaded execution backend: {} on {nprocs} procs",
@@ -749,15 +755,13 @@ pub fn threaded_backend_comparison(nprocs: usize, model: &MatrixModel) -> Table 
         let sim = run(&tree, &cfg).unwrap();
         let comm = run(
             &tree,
-            &cfg.clone()
-                .with_backend(ExecBackend::Threaded(ThreadedBackend::new())),
+            &cfg.clone().with_backend(ExecBackend::Threaded(backend)),
         )
         .unwrap();
         let main = run(
             &tree,
-            &cfg.clone().with_backend(ExecBackend::Threaded(
-                ThreadedBackend::new().without_comm_thread(),
-            )),
+            &cfg.clone()
+                .with_backend(ExecBackend::Threaded(backend.without_comm_thread())),
         )
         .unwrap();
         t.row(vec![

@@ -14,6 +14,13 @@
 //! `end_snp` arrives and a new leader is elected among the remaining
 //! initiators.
 //!
+//! Each process keeps the active initiators (its own rank included while its
+//! snapshot is pending) in one ordered set, so that election reads an end of
+//! the set — the first rank under [`LeaderPolicy::MinRank`], the last under
+//! [`LeaderPolicy::MaxRank`] — in O(log P) instead of scanning every rank.
+//! The paper's `nb_snp` (concurrent snapshots other than our own) is the
+//! set's size less our own entry.
+//!
 //! Two departures from the report's pseudo-code, both resolving control-flow
 //! holes in it while preserving its evident intent (the elected leader
 //! completes its snapshot first, and every snapshot sees the decisions of
@@ -29,6 +36,13 @@
 //!    following the pseudo-code literally would deadlock here).
 //! 2. Answer counting is done in the message handler rather than in nested
 //!    blocking receive loops; the observable message sequence is unchanged.
+//!
+//! Known gap: a process answers the first `start_snp` it sees at once
+//! (reception lines 11–14). An initiator that loses the election but keeps
+//! its request id — it saw several rivals, or it resumes on re-election —
+//! counts those early answers, so its view can miss the `MasterToSlave`
+//! shares of the decisions serialized before it. The decisions themselves
+//! stay serialized in election order.
 
 use crate::load::Load;
 use crate::mech::{ChangeOrigin, Gate, MechStats, Mechanism, Notify};
@@ -37,6 +51,7 @@ use crate::outbox::{ranks_in, Outbox};
 use crate::view::LoadTable;
 use loadex_obs::ProtocolEvent;
 use loadex_sim::ActorId;
+use std::collections::BTreeSet;
 
 /// Where the initiator side of the state machine stands.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -81,14 +96,12 @@ pub struct SnapshotMechanism {
     view: LoadTable,
     /// Current presumed leader among active initiators.
     leader: Option<ActorId>,
-    /// Number of concurrent snapshots *excluding our own*.
-    nb_snp: usize,
     /// Active snapshot for which we are not leader (the paper's `snapshot`).
     snapshot: bool,
     /// Last request id seen (or issued, for our own slot) per process.
     request: Vec<u64>,
-    /// Which processes currently have an initiated snapshot.
-    snp: Vec<bool>,
+    /// Processes that currently have an initiated snapshot, by rank.
+    active: BTreeSet<ActorId>,
     /// Whether we owe a delayed answer to each process.
     delayed: Vec<bool>,
     /// Answers received for our current request.
@@ -127,10 +140,9 @@ impl SnapshotMechanism {
             me,
             view: LoadTable::new(me, nprocs),
             leader: None,
-            nb_snp: 0,
             snapshot: false,
             request: vec![0; nprocs],
-            snp: vec![false; nprocs],
+            active: BTreeSet::new(),
             delayed: vec![false; nprocs],
             nb_msgs: 0,
             phase: Phase::Idle,
@@ -170,9 +182,20 @@ impl SnapshotMechanism {
         self.request[self.me.index()]
     }
 
-    /// Whether this process currently believes itself the leader.
-    pub fn is_leader(&self) -> bool {
-        self.leader == Some(self.me)
+    /// The leader this process currently presumes, if any (diagnostic).
+    pub fn leader(&self) -> Option<ActorId> {
+        self.leader
+    }
+
+    /// Processes with an initiated snapshot, in rank order (diagnostic).
+    pub fn active_initiators(&self) -> impl Iterator<Item = ActorId> + '_ {
+        self.active.iter().copied()
+    }
+
+    /// Number of concurrent snapshots *excluding our own* (the paper's
+    /// `nb_snp`).
+    fn nb_snp(&self) -> usize {
+        self.active.len() - usize::from(self.active.contains(&self.me))
     }
 
     fn my_state(&self) -> Load {
@@ -181,7 +204,7 @@ impl SnapshotMechanism {
 
     fn initiate_now(&mut self, out: &mut Outbox) {
         self.leader = Some(self.me);
-        self.snp[self.me.index()] = true;
+        self.active.insert(self.me);
         self.request[self.me.index()] += 1;
         self.nb_msgs = 0;
         self.phase = Phase::Gathering;
@@ -207,7 +230,7 @@ impl SnapshotMechanism {
 
     fn gathering_complete(&mut self) -> Vec<Notify> {
         // Initiate-a-snapshot lines 17–19: all answers in.
-        self.snp[self.me.index()] = false;
+        self.active.remove(&self.me);
         self.phase = Phase::ReadyToDecide;
         vec![Notify::DecisionReady]
     }
@@ -215,13 +238,11 @@ impl SnapshotMechanism {
     /// Elect a leader among the processes with an active snapshot (including
     /// ourselves if our own is still pending).
     fn elect_among_active(&self) -> Option<ActorId> {
-        let mut leader = None;
-        for (i, &active) in self.snp.iter().enumerate() {
-            if active {
-                leader = Some(self.policy.elect(ActorId(i), leader));
-            }
+        match self.policy {
+            LeaderPolicy::MinRank => self.active.first(),
+            LeaderPolicy::MaxRank => self.active.last(),
         }
-        leader
+        .copied()
     }
 
     fn on_start_snp(
@@ -235,10 +256,7 @@ impl SnapshotMechanism {
         // Reception lines 1–6.
         self.leader = Some(self.policy.elect(pi, self.leader));
         self.request[pi.index()] = req;
-        if !self.snp[pi.index()] {
-            self.nb_snp += 1;
-            self.snp[pi.index()] = true;
-        }
+        self.active.insert(pi);
         // Lines 7–10: we are the leader — make the rival wait.
         if self.leader == Some(self.me) {
             self.delayed[pi.index()] = true;
@@ -273,7 +291,7 @@ impl SnapshotMechanism {
             // the election: if the rival is the only other active snapshot
             // (`nb_snp == 1`), the paper abandons the current attempt
             // (`during_snp := false`) and will re-issue it later.
-            if self.phase == Phase::Gathering && self.nb_snp == 1 {
+            if self.phase == Phase::Gathering && self.nb_snp() == 1 {
                 self.abandoned = true;
                 let my_req = self.request[self.me.index()];
                 out.note(|| ProtocolEvent::ElectionLost {
@@ -303,11 +321,8 @@ impl SnapshotMechanism {
         let mut notifies = Vec::new();
         // End-snp reception lines 1–3.
         self.leader = None;
-        if self.snp[pi.index()] {
-            self.snp[pi.index()] = false;
-            self.nb_snp = self.nb_snp.saturating_sub(1);
-        }
-        if self.nb_snp == 0 {
+        self.active.remove(&pi);
+        if self.nb_snp() == 0 {
             let was_blocked = self.snapshot;
             self.snapshot = false;
             if self.phase == Phase::Gathering && self.abandoned {
@@ -403,7 +418,7 @@ impl SnapshotMechanism {
         if self.snapshot {
             // Blocked by someone else's snapshot: initiate once it clears.
             self.deferred_init = true;
-            self.snp[self.me.index()] = true;
+            self.active.insert(self.me);
         } else {
             self.initiate_now(out);
         }
@@ -492,7 +507,7 @@ impl Mechanism for SnapshotMechanism {
         }
         self.leader = None;
         self.phase = Phase::Idle;
-        if self.nb_snp != 0 {
+        if self.nb_snp() != 0 {
             // Other snapshots are pending: we wait for them (lines 3–16 of
             // Finalize), releasing our delayed answer to the new leader.
             self.snapshot = true;
@@ -540,6 +555,7 @@ impl Mechanism for SnapshotMechanism {
 mod tests {
     use super::*;
     use crate::outbox::{Dest, OutMsg};
+    use loadex_sim::SimRng;
     use std::collections::VecDeque;
 
     /// A tiny synchronous postman delivering staged messages between
@@ -552,9 +568,13 @@ mod tests {
 
     impl Cluster {
         fn new(n: usize) -> Self {
+            Self::with_policy(n, LeaderPolicy::MinRank)
+        }
+
+        fn with_policy(n: usize, policy: LeaderPolicy) -> Self {
             Cluster {
                 mechs: (0..n)
-                    .map(|i| SnapshotMechanism::new(ActorId(i), n))
+                    .map(|i| SnapshotMechanism::with_policy(ActorId(i), n, policy))
                     .collect(),
                 queue: VecDeque::new(),
                 notifications: Vec::new(),
@@ -720,6 +740,153 @@ mod tests {
         for p in 0..5 {
             assert!(!c.mechs[p].blocked(), "P{p} still blocked");
         }
+    }
+
+    /// One decision of [`eight_random_initiators`]: who took it, whether it
+    /// re-issued its snapshot under a fresh request id, and which ranks its
+    /// gathered view got wrong (missing an earlier `MasterToSlave` share).
+    struct Decided {
+        leader: ActorId,
+        reissued: bool,
+        stale: Vec<usize>,
+    }
+
+    /// P = 32 with 8 seeded-random initiators, all broadcasting `start_snp`
+    /// before any message is delivered. Each leader, in policy order, hands
+    /// two seeded-random processes a distinct share. Checks that decisions
+    /// become ready one at a time in policy order and that every process
+    /// ends unblocked; returns what each decision saw.
+    fn eight_random_initiators(policy: LeaderPolicy, seed: u64) -> Vec<Decided> {
+        const N: usize = 32;
+        let ctx = format!("{policy:?} seed {seed}");
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut ranks: Vec<ActorId> = (0..N).map(ActorId).collect();
+        rng.shuffle(&mut ranks);
+        let initiators = &ranks[..8];
+        let mut c = Cluster::with_policy(N, policy);
+        let mut truth: Vec<f64> = (0..N).map(|p| p as f64).collect();
+        for (p, &w) in truth.iter().enumerate() {
+            c.set_load(ActorId(p), Load::work(w));
+        }
+        for &p in initiators {
+            assert_eq!(c.request_decision(p), Gate::Wait, "{ctx}");
+        }
+        let mut order = initiators.to_vec();
+        order.sort();
+        if policy == LeaderPolicy::MaxRank {
+            order.reverse();
+        }
+        c.deliver_all();
+        let mut decided = Vec::new();
+        for (i, &leader) in order.iter().enumerate() {
+            assert!(c.decision_ready(leader), "{ctx}: {leader} not ready at {i}");
+            for &later in &order[i + 1..] {
+                assert!(
+                    !c.decision_ready(later),
+                    "{ctx}: {later} ready before {leader}"
+                );
+            }
+            let m = &c.mechs[leader.index()];
+            decided.push(Decided {
+                leader,
+                reissued: m.stats().snapshot_rebroadcasts > 0,
+                stale: (0..N)
+                    .filter(|&q| {
+                        q != leader.index() && m.view().get(ActorId(q)) != Load::work(truth[q])
+                    })
+                    .collect(),
+            });
+            let mut shares = Vec::new();
+            while shares.len() < 2 {
+                let q = ActorId(rng.next_below(N as u64) as usize);
+                if q != leader && shares.iter().all(|&(s, _)| s != q) {
+                    let w = 100.0 * (i + 1) as f64 + shares.len() as f64;
+                    truth[q.index()] += w;
+                    shares.push((q, Load::work(w)));
+                }
+            }
+            c.complete_decision(leader, &shares);
+            c.deliver_all();
+        }
+        let ready: Vec<ActorId> = c
+            .notifications
+            .iter()
+            .filter(|(_, nf)| *nf == Notify::DecisionReady)
+            .map(|&(p, _)| p)
+            .collect();
+        assert_eq!(ready, order, "{ctx}: readiness order");
+        for p in 0..N {
+            assert!(!c.mechs[p].blocked(), "{ctx}: P{p} still blocked");
+        }
+        decided
+    }
+
+    const POLICIES: [LeaderPolicy; 2] = [LeaderPolicy::MinRank, LeaderPolicy::MaxRank];
+
+    #[test]
+    fn eight_random_initiators_serialize_in_policy_order() {
+        for policy in POLICIES {
+            for seed in 1..=6 {
+                let decided = eight_random_initiators(policy, seed);
+                // The first decision, and any snapshot re-issued under a
+                // fresh request id, gather answers sent after every earlier
+                // decision: their views are exact.
+                for (i, d) in decided.iter().enumerate() {
+                    if i == 0 || d.reissued {
+                        assert!(
+                            d.stale.is_empty(),
+                            "{policy:?} seed {seed}: {} stale {:?}",
+                            d.leader,
+                            d.stale
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Known protocol defect: a bystander answers the first `start_snp` it
+    /// sees at once (reception lines 11–14), so a non-leader initiator that
+    /// keeps its request id counts answers sent before the leader's decision
+    /// and misses its `MasterToSlave` shares.
+    #[test]
+    #[ignore = "known defect: early snp answers to a non-leader initiator are never refreshed"]
+    fn eight_random_initiators_see_every_earlier_share() {
+        for policy in POLICIES {
+            for seed in 1..=6 {
+                for d in eight_random_initiators(policy, seed) {
+                    assert!(
+                        d.stale.is_empty(),
+                        "{policy:?} seed {seed}: {} stale {:?}",
+                        d.leader,
+                        d.stale
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn election_state_is_readable_in_rank_order() {
+        let mut c = Cluster::new(5);
+        c.request_decision(ActorId(3));
+        c.request_decision(ActorId(0));
+        c.request_decision(ActorId(2));
+        c.deliver_all();
+        let active = |m: &SnapshotMechanism| m.active_initiators().collect::<Vec<_>>();
+        // A bystander sees every initiator, sorted, and the min-rank leader.
+        assert_eq!(
+            active(&c.mechs[4]),
+            vec![ActorId(0), ActorId(2), ActorId(3)]
+        );
+        assert_eq!(c.mechs[4].leader(), Some(ActorId(0)));
+        // The ready leader has left the set but still leads.
+        assert_eq!(active(&c.mechs[0]), vec![ActorId(2), ActorId(3)]);
+        assert_eq!(c.mechs[0].leader(), Some(ActorId(0)));
+        c.complete_decision(ActorId(0), &[]);
+        c.deliver_all();
+        assert_eq!(active(&c.mechs[4]), vec![ActorId(2), ActorId(3)]);
+        assert_eq!(c.mechs[4].leader(), Some(ActorId(2)));
     }
 
     #[test]
@@ -984,10 +1151,7 @@ mod tests {
 
     #[test]
     fn max_rank_policy_reverses_serialization() {
-        let mut c = Cluster::new(3);
-        for m in &mut c.mechs {
-            m.policy = LeaderPolicy::MaxRank;
-        }
+        let mut c = Cluster::with_policy(3, LeaderPolicy::MaxRank);
         c.set_load(ActorId(0), Load::work(1.0));
         c.request_decision(ActorId(0));
         c.request_decision(ActorId(2));

@@ -297,12 +297,14 @@ impl SolverWorld {
                 rt.core.decision_inflight,
             );
             if let AnyMechanism::Snapshot(m) = &rt.mech {
+                let active: Vec<String> = m.active_initiators().map(|q| q.to_string()).collect();
+                let leader = m.leader().map_or("-".to_string(), |l| l.to_string());
                 let _ = writeln!(
                     s,
-                    "    snp: missing={} req={} leader_self={}",
+                    "    snp: missing={} req={} active=[{}] leader={leader}",
                     m.missing_answers(),
                     m.my_request(),
-                    m.is_leader(),
+                    active.join(","),
                 );
             }
         }
@@ -784,6 +786,7 @@ impl World for SolverWorld {
 mod tests {
     use super::*;
     use crate::mapping::{self, MappingParams};
+    use loadex_core::MechKind;
     use loadex_sparse::models::by_name;
 
     fn mini_world(nprocs: usize) -> SolverWorld {
@@ -791,6 +794,19 @@ mod tests {
         let cfg = SolverConfig::new(nprocs);
         let plan = mapping::plan(&tree, nprocs, MappingParams::from(&cfg));
         SolverWorld::new(tree, plan, cfg)
+    }
+
+    #[test]
+    fn debug_dump_shows_the_snapshot_election_state() {
+        let tree = by_name("TWOTONE").unwrap().build_tree();
+        let cfg = SolverConfig::new(3).with_mechanism(MechKind::Snapshot);
+        let plan = mapping::plan(&tree, 3, MappingParams::from(&cfg));
+        let dump = SolverWorld::new(tree, plan, cfg).debug_dump();
+        let lines: Vec<&str> = dump.lines().filter(|l| l.contains("snp:")).collect();
+        assert_eq!(lines.len(), 3, "{dump}");
+        for l in lines {
+            assert!(l.ends_with("active=[] leader=-"), "{l}");
+        }
     }
 
     #[test]

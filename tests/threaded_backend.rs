@@ -7,7 +7,18 @@ use loadex::net::{Channel, Endpoint, RecvError, ThreadNetwork};
 use loadex::sim::{ActorId, SimDuration, SimRng, SimTime};
 use loadex::solver::{self, ExecBackend, RunError, SolverConfig, ThreadedBackend};
 use loadex::sparse::{gen, symbolic, AssemblyTree, Symmetry};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
+
+/// Every test here spawns real threads and some compare wall-clock
+/// measurements, so they run one at a time: a sibling test competing for
+/// the cores would inflate whichever variant it overlaps.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // The lock guards no data, so a failed sibling test leaves nothing
+    // half-updated: recover from poisoning and keep the rest running.
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn small_tree() -> AssemblyTree {
     let p = gen::grid2d(20, 20);
@@ -46,6 +57,7 @@ fn run_threaded(tree: &AssemblyTree, c: &SolverConfig, t: ThreadedBackend) -> so
 
 #[test]
 fn completes_under_all_mechanisms_with_and_without_comm_thread() {
+    let _serial = serial();
     let tree = small_tree();
     // Periodic and gossip disseminate only from their timer, which lives on
     // the comm thread or, without one, in the worker's main loop: state
@@ -81,6 +93,7 @@ fn completes_under_all_mechanisms_with_and_without_comm_thread() {
 
 #[test]
 fn report_schema_matches_sim_backend() {
+    let _serial = serial();
     let tree = small_tree();
     let c = cfg(4, MechKind::Increments);
     let sim = solver::run(&tree, &c).unwrap();
@@ -108,6 +121,7 @@ fn report_schema_matches_sim_backend() {
 
 #[test]
 fn single_process_threaded_run() {
+    let _serial = serial();
     let tree = small_tree();
     let r = run_threaded(&tree, &cfg(1, MechKind::Increments), fast());
     assert!(r.factor_time > SimTime::ZERO);
@@ -117,6 +131,7 @@ fn single_process_threaded_run() {
 
 #[test]
 fn wall_timeout_surfaces_as_typed_error() {
+    let _serial = serial();
     let tree = small_tree();
     // Blow up the wall clock so no run can finish inside the valve.
     let t = ThreadedBackend::new()
@@ -136,25 +151,24 @@ fn wall_timeout_surfaces_as_typed_error() {
 /// for far less time than when peers only answer between compute slices.
 #[test]
 fn comm_thread_shrinks_snapshot_blocked_time() {
+    let _serial = serial();
     let tree = small_tree();
     let c = cfg(4, MechKind::Snapshot);
     // Stretch wall time enough that compute slices dominate the mainloop
     // variant's answer latency.
     let scale = 2.0;
     let blocked = |t: ThreadedBackend| -> Duration {
-        // Scheduling noise only ever inflates blocked time, so the minimum
-        // of a few runs approximates the noise-free value of each variant.
-        (0..3)
-            .map(|_| {
-                let r = run_threaded(&tree, &c, t);
-                let total: f64 = r.procs.iter().map(|p| p.blocked.as_secs_f64()).sum();
-                Duration::from_secs_f64(total)
-            })
-            .min()
-            .unwrap()
+        let r = run_threaded(&tree, &c, t);
+        Duration::from_secs_f64(r.procs.iter().map(|p| p.blocked.as_secs_f64()).sum())
     };
-    let with_comm = blocked(fast().with_time_scale(scale));
-    let without = blocked(fast().with_time_scale(scale).without_comm_thread());
+    // Scheduling noise only ever inflates blocked time, so the minimum of a
+    // few runs approximates the noise-free value of each variant. The
+    // variants alternate so that a burst of host load hits both alike.
+    let (mut with_comm, mut without) = (Duration::MAX, Duration::MAX);
+    for _ in 0..3 {
+        with_comm = with_comm.min(blocked(fast().with_time_scale(scale)));
+        without = without.min(blocked(fast().with_time_scale(scale).without_comm_thread()));
+    }
     assert!(
         with_comm < without,
         "comm thread did not shrink blocked time: {with_comm:?} !< {without:?}"
@@ -166,6 +180,7 @@ fn comm_thread_shrinks_snapshot_blocked_time() {
 /// the wall-timeout valve.
 #[test]
 fn multi_seed_stress_all_mechanisms_terminate() {
+    let _serial = serial();
     for seed in [1u64, 7, 42] {
         let mut rng = SimRng::seed_from_u64(seed);
         let p = gen::random(150, 6, &mut rng);
@@ -219,6 +234,7 @@ fn flush(ep: &Endpoint<StateMsg>, out: &mut Outbox) {
 /// silently swallowed.
 #[test]
 fn snapshot_in_flight_survives_peer_shutdown() {
+    let _serial = serial();
     let mut eps = ThreadNetwork::new::<StateMsg>(3);
     let e2 = eps.pop().unwrap();
     let e1 = eps.pop().unwrap();
