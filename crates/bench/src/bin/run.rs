@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! run --matrix AUDIKW_1 --procs 64 --mech snapshot --strategy workload \
-//!     [--backend {sim|threaded}] [--threaded] [--no-comm-thread] \
+//!     [--backend {sim|threaded}] [--comm-thread {on|off}] \
 //!     [--poll-us N] [--time-scale X] [--wall-timeout-s N] \
 //!     [--partial K] [--no-nomaster] [--chunk-ms N] \
 //!     [--latency-us N] [--probe] \
@@ -11,10 +11,13 @@
 //! ```
 //!
 //! `--backend threaded` executes on real OS threads (one per process) instead
-//! of the discrete-event simulator; `--no-comm-thread`, `--poll-us` and
-//! `--time-scale` tune the §4.5 communication-thread model. (`--threaded`
-//! alone keeps the sim backend and only enables the *modeled* §4.5 comm
-//! thread, `CommMode::CommThread`.)
+//! of the discrete-event simulator; `--poll-us`, `--time-scale` and
+//! `--wall-timeout-s` tune it. `--comm-thread on|off` selects the §4.5
+//! communication thread on either backend: on the sim it switches the
+//! *modeled* comm thread (`CommMode::CommThread`) for the single-threaded
+//! main loop, on the threaded backend it starts a real comm thread per
+//! process. It defaults to `off` on the sim and `on` on the threaded
+//! backend.
 //!
 //! The three `--*-out` flags attach the observability layer and write,
 //! respectively, a Chrome `trace_event` JSON (open in `chrome://tracing` or
@@ -74,9 +77,8 @@ fn main() {
     let mut procs = 16usize;
     let mut mech = MechKind::Increments;
     let mut strategy = Strategy::WorkloadBased;
-    let mut threaded = false;
     let mut backend_threaded = false;
-    let mut comm_thread = true;
+    let mut comm_thread: Option<bool> = None;
     let mut poll_us: Option<u64> = None;
     let mut time_scale: Option<f64> = None;
     let mut wall_timeout_s: Option<u64> = None;
@@ -128,7 +130,6 @@ fn main() {
                     }
                 }
             }
-            "--threaded" => threaded = true,
             "--backend" => match next().as_str() {
                 "sim" => backend_threaded = false,
                 "threaded" => backend_threaded = true,
@@ -137,7 +138,16 @@ fn main() {
                     std::process::exit(2);
                 }
             },
-            "--no-comm-thread" => comm_thread = false,
+            "--comm-thread" => {
+                comm_thread = Some(match next().as_str() {
+                    "on" => true,
+                    "off" => false,
+                    other => {
+                        eprintln!("invalid value {other:?} for --comm-thread (on|off)");
+                        std::process::exit(2);
+                    }
+                })
+            }
             "--poll-us" => poll_us = Some(num(a, &next())),
             "--time-scale" => time_scale = Some(num(a, &next())),
             "--wall-timeout-s" => wall_timeout_s = Some(num(a, &next())),
@@ -154,8 +164,8 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: run --matrix NAME --procs N --mech {{naive|increments|snapshot|periodic|gossip}} \
-                     --strategy {{memory|workload}} [--backend {{sim|threaded}}] [--threaded] \
-                     [--no-comm-thread] [--poll-us N] [--time-scale X] [--wall-timeout-s N] \
+                     --strategy {{memory|workload}} [--backend {{sim|threaded}}] \
+                     [--comm-thread {{on|off}}] [--poll-us N] [--time-scale X] [--wall-timeout-s N] \
                      [--partial K] [--no-nomaster] \
                      [--chunk-ms N] [--latency-us N] [--probe] \
                      [--trace-out FILE] [--metrics-out FILE] [--events-out FILE] \
@@ -178,12 +188,11 @@ fn main() {
         std::process::exit(2);
     };
 
+    // The comm thread is on by default on real threads, off on the sim.
+    let comm_thread = comm_thread.unwrap_or(backend_threaded);
     let mut cfg = config_for(procs)
         .with_mechanism(mech)
         .with_strategy(strategy);
-    if threaded {
-        cfg = cfg.with_comm(CommMode::threaded_default());
-    }
     if backend_threaded {
         let mut t = ThreadedBackend::new();
         if !comm_thread {
@@ -199,6 +208,8 @@ fn main() {
             t = t.with_wall_timeout(Duration::from_secs(s));
         }
         cfg = cfg.with_backend(ExecBackend::Threaded(t));
+    } else if comm_thread {
+        cfg = cfg.with_comm(CommMode::threaded_default());
     }
     cfg.snapshot_candidates = partial;
     cfg.no_more_master = nomaster;
@@ -220,15 +231,15 @@ fn main() {
         mech.name(),
         strategy.name(),
         if backend_threaded {
-            if comm_thread {
-                " / threaded backend (comm thread)"
-            } else {
-                " / threaded backend (main loop)"
-            }
+            " / threaded backend"
         } else {
             ""
         },
-        if threaded { " / threaded" } else { "" },
+        if comm_thread {
+            " / comm thread"
+        } else {
+            " / main loop"
+        },
         partial
             .map(|k| format!(" / partial({k})"))
             .unwrap_or_default(),

@@ -2,7 +2,8 @@
 //!
 //! Argument errors: a malformed number or an out-of-range selection makes
 //! `run` and `tables` say what was wrong and exit with status 2 — never a
-//! panic, never a silent fallback. Selections: the wall-clock §4.5 table is
+//! panic, never a silent fallback; `run` has one `--comm-thread on|off`
+//! flag for both backends. Selections: the wall-clock §4.5 table is
 //! printed by `tables --threaded` alone, never by `--all`.
 
 use std::process::Command;
@@ -32,6 +33,43 @@ fn run_rejects_malformed_numbers() {
     ];
     for args in bad {
         assert_usage_error(env!("CARGO_BIN_EXE_run"), args);
+    }
+}
+
+#[test]
+fn run_has_one_comm_thread_flag() {
+    let bad: &[&[&str]] = &[
+        &["--threaded"],
+        &["--no-comm-thread"],
+        &["--comm-thread"],
+        &["--comm-thread", "maybe"],
+    ];
+    for args in bad {
+        assert_usage_error(env!("CARGO_BIN_EXE_run"), args);
+    }
+}
+
+#[test]
+fn run_comm_thread_on_and_off_work_on_both_backends() {
+    for backend in ["sim", "threaded"] {
+        for mode in ["on", "off"] {
+            let args = [
+                "--matrix",
+                "TWOTONE",
+                "--procs",
+                "8",
+                "--backend",
+                backend,
+                "--comm-thread",
+                mode,
+            ];
+            let out = Command::new(env!("CARGO_BIN_EXE_run"))
+                .args(args)
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        }
     }
 }
 

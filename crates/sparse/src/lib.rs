@@ -25,22 +25,14 @@
 //!   matrices are not redistributable; see DESIGN.md for the substitution
 //!   rationale).
 
-pub mod chol;
 pub mod etree;
 pub mod gen;
-pub mod lu;
-pub mod matrix;
 pub mod models;
-pub mod multifrontal;
 pub mod order;
 pub mod pattern;
 pub mod symbolic;
 pub mod tree;
 
-pub use chol::{cholesky, CholError, CholFactor};
-pub use lu::{lu, GenCsc, LuError, LuFactor};
-pub use matrix::SymCsc;
 pub use models::{paper_matrices, MatrixModel, ProblemSet};
-pub use multifrontal::{mf_analyze, mf_factorize, mf_factorize_parallel, MfOptions, MfSymbolic};
 pub use pattern::SparsePattern;
 pub use tree::{AssemblyTree, FrontNode, Symmetry};

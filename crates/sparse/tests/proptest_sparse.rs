@@ -136,171 +136,3 @@ proptest! {
         prop_assert_eq!(q.components().1, p.components().1);
     }
 }
-
-/// Dense reference Cholesky (returns None if not SPD).
-fn dense_cholesky(a: &[Vec<f64>]) -> Option<Vec<Vec<f64>>> {
-    let n = a.len();
-    let mut l = vec![vec![0.0; n]; n];
-    for j in 0..n {
-        let d = l[j][..j].iter().fold(a[j][j], |d, x| d - x * x);
-        if d <= 0.0 {
-            return None;
-        }
-        l[j][j] = d.sqrt();
-        for i in j + 1..n {
-            let s = l[i][..j]
-                .iter()
-                .zip(&l[j][..j])
-                .fold(a[i][j], |s, (x, y)| s - x * y);
-            l[i][j] = s / l[j][j];
-        }
-    }
-    Some(l)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Sparse up-looking Cholesky matches the dense reference on random
-    /// diagonally-dominant SPD matrices, and its structure matches the
-    /// symbolic prediction.
-    #[test]
-    fn sparse_cholesky_matches_dense(
-        n in 2usize..20,
-        edges in prop::collection::vec((any::<u32>(), any::<u32>(), -2.0f64..2.0), 0..60),
-    ) {
-        use loadex_sparse::matrix::SymCsc;
-        use loadex_sparse::chol::cholesky;
-        // Build a diagonally dominant symmetric matrix.
-        let mut trips: Vec<(u32, u32, f64)> = Vec::new();
-        let mut dom = vec![1.0f64; n];
-        for &(a, b, v) in &edges {
-            let (i, j) = ((a % n as u32), (b % n as u32));
-            if i == j {
-                continue;
-            }
-            trips.push((i.max(j), i.min(j), v));
-            dom[i as usize] += v.abs();
-            dom[j as usize] += v.abs();
-        }
-        for (i, &d) in dom.iter().enumerate() {
-            trips.push((i as u32, i as u32, d));
-        }
-        let a = SymCsc::from_triplets(n, &trips);
-        let f = cholesky(&a).expect("diagonally dominant must factor");
-
-        // Dense reference.
-        let mut dense = vec![vec![0.0; n]; n];
-        let entries = (0..n).flat_map(|j| {
-            a.col_rows(j)
-                .iter()
-                .zip(a.col_values(j))
-                .map(move |(&r, &v)| (r as usize, j, v))
-        });
-        for (r, j, v) in entries {
-            dense[r][j] = v;
-            dense[j][r] = v;
-        }
-        let lref = dense_cholesky(&dense).expect("reference must factor");
-        for (j, (rows, vals)) in (0..n).map(|j| (j, f.col(j))) {
-            for (&i, &v) in rows.iter().zip(vals) {
-                let want = lref[i as usize][j];
-                prop_assert!(
-                    (v - want).abs() < 1e-8 * (1.0 + v.abs()),
-                    "L[{i}][{j}] = {v}, reference {want}"
-                );
-            }
-        }
-        // Structure == prediction.
-        let pattern = a.pattern();
-        let parent = elimination_tree(&pattern);
-        prop_assert_eq!(f.col_counts(), column_counts(&pattern, &parent));
-
-        // Solve round-trip.
-        let xs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 1.5).collect();
-        let b = a.matvec(&xs);
-        let x = f.solve(&b);
-        for i in 0..n {
-            prop_assert!((x[i] - xs[i]).abs() < 1e-7, "x[{i}]");
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Multifrontal and simplicial factorizations solve identically on
-    /// random diagonally-dominant matrices, with and without amalgamation.
-    #[test]
-    fn multifrontal_solve_matches_simplicial(
-        n in 2usize..24,
-        edges in prop::collection::vec((any::<u32>(), any::<u32>(), -2.0f64..2.0), 0..70),
-        amalg in 0u32..8,
-    ) {
-        use loadex_sparse::matrix::SymCsc;
-        use loadex_sparse::chol::cholesky;
-        use loadex_sparse::multifrontal::{mf_analyze, mf_factorize, MfOptions};
-        let mut trips: Vec<(u32, u32, f64)> = Vec::new();
-        let mut dom = vec![1.0f64; n];
-        for &(a, b, v) in &edges {
-            let (i, j) = ((a % n as u32), (b % n as u32));
-            if i == j {
-                continue;
-            }
-            trips.push((i.max(j), i.min(j), v));
-            dom[i as usize] += v.abs();
-            dom[j as usize] += v.abs();
-        }
-        for (i, &d) in dom.iter().enumerate() {
-            trips.push((i as u32, i as u32, d));
-        }
-        let a = SymCsc::from_triplets(n, &trips);
-        let sym = mf_analyze(&a.pattern(), MfOptions { amalg_pivots: amalg });
-        prop_assert_eq!(sym.tree.total_pivots(), n as u64);
-        let f_mf = mf_factorize(&sym, &a).expect("dd must factor");
-        let f_sp = cholesky(&a).expect("dd must factor");
-        let xs: Vec<f64> = (0..n).map(|i| 0.5 + (i as f64 * 0.61).sin()).collect();
-        let b = a.matvec(&xs);
-        let x1 = f_mf.solve(&b);
-        let x2 = f_sp.solve(&b);
-        for i in 0..n {
-            prop_assert!((x1[i] - xs[i]).abs() < 1e-7, "mf x[{i}]");
-            prop_assert!((x1[i] - x2[i]).abs() < 1e-7, "mf vs simplicial x[{i}]");
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Sparse LU (no pivoting) solves random diagonally-dominant
-    /// *unsymmetric* systems to high accuracy.
-    #[test]
-    fn sparse_lu_solves_random_dominant_systems(
-        n in 2usize..20,
-        edges in prop::collection::vec((any::<u32>(), any::<u32>(), -2.0f64..2.0), 0..60),
-    ) {
-        use loadex_sparse::lu::{lu, GenCsc};
-        let mut trips: Vec<(u32, u32, f64)> = Vec::new();
-        let mut dom = vec![1.0f64; n];
-        for &(a, b, v) in &edges {
-            let (i, j) = ((a % n as u32), (b % n as u32));
-            if i == j {
-                continue;
-            }
-            trips.push((i, j, v)); // genuinely unsymmetric values
-            dom[i as usize] += v.abs();
-        }
-        for (i, &d) in dom.iter().enumerate() {
-            trips.push((i as u32, i as u32, d + 0.5));
-        }
-        let a = GenCsc::from_triplets(n, &trips);
-        let f = lu(&a).expect("row-dominant must factor without pivoting");
-        let xs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.47).cos() * 2.0).collect();
-        let b = a.matvec(&xs);
-        let x = f.solve(&b);
-        for i in 0..n {
-            prop_assert!((x[i] - xs[i]).abs() < 1e-7, "x[{i}]: {} vs {}", x[i], xs[i]);
-        }
-    }
-}

@@ -27,12 +27,15 @@ RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps --offline
 # or dependency-edge change that would break the benchmark fails here.
 CARGO_TARGET_DIR=.bench_build run cargo test --release --offline --locked \
     --manifest-path perfbench/Cargo.toml -q
-# Strict protocol-invariant audit over one seeded run per mechanism: the
-# auditor replays the recorded event stream and any violation (snapshot
-# pairing, clock monotonicity, reservation totals, ...) fails the gate.
+# Strict protocol-invariant audit over one seeded run per mechanism, in the
+# sim's main-loop and modeled comm-thread modes: the auditor replays the
+# recorded event stream and any violation (snapshot pairing, clock
+# monotonicity, reservation totals, ...) fails the gate.
 for mech in naive increments snapshot; do
-    run cargo run --release --offline -p loadex-bench --bin run -- \
-        --matrix TWOTONE --procs 8 --mech "$mech" --audit
+    for comm in off on; do
+        run cargo run --release --offline -p loadex-bench --bin run -- \
+            --matrix TWOTONE --procs 8 --mech "$mech" --comm-thread "$comm" --audit
+    done
 done
 
 # Deterministic tables: `tables --all` (everything but the wall-clock §4.5

@@ -1,61 +1,6 @@
-//! Hermetic stand-in for the `rayon` crate.
+//! Empty stand-in for the `rayon` crate.
 //!
-//! Provides the `par_iter()` entry point used by the workspace with the same
-//! trait bounds (`Sync` items, `Send + Sync` closures) but a **sequential**
-//! implementation: the returned iterator is the plain slice iterator, so
-//! `map/filter/collect` chains compile unchanged. Parallel speedup is traded
-//! for hermetic builds; callers keep the bounds so a real rayon can be
-//! swapped back in without source changes.
-
-#![warn(missing_docs)]
-
-/// The traits to import for `par_iter()` chains.
-pub mod prelude {
-    pub use crate::IntoParallelRefIterator;
-}
-
-/// Conversion into a "parallel" iterator over `&T` (sequential here).
-pub trait IntoParallelRefIterator<'data> {
-    /// The iterator type.
-    type Iter: Iterator<Item = Self::Item>;
-    /// The item type (`&'data T`).
-    type Item: 'data;
-
-    /// Iterate over shared references. Sequential in this stand-in.
-    fn par_iter(&'data self) -> Self::Iter;
-}
-
-impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for [T] {
-    type Iter = std::slice::Iter<'data, T>;
-    type Item = &'data T;
-
-    fn par_iter(&'data self) -> Self::Iter {
-        self.iter()
-    }
-}
-
-impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for Vec<T> {
-    type Iter = std::slice::Iter<'data, T>;
-    type Item = &'data T;
-
-    fn par_iter(&'data self) -> Self::Iter {
-        self.iter()
-    }
-}
-
-/// Number of threads the pool would use (always 1 in this stand-in).
-pub fn current_num_threads() -> usize {
-    1
-}
-
-#[cfg(test)]
-mod tests {
-    use super::prelude::*;
-
-    #[test]
-    fn par_iter_collect_result() {
-        let v = vec![1u32, 2, 3];
-        let r: Result<Vec<u32>, ()> = v.par_iter().map(|&x| Ok(x * 2)).collect();
-        assert_eq!(r.unwrap(), vec![2, 4, 6]);
-    }
-}
+//! No crate in the workspace calls rayon. `loadex-sparse` keeps its
+//! `rayon` dependency only because `perfbench/Cargo.lock`, which is built
+//! with `--locked`, records the `loadex-sparse → rayon` edge; dropping the
+//! edge means refreshing that lock file.
