@@ -21,6 +21,11 @@
 //! larger message to the same peer — lands in a later group. Within a group
 //! the destinations keep their send order, which is the order separate
 //! same-instant calendar entries would have popped in.
+//!
+//! A state-channel multicast computes the copies' common arrival,
+//! `now + transfer_time(size)`, once per call and then walks the sender's
+//! row of link clocks, still checking every destination as `send` does. A
+//! multicast to one destination is routed like a `send` and forms no groups.
 
 use crate::channel::{Channel, Envelope};
 use crate::model::NetworkModel;
@@ -142,7 +147,7 @@ impl SimNetwork {
     /// once per distinct arrival time, earliest first, with the destinations
     /// arriving then in `dests` order.
     ///
-    /// Panics as [`SimNetwork::send`] does.
+    /// Panics as [`SimNetwork::send`] does, for any destination.
     pub fn multicast(
         &mut self,
         now: SimTime,
@@ -152,27 +157,50 @@ impl SimNetwork {
         size: u64,
         mut deliver: impl FnMut(SimTime, &[ActorId]),
     ) {
+        match dests {
+            [] => return,
+            // One copy, one group.
+            [to] => return deliver(self.route(now, from, *to, channel, size), dests),
+            _ => {}
+        }
         let mut arrivals = std::mem::take(&mut self.arrivals);
         arrivals.clear();
-        for &to in dests {
-            arrivals.push((self.route(now, from, to, channel, size), to));
-        }
-        match arrivals.first() {
-            None => {}
-            Some(&(first, _)) if arrivals.iter().all(|&(at, _)| at == first) => {
-                deliver(first, dests)
-            }
-            Some(_) => {
-                // Stable: a group keeps its destinations in send order.
-                arrivals.sort_by_key(|&(at, _)| at);
-                let mut group = std::mem::take(&mut self.group);
-                for run in arrivals.chunk_by(|a, b| a.0 == b.0) {
-                    group.clear();
-                    group.extend(run.iter().map(|&(_, to)| to));
-                    deliver(run[0].0, &group);
+        match channel {
+            Channel::State => {
+                assert!(from.index() < self.nprocs, "sender out of range");
+                let n = dests.len() as u64;
+                self.sent_state += n;
+                self.bytes_state += size * n;
+                let ready = now + self.model.transfer_time(size);
+                let row = self.link_index(from, ActorId(0), channel);
+                for &to in dests {
+                    assert!(to.index() < self.nprocs, "receiver out of range");
+                    assert_ne!(from, to, "self-send");
+                    let clear = &mut self.link_clear_at[row + 2 * to.index()];
+                    let at = ready.max(*clear);
+                    *clear = at;
+                    arrivals.push((at, to));
                 }
-                self.group = group;
             }
+            Channel::Regular => {
+                for &to in dests {
+                    arrivals.push((self.route(now, from, to, channel, size), to));
+                }
+            }
+        }
+        let first = arrivals[0].0;
+        if arrivals.iter().all(|&(at, _)| at == first) {
+            deliver(first, dests);
+        } else {
+            // Stable: a group keeps its destinations in send order.
+            arrivals.sort_by_key(|&(at, _)| at);
+            let mut group = std::mem::take(&mut self.group);
+            for run in arrivals.chunk_by(|a, b| a.0 == b.0) {
+                group.clear();
+                group.extend(run.iter().map(|&(_, to)| to));
+                deliver(run[0].0, &group);
+            }
+            self.group = group;
         }
         self.arrivals = arrivals;
     }
@@ -424,6 +452,69 @@ mod tests {
             panic!("no destination, no group")
         });
         assert_eq!(net.sent_state(), 3);
+    }
+
+    #[test]
+    fn one_destination_multicast_routes_as_send() {
+        let model = NetworkModel {
+            latency: SimDuration::from_micros(2),
+            bandwidth: 1e6,
+            overhead: SimDuration::ZERO,
+        };
+        for channel in [Channel::State, Channel::Regular] {
+            let mut net = SimNetwork::new(3, model);
+            let mut twin = SimNetwork::new(3, model);
+            // Something already in flight on the 2→0 link holds the copy back.
+            for n in [&mut net, &mut twin] {
+                n.send(SimTime::ZERO, ActorId(2), ActorId(0), channel, 500, ());
+            }
+            let mut groups = Vec::new();
+            net.multicast(
+                SimTime(7),
+                ActorId(2),
+                &[ActorId(0)],
+                channel,
+                10,
+                |at, g| groups.push((at, g.to_vec())),
+            );
+            let d = twin.send(SimTime(7), ActorId(2), ActorId(0), channel, 10, ());
+            assert_eq!(groups, vec![(d.at, vec![ActorId(0)])]);
+            assert_eq!(net.sent_state(), twin.sent_state());
+            assert_eq!(net.bytes_state(), twin.bytes_state());
+            assert_eq!(net.sent_regular(), twin.sent_regular());
+            assert_eq!(net.bytes_regular(), twin.bytes_regular());
+            assert_eq!(net.link_clear_at, twin.link_clear_at);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "self-send")]
+    fn multicast_to_the_sender_panics() {
+        let mut net = SimNetwork::new(4, fixed_model(1));
+        let dests = [ActorId(0), ActorId(1), ActorId(2)];
+        net.multicast(
+            SimTime::ZERO,
+            ActorId(1),
+            &dests,
+            Channel::State,
+            8,
+            |_, _| {},
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "receiver out of range")]
+    fn multicast_to_an_unknown_rank_panics() {
+        let mut net = SimNetwork::new(4, fixed_model(1));
+        let dests = [ActorId(2), ActorId(4)];
+        net.multicast(
+            SimTime::ZERO,
+            ActorId(1),
+            &dests,
+            Channel::State,
+            8,
+            |_, _| {},
+        );
     }
 
     #[test]

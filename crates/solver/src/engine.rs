@@ -25,6 +25,14 @@
 //! * `CbPlan` — Type 2 master → owner of the parent: how many pieces the
 //!   child will deliver (needed to detect assembly completeness).
 //! * `RootPart` — Type 3 master → everyone: a share of the 2D root.
+//!
+//! A state message is one shared payload per send, however many processes
+//! it reaches. The outbox flush wraps each staged message in an [`Rc`] once;
+//! the calendar's fan-out entry, every delivery ([`Ev::State`]) and every
+//! buffered mailbox slot hold a pointer to it. A handler takes the message
+//! with [`Rc::unwrap_or_clone`], so the last holder moves it out instead of
+//! copying it. `Rc` suffices because the simulator runs in one thread; it
+//! also means [`SolverWorld`] is not `Send`.
 
 use crate::config::{CommMode, SolverConfig};
 use crate::mapping::{NodeType, TreePlan};
@@ -37,6 +45,7 @@ use loadex_obs::{MetricsRegistry, ProtocolEvent, Recorder, ViewAccuracyProbe};
 use loadex_sim::{ActorId, Scheduler, SimDuration, SimTime, World};
 use loadex_sparse::AssemblyTree;
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 /// Application (regular channel) messages.
 #[derive(Clone, Debug)]
@@ -73,8 +82,9 @@ pub enum AppMsg {
 pub enum Ev {
     /// Initial activation of a process.
     Kick,
-    /// A state-channel message arrived.
-    State(ActorId, StateMsg),
+    /// A state-channel message arrived. Every copy of one send shares the
+    /// payload; see the [module docs](self).
+    State(ActorId, Rc<StateMsg>),
     /// A regular-channel message arrived.
     App(ActorId, AppMsg),
     /// The current compute task finished (`gen` guards staleness).
@@ -110,7 +120,7 @@ struct ProcRt {
     core: Proc,
     mech: AnyMechanism,
     outbox: Outbox,
-    state_mb: VecDeque<(ActorId, StateMsg)>,
+    state_mb: VecDeque<(ActorId, Rc<StateMsg>)>,
     app_mb: VecDeque<(ActorId, AppMsg)>,
     state: PState,
     gen: u64,
@@ -389,44 +399,50 @@ impl SimHost<'_, '_, '_> {
             w, p, now, sched, ..
         } = self;
         let (p, now) = (*p, *now);
-        let obs = w.recorder.is_enabled();
+        let SimState {
+            procs,
+            net,
+            recorder,
+            metrics,
+            ..
+        } = &mut **w;
+        let nprocs = procs.len();
+        let outbox = &mut procs[p].outbox;
+        let obs = recorder.is_enabled();
         if obs {
             // Stamp the mechanism's staged protocol events with (time, rank).
-            let events: Vec<ProtocolEvent> = w.procs[p].outbox.drain_events().collect();
-            for ev in events {
-                w.recorder.emit(now, ActorId(p), ev);
+            for ev in outbox.drain_events() {
+                recorder.emit(now, ActorId(p), ev);
             }
+        }
+        if outbox.is_empty() {
+            return;
         }
         // Every staged message, whatever its destination, is routed as a
         // multicast and lands on the calendar as one fan-out entry per
-        // arrival time.
+        // arrival time, all sharing one payload.
         let from = ActorId(p);
-        let staged: Vec<OutMsg> = w.procs[p].outbox.drain().collect();
-        for OutMsg { dest, msg } in staged {
+        for OutMsg { dest, msg } in outbox.drain() {
             let all_others: Vec<ActorId>;
             let dests: &[ActorId] = match &dest {
                 Dest::One(to) => std::slice::from_ref(to),
                 Dest::Many(dests) => dests,
                 Dest::AllOthers => {
-                    all_others = (0..w.procs.len())
-                        .filter(|&q| q != p)
-                        .map(ActorId)
-                        .collect();
+                    all_others = (0..nprocs).filter(|&q| q != p).map(ActorId).collect();
                     &all_others
                 }
             };
-            let metrics = &mut w.metrics;
             let size = msg.wire_size();
-            w.net
-                .multicast(now, from, dests, Channel::State, size, |at, group| {
-                    if obs {
-                        let latency = at.since(now).as_nanos() as f64;
-                        for _ in group {
-                            metrics.observe("state_msg_latency_ns", latency);
-                        }
+            let msg = Rc::new(msg);
+            net.multicast(now, from, dests, Channel::State, size, |at, group| {
+                if obs {
+                    let latency = at.since(now).as_nanos() as f64;
+                    for _ in group {
+                        metrics.observe("state_msg_latency_ns", latency);
                     }
-                    sched.schedule_fanout_at(at, group, Ev::State(from, msg.clone()));
-                });
+                }
+                sched.schedule_fanout_at(at, group, Ev::State(from, Rc::clone(&msg)));
+            });
         }
     }
 
@@ -452,7 +468,7 @@ impl SimHost<'_, '_, '_> {
             // In threaded mode the comm thread owns them instead.
             if mainloop {
                 if let Some((from, msg)) = self.rt().state_mb.pop_front() {
-                    process::on_state_msg(self, from, msg, true);
+                    process::on_state_msg(self, from, Rc::unwrap_or_clone(msg), true);
                     continue;
                 }
             }
@@ -511,7 +527,7 @@ impl SimHost<'_, '_, '_> {
         self.progress();
     }
 
-    fn on_state_event(&mut self, from: ActorId, msg: StateMsg) {
+    fn on_state_event(&mut self, from: ActorId, msg: Rc<StateMsg>) {
         if let Some(period) = self.comm_period() {
             let now = self.now;
             let rt = self.rt();
@@ -529,7 +545,7 @@ impl SimHost<'_, '_, '_> {
             PState::Computing { .. } => self.rt().state_mb.push_back((from, msg)),
             _ => {
                 // Idle or in the snapshot receive loop: treat immediately.
-                process::on_state_msg(self, from, msg, true);
+                process::on_state_msg(self, from, Rc::unwrap_or_clone(msg), true);
                 self.progress();
             }
         }
@@ -550,7 +566,7 @@ impl SimHost<'_, '_, '_> {
         // One receive per poll iteration: the thread sleeps `period` between
         // channel checks, so a burst drains at one message per tick.
         if let Some((from, msg)) = self.rt().state_mb.pop_front() {
-            process::on_state_msg(self, from, msg, false);
+            process::on_state_msg(self, from, Rc::unwrap_or_clone(msg), false);
         }
         if self.rt().state_mb.is_empty() {
             self.rt().poll_scheduled = false;
@@ -868,6 +884,13 @@ mod tests {
         u.begin(SimTime(20_000));
         u.close(SimTime(20_500));
         assert_eq!(u.union, SimDuration::from_nanos(5_500));
+    }
+
+    #[test]
+    fn events_are_24_bytes() {
+        // Every calendar entry and every buffered `state_mb` slot scales with
+        // this size; perfbench reports it as `sim.ev_bytes`.
+        assert_eq!(std::mem::size_of::<Ev>(), 24);
     }
 
     #[test]

@@ -57,6 +57,10 @@ pub struct TreePlan {
     pub n_decisions: usize,
     /// Per-process count of Type 2 masters (drives `NoMoreMaster`).
     pub masters_per_proc: Vec<u32>,
+    /// Per process: the subtree roots it owns, ascending.
+    subtrees: Vec<Vec<u32>>,
+    /// Per process: the childless upper nodes it owns, ascending.
+    childless_uppers: Vec<Vec<u32>>,
 }
 
 /// Thresholds controlling classification (subset of the solver config).
@@ -272,6 +276,20 @@ pub fn plan(tree: &AssemblyTree, nprocs: usize, params: MappingParams) -> TreePl
         }
     }
 
+    // What each process starts a run with: its subtree tasks, and the upper
+    // nodes it can activate without waiting for a child.
+    let mut subtrees = vec![Vec::new(); nprocs];
+    let mut childless_uppers = vec![Vec::new(); nprocs];
+    for i in 0..n {
+        let p = owner[i] as usize;
+        match ntype[i] {
+            NodeType::InSubtree => {}
+            NodeType::SubtreeRoot => subtrees[p].push(i as u32),
+            _ if tree.nodes[i].children.is_empty() => childless_uppers[p].push(i as u32),
+            _ => {}
+        }
+    }
+
     TreePlan {
         nprocs,
         ntype,
@@ -282,16 +300,21 @@ pub fn plan(tree: &AssemblyTree, nprocs: usize, params: MappingParams) -> TreePl
         init_work: init_work_bins,
         n_decisions,
         masters_per_proc,
+        subtrees,
+        childless_uppers,
     }
 }
 
 impl TreePlan {
     /// Subtree-root node indices owned by process `p`, ascending.
-    pub fn subtrees_of(&self, p: u32) -> Vec<u32> {
-        (0..self.ntype.len())
-            .filter(|&i| self.ntype[i] == NodeType::SubtreeRoot && self.owner[i] == p)
-            .map(|i| i as u32)
-            .collect()
+    pub fn subtrees_of(&self, p: u32) -> &[u32] {
+        &self.subtrees[p as usize]
+    }
+
+    /// Upper (Type 1/2/3) nodes owned by process `p` that have no children,
+    /// ascending: the nodes `p` activates at the start of a run.
+    pub fn childless_uppers_of(&self, p: u32) -> &[u32] {
+        &self.childless_uppers[p as usize]
     }
 
     /// All upper (non-collapsed) node indices, ascending.
@@ -386,7 +409,7 @@ mod tests {
                 let p = plan(&t, nprocs, params());
                 p.validate(&t);
                 // Every node classified, every subtree root owned by a real proc.
-                for r in p.subtrees_of(0) {
+                for &r in p.subtrees_of(0) {
                     assert_eq!(p.ntype[r as usize], NodeType::SubtreeRoot);
                 }
             }
@@ -434,6 +457,39 @@ mod tests {
         let p = plan(&t, 16, params());
         let total: u32 = p.masters_per_proc.iter().sum();
         assert_eq!(total as usize, p.n_decisions);
+    }
+
+    #[test]
+    fn start_lists_match_full_scans() {
+        for name in ["TWOTONE", "CONV3D64"] {
+            let t = by_name(name).unwrap().build_tree();
+            for nprocs in [8, 64, 512] {
+                let p = plan(&t, nprocs, params());
+                let mut seen = vec![0u32; t.len()];
+                for q in 0..nprocs as u32 {
+                    let subtrees: Vec<u32> = (0..t.len())
+                        .filter(|&i| p.ntype[i] == NodeType::SubtreeRoot && p.owner[i] == q)
+                        .map(|i| i as u32)
+                        .collect();
+                    let childless: Vec<u32> = p
+                        .upper_nodes()
+                        .into_iter()
+                        .filter(|&v| p.owner[v as usize] == q)
+                        .filter(|&v| t.nodes[v as usize].children.is_empty())
+                        .collect();
+                    assert_eq!(p.subtrees_of(q), subtrees, "{name}/{nprocs} P{q}");
+                    assert_eq!(p.childless_uppers_of(q), childless, "{name}/{nprocs} P{q}");
+                    for &v in p.subtrees_of(q).iter().chain(p.childless_uppers_of(q)) {
+                        seen[v as usize] += 1;
+                    }
+                }
+                for (i, &k) in seen.iter().enumerate() {
+                    if p.ntype[i] == NodeType::SubtreeRoot {
+                        assert_eq!(k, 1, "{name}/{nprocs}: subtree root {i} listed {k} times");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -233,17 +233,14 @@ pub(crate) trait Host<'a> {
 pub(crate) fn kick<'a, H: Host<'a>>(h: &mut H) {
     let cx = h.cx();
     let p = h.rank();
-    for r in cx.plan.subtrees_of(p as u32) {
+    for &r in cx.plan.subtrees_of(p as u32) {
         let flops = cx.plan.subtree_task_flops[r as usize];
         h.proc()
             .ready
             .push_back(Task::new(TaskKind::Subtree, r, flops));
     }
-    for v in cx.plan.upper_nodes() {
-        if cx.plan.owner[v as usize] as usize == p && cx.tree.nodes[v as usize].children.is_empty()
-        {
-            try_activate(h, v);
-        }
+    for &v in cx.plan.childless_uppers_of(p as u32) {
+        try_activate(h, v);
     }
     if cx.cfg.no_more_master && h.proc().masters_left == 0 {
         h.mech_mut(|m, out| m.no_more_master(out));
@@ -601,11 +598,16 @@ fn task_alloc_estimate(cx: Cx<'_>, task: &Task) -> f64 {
     }
 }
 
-/// Choose the ready task to compute next (Algorithm 1 line 7).
+/// Choose the ready task to compute next (Algorithm 1 line 7). Only the
+/// memory-based strategy looks at the tasks' allocations; the workload-based
+/// one takes the queue's head, as [`sched::pick_task`] would.
 pub(crate) fn pick_task<'a, H: Host<'a>>(h: &mut H) -> Option<usize> {
     let cx = h.cx();
     if h.proc().ready.is_empty() {
         return None;
+    }
+    if matches!(cx.cfg.strategy, Strategy::WorkloadBased) {
+        return Some(0);
     }
     let ready: Vec<sched::ReadyTask> = h
         .proc()

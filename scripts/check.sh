@@ -27,6 +27,20 @@ RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps --offline
 # or dependency-edge change that would break the benchmark fails here.
 CARGO_TARGET_DIR=.bench_build run cargo test --release --offline --locked \
     --manifest-path perfbench/Cargo.toml -q
+# Byte identity at full scale: one untimed pass of each benchmark workload
+# checks the run fingerprints at P=512 and P=1024 and Tables 3-7 cell by
+# cell, sizes `tables --all` (P <= 128) never reaches (~14 s in all).
+for workload in paper-tables incr-p512 snap-p1024 observed-p128; do
+    echo "==> perfbench --workload $workload --seconds 0"
+    result=$(CARGO_TARGET_DIR=.bench_build python3 perfbench/run.py \
+        --workload "$workload" --seed 1 --seconds 0 --trace 0 | tail -n 1)
+    if ! python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result"; then
+        echo "perfbench $workload is not correct: $result"
+        exit 1
+    fi
+done
 # Strict protocol-invariant audit over one seeded run per mechanism, in the
 # sim's main-loop and modeled comm-thread modes: the auditor replays the
 # recorded event stream and any violation (snapshot pairing, clock
