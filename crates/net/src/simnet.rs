@@ -24,8 +24,7 @@
 //!
 //! A state-channel multicast computes the copies' common arrival,
 //! `now + transfer_time(size)`, once per call and then walks the sender's
-//! row of link clocks, still checking every destination as `send` does. A
-//! multicast to one destination is routed like a `send` and forms no groups.
+//! row of link clocks, still checking every destination as `send` does.
 
 use crate::channel::{Channel, Envelope};
 use crate::model::NetworkModel;
@@ -157,29 +156,16 @@ impl SimNetwork {
         size: u64,
         mut deliver: impl FnMut(SimTime, &[ActorId]),
     ) {
-        match dests {
-            [] => return,
-            // One copy, one group.
-            [to] => return deliver(self.route(now, from, *to, channel, size), dests),
-            _ => {}
+        if dests.is_empty() {
+            return;
         }
         let mut arrivals = std::mem::take(&mut self.arrivals);
         arrivals.clear();
         match channel {
             Channel::State => {
-                assert!(from.index() < self.nprocs, "sender out of range");
-                let n = dests.len() as u64;
-                self.sent_state += n;
-                self.bytes_state += size * n;
                 let ready = now + self.model.transfer_time(size);
-                let row = self.link_index(from, ActorId(0), channel);
                 for &to in dests {
-                    assert!(to.index() < self.nprocs, "receiver out of range");
-                    assert_ne!(from, to, "self-send");
-                    let clear = &mut self.link_clear_at[row + 2 * to.index()];
-                    let at = ready.max(*clear);
-                    *clear = at;
-                    arrivals.push((at, to));
+                    arrivals.push((self.state_arrival(ready, from, to, size), to));
                 }
             }
             Channel::Regular => {
@@ -215,20 +201,12 @@ impl SimNetwork {
         channel: Channel,
         size: u64,
     ) -> SimTime {
-        assert!(from.index() < self.nprocs, "sender out of range");
-        assert!(to.index() < self.nprocs, "receiver out of range");
-        assert_ne!(from, to, "self-send");
         match channel {
             Channel::State => {
-                self.sent_state += 1;
-                self.bytes_state += size;
-                // Dedicated control channel: per-pair FIFO only.
-                let idx = self.link_index(from, to, channel);
-                let at = (now + self.model.transfer_time(size)).max(self.link_clear_at[idx]);
-                self.link_clear_at[idx] = at;
-                at
+                self.state_arrival(now + self.model.transfer_time(size), from, to, size)
             }
             Channel::Regular => {
+                self.check_pair(from, to);
                 self.sent_regular += 1;
                 self.bytes_regular += size;
                 // Shared NIC: the transfer occupies the sender's egress port
@@ -252,6 +230,27 @@ impl SimNetwork {
                 at
             }
         }
+    }
+
+    /// Account for one state-channel message that is ready to arrive at
+    /// `ready` and advance its link's FIFO clock; returns when it reaches
+    /// `to`.
+    fn state_arrival(&mut self, ready: SimTime, from: ActorId, to: ActorId, size: u64) -> SimTime {
+        self.check_pair(from, to);
+        self.sent_state += 1;
+        self.bytes_state += size;
+        // Dedicated control channel: per-pair FIFO only.
+        let idx = self.link_index(from, to, Channel::State);
+        let at = ready.max(self.link_clear_at[idx]);
+        self.link_clear_at[idx] = at;
+        at
+    }
+
+    /// Panics unless both ranks exist and differ.
+    fn check_pair(&self, from: ActorId, to: ActorId) {
+        assert!(from.index() < self.nprocs, "sender out of range");
+        assert!(to.index() < self.nprocs, "receiver out of range");
+        assert_ne!(from, to, "self-send");
     }
 
     /// Broadcast `msg` from `from` to every other process; returns one

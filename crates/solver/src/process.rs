@@ -598,26 +598,21 @@ fn task_alloc_estimate(cx: Cx<'_>, task: &Task) -> f64 {
     }
 }
 
-/// Choose the ready task to compute next (Algorithm 1 line 7). Only the
-/// memory-based strategy looks at the tasks' allocations; the workload-based
-/// one takes the queue's head, as [`sched::pick_task`] would.
+/// Choose the ready task to compute next (Algorithm 1 line 7).
 pub(crate) fn pick_task<'a, H: Host<'a>>(h: &mut H) -> Option<usize> {
     let cx = h.cx();
     if h.proc().ready.is_empty() {
         return None;
     }
-    if matches!(cx.cfg.strategy, Strategy::WorkloadBased) {
-        return Some(0);
-    }
-    let ready: Vec<sched::ReadyTask> = h
-        .proc()
-        .ready
-        .iter()
-        .map(|t| sched::ReadyTask {
-            alloc: task_alloc_estimate(cx, t),
+    // Out of the process for the call, since `mech` borrows the host.
+    let ready = std::mem::take(&mut h.proc().ready);
+    let pick = h.mech(|m| {
+        sched::pick_task(cx.cfg, m.view(), ready.len(), |i| {
+            task_alloc_estimate(cx, &ready[i])
         })
-        .collect();
-    h.mech(|m| sched::pick_task(cx.cfg, m.view(), &ready))
+    });
+    h.proc().ready = ready;
+    pick
 }
 
 /// Take ready task `idx` for one compute chunk; its first chunk does the

@@ -255,21 +255,21 @@ pub fn selection_regret(
     RegretSample { mismatch, gap }
 }
 
-/// A ready local task, as seen by the task selector.
-#[derive(Clone, Copy, Debug)]
-pub struct ReadyTask {
-    /// Extra active memory the task would allocate when started (entries).
-    pub alloc: f64,
-}
-
-/// Memory-aware task selection (§4.2.1): pick the next ready task.
+/// Memory-aware task selection (§4.2.1): pick the next of `n` ready tasks.
 ///
-/// Under the memory-based strategy, a task whose allocation would push this
-/// process beyond `mem_relax ×` the believed average memory is skipped when
-/// a smaller candidate exists; ties favour FIFO order. Under the
-/// workload-based strategy, plain FIFO. Returns the chosen index.
-pub fn pick_task(cfg: &SolverConfig, view: &LoadTable, ready: &[ReadyTask]) -> Option<usize> {
-    if ready.is_empty() {
+/// `alloc(i)` is the extra active memory (entries) ready task `i` would
+/// allocate when started; only the memory-based strategy calls it. Under
+/// that strategy, a task whose allocation would push this process beyond
+/// `mem_relax ×` the believed average memory is skipped when a smaller
+/// candidate exists; ties favour FIFO order. Under the workload-based
+/// strategy, plain FIFO. Returns the chosen index.
+pub fn pick_task(
+    cfg: &SolverConfig,
+    view: &LoadTable,
+    n: usize,
+    alloc: impl Fn(usize) -> f64,
+) -> Option<usize> {
+    if n == 0 {
         return None;
     }
     match cfg.strategy {
@@ -279,14 +279,13 @@ pub fn pick_task(cfg: &SolverConfig, view: &LoadTable, ready: &[ReadyTask]) -> O
             let avg = view.total().mem / view.nprocs() as f64;
             let cap = cfg.mem_relax * avg.max(1.0);
             // First task that fits, in FIFO order…
-            if let Some(i) = ready.iter().position(|t| my_mem + t.alloc <= cap) {
+            if let Some(i) = (0..n).find(|&i| my_mem + alloc(i) <= cap) {
                 return Some(i);
             }
             // …otherwise the smallest allocation (progress guarantee).
-            ready
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.alloc.total_cmp(&b.1.alloc))
+            (0..n)
+                .map(|i| (i, alloc(i)))
+                .min_by(|a, b| a.1.total_cmp(&b.1))
                 .map(|(i, _)| i)
         }
     }
@@ -461,8 +460,8 @@ mod tests {
     fn pick_task_fifo_under_workload() {
         let c = cfg(Strategy::WorkloadBased);
         let v = view(&[(0.0, 0.0), (0.0, 0.0)]);
-        let ready = [ReadyTask { alloc: 100.0 }, ReadyTask { alloc: 1.0 }];
-        assert_eq!(pick_task(&c, &v, &ready), Some(0));
+        let ready = [100.0, 1.0];
+        assert_eq!(pick_task(&c, &v, ready.len(), |i| ready[i]), Some(0));
     }
 
     #[test]
@@ -472,8 +471,8 @@ mod tests {
         // My memory 100, average (100+100)/2 = 100, cap 100: the 500-entry
         // task busts the cap, the 0-entry one fits.
         let v = view(&[(0.0, 100.0), (0.0, 100.0)]);
-        let ready = [ReadyTask { alloc: 500.0 }, ReadyTask { alloc: 0.0 }];
-        assert_eq!(pick_task(&c, &v, &ready), Some(1));
+        let ready = [500.0, 0.0];
+        assert_eq!(pick_task(&c, &v, ready.len(), |i| ready[i]), Some(1));
     }
 
     #[test]
@@ -481,14 +480,14 @@ mod tests {
         let mut c = cfg(Strategy::MemoryBased);
         c.mem_relax = 0.1;
         let v = view(&[(0.0, 100.0), (0.0, 100.0)]);
-        let ready = [ReadyTask { alloc: 500.0 }, ReadyTask { alloc: 300.0 }];
-        assert_eq!(pick_task(&c, &v, &ready), Some(1));
+        let ready = [500.0, 300.0];
+        assert_eq!(pick_task(&c, &v, ready.len(), |i| ready[i]), Some(1));
     }
 
     #[test]
     fn pick_task_empty() {
         let c = cfg(Strategy::MemoryBased);
         let v = view(&[(0.0, 0.0)]);
-        assert_eq!(pick_task(&c, &v, &[]), None);
+        assert_eq!(pick_task(&c, &v, 0, |_| unreachable!()), None);
     }
 }
