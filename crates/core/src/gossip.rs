@@ -103,11 +103,7 @@ impl Mechanism for GossipMechanism {
 
     fn on_state_msg(&mut self, from: ActorId, msg: StateMsg, out: &mut Outbox) -> Vec<Notify> {
         self.stats.msgs_received += 1;
-        out.note(|| ProtocolEvent::StateRecv {
-            from,
-            kind: msg.kind_name(),
-            bytes: msg.wire_size(),
-        });
+        out.note(|| ProtocolEvent::state_recv(from, msg.kind(), msg.wire_size()));
         match msg {
             StateMsg::Gossip { entries } => {
                 for (q, ver, load) in entries {

@@ -134,11 +134,7 @@ impl Mechanism for IncrementMechanism {
 
     fn on_state_msg(&mut self, from: ActorId, msg: StateMsg, out: &mut Outbox) -> Vec<Notify> {
         self.stats.msgs_received += 1;
-        out.note(|| ProtocolEvent::StateRecv {
-            from,
-            kind: msg.kind_name(),
-            bytes: msg.wire_size(),
-        });
+        out.note(|| ProtocolEvent::state_recv(from, msg.kind(), msg.wire_size()));
         match msg {
             // Algorithm 3 line 12: load(Pj) += ∆lj.
             StateMsg::UpdateDelta { delta } => self.view.add(from, delta),

@@ -8,6 +8,7 @@
 //! sufficient variation of a metric".
 
 use crate::load::Load;
+use loadex_obs::MsgKind;
 use loadex_sim::ActorId;
 
 /// Per-message framing overhead (tag + source + length), in bytes.
@@ -116,18 +117,19 @@ impl StateMsg {
         }
     }
 
-    /// Short static name for statistics.
-    pub fn kind_name(&self) -> &'static str {
+    /// The message's kind, as protocol events record it (its name is
+    /// [`MsgKind::name`]).
+    pub fn kind(&self) -> MsgKind {
         match self {
-            StateMsg::Update { .. } => "update",
-            StateMsg::UpdateDelta { .. } => "update_delta",
-            StateMsg::MasterToAll { .. } => "master_to_all",
-            StateMsg::NoMoreMaster => "no_more_master",
-            StateMsg::StartSnp { .. } => "start_snp",
-            StateMsg::Snp { .. } => "snp",
-            StateMsg::EndSnp => "end_snp",
-            StateMsg::MasterToSlave { .. } => "master_to_slave",
-            StateMsg::Gossip { .. } => "gossip",
+            StateMsg::Update { .. } => MsgKind::Update,
+            StateMsg::UpdateDelta { .. } => MsgKind::UpdateDelta,
+            StateMsg::MasterToAll { .. } => MsgKind::MasterToAll,
+            StateMsg::NoMoreMaster => MsgKind::NoMoreMaster,
+            StateMsg::StartSnp { .. } => MsgKind::StartSnp,
+            StateMsg::Snp { .. } => MsgKind::Snp,
+            StateMsg::EndSnp => MsgKind::EndSnp,
+            StateMsg::MasterToSlave { .. } => MsgKind::MasterToSlave,
+            StateMsg::Gossip { .. } => MsgKind::Gossip,
         }
     }
 }
@@ -203,7 +205,7 @@ mod tests {
             StateMsg::MasterToSlave { delta: Load::ZERO },
             StateMsg::Gossip { entries: vec![] },
         ];
-        let mut names: Vec<_> = msgs.iter().map(|m| m.kind_name()).collect();
+        let mut names: Vec<_> = msgs.iter().map(|m| m.kind().name()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), msgs.len());

@@ -12,7 +12,7 @@
 //! boolean check per site (see [`Outbox::note`]).
 
 use crate::msg::StateMsg;
-use loadex_obs::ProtocolEvent;
+use loadex_obs::{event, ProtocolEvent};
 use loadex_sim::ActorId;
 
 /// Where a staged message goes.
@@ -83,11 +83,7 @@ impl Outbox {
 
     /// Stage a message for one destination.
     pub fn send(&mut self, to: ActorId, msg: StateMsg) {
-        self.note(|| ProtocolEvent::StateSend {
-            to: Some(to),
-            kind: msg.kind_name(),
-            bytes: msg.wire_size(),
-        });
+        self.note(|| ProtocolEvent::state_send(Some(to), msg.kind(), msg.wire_size()));
         self.msgs.push(OutMsg {
             dest: Dest::One(to),
             msg,
@@ -103,10 +99,10 @@ impl Outbox {
             return;
         }
         if self.observe {
-            let (kind, bytes) = (msg.kind_name(), msg.wire_size());
+            let (kind, bytes) = (msg.kind(), event::narrow(msg.wire_size()));
             self.events
                 .extend(dests.iter().map(|&to| ProtocolEvent::StateSend {
-                    to: Some(to),
+                    to: Some(event::rank(to)),
                     kind,
                     bytes,
                 }));
@@ -120,11 +116,7 @@ impl Outbox {
     /// Stage a broadcast to all other processes (observed as a single
     /// logical send with no destination).
     pub fn broadcast(&mut self, msg: StateMsg) {
-        self.note(|| ProtocolEvent::StateSend {
-            to: None,
-            kind: msg.kind_name(),
-            bytes: msg.wire_size(),
-        });
+        self.note(|| ProtocolEvent::state_send(None, msg.kind(), msg.wire_size()));
         self.msgs.push(OutMsg {
             dest: Dest::AllOthers,
             msg,
@@ -166,6 +158,7 @@ impl Outbox {
 mod tests {
     use super::*;
     use crate::load::Load;
+    use loadex_obs::MsgKind;
 
     #[test]
     fn stage_and_drain_preserves_order() {
@@ -228,14 +221,14 @@ mod tests {
             events,
             vec![
                 ProtocolEvent::StateSend {
-                    to: Some(ActorId(1)),
-                    kind: "end_snp",
-                    bytes: StateMsg::EndSnp.wire_size(),
+                    to: Some(1),
+                    kind: MsgKind::EndSnp,
+                    bytes: event::narrow(StateMsg::EndSnp.wire_size()),
                 },
                 ProtocolEvent::StateSend {
                     to: None,
-                    kind: "no_more_master",
-                    bytes: StateMsg::NoMoreMaster.wire_size(),
+                    kind: MsgKind::NoMoreMaster,
+                    bytes: event::narrow(StateMsg::NoMoreMaster.wire_size()),
                 },
                 ProtocolEvent::Blocked,
             ]

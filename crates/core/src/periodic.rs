@@ -81,11 +81,7 @@ impl Mechanism for PeriodicMechanism {
 
     fn on_state_msg(&mut self, from: ActorId, msg: StateMsg, out: &mut Outbox) -> Vec<Notify> {
         self.stats.msgs_received += 1;
-        out.note(|| ProtocolEvent::StateRecv {
-            from,
-            kind: msg.kind_name(),
-            bytes: msg.wire_size(),
-        });
+        out.note(|| ProtocolEvent::state_recv(from, msg.kind(), msg.wire_size()));
         match msg {
             StateMsg::Update { load } => self.view.set(from, load),
             StateMsg::NoMoreMaster => self.interested[from.index()] = false,

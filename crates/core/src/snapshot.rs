@@ -49,7 +49,7 @@ use crate::mech::{ChangeOrigin, Gate, MechStats, Mechanism, Notify};
 use crate::msg::StateMsg;
 use crate::outbox::{ranks_in, Outbox};
 use crate::view::LoadTable;
-use loadex_obs::ProtocolEvent;
+use loadex_obs::{event, ProtocolEvent};
 use loadex_sim::ActorId;
 use std::collections::BTreeSet;
 
@@ -265,7 +265,10 @@ impl SnapshotMechanism {
                 let my_req = self.request[self.me.index()];
                 out.note(|| ProtocolEvent::ElectionWon { req: my_req });
             }
-            out.note(|| ProtocolEvent::DelayedAnswer { to: pi, req });
+            out.note(|| ProtocolEvent::DelayedAnswer {
+                to: event::rank(pi),
+                req,
+            });
             return notifies;
         }
         // §5 extension note: for *partial* snapshots, `pi` may not have
@@ -296,7 +299,7 @@ impl SnapshotMechanism {
                 let my_req = self.request[self.me.index()];
                 out.note(|| ProtocolEvent::ElectionLost {
                     req: my_req,
-                    winner: pi,
+                    winner: event::rank(pi),
                 });
             }
         } else {
@@ -304,7 +307,10 @@ impl SnapshotMechanism {
             if self.leader != Some(pi) || self.delayed[pi.index()] {
                 self.delayed[pi.index()] = true;
                 self.stats.delayed_answers += 1;
-                out.note(|| ProtocolEvent::DelayedAnswer { to: pi, req });
+                out.note(|| ProtocolEvent::DelayedAnswer {
+                    to: event::rank(pi),
+                    req,
+                });
             } else {
                 let answer = StateMsg::Snp {
                     load: self.my_state(),
@@ -448,11 +454,7 @@ impl Mechanism for SnapshotMechanism {
 
     fn on_state_msg(&mut self, from: ActorId, msg: StateMsg, out: &mut Outbox) -> Vec<Notify> {
         self.stats.msgs_received += 1;
-        out.note(|| ProtocolEvent::StateRecv {
-            from,
-            kind: msg.kind_name(),
-            bytes: msg.wire_size(),
-        });
+        out.note(|| ProtocolEvent::state_recv(from, msg.kind(), msg.wire_size()));
         match msg {
             StateMsg::StartSnp { req, partial } => self.on_start_snp(from, req, partial, out),
             StateMsg::EndSnp => self.on_end_snp(from, out),

@@ -32,9 +32,8 @@
 //! only run in **strict** mode — the mode `scripts/check.sh` and
 //! `bench run --audit` use to gate CI.
 
-use crate::event::{EventRecord, ProtocolEvent};
+use crate::event::{EventRecord, MsgKind, ProtocolEvent};
 use loadex_sim::{ActorId, SimTime};
-use std::collections::BTreeMap;
 
 /// One detected invariant violation.
 #[derive(Clone, Debug, PartialEq)]
@@ -378,7 +377,7 @@ struct ActorState {
     /// Start of the would-be committed window: the latest
     /// election-establishing event for `open_req`.
     anchor: Option<SimTime>,
-    open_decision: Option<u64>,
+    open_decision: Option<u32>,
     blocked: bool,
     received_start_snp: bool,
     /// `snapshot_end` events not yet claimed by an `end_snp` broadcast.
@@ -429,11 +428,13 @@ impl ProtocolAuditor {
         ProtocolAuditor { strict: true }
     }
 
-    /// Audit a recorded event stream. The stream is stable-sorted by
-    /// timestamp first: the simulator already emits in time order (the sort
-    /// is the identity there), but on the threaded backend a worker and its
-    /// communication thread race to append events for the same process, so
-    /// emission order can locally disagree with the recorded clocks.
+    /// Audit a recorded event stream in timestamp order. The simulator
+    /// emits in time order, and such a stream is walked as it is. On the
+    /// threaded backend a worker and its communication thread race to
+    /// append events for the same process, so emission order can locally
+    /// disagree with the recorded clocks: an unsorted stream is walked
+    /// through a stable sort by timestamp (the same order, as the sort
+    /// would leave a sorted stream unchanged).
     pub fn audit(&self, events: &[EventRecord]) -> AuditReport {
         let mut v: Vec<Violation> = Vec::new();
         if self.strict {
@@ -441,9 +442,10 @@ impl ProtocolAuditor {
             // process must also *emit* in time order — a backwards clock in
             // emission order is a bug there, not a thread race. Checked on
             // the original stream; the sort below would hide it.
-            let mut last: BTreeMap<usize, SimTime> = BTreeMap::new();
+            let mut last: Vec<Option<SimTime>> = Vec::new();
             for rec in events {
-                if let Some(&prev) = last.get(&rec.actor.index()) {
+                let slot = slot(&mut last, rec.actor);
+                if let Some(prev) = *slot {
                     if rec.time < prev {
                         v.push(Violation::NonMonotoneClock {
                             actor: rec.actor,
@@ -452,51 +454,52 @@ impl ProtocolAuditor {
                         });
                     }
                 }
-                let e = last.entry(rec.actor.index()).or_insert(rec.time);
-                *e = (*e).max(rec.time);
+                *slot = Some(slot.map_or(rec.time, |prev| prev.max(rec.time)));
             }
         }
-        let mut ordered: Vec<&EventRecord> = events.iter().collect();
-        ordered.sort_by_key(|r| r.time);
-        let mut st: BTreeMap<usize, ActorState> = BTreeMap::new();
+        if events.windows(2).all(|w| w[0].time <= w[1].time) {
+            self.walk(events.iter(), &mut v);
+        } else {
+            let mut ordered: Vec<&EventRecord> = events.iter().collect();
+            ordered.sort_by_key(|r| r.time);
+            self.walk(ordered.into_iter(), &mut v);
+        }
+        AuditReport {
+            events: events.len(),
+            violations: v,
+        }
+    }
+
+    /// Check the time-ordered stream `ordered`, appending to `v`.
+    fn walk<'e>(&self, ordered: impl Iterator<Item = &'e EventRecord>, v: &mut Vec<Violation>) {
+        // Per-rank state, `None` until the rank emits its first event.
+        let mut st: Vec<Option<ActorState>> = Vec::new();
         // Committed snapshot windows: (start, end, actor).
         let mut windows: Vec<(SimTime, SimTime, ActorId)> = Vec::new();
-        let has_m2a = events.iter().any(|r| {
-            matches!(
-                r.event,
-                ProtocolEvent::StateSend {
-                    kind: "master_to_all",
-                    ..
-                }
-            )
-        });
+        let mut has_m2a = false;
 
         for rec in ordered {
             let actor = rec.actor;
             let t = rec.time;
-            let s = st.entry(actor.index()).or_default();
+            let s = slot(&mut st, actor).get_or_insert_with(ActorState::default);
 
-            match &rec.event {
+            match rec.event {
                 ProtocolEvent::SnapshotStart { req } => {
                     if let Some(prev) = s.open_req {
-                        if *req <= prev {
-                            v.push(Violation::SnapshotReqNotIncreasing {
-                                actor,
-                                req: *req,
-                                prev,
-                            });
+                        if req <= prev {
+                            v.push(Violation::SnapshotReqNotIncreasing { actor, req, prev });
                         }
                     }
-                    s.open_req = Some(*req);
+                    s.open_req = Some(req);
                     s.election = ElectionState::Unknown;
                     s.anchor = Some(t);
                 }
                 ProtocolEvent::ElectionWon { req } => {
-                    if s.open_req != Some(*req) {
+                    if s.open_req != Some(req) {
                         v.push(Violation::ElectionReqMismatch {
                             actor,
                             event: "election_won",
-                            req: *req,
+                            req,
                             open_req: s.open_req,
                         });
                     }
@@ -504,30 +507,26 @@ impl ProtocolAuditor {
                     s.anchor = Some(t);
                 }
                 ProtocolEvent::ElectionLost { req, .. } => {
-                    if s.open_req != Some(*req) {
+                    if s.open_req != Some(req) {
                         v.push(Violation::ElectionReqMismatch {
                             actor,
                             event: "election_lost",
-                            req: *req,
+                            req,
                             open_req: s.open_req,
                         });
                     }
                     s.election = ElectionState::Lost;
                 }
                 ProtocolEvent::SnapshotEnd { req } => {
-                    if s.open_req != Some(*req) {
+                    if s.open_req != Some(req) {
                         v.push(Violation::SnapshotEndMismatch {
                             actor,
-                            end_req: *req,
+                            end_req: req,
                             open_req: s.open_req,
                         });
                     }
                     if s.election == ElectionState::Lost {
-                        v.push(Violation::CommitAfterLostElection {
-                            actor,
-                            req: *req,
-                            at: t,
-                        });
+                        v.push(Violation::CommitAfterLostElection { actor, req, at: t });
                     }
                     if let Some(a) = s.anchor {
                         windows.push((a, t, actor));
@@ -541,48 +540,42 @@ impl ProtocolAuditor {
                     // request must already be visible in the stream (the
                     // initiator logs snapshot_start before the start_snp
                     // message can arrive anywhere).
+                    let to = ActorId(to as usize);
                     let known = st
-                        .get(&to.index())
-                        .and_then(|o| o.open_req)
-                        .is_some_and(|latest| *req <= latest);
+                        .get(to.index())
+                        .and_then(|o| o.as_ref()?.open_req)
+                        .is_some_and(|latest| req <= latest);
                     if !known {
-                        v.push(Violation::DelayedAnswerUnknownReq {
-                            actor,
-                            to: *to,
-                            req: *req,
-                        });
+                        v.push(Violation::DelayedAnswerUnknownReq { actor, to, req });
                     }
                 }
                 ProtocolEvent::DecisionOpen { node } => {
-                    if let Some(open) = s.open_decision {
+                    if s.open_decision.is_some() {
                         v.push(Violation::NestedDecisionOpen {
                             actor,
-                            node: *node,
+                            node: node.into(),
                             at: t,
                         });
-                        let _ = open;
                     }
-                    s.open_decision = Some(*node);
+                    s.open_decision = Some(node);
                 }
                 ProtocolEvent::DecisionComplete { node, slaves } => {
                     match s.open_decision {
                         None => v.push(Violation::DecisionCompleteWithoutOpen {
                             actor,
-                            node: *node,
+                            node: node.into(),
                             at: t,
                         }),
-                        Some(opened) if opened != *node => {
-                            v.push(Violation::DecisionNodeMismatch {
-                                actor,
-                                opened,
-                                completed: *node,
-                                at: t,
-                            })
-                        }
+                        Some(opened) if opened != node => v.push(Violation::DecisionNodeMismatch {
+                            actor,
+                            opened: opened.into(),
+                            completed: node.into(),
+                            at: t,
+                        }),
                         Some(_) => {}
                     }
                     s.open_decision = None;
-                    if *slaves > 0 {
+                    if slaves > 0 {
                         s.decisions_with_slaves += 1;
                     }
                 }
@@ -599,22 +592,23 @@ impl ProtocolAuditor {
                     s.blocked = false;
                 }
                 ProtocolEvent::StateRecv { kind, .. } => {
-                    if *kind == "start_snp" {
+                    if kind == MsgKind::StartSnp {
                         s.received_start_snp = true;
                     }
                 }
-                ProtocolEvent::StateSend { kind, .. } => match *kind {
-                    "snp" if !s.received_start_snp => {
+                ProtocolEvent::StateSend { kind, .. } => match kind {
+                    MsgKind::Snp if !s.received_start_snp => {
                         v.push(Violation::SnpBeforeStartSnp { actor, at: t });
                     }
-                    "end_snp" => {
+                    MsgKind::EndSnp => {
                         if s.unclaimed_ends == 0 {
                             v.push(Violation::EndSnpWithoutSnapshotEnd { actor, at: t });
                         } else {
                             s.unclaimed_ends -= 1;
                         }
                     }
-                    "master_to_all" => {
+                    MsgKind::MasterToAll => {
+                        has_m2a = true;
                         s.m2a_sends += 1;
                         // Each completed decision broadcasts exactly once and
                         // immediately; the two event streams may be flushed
@@ -663,10 +657,12 @@ impl ProtocolAuditor {
                 }
             }
             if has_m2a {
-                for (p, s) in &st {
+                // Ranks that emitted any event, in rank order.
+                for (p, s) in st.iter().enumerate() {
+                    let Some(s) = s else { continue };
                     if s.m2a_sends != s.decisions_with_slaves {
                         v.push(Violation::ReservationImbalance {
-                            actor: ActorId(*p),
+                            actor: ActorId(p),
                             broadcasts: s.m2a_sends,
                             decisions: s.decisions_with_slaves,
                         });
@@ -674,12 +670,15 @@ impl ProtocolAuditor {
                 }
             }
         }
-
-        AuditReport {
-            events: events.len(),
-            violations: v,
-        }
     }
+}
+
+/// `p`'s entry in a per-rank table, growing the table to reach it.
+fn slot<T: Default>(table: &mut Vec<T>, p: ActorId) -> &mut T {
+    if p.index() >= table.len() {
+        table.resize_with(p.index() + 1, T::default);
+    }
+    &mut table[p.index()]
 }
 
 #[cfg(test)]
@@ -710,7 +709,7 @@ mod tests {
                 0,
                 ProtocolEvent::StateSend {
                     to: None,
-                    kind: "start_snp",
+                    kind: MsgKind::StartSnp,
                     bytes: 32,
                 },
             ),
@@ -718,8 +717,8 @@ mod tests {
                 20,
                 1,
                 ProtocolEvent::StateRecv {
-                    from: ActorId(0),
-                    kind: "start_snp",
+                    from: 0,
+                    kind: MsgKind::StartSnp,
                     bytes: 32,
                 },
             ),
@@ -728,8 +727,8 @@ mod tests {
                 20,
                 1,
                 ProtocolEvent::StateSend {
-                    to: Some(ActorId(0)),
-                    kind: "snp",
+                    to: Some(0),
+                    kind: MsgKind::Snp,
                     bytes: 40,
                 },
             ),
@@ -739,7 +738,7 @@ mod tests {
                 0,
                 ProtocolEvent::StateSend {
                     to: None,
-                    kind: "end_snp",
+                    kind: MsgKind::EndSnp,
                     bytes: 16,
                 },
             ),
@@ -800,14 +799,7 @@ mod tests {
     fn commit_after_lost_election_is_flagged() {
         let evs = vec![
             rec(0, 1, ProtocolEvent::SnapshotStart { req: 1 }),
-            rec(
-                5,
-                1,
-                ProtocolEvent::ElectionLost {
-                    req: 1,
-                    winner: ActorId(0),
-                },
-            ),
+            rec(5, 1, ProtocolEvent::ElectionLost { req: 1, winner: 0 }),
             rec(10, 1, ProtocolEvent::SnapshotEnd { req: 1 }),
         ];
         let r = ProtocolAuditor::new().audit(&evs);
@@ -821,14 +813,7 @@ mod tests {
     fn relost_then_rewon_commit_is_clean() {
         let evs = vec![
             rec(0, 1, ProtocolEvent::SnapshotStart { req: 1 }),
-            rec(
-                5,
-                1,
-                ProtocolEvent::ElectionLost {
-                    req: 1,
-                    winner: ActorId(0),
-                },
-            ),
+            rec(5, 1, ProtocolEvent::ElectionLost { req: 1, winner: 0 }),
             rec(20, 1, ProtocolEvent::ElectionWon { req: 1 }),
             rec(30, 1, ProtocolEvent::SnapshotEnd { req: 1 }),
         ];
@@ -859,14 +844,7 @@ mod tests {
         let evs = vec![
             rec(0, 1, ProtocolEvent::SnapshotStart { req: 1 }),
             rec(2, 0, ProtocolEvent::SnapshotStart { req: 1 }),
-            rec(
-                4,
-                1,
-                ProtocolEvent::ElectionLost {
-                    req: 1,
-                    winner: ActorId(0),
-                },
-            ),
+            rec(4, 1, ProtocolEvent::ElectionLost { req: 1, winner: 0 }),
             rec(6, 0, ProtocolEvent::ElectionWon { req: 1 }),
             rec(10, 0, ProtocolEvent::SnapshotEnd { req: 1 }),
             rec(12, 1, ProtocolEvent::ElectionWon { req: 1 }),
@@ -900,7 +878,7 @@ mod tests {
                 0,
                 ProtocolEvent::StateSend {
                     to: None,
-                    kind: "master_to_all",
+                    kind: MsgKind::MasterToAll,
                     bytes: 64,
                 },
             ),
@@ -909,7 +887,7 @@ mod tests {
                 0,
                 ProtocolEvent::StateSend {
                     to: None,
-                    kind: "master_to_all",
+                    kind: MsgKind::MasterToAll,
                     bytes: 64,
                 },
             ),
@@ -919,6 +897,62 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.name() == "reservation_imbalance"));
+    }
+
+    #[test]
+    fn reservation_imbalance_lists_emitting_ranks_in_rank_order() {
+        let m2a = ProtocolEvent::StateSend {
+            to: None,
+            kind: MsgKind::MasterToAll,
+            bytes: 64,
+        };
+        let evs = vec![
+            rec(0, 3, m2a),
+            rec(1, 1, m2a),
+            // Balanced, so not listed.
+            rec(2, 5, ProtocolEvent::Blocked),
+        ];
+        let r = ProtocolAuditor::strict().audit(&evs);
+        let imbalanced: Vec<_> = r
+            .violations
+            .iter()
+            .filter_map(|v| match v {
+                Violation::ReservationImbalance { actor, .. } => Some(actor.index()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(imbalanced, [1, 3]);
+    }
+
+    #[test]
+    fn unsorted_stream_is_audited_in_timestamp_order() {
+        // A threaded run can append P0's resume before its block; in time
+        // order the pair is well formed.
+        let sorted = vec![
+            rec(10, 0, ProtocolEvent::Blocked),
+            rec(15, 1, ProtocolEvent::DecisionOpen { node: 4 }),
+            rec(20, 0, ProtocolEvent::Resumed),
+            rec(
+                25,
+                1,
+                ProtocolEvent::DecisionComplete { node: 5, slaves: 0 },
+            ),
+        ];
+        let unsorted = vec![sorted[2], sorted[0], sorted[3], sorted[1]];
+        let audited = ProtocolAuditor::new().audit(&unsorted);
+        assert_eq!(
+            audited.violations,
+            ProtocolAuditor::new().audit(&sorted).violations
+        );
+        assert_eq!(
+            audited.violations,
+            [Violation::DecisionNodeMismatch {
+                actor: ActorId(1),
+                opened: 4,
+                completed: 5,
+                at: SimTime(25),
+            }]
+        );
     }
 
     #[test]

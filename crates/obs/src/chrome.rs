@@ -193,8 +193,7 @@ fn render(events: &[EventRecord]) -> String {
                         SNAPSHOT_TID_OFFSET + rank,
                         rec.time,
                         |args| {
-                            args.field("req", &req)
-                                .field("winner", &(winner.index() as u64));
+                            args.field("req", &req).field("winner", &winner);
                         },
                     );
                 });
@@ -242,6 +241,7 @@ pub fn write_to(events: &[EventRecord], w: &mut impl Write) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::TaskKind;
     use loadex_sim::ActorId;
 
     fn rec(t: u64, p: usize, event: ProtocolEvent) -> EventRecord {
@@ -267,7 +267,7 @@ mod tests {
                 0,
                 ProtocolEvent::TaskStart {
                     node: 1,
-                    kind: "master",
+                    kind: TaskKind::Type2Master,
                 },
             ),
             rec(1_000, 1, ProtocolEvent::TaskEnd { node: 1 }),
@@ -293,7 +293,7 @@ mod tests {
                 0,
                 ProtocolEvent::TaskStart {
                     node: 1,
-                    kind: "master",
+                    kind: TaskKind::Type2Master,
                 },
             ),
             rec(1_000, 0, ProtocolEvent::TaskEnd { node: 1 }),

@@ -4,31 +4,130 @@
 //! that do not know the clock, so the embedding stamps `(time, actor)` when
 //! it forwards staged events to a [`crate::Recorder`], yielding
 //! [`EventRecord`]s.
+//!
+//! A run can record millions of events, so each is kept small: message and
+//! task kinds are one-byte enums ([`MsgKind`], [`TaskKind`]) rather than
+//! strings, and ranks, node ids and byte counts are `u32`. A
+//! [`ProtocolEvent`] is 16 bytes and an [`EventRecord`] 32. The narrowing
+//! to `u32` is checked ([`rank`], [`narrow`]): a value that does not fit
+//! panics instead of being recorded wrong.
 
 use loadex_sim::{ActorId, SimTime};
 use serde::{ser::JsonMap, Serialize};
+use std::fmt::Debug;
+
+/// `p`'s rank as events store it.
+///
+/// # Panics
+/// If the rank does not fit in a `u32`.
+#[inline]
+pub fn rank(p: ActorId) -> u32 {
+    narrow(p.index())
+}
+
+/// A node id, count or byte size as events store it.
+///
+/// # Panics
+/// If `x` does not fit in a `u32`.
+#[inline]
+pub fn narrow<T: TryInto<u32> + Copy + Debug>(x: T) -> u32 {
+    x.try_into()
+        .unwrap_or_else(|_| panic!("{x:?} does not fit in an event's u32 field"))
+}
+
+/// The kind of a state message, as [`ProtocolEvent::StateSend`] and
+/// [`ProtocolEvent::StateRecv`] record it (one per `StateMsg` variant).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MsgKind {
+    /// Naive mechanism: absolute load.
+    Update,
+    /// Increments mechanism: accumulated load delta.
+    UpdateDelta,
+    /// Increments mechanism: reservation broadcast after a decision.
+    MasterToAll,
+    /// §2.3: the sender takes no further decision.
+    NoMoreMaster,
+    /// Snapshot request.
+    StartSnp,
+    /// Snapshot answer.
+    Snp,
+    /// Snapshot finished.
+    EndSnp,
+    /// Snapshot: a master's share for one selected slave.
+    MasterToSlave,
+    /// Gossip digest.
+    Gossip,
+}
+
+impl MsgKind {
+    /// Stable snake_case name (the exports' `kind` field).
+    pub fn name(self) -> &'static str {
+        match self {
+            MsgKind::Update => "update",
+            MsgKind::UpdateDelta => "update_delta",
+            MsgKind::MasterToAll => "master_to_all",
+            MsgKind::NoMoreMaster => "no_more_master",
+            MsgKind::StartSnp => "start_snp",
+            MsgKind::Snp => "snp",
+            MsgKind::EndSnp => "end_snp",
+            MsgKind::MasterToSlave => "master_to_slave",
+            MsgKind::Gossip => "gossip",
+        }
+    }
+}
+
+/// The kind of a solver task, as [`ProtocolEvent::TaskStart`] records it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TaskKind {
+    /// A collapsed leaf subtree.
+    Subtree,
+    /// A sequential Type 1 front.
+    Type1,
+    /// The pivot-block part of a Type 2 front (master side).
+    Type2Master,
+    /// A row block of a Type 2 front (slave side).
+    Type2Slave,
+    /// A Type 2 front factored whole by its master (no slaves).
+    Type2Whole,
+    /// A share of the Type 3 root.
+    RootPart,
+}
+
+impl TaskKind {
+    /// Stable snake_case name (the exports' `kind` field).
+    pub fn name(self) -> &'static str {
+        match self {
+            TaskKind::Subtree => "subtree",
+            TaskKind::Type1 => "type1",
+            TaskKind::Type2Master => "type2_master",
+            TaskKind::Type2Slave => "type2_slave",
+            TaskKind::Type2Whole => "type2_whole",
+            TaskKind::RootPart => "root_part",
+        }
+    }
+}
 
 /// One protocol-level occurrence, as emitted at the instrumentation sites.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ProtocolEvent {
     /// A state message was handed to the transport. `to` is `None` for a
     /// broadcast staged as a single logical send.
     StateSend {
-        /// Destination process (`None` = all others).
-        to: Option<ActorId>,
-        /// Message kind (`StateMsg::kind_name`).
-        kind: &'static str,
+        /// Destination rank (`None` = all others).
+        to: Option<u32>,
+        /// Message kind (`StateMsg::kind`).
+        kind: MsgKind,
         /// Modeled wire size.
-        bytes: u64,
+        bytes: u32,
     },
     /// A state message was consumed by a mechanism.
     StateRecv {
-        /// Originating process.
-        from: ActorId,
-        /// Message kind (`StateMsg::kind_name`).
-        kind: &'static str,
+        /// Originating rank.
+        from: u32,
+        /// Message kind (`StateMsg::kind`).
+        kind: MsgKind,
         /// Modeled wire size.
-        bytes: u64,
+        bytes: u32,
     },
     /// The emitter initiated (or re-initiated) snapshot `req` (§3).
     SnapshotStart {
@@ -50,26 +149,26 @@ pub enum ProtocolEvent {
     ElectionLost {
         /// The emitter's request identifier.
         req: u64,
-        /// The preferred rival initiator.
-        winner: ActorId,
+        /// The preferred rival initiator's rank.
+        winner: u32,
     },
     /// The emitter withheld its `snp` answer to a non-leader initiator
     /// (the sequentialisation device of §3).
     DelayedAnswer {
-        /// The initiator whose answer is being delayed.
-        to: ActorId,
+        /// The rank of the initiator whose answer is being delayed.
+        to: u32,
         /// That initiator's request identifier.
         req: u64,
     },
     /// A dynamic scheduling decision was opened for tree node `node`.
     DecisionOpen {
         /// Assembly-tree node id.
-        node: u64,
+        node: u32,
     },
     /// The decision for `node` completed, selecting `slaves` slaves.
     DecisionComplete {
         /// Assembly-tree node id.
-        node: u64,
+        node: u32,
         /// Number of slaves selected.
         slaves: u32,
     },
@@ -80,14 +179,14 @@ pub enum ProtocolEvent {
     /// A solver task started executing.
     TaskStart {
         /// Assembly-tree node id.
-        node: u64,
-        /// Task kind (static string, e.g. `"master"`, `"slave"`).
-        kind: &'static str,
+        node: u32,
+        /// Task kind.
+        kind: TaskKind,
     },
     /// A solver task finished.
     TaskEnd {
         /// Assembly-tree node id.
-        node: u64,
+        node: u32,
     },
     /// Active memory grew by `entries` real entries.
     MemAlloc {
@@ -102,6 +201,26 @@ pub enum ProtocolEvent {
 }
 
 impl ProtocolEvent {
+    /// A [`ProtocolEvent::StateSend`] of `bytes` bytes to `to` (`None` = all
+    /// others), with each field narrowed to its stored width.
+    pub fn state_send(to: Option<ActorId>, kind: MsgKind, bytes: u64) -> Self {
+        ProtocolEvent::StateSend {
+            to: to.map(rank),
+            kind,
+            bytes: narrow(bytes),
+        }
+    }
+
+    /// A [`ProtocolEvent::StateRecv`] of `bytes` bytes from `from`, with each
+    /// field narrowed to its stored width.
+    pub fn state_recv(from: ActorId, kind: MsgKind, bytes: u64) -> Self {
+        ProtocolEvent::StateRecv {
+            from: rank(from),
+            kind,
+            bytes: narrow(bytes),
+        }
+    }
+
     /// Stable snake_case name of the event variant (used as the JSONL `ev`
     /// field and the Chrome trace event name).
     pub fn name(&self) -> &'static str {
@@ -129,13 +248,13 @@ impl ProtocolEvent {
     pub fn payload_fields(&self, map: &mut JsonMap<'_>) {
         match self {
             ProtocolEvent::StateSend { to, kind, bytes } => {
-                map.field("to", &to.map(|p| p.index() as u64))
-                    .field("kind", *kind)
+                map.field("to", to)
+                    .field("kind", kind.name())
                     .field("bytes", bytes);
             }
             ProtocolEvent::StateRecv { from, kind, bytes } => {
-                map.field("from", &(from.index() as u64))
-                    .field("kind", *kind)
+                map.field("from", from)
+                    .field("kind", kind.name())
                     .field("bytes", bytes);
             }
             ProtocolEvent::SnapshotStart { req } | ProtocolEvent::SnapshotEnd { req } => {
@@ -145,11 +264,10 @@ impl ProtocolEvent {
                 map.field("req", req);
             }
             ProtocolEvent::ElectionLost { req, winner } => {
-                map.field("req", req)
-                    .field("winner", &(winner.index() as u64));
+                map.field("req", req).field("winner", winner);
             }
             ProtocolEvent::DelayedAnswer { to, req } => {
-                map.field("to", &(to.index() as u64)).field("req", req);
+                map.field("to", to).field("req", req);
             }
             ProtocolEvent::DecisionOpen { node } => {
                 map.field("node", node);
@@ -159,7 +277,7 @@ impl ProtocolEvent {
             }
             ProtocolEvent::Blocked | ProtocolEvent::Resumed => {}
             ProtocolEvent::TaskStart { node, kind } => {
-                map.field("node", node).field("kind", *kind);
+                map.field("node", node).field("kind", kind.name());
             }
             ProtocolEvent::TaskEnd { node } => {
                 map.field("node", node);
@@ -172,7 +290,7 @@ impl ProtocolEvent {
 }
 
 /// A [`ProtocolEvent`] stamped with simulation time and emitting process.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EventRecord {
     /// When the event happened.
     pub time: SimTime,
@@ -198,36 +316,95 @@ mod tests {
     use super::*;
 
     #[test]
+    fn records_are_32_bytes() {
+        // The recorder holds one record per event of a run (millions at
+        // P=128): keep both sizes from growing back unnoticed.
+        assert_eq!(std::mem::size_of::<ProtocolEvent>(), 16);
+        assert_eq!(std::mem::size_of::<EventRecord>(), 32);
+    }
+
+    #[test]
+    fn kinds_render_their_export_names() {
+        let msgs = [
+            (MsgKind::Update, "update"),
+            (MsgKind::UpdateDelta, "update_delta"),
+            (MsgKind::MasterToAll, "master_to_all"),
+            (MsgKind::NoMoreMaster, "no_more_master"),
+            (MsgKind::StartSnp, "start_snp"),
+            (MsgKind::Snp, "snp"),
+            (MsgKind::EndSnp, "end_snp"),
+            (MsgKind::MasterToSlave, "master_to_slave"),
+            (MsgKind::Gossip, "gossip"),
+        ];
+        for (kind, name) in msgs {
+            let send = EventRecord {
+                time: SimTime(7),
+                actor: ActorId(1),
+                event: ProtocolEvent::state_send(Some(ActorId(2)), kind, 24),
+            };
+            assert_eq!(
+                send.to_json(),
+                format!(r#"{{"t":7,"p":1,"ev":"state_send","to":2,"kind":"{name}","bytes":24}}"#)
+            );
+        }
+        let tasks = [
+            (TaskKind::Subtree, "subtree"),
+            (TaskKind::Type1, "type1"),
+            (TaskKind::Type2Master, "type2_master"),
+            (TaskKind::Type2Slave, "type2_slave"),
+            (TaskKind::Type2Whole, "type2_whole"),
+            (TaskKind::RootPart, "root_part"),
+        ];
+        for (kind, name) in tasks {
+            let start = EventRecord {
+                time: SimTime(7),
+                actor: ActorId(1),
+                event: ProtocolEvent::TaskStart { node: 3, kind },
+            };
+            assert_eq!(
+                start.to_json(),
+                format!(r#"{{"t":7,"p":1,"ev":"task_start","node":3,"kind":"{name}"}}"#)
+            );
+        }
+    }
+
+    #[test]
+    fn narrowing_keeps_values_that_fit() {
+        assert_eq!(rank(ActorId(5)), 5);
+        assert_eq!(narrow(u64::from(u32::MAX)), u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn narrowing_past_u32_panics_instead_of_wrapping() {
+        narrow(u64::from(u32::MAX) + 1);
+    }
+
+    #[test]
     fn names_are_distinct() {
         let evs = [
             ProtocolEvent::StateSend {
                 to: None,
-                kind: "update",
+                kind: MsgKind::Update,
                 bytes: 1,
             },
             ProtocolEvent::StateRecv {
-                from: ActorId(0),
-                kind: "update",
+                from: 0,
+                kind: MsgKind::Update,
                 bytes: 1,
             },
             ProtocolEvent::SnapshotStart { req: 1 },
             ProtocolEvent::SnapshotEnd { req: 1 },
             ProtocolEvent::ElectionWon { req: 1 },
-            ProtocolEvent::ElectionLost {
-                req: 1,
-                winner: ActorId(0),
-            },
-            ProtocolEvent::DelayedAnswer {
-                to: ActorId(0),
-                req: 1,
-            },
+            ProtocolEvent::ElectionLost { req: 1, winner: 0 },
+            ProtocolEvent::DelayedAnswer { to: 0, req: 1 },
             ProtocolEvent::DecisionOpen { node: 0 },
             ProtocolEvent::DecisionComplete { node: 0, slaves: 0 },
             ProtocolEvent::Blocked,
             ProtocolEvent::Resumed,
             ProtocolEvent::TaskStart {
                 node: 0,
-                kind: "master",
+                kind: TaskKind::Type2Master,
             },
             ProtocolEvent::TaskEnd { node: 0 },
             ProtocolEvent::MemAlloc { entries: 1.0 },
@@ -244,11 +421,7 @@ mod tests {
         let rec = EventRecord {
             time: SimTime(1500),
             actor: ActorId(2),
-            event: ProtocolEvent::StateSend {
-                to: Some(ActorId(1)),
-                kind: "update_delta",
-                bytes: 32,
-            },
+            event: ProtocolEvent::state_send(Some(ActorId(1)), MsgKind::UpdateDelta, 32),
         };
         assert_eq!(
             rec.to_json(),
@@ -261,11 +434,7 @@ mod tests {
         let rec = EventRecord {
             time: SimTime(0),
             actor: ActorId(0),
-            event: ProtocolEvent::StateSend {
-                to: None,
-                kind: "end_snp",
-                bytes: 16,
-            },
+            event: ProtocolEvent::state_send(None, MsgKind::EndSnp, 16),
         };
         assert!(rec.to_json().contains(r#""to":null"#));
     }

@@ -32,7 +32,7 @@ pub fn write_to(events: &[EventRecord], w: &mut impl Write) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::ProtocolEvent;
+    use crate::event::{MsgKind, ProtocolEvent};
     use loadex_sim::{ActorId, SimTime};
 
     fn render(events: &[EventRecord]) -> String {
@@ -47,11 +47,11 @@ mod tests {
             .map(|n| EventRecord {
                 time: SimTime(n * 1_000),
                 actor: ActorId(n as usize % 7),
-                event: ProtocolEvent::StateSend {
-                    to: Some(ActorId(n as usize % 5)),
-                    kind: "update_delta",
-                    bytes: 32,
-                },
+                event: ProtocolEvent::state_send(
+                    Some(ActorId(n as usize % 5)),
+                    MsgKind::UpdateDelta,
+                    32,
+                ),
             })
             .collect()
     }

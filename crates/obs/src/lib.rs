@@ -6,7 +6,8 @@
 //! of that is captured:
 //!
 //! * [`ProtocolEvent`] — a typed event taxonomy replacing stringly-typed
-//!   trace records. The mechanisms (`loadex-core`) stage their events and
+//!   trace records, 16 bytes each (message and task kinds are the one-byte
+//!   [`MsgKind`] and [`TaskKind`]). The mechanisms (`loadex-core`) stage their events and
 //!   the solver (`loadex-solver`) stamps them, with its own, into the run's
 //!   [`Recorder`]: that is the one event source.
 //! * [`Recorder`] — a cloneable event sink. Disabled recorders are a single
@@ -40,7 +41,7 @@ pub mod span;
 pub use accuracy::{AccuracyPoint, AccuracyReport, AccuracySummary, ViewAccuracyProbe};
 pub use audit::{AuditReport, ProtocolAuditor, Violation};
 pub use clock::WallClock;
-pub use event::{EventRecord, ProtocolEvent};
+pub use event::{EventRecord, MsgKind, ProtocolEvent, TaskKind};
 pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use recorder::Recorder;
 pub use span::{Span, SpanState};

@@ -7,6 +7,12 @@
 //! in-memory log behind a mutex — cheap enough for simulation runs, and
 //! thread-safe so the threaded backend's worker and communication threads
 //! can emit into one log.
+//!
+//! Each held event is one 32-byte [`EventRecord`]. An enabled log reserves
+//! its whole capacity when it is created — [`DEFAULT_CAPACITY`] is 4M
+//! events, about 128 MB of virtual memory — so it never grows by copying.
+//! The operating system maps those pages only as events land in them, so
+//! resident memory counts the events actually held, not the reservation.
 
 use crate::event::{EventRecord, ProtocolEvent};
 use loadex_sim::{ActorId, SimTime};
@@ -18,9 +24,23 @@ use std::sync::{Arc, Mutex};
 pub const DEFAULT_CAPACITY: usize = 4_000_000;
 
 struct EventLog {
+    /// Reserved for `capacity` records when the log is created, so pushes
+    /// never reallocate until [`Recorder::take`] hands the buffer out.
     events: VecDeque<EventRecord>,
     capacity: usize,
     dropped: u64,
+}
+
+impl EventLog {
+    /// Append one record, dropping the oldest when full.
+    #[inline]
+    fn push(&mut self, rec: EventRecord) {
+        if self.events.len() == self.capacity {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back(rec);
+    }
 }
 
 /// A cloneable handle to an (optional) shared event log.
@@ -41,15 +61,16 @@ impl Recorder {
     }
 
     /// An enabled recorder keeping at most `capacity` events (oldest are
-    /// dropped first, with a drop count). `capacity == 0` is equivalent to
-    /// [`Recorder::disabled`].
+    /// dropped first, with a drop count). The log's buffer is reserved for
+    /// all `capacity` events here (see the module docs). `capacity == 0` is
+    /// equivalent to [`Recorder::disabled`].
     pub fn with_capacity(capacity: usize) -> Self {
         if capacity == 0 {
             return Self::disabled();
         }
         Recorder {
             inner: Some(Arc::new(Mutex::new(EventLog {
-                events: VecDeque::new(),
+                events: VecDeque::with_capacity(capacity),
                 capacity,
                 dropped: 0,
             }))),
@@ -67,12 +88,28 @@ impl Recorder {
     #[inline]
     pub fn emit(&self, time: SimTime, actor: ActorId, event: ProtocolEvent) {
         if let Some(log) = &self.inner {
-            let mut log = log.lock().unwrap();
-            if log.events.len() == log.capacity {
-                log.events.pop_front();
-                log.dropped += 1;
-            }
-            log.events.push_back(EventRecord { time, actor, event });
+            log.lock().unwrap().push(EventRecord { time, actor, event });
+        }
+    }
+
+    /// Record a batch of events that share one stamp, in order, taking the
+    /// log's lock once for the whole batch (none for an empty one).
+    pub fn emit_all(
+        &self,
+        time: SimTime,
+        actor: ActorId,
+        events: impl IntoIterator<Item = ProtocolEvent>,
+    ) {
+        let Some(log) = &self.inner else {
+            return;
+        };
+        let mut events = events.into_iter().peekable();
+        if events.peek().is_none() {
+            return;
+        }
+        let mut log = log.lock().unwrap();
+        for event in events {
+            log.push(EventRecord { time, actor, event });
         }
     }
 
@@ -143,13 +180,58 @@ mod tests {
     #[test]
     fn capacity_drops_oldest() {
         let r = Recorder::with_capacity(2);
-        for n in 0..5u64 {
-            r.emit(SimTime(n), ActorId(0), ProtocolEvent::TaskEnd { node: n });
+        for n in 0..5u32 {
+            r.emit(
+                SimTime(n.into()),
+                ActorId(0),
+                ProtocolEvent::TaskEnd { node: n },
+            );
         }
         assert_eq!(r.dropped(), 3);
         let evs = r.take();
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].time, SimTime(3));
+    }
+
+    #[test]
+    fn emit_all_stamps_the_batch_in_order_and_keeps_the_capacity() {
+        let r = Recorder::with_capacity(3);
+        r.emit(SimTime(1), ActorId(0), ProtocolEvent::Blocked);
+        r.emit_all(
+            SimTime(2),
+            ActorId(4),
+            (0..3u32).map(|node| ProtocolEvent::TaskEnd { node }),
+        );
+        r.emit_all(SimTime(3), ActorId(4), std::iter::empty());
+        assert_eq!(r.dropped(), 1);
+        let evs = r.take();
+        assert_eq!(
+            evs,
+            (0..3u32)
+                .map(|node| EventRecord {
+                    time: SimTime(2),
+                    actor: ActorId(4),
+                    event: ProtocolEvent::TaskEnd { node },
+                })
+                .collect::<Vec<_>>()
+        );
+        Recorder::disabled().emit_all(SimTime(0), ActorId(0), [ProtocolEvent::Resumed]);
+    }
+
+    #[test]
+    fn the_log_is_reserved_up_front() {
+        let r = Recorder::with_capacity(1000);
+        let reserved = |r: &Recorder| r.inner.as_ref().unwrap().lock().unwrap().events.capacity();
+        let before = reserved(&r);
+        assert!(before >= 1000);
+        for n in 0..1000u32 {
+            r.emit(SimTime(0), ActorId(0), ProtocolEvent::TaskEnd { node: n });
+        }
+        assert_eq!(
+            reserved(&r),
+            before,
+            "filling the log must not reallocate it"
+        );
     }
 
     #[test]

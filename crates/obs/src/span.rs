@@ -173,6 +173,7 @@ pub fn render_gantt(procs: &[Vec<Span>], horizon: SimTime, width: usize) -> Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::TaskKind;
     use loadex_sim::ActorId;
 
     fn rec(t: u64, p: usize, event: ProtocolEvent) -> EventRecord {
@@ -191,7 +192,7 @@ mod tests {
                 0,
                 ProtocolEvent::TaskStart {
                     node: 1,
-                    kind: "master",
+                    kind: TaskKind::Type2Master,
                 },
             ),
             rec(30, 0, ProtocolEvent::TaskEnd { node: 1 }),
@@ -227,7 +228,7 @@ mod tests {
                 0,
                 ProtocolEvent::TaskStart {
                     node: 1,
-                    kind: "master",
+                    kind: TaskKind::Type2Master,
                 },
             ),
             rec(10, 0, ProtocolEvent::Blocked),

@@ -411,9 +411,7 @@ impl SimHost<'_, '_, '_> {
         let obs = recorder.is_enabled();
         if obs {
             // Stamp the mechanism's staged protocol events with (time, rank).
-            for ev in outbox.drain_events() {
-                recorder.emit(now, ActorId(p), ev);
-            }
+            recorder.emit_all(now, ActorId(p), outbox.drain_events());
         }
         if outbox.is_empty() {
             return;

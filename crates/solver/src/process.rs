@@ -30,7 +30,7 @@ use loadex_core::{
     AnyMechanism, ChangeOrigin, Gate, Load, LoadTable, MechKind, MechStats, Mechanism, Notify,
     Outbox, StateMsg,
 };
-use loadex_obs::{ProtocolEvent, Recorder, ViewAccuracyProbe};
+use loadex_obs::{event, ProtocolEvent, Recorder, ViewAccuracyProbe};
 use loadex_sim::{ActorId, SimDuration, SimTime, TimeWeightedGauge};
 use loadex_sparse::AssemblyTree;
 use std::collections::VecDeque;
@@ -305,7 +305,7 @@ pub(crate) fn try_start_decision<'a, H: Host<'a>>(h: &mut H) -> bool {
     let cx = h.cx();
     h.recorder()
         .emit_with(h.now(), ActorId(h.rank()), || ProtocolEvent::DecisionOpen {
-            node: node as u64,
+            node,
         });
     // §5 extension: partial snapshots query only the k least-loaded
     // candidates (by the master's current view and strategy metric).
@@ -384,8 +384,8 @@ fn do_selection<'a, H: Host<'a>>(h: &mut H, node: u32) {
             })
             .collect();
         recorder.emit_with(now, ActorId(me), || ProtocolEvent::DecisionComplete {
-            node: node as u64,
-            slaves: shares.len() as u32,
+            node,
+            slaves: event::narrow(shares.len()),
         });
         let notifies = mech.complete_decision(&assignments, out);
         (shares, notifies)
@@ -646,8 +646,8 @@ pub(crate) fn start_task<'a, H: Host<'a>>(h: &mut H, idx: usize) -> (Task, SimDu
     proc.busy += dur;
     h.recorder()
         .emit_with(h.now(), ActorId(p), || ProtocolEvent::TaskStart {
-            node: task.node as u64,
-            kind: task.kind.name(),
+            node: task.node,
+            kind: task.kind.event_kind(),
         });
     (task, dur)
 }
@@ -659,7 +659,7 @@ pub(crate) fn finish_chunk<'a, H: Host<'a>>(h: &mut H, mut task: Task) {
     let cx = h.cx();
     h.recorder()
         .emit_with(h.now(), ActorId(h.rank()), || ProtocolEvent::TaskEnd {
-            node: task.node as u64,
+            node: task.node,
         });
     let seg = task.remaining.min(work::chunk_flops(cx.cfg));
     task.remaining -= seg;
@@ -936,9 +936,9 @@ mod tests {
         assert_eq!(master.remaining, work::master_flops(&tree, v));
         assert_eq!(h.proc.true_mem, node.npiv as f64 * node.nfront as f64 * ef);
         let events: Vec<ProtocolEvent> = h.recorder.take().into_iter().map(|r| r.event).collect();
-        assert!(matches!(events[0], ProtocolEvent::DecisionOpen { node } if node == v as u64));
+        assert!(matches!(events[0], ProtocolEvent::DecisionOpen { node } if node == v));
         assert!(events.iter().any(
-            |e| matches!(*e, ProtocolEvent::DecisionComplete { node, slaves } if node == v as u64 && slaves == k)
+            |e| matches!(*e, ProtocolEvent::DecisionComplete { node, slaves } if node == v && slaves == k)
         ));
 
         // No admissible candidate: the master factors the whole front.

@@ -182,11 +182,7 @@ fn flush_cell(
     clock: &WallClock,
 ) -> bool {
     if recorder.is_enabled() {
-        let now = clock.now();
-        let events: Vec<ProtocolEvent> = cell.outbox.drain_events().collect();
-        for ev in events {
-            recorder.emit(now, ActorId(me), ev);
-        }
+        recorder.emit_all(clock.now(), ActorId(me), cell.outbox.drain_events());
     }
     let staged: Vec<OutMsg> = cell.outbox.drain().collect();
     let mut ok = true;

@@ -34,15 +34,16 @@ pub(crate) enum TaskKind {
 }
 
 impl TaskKind {
-    /// Stable name used as the `kind` of task events.
-    pub(crate) fn name(self) -> &'static str {
+    /// The `kind` task events record for this task.
+    pub(crate) fn event_kind(self) -> loadex_obs::TaskKind {
+        use loadex_obs::TaskKind as Ev;
         match self {
-            TaskKind::Subtree => "subtree",
-            TaskKind::Type1 => "type1",
-            TaskKind::Type2Master => "type2_master",
-            TaskKind::Type2Slave { .. } => "type2_slave",
-            TaskKind::Type2Whole => "type2_whole",
-            TaskKind::RootPart => "root_part",
+            TaskKind::Subtree => Ev::Subtree,
+            TaskKind::Type1 => Ev::Type1,
+            TaskKind::Type2Master => Ev::Type2Master,
+            TaskKind::Type2Slave { .. } => Ev::Type2Slave,
+            TaskKind::Type2Whole => Ev::Type2Whole,
+            TaskKind::RootPart => Ev::RootPart,
         }
     }
 }

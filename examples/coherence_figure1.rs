@@ -44,7 +44,7 @@ fn main() {
     // t2: P0's decision emits a MasterToAll reservation.
     inc_p0.complete_decision(&[(p2, Load::work(100.0))], &mut out);
     let reservations: Vec<StateMsg> = out.drain().map(|m| m.msg).collect();
-    println!("t2: P0 -> all: {:?}", reservations[0].kind_name());
+    println!("t2: P0 -> all: {:?}", reservations[0].kind().name());
     // ... which P1 and P2 receive (P2 can receive it at its next receive
     // point; even if it is still busy, P1 already knows).
     for m in &reservations {

@@ -52,6 +52,17 @@ for mech in naive increments snapshot; do
     done
 done
 
+# Golden exports through the CLI's own file path: the release `run` binary's
+# JSONL and Chrome trace for TWOTONE/8 snapshot must match, byte for byte,
+# the files tests/obs_golden.rs pins the library's exporters to.
+golden=$(mktemp -d)
+trap 'rm -rf "$golden"' EXIT
+run cargo run --release --offline -q -p loadex-bench --bin run -- \
+    --matrix TWOTONE --procs 8 --mech snapshot \
+    --events-out "$golden/events.jsonl" --trace-out "$golden/trace.json"
+run cmp tests/golden/twotone8_snapshot.jsonl "$golden/events.jsonl"
+run cmp tests/golden/twotone8_snapshot.chrome.json "$golden/trace.json"
+
 # Deterministic tables: `tables --all` (everything but the wall-clock §4.5
 # table, which only `--threaded` prints) must match the committed
 # tables_output.txt byte for byte (~10 s).

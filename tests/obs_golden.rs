@@ -1,13 +1,20 @@
-//! Golden-style determinism tests for the observability layer: the same
-//! seed (here, the same deterministic SimNet run) must produce a
-//! byte-identical JSONL event stream and Chrome trace, and the metrics
-//! registry must agree with the report's own MechStats totals.
+//! Golden tests for the observability layer. A fixed run's JSONL event
+//! stream and Chrome trace must match the files committed under
+//! `tests/golden/` byte for byte; the same deterministic SimNet run must
+//! export identically twice; and the metrics registry must agree with the
+//! report's own MechStats totals.
 
 use loadex::core::MechKind;
 use loadex::obs::{chrome, jsonl, Recorder};
-use loadex::solver::{run_observed, RunReport, SolverConfig};
-use loadex::sparse::{gen, symbolic, AssemblyTree, Symmetry};
+use loadex::solver::{run_observed, RunReport, SolverConfig, Strategy};
+use loadex::sparse::{gen, models, symbolic, AssemblyTree, Symmetry};
 use serde::Serialize;
+
+/// `run --matrix TWOTONE --procs 8 --mech snapshot --events-out … --trace-out …`
+/// (its other settings at their defaults). The run uses every event variant,
+/// broadcast sends (`"to":null`) included.
+const GOLDEN_JSONL: &str = include_str!("golden/twotone8_snapshot.jsonl");
+const GOLDEN_CHROME: &str = include_str!("golden/twotone8_snapshot.chrome.json");
 
 fn small_tree() -> AssemblyTree {
     let p = gen::grid2d(20, 20);
@@ -44,6 +51,24 @@ fn observed_run(tree: &AssemblyTree, c: &SolverConfig) -> (RunReport, String, St
         String::from_utf8(jsonl).unwrap(),
         String::from_utf8(chrome).unwrap(),
     )
+}
+
+#[test]
+fn exports_match_the_committed_golden_files() {
+    let tree = models::by_name("TWOTONE").unwrap().build_tree();
+    let c = SolverConfig::new(8)
+        .with_mechanism(MechKind::Snapshot)
+        .with_strategy(Strategy::WorkloadBased);
+    let (_, jsonl, chrome) = observed_run(&tree, &c);
+    // Compare line by line first, so a mismatch names its first line.
+    for (n, (got, want)) in jsonl.lines().zip(GOLDEN_JSONL.lines()).enumerate() {
+        assert_eq!(got, want, "JSONL line {} differs", n + 1);
+    }
+    assert!(jsonl == GOLDEN_JSONL, "JSONL export differs in length");
+    for (n, (got, want)) in chrome.lines().zip(GOLDEN_CHROME.lines()).enumerate() {
+        assert_eq!(got, want, "Chrome trace line {} differs", n + 1);
+    }
+    assert!(chrome == GOLDEN_CHROME, "Chrome trace differs in length");
 }
 
 #[test]
