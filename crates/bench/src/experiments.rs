@@ -27,12 +27,6 @@ fn sym_str(s: Symmetry) -> &'static str {
     }
 }
 
-/// Run one configuration on one model.
-pub fn run_one(model: &MatrixModel, cfg: &SolverConfig) -> RunReport {
-    let tree = model.build_tree();
-    run(&tree, cfg).unwrap()
-}
-
 /// Tables 1 and 2: the test problems.
 pub fn table1_2() -> Table {
     let mut t = Table::new(

@@ -2,8 +2,9 @@
 //!
 //! Regenerates every table and figure of the paper's evaluation section
 //! (§4.3–4.5) and prints them side by side with the published values. The
-//! `tables` binary is the command-line front end; the Criterion benches under
-//! `benches/` wrap the same experiments.
+//! `tables` binary is the command-line front end. Timing these experiments
+//! is perfbench's job (`python3 perfbench/run.py`, see `perfbench/NOTES.md`),
+//! which also checks the tables cell by cell.
 //!
 //! Absolute numbers are not expected to match the 2005 IBM SP — the
 //! simulated platform is calibrated to the same order of magnitude — but the

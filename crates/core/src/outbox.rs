@@ -138,11 +138,6 @@ impl Outbox {
         &self.msgs
     }
 
-    /// Staged events (without draining), for assertions.
-    pub fn peek_events(&self) -> &[ProtocolEvent] {
-        &self.events
-    }
-
     /// Number of staged messages (a multicast is one).
     pub fn len(&self) -> usize {
         self.msgs.len()
@@ -184,7 +179,10 @@ mod tests {
             per_peer.send(q, msg.clone());
         }
         multi.multicast(dests.clone(), msg.clone());
-        assert_eq!(multi.peek_events(), per_peer.peek_events());
+        let multi_events: Vec<_> = multi.drain_events().collect();
+        let per_peer_events: Vec<_> = per_peer.drain_events().collect();
+        assert_eq!(multi_events, per_peer_events);
+        assert_eq!(multi_events.len(), 3);
         assert_eq!(
             multi.peek(),
             &[OutMsg {
@@ -194,7 +192,7 @@ mod tests {
         );
         multi.multicast(Vec::new(), StateMsg::EndSnp);
         assert_eq!(multi.len(), 1, "no destination stages nothing");
-        assert_eq!(multi.peek_events().len(), 3);
+        assert_eq!(multi.drain_events().count(), 0);
     }
 
     #[test]
@@ -210,7 +208,7 @@ mod tests {
         let mut ob = Outbox::new();
         ob.send(ActorId(1), StateMsg::EndSnp);
         ob.note(|| panic!("must not be built when not observing"));
-        assert!(ob.peek_events().is_empty());
+        assert_eq!(ob.drain_events().count(), 0);
 
         let mut ob = Outbox::observed();
         ob.send(ActorId(1), StateMsg::EndSnp);

@@ -70,20 +70,6 @@ impl LoadTable {
     pub fn total(&self) -> Load {
         self.loads.iter().copied().sum()
     }
-
-    /// Maximum absolute per-process view error against a ground-truth table:
-    /// `max_p |view(p) − truth(p)|`, per metric. This is the coherence metric
-    /// used by the experiment harness to compare mechanisms.
-    pub fn max_error(&self, truth: &[Load]) -> Load {
-        assert_eq!(truth.len(), self.loads.len());
-        let mut err = Load::ZERO;
-        for (mine, real) in self.loads.iter().zip(truth) {
-            let d = (*mine - *real).abs();
-            err.work = err.work.max(d.work);
-            err.mem = err.mem.max(d.mem);
-        }
-        err
-    }
 }
 
 #[cfg(test)]
@@ -112,20 +98,6 @@ mod tests {
         t.set(ActorId(0), Load::new(1.0, 2.0));
         t.set(ActorId(1), Load::new(3.0, 4.0));
         assert_eq!(t.total(), Load::new(4.0, 6.0));
-    }
-
-    #[test]
-    fn max_error_is_per_metric_max() {
-        let mut t = LoadTable::new(ActorId(0), 3);
-        t.set(ActorId(0), Load::new(1.0, 1.0));
-        t.set(ActorId(1), Load::new(5.0, 0.0));
-        t.set(ActorId(2), Load::new(0.0, 7.0));
-        let truth = [
-            Load::new(1.0, 1.0),
-            Load::new(2.0, 0.0),
-            Load::new(0.0, 10.0),
-        ];
-        assert_eq!(t.max_error(&truth), Load::new(3.0, 3.0));
     }
 
     #[test]

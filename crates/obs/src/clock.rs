@@ -33,13 +33,6 @@ impl WallClock {
         }
     }
 
-    /// A clock with an explicit epoch (so several components can agree on a
-    /// shared origin chosen before the first thread spawns).
-    pub fn at_epoch(epoch: Instant, scale: f64) -> Self {
-        assert!(scale.is_finite() && scale > 0.0, "bad time scale {scale}");
-        WallClock { epoch, scale }
-    }
-
     /// The wall instant that maps to simulated time zero.
     pub fn epoch(&self) -> Instant {
         self.epoch
@@ -102,7 +95,7 @@ mod tests {
     fn instants_before_epoch_clamp_to_zero() {
         let origin = Instant::now();
         std::thread::sleep(Duration::from_millis(2));
-        let c = WallClock::at_epoch(Instant::now(), 1.0);
+        let c = WallClock::starting_now(1.0);
         assert_eq!(c.to_sim_time(origin), SimTime(0));
     }
 

@@ -1,9 +1,10 @@
-//! Metrics registry: named counters, gauges, and log-scale histograms.
+//! Metrics registry: named counters and log-scale histograms.
 //!
 //! Metric names are `&'static str` so recording never allocates. The
 //! registry is snapshotted into a [`MetricsSnapshot`] — a plain serializable
-//! value — at the end of a run; `RunReport` embeds that snapshot so bench
-//! tables and machine-readable dumps come from one source of truth.
+//! value — at the end of a run; `RunReport` embeds that snapshot (adding the
+//! run's end-of-run gauges to it) so bench tables and machine-readable dumps
+//! come from one source of truth.
 
 use serde::{ser::JsonMap, Serialize};
 use std::collections::BTreeMap;
@@ -160,18 +161,6 @@ impl Histogram {
         Self::bucket_lower_bound(BUCKETS - 1)
     }
 
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.nan_count += other.nan_count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Serializable snapshot (non-empty buckets only).
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -235,11 +224,10 @@ impl Serialize for HistogramSnapshot {
     }
 }
 
-/// Named counters, gauges, and histograms for one run.
+/// Named counters and histograms for one run.
 #[derive(Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
     histograms: BTreeMap<&'static str, Histogram>,
 }
 
@@ -257,11 +245,6 @@ impl MetricsRegistry {
     /// Current value of counter `name` (0 if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Set gauge `name`.
-    pub fn set_gauge(&mut self, name: &'static str, value: f64) {
-        self.gauges.insert(name, value);
     }
 
     /// Record a sample into histogram `name` (creating it empty).
@@ -282,11 +265,7 @@ impl MetricsRegistry {
                 .iter()
                 .map(|(&k, &v)| (k.to_string(), v))
                 .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|(&k, &v)| (k.to_string(), v))
-                .collect(),
+            gauges: BTreeMap::new(),
             histograms: self
                 .histograms
                 .iter()
@@ -409,30 +388,14 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates() {
-        let mut a = Histogram::new();
-        a.observe(1.0);
-        let mut b = Histogram::new();
-        b.observe(100.0);
-        b.observe(f64::NAN);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.nan_count(), 1);
-        assert_eq!(a.min(), 1.0);
-        assert_eq!(a.max(), 100.0);
-    }
-
-    #[test]
     fn registry_roundtrip() {
         let mut reg = MetricsRegistry::new();
         reg.inc("msgs", 3);
         reg.inc("msgs", 2);
-        reg.set_gauge("mem_peak", 42.5);
         reg.observe("latency_ns", 1500.0);
         assert_eq!(reg.counter("msgs"), 5);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("msgs"), 5);
-        assert_eq!(snap.gauges["mem_peak"], 42.5);
         assert_eq!(snap.histograms["latency_ns"].count, 1);
         let json = serde::json::to_string(&snap);
         assert!(json.contains(r#""msgs":5"#));

@@ -2,11 +2,12 @@
 //!
 //! A [`Recorder`] is what instrumentation sites hold. It is a thin cloneable
 //! handle: **disabled** recorders carry no allocation and every emission is
-//! a single `Option` discriminant check (measured < 2% overhead on the
-//! mechanism micro-benches), while **enabled** recorders share one bounded
-//! in-memory log behind a mutex — cheap enough for simulation runs, and
-//! thread-safe so the threaded backend's worker and communication threads
-//! can emit into one log.
+//! a single `Option` discriminant check, while **enabled** recorders share
+//! one bounded in-memory log behind a mutex — cheap enough for simulation
+//! runs, and thread-safe so the threaded backend's worker and communication
+//! threads can emit into one log. perfbench's `observed-p128` workload
+//! reports what an enabled recorder adds to a run (`obs.record_overhead_s`;
+//! `python3 perfbench/run.py`, see `perfbench/NOTES.md`).
 //!
 //! Each held event is one 32-byte [`EventRecord`]. An enabled log reserves
 //! its whole capacity when it is created — [`DEFAULT_CAPACITY`] is 4M

@@ -27,8 +27,7 @@
 //! * [`rng`] — a small, self-contained, splittable PRNG (SplitMix64 and
 //!   xoshiro256**) so that simulation randomness is stable across platforms
 //!   and dependency versions.
-//! * [`stats`] — gauges with time-integrals and streaming moments used by
-//!   the experiment harness.
+//! * [`stats`] — streaming moments (Welford) for the accuracy probe.
 //!
 //! The engine is deliberately generic: the network model lives in
 //! `loadex-net`, the application (a multifrontal solver) in `loadex-solver`.
@@ -42,5 +41,5 @@ pub mod time;
 pub use engine::{ActorId, Scheduler, SimConfig, Simulator, StopReason, World};
 pub use queue::EventQueue;
 pub use rng::{SimRng, SplitMix64};
-pub use stats::{TimeWeightedGauge, Welford};
+pub use stats::Welford;
 pub use time::{SimDuration, SimTime};

@@ -84,11 +84,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Total number of events ever scheduled (diagnostic).
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
-    }
 }
 
 #[cfg(test)]
@@ -148,6 +143,5 @@ mod tests {
         assert_eq!(q.len(), 2);
         q.pop();
         assert_eq!(q.len(), 1);
-        assert_eq!(q.scheduled_total(), 2);
     }
 }

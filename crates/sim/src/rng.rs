@@ -118,53 +118,12 @@ impl SimRng {
         lo + (hi - lo) * self.next_f64()
     }
 
-    /// Exponentially distributed value with the given mean.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        // Avoid ln(0): next_f64 is in [0,1) so 1-u is in (0,1].
-        -mean * (1.0 - self.next_f64()).ln()
-    }
-
-    /// Standard normal via Box–Muller (one value per call, no caching so the
-    /// stream is position-independent).
-    pub fn normal(&mut self, mean: f64, sd: f64) -> f64 {
-        let u1 = 1.0 - self.next_f64();
-        let u2 = self.next_f64();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        mean + sd * z
-    }
-
-    /// Log-normal with the given location/scale of the underlying normal.
-    pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
             let j = self.next_below((i + 1) as u64) as usize;
             xs.swap(i, j);
         }
-    }
-
-    /// Pick an index in `[0, weights.len())` proportionally to `weights`.
-    /// Non-positive weights are treated as zero. Panics if all weights are
-    /// zero or the slice is empty.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().map(|w| w.max(0.0)).sum();
-        assert!(total > 0.0, "weighted_index: total weight must be positive");
-        let mut x = self.next_f64() * total;
-        for (i, w) in weights.iter().enumerate() {
-            let w = w.max(0.0);
-            if x < w {
-                return i;
-            }
-            x -= w;
-        }
-        // Floating-point slack: return the last positively-weighted index.
-        weights
-            .iter()
-            .rposition(|&w| w > 0.0)
-            .expect("at least one positive weight")
     }
 }
 
@@ -250,25 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean_roughly_correct() {
-        let mut r = SimRng::seed_from_u64(8);
-        let n = 100_000;
-        let mean: f64 = (0..n).map(|_| r.exponential(3.0)).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.1, "mean={mean}");
-    }
-
-    #[test]
-    fn normal_moments_roughly_correct() {
-        let mut r = SimRng::seed_from_u64(9);
-        let n = 100_000;
-        let xs: Vec<f64> = (0..n).map(|_| r.normal(5.0, 2.0)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 5.0).abs() < 0.05, "mean={mean}");
-        assert!((var - 4.0).abs() < 0.2, "var={var}");
-    }
-
-    #[test]
     fn shuffle_is_permutation() {
         let mut r = SimRng::seed_from_u64(10);
         let mut v: Vec<u32> = (0..100).collect();
@@ -276,22 +216,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn weighted_index_respects_zero_weights() {
-        let mut r = SimRng::seed_from_u64(11);
-        for _ in 0..1_000 {
-            let i = r.weighted_index(&[0.0, 1.0, 0.0, 2.0]);
-            assert!(i == 1 || i == 3);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "total weight must be positive")]
-    fn weighted_index_panics_on_all_zero() {
-        let mut r = SimRng::seed_from_u64(12);
-        r.weighted_index(&[0.0, 0.0]);
     }
 
     #[test]

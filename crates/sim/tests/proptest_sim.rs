@@ -2,7 +2,7 @@
 
 use loadex_sim::{
     ActorId, EventQueue, Scheduler, SimConfig, SimDuration, SimRng, SimTime, Simulator, SplitMix64,
-    StopReason, TimeWeightedGauge, Welford, World,
+    StopReason, Welford, World,
 };
 use proptest::prelude::*;
 
@@ -163,29 +163,6 @@ proptest! {
             prop_assert!(x < n);
             prop_assert_eq!(x, b.next_below(n));
         }
-    }
-
-    /// The time-weighted gauge's average matches a straightforward
-    /// piecewise-constant reference.
-    #[test]
-    fn gauge_average_matches_reference(
-        steps in prop::collection::vec((1u64..1000, -50.0f64..50.0), 1..50)
-    ) {
-        let mut g = TimeWeightedGauge::new(SimTime::ZERO, 0.0);
-        let mut now = SimTime::ZERO;
-        let mut integral = 0.0;
-        let mut value = 0.0;
-        for &(dt, v) in &steps {
-            let d = SimDuration::from_nanos(dt);
-            integral += value * d.as_secs_f64();
-            now += d;
-            g.set(now, v);
-            value = v;
-        }
-        let expected = integral / now.since(SimTime::ZERO).as_secs_f64();
-        let got = g.time_average(now);
-        prop_assert!((got - expected).abs() < 1e-9 * (1.0 + expected.abs()),
-            "got {got}, expected {expected}");
     }
 
     /// Welford statistics agree with naive two-pass computation.

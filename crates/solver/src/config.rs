@@ -267,16 +267,6 @@ impl SolverConfig {
         }
     }
 
-    /// Like [`SolverConfig::new`], but validated: the one place a bad
-    /// process count can be rejected as a value instead of failing deep
-    /// inside the engine.
-    pub fn try_new(nprocs: usize) -> Result<Self, ConfigError> {
-        if nprocs == 0 {
-            return Err(ConfigError::ZeroProcs);
-        }
-        Ok(Self::new(nprocs))
-    }
-
     /// Builder-style: set the mechanism.
     pub fn with_mechanism(mut self, m: MechKind) -> Self {
         self.mechanism = m;
@@ -429,12 +419,6 @@ mod tests {
                 .validate(),
             Ok(())
         );
-    }
-
-    #[test]
-    fn try_new_rejects_zero_procs() {
-        assert_eq!(SolverConfig::try_new(0), Err(ConfigError::ZeroProcs));
-        assert!(SolverConfig::try_new(1).is_ok());
     }
 
     #[test]

@@ -790,7 +790,6 @@ impl World for SolverWorld {
         self.st.finished_at = now;
         for p in 0..self.st.procs.len() {
             self.st.note_block_state(p, now);
-            self.st.procs[p].core.close(now);
         }
         self.st.snp.close(now);
     }

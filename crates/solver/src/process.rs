@@ -31,7 +31,7 @@ use loadex_core::{
     Outbox, StateMsg,
 };
 use loadex_obs::{event, ProtocolEvent, Recorder, ViewAccuracyProbe};
-use loadex_sim::{ActorId, SimDuration, SimTime, TimeWeightedGauge};
+use loadex_sim::{ActorId, SimDuration, SimTime};
 use loadex_sparse::AssemblyTree;
 use std::collections::VecDeque;
 
@@ -128,7 +128,8 @@ pub(crate) struct Proc {
     pub(crate) true_work: f64,
     /// Ground truth: active memory in entries.
     pub(crate) true_mem: f64,
-    mem_gauge: TimeWeightedGauge,
+    /// Highest `true_mem` reached.
+    mem_peak: f64,
     pub(crate) busy: SimDuration,
     /// Message-treatment time charged to the next compute chunk.
     pub(crate) overhead: SimDuration,
@@ -147,7 +148,7 @@ impl Proc {
             decision_candidates: None,
             true_work: plan.init_work[p],
             true_mem: 0.0,
-            mem_gauge: TimeWeightedGauge::new(SimTime::ZERO, 0.0),
+            mem_peak: 0.0,
             busy: SimDuration::ZERO,
             overhead: SimDuration::ZERO,
             masters_left: plan.masters_per_proc[p],
@@ -155,15 +156,10 @@ impl Proc {
         }
     }
 
-    /// Close the memory gauge at the end of the run.
-    pub(crate) fn close(&mut self, now: SimTime) {
-        self.mem_gauge.set(now, self.true_mem);
-    }
-
     /// This process's contribution to the run report.
     pub(crate) fn outcome(&self, stats: MechStats, blocked: SimDuration) -> ProcOutcome {
         ProcOutcome {
-            mem_peak_entries: self.mem_gauge.peak(),
+            mem_peak_entries: self.mem_peak,
             mem_final_entries: self.true_mem,
             busy: self.busy,
             blocked,
@@ -763,7 +759,7 @@ fn set_mem<'a, H: Host<'a>>(h: &mut H, delta: f64) {
     let now = h.now();
     let proc = h.proc();
     proc.true_mem = (proc.true_mem + delta).max(0.0);
-    proc.mem_gauge.set(now, proc.true_mem);
+    proc.mem_peak = proc.mem_peak.max(proc.true_mem);
     h.recorder().emit_with(now, ActorId(h.rank()), || {
         if delta >= 0.0 {
             ProtocolEvent::MemAlloc { entries: delta }

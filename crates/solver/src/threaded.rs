@@ -748,8 +748,7 @@ impl Worker<'_> {
         }
     }
 
-    fn finish(mut self) -> WorkerOutcome {
-        self.proc.close(self.clock.now());
+    fn finish(self) -> WorkerOutcome {
         let stats = self.mech(|m| m.stats().clone());
         let blocked = self.clock.to_sim(self.blocked_wall);
         (self.proc.outcome(stats, blocked), self.samples)

@@ -29,6 +29,11 @@ fmt:
 tables:
     cargo run --release --offline -p loadex-bench --bin tables -- --all
 
+# The one benchmark: one untimed pass (`--seconds 0`) of a perfbench
+# workload, checked against its reference (see perfbench/NOTES.md).
+perfbench workload="paper-tables":
+    python3 perfbench/run.py --workload {{workload}} --seed 1 --seconds 0
+
 # The accuracy-vs-cost table: view error, staleness and decision regret
 # against state-message cost for each mechanism.
 accuracy-tables:

@@ -62,8 +62,10 @@ pub mod ser {
     /// (JSON has no representation for them).
     pub fn write_f64(out: &mut String, v: f64) {
         if v.is_finite() {
+            use std::fmt::Write;
             // Shortest round-trip formatting, always with enough precision.
-            out.push_str(&format!("{}", v));
+            // Writing to a `String` cannot fail.
+            let _ = write!(out, "{v}");
         } else {
             out.push_str("null");
         }
@@ -157,7 +159,9 @@ macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn serialize_json(&self, out: &mut String) {
-                out.push_str(&self.to_string());
+                use std::fmt::Write;
+                // Writing to a `String` cannot fail.
+                let _ = write!(out, "{self}");
             }
         }
     )*};
@@ -260,6 +264,10 @@ mod tests {
     fn scalars_and_strings() {
         assert_eq!(42u64.to_json(), "42");
         assert_eq!((-3i32).to_json(), "-3");
+        assert_eq!(i64::MIN.to_json(), "-9223372036854775808");
+        assert_eq!(u64::MAX.to_json(), "18446744073709551615");
+        assert_eq!(0u8.to_json(), "0");
+        assert_eq!(7usize.to_json(), "7");
         assert_eq!(true.to_json(), "true");
         assert_eq!(1.5f64.to_json(), "1.5");
         assert_eq!(f64::INFINITY.to_json(), "null");
