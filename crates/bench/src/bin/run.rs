@@ -3,7 +3,7 @@
 //! ```text
 //! run --matrix AUDIKW_1 --procs 64 --mech snapshot --strategy workload \
 //!     [--backend {sim|threaded}] [--comm-thread {on|off}] \
-//!     [--poll-us N] [--time-scale X] [--wall-timeout-s N] \
+//!     [--time-scale X] [--wall-timeout-s N] \
 //!     [--partial K] [--no-nomaster] [--chunk-ms N] \
 //!     [--latency-us N] [--probe] \
 //!     [--trace-out FILE] [--metrics-out FILE] [--events-out FILE] \
@@ -11,13 +11,13 @@
 //! ```
 //!
 //! `--backend threaded` executes on real OS threads (one per process) instead
-//! of the discrete-event simulator; `--poll-us`, `--time-scale` and
-//! `--wall-timeout-s` tune it. `--comm-thread on|off` selects the §4.5
-//! communication thread on either backend: on the sim it switches the
-//! *modeled* comm thread (`CommMode::CommThread`) for the single-threaded
-//! main loop, on the threaded backend it starts a real comm thread per
-//! process. It defaults to `off` on the sim and `on` on the threaded
-//! backend.
+//! of the discrete-event simulator; `--time-scale` and `--wall-timeout-s`
+//! tune it. `--comm-thread on|off` sets the one §4.5 switch,
+//! `CommMode::CommThread`, which both backends read: the sim swaps its
+//! single-threaded main loop for a *modeled* comm thread, the threaded
+//! backend starts a real comm thread per process. Either polls the state
+//! channel every 50 µs. It defaults to `off` on the sim and `on` on the
+//! threaded backend.
 //!
 //! The three `--*-out` flags attach the observability layer and write,
 //! respectively, a Chrome `trace_event` JSON (open in `chrome://tracing` or
@@ -79,7 +79,6 @@ fn main() {
     let mut strategy = Strategy::WorkloadBased;
     let mut backend_threaded = false;
     let mut comm_thread: Option<bool> = None;
-    let mut poll_us: Option<u64> = None;
     let mut time_scale: Option<f64> = None;
     let mut wall_timeout_s: Option<u64> = None;
     let mut partial: Option<usize> = None;
@@ -148,7 +147,6 @@ fn main() {
                     }
                 })
             }
-            "--poll-us" => poll_us = Some(num(a, &next())),
             "--time-scale" => time_scale = Some(num(a, &next())),
             "--wall-timeout-s" => wall_timeout_s = Some(num(a, &next())),
             "--partial" => partial = Some(num(a, &next())),
@@ -165,11 +163,15 @@ fn main() {
                 eprintln!(
                     "usage: run --matrix NAME --procs N --mech {{naive|increments|snapshot|periodic|gossip}} \
                      --strategy {{memory|workload}} [--backend {{sim|threaded}}] \
-                     [--comm-thread {{on|off}}] [--poll-us N] [--time-scale X] [--wall-timeout-s N] \
+                     [--comm-thread {{on|off}}] [--time-scale X] [--wall-timeout-s N] \
                      [--partial K] [--no-nomaster] \
                      [--chunk-ms N] [--latency-us N] [--probe] \
                      [--trace-out FILE] [--metrics-out FILE] [--events-out FILE] \
-                     [--accuracy-out FILE] [--audit]"
+                     [--accuracy-out FILE] [--audit]\n\n\
+                     --comm-thread sets the one comm-thread switch (CommMode) that both \
+                     backends read: a modeled thread on the sim, a real one per process on \
+                     threaded, polling the state channel every 50 us. Default: off on the \
+                     sim, on on threaded."
                 );
                 return;
             }
@@ -193,14 +195,11 @@ fn main() {
     let mut cfg = config_for(procs)
         .with_mechanism(mech)
         .with_strategy(strategy);
+    if comm_thread {
+        cfg = cfg.with_comm(CommMode::CommThread);
+    }
     if backend_threaded {
         let mut t = ThreadedBackend::new();
-        if !comm_thread {
-            t = t.without_comm_thread();
-        }
-        if let Some(us) = poll_us {
-            t = t.with_poll_interval(Duration::from_micros(us));
-        }
         if let Some(s) = time_scale {
             t = t.with_time_scale(s);
         }
@@ -208,8 +207,6 @@ fn main() {
             t = t.with_wall_timeout(Duration::from_secs(s));
         }
         cfg = cfg.with_backend(ExecBackend::Threaded(t));
-    } else if comm_thread {
-        cfg = cfg.with_comm(CommMode::threaded_default());
     }
     cfg.snapshot_candidates = partial;
     cfg.no_more_master = nomaster;

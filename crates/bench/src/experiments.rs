@@ -721,8 +721,8 @@ pub fn ablation_heterogeneous(nprocs: usize, model: &MatrixModel) -> Table {
 /// the dedicated communication thread. The story to look for is the snapshot
 /// row: total blocked time collapses once state messages are serviced
 /// concurrently with the computation instead of at task-chunk boundaries.
-/// `backend` sets the real-thread runs' options (time scale, timeout); each
-/// runs once as given and once without its communication thread.
+/// `backend` sets the real-thread runs' options (time scale, timeout); they
+/// run once with and once without the communication thread.
 pub fn threaded_backend_comparison(
     nprocs: usize,
     model: &MatrixModel,
@@ -747,17 +747,9 @@ pub fn threaded_backend_comparison(
     for mech in [MechKind::Naive, MechKind::Increments, MechKind::Snapshot] {
         let cfg = config_for(nprocs).with_mechanism(mech);
         let sim = run(&tree, &cfg).unwrap();
-        let comm = run(
-            &tree,
-            &cfg.clone().with_backend(ExecBackend::Threaded(backend)),
-        )
-        .unwrap();
-        let main = run(
-            &tree,
-            &cfg.clone()
-                .with_backend(ExecBackend::Threaded(backend.without_comm_thread())),
-        )
-        .unwrap();
+        let threaded = cfg.clone().with_backend(ExecBackend::Threaded(backend));
+        let comm = run(&tree, &threaded.clone().with_comm(CommMode::CommThread)).unwrap();
+        let main = run(&tree, &threaded.with_comm(CommMode::MainLoop)).unwrap();
         t.row(vec![
             mech.name().to_string(),
             f(sim.seconds()),

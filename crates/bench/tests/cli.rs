@@ -3,7 +3,7 @@
 //! Argument errors: a malformed number or an out-of-range selection makes
 //! `run` and `tables` say what was wrong and exit with status 2 — never a
 //! panic, never a silent fallback; `run` has one `--comm-thread on|off`
-//! flag for both backends. Selections: the wall-clock §4.5 table is
+//! flag for both backends and no flag for its fixed poll period. Selections: the wall-clock §4.5 table is
 //! printed by `tables --threaded` alone, never by `--all`.
 
 use std::process::Command;
@@ -24,7 +24,6 @@ fn run_rejects_malformed_numbers() {
         &["--procs", "x"],
         &["--procs", "-4"],
         &["--latency-us", "-3"],
-        &["--poll-us", "x"],
         &["--time-scale", "x"],
         &["--wall-timeout-s", "1.5"],
         &["--partial", "x"],
@@ -43,6 +42,7 @@ fn run_has_one_comm_thread_flag() {
         &["--no-comm-thread"],
         &["--comm-thread"],
         &["--comm-thread", "maybe"],
+        &["--poll-us", "50"],
     ];
     for args in bad {
         assert_usage_error(env!("CARGO_BIN_EXE_run"), args);

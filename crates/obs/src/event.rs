@@ -245,7 +245,7 @@ impl ProtocolEvent {
 
     /// Append this event's payload fields (everything except name, time and
     /// actor) to an open JSON map.
-    pub fn payload_fields(&self, map: &mut JsonMap<'_>) {
+    fn payload_fields(&self, map: &mut JsonMap<'_>) {
         match self {
             ProtocolEvent::StateSend { to, kind, bytes } => {
                 map.field("to", to)

@@ -13,8 +13,9 @@
 //! * [`Recorder`] — a cloneable event sink. Disabled recorders are a single
 //!   pointer-is-none check per emission site, so instrumented hot paths cost
 //!   nothing in the default configuration.
-//! * [`MetricsRegistry`] — named counters, gauges, and log-scale-bucket
-//!   [`Histogram`]s; snapshotted into a serializable [`MetricsSnapshot`].
+//! * [`MetricsRegistry`] — named log-scale-bucket [`Histogram`]s;
+//!   snapshotted into a serializable [`MetricsSnapshot`], to which the run
+//!   report adds its counters and gauges.
 //! * Exporters — [`jsonl::write_to`] (one JSON object per event line,
 //!   streamed) and [`chrome::write_to`] (Chrome `trace_event` format: open
 //!   the file in `chrome://tracing` or <https://ui.perfetto.dev>).

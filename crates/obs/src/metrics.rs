@@ -1,10 +1,10 @@
-//! Metrics registry: named counters and log-scale histograms.
+//! Metrics registry: named log-scale histograms.
 //!
 //! Metric names are `&'static str` so recording never allocates. The
 //! registry is snapshotted into a [`MetricsSnapshot`] — a plain serializable
 //! value — at the end of a run; `RunReport` embeds that snapshot (adding the
-//! run's end-of-run gauges to it) so bench tables and machine-readable dumps
-//! come from one source of truth.
+//! run's counters and end-of-run gauges to it) so bench tables and
+//! machine-readable dumps come from one source of truth.
 
 use serde::{ser::JsonMap, Serialize};
 use std::collections::BTreeMap;
@@ -224,10 +224,9 @@ impl Serialize for HistogramSnapshot {
     }
 }
 
-/// Named counters and histograms for one run.
+/// Named histograms for one run.
 #[derive(Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, Histogram>,
 }
 
@@ -235,16 +234,6 @@ impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Add `n` to counter `name` (creating it at zero).
-    pub fn inc(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_insert(0) += n;
-    }
-
-    /// Current value of counter `name` (0 if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Record a sample into histogram `name` (creating it empty).
@@ -257,14 +246,11 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// Serializable snapshot of everything recorded.
+    /// Serializable snapshot of everything recorded (no counters or gauges
+    /// yet: the run report adds those).
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|(&k, &v)| (k.to_string(), v))
-                .collect(),
+            counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
             histograms: self
                 .histograms
@@ -390,15 +376,10 @@ mod tests {
     #[test]
     fn registry_roundtrip() {
         let mut reg = MetricsRegistry::new();
-        reg.inc("msgs", 3);
-        reg.inc("msgs", 2);
         reg.observe("latency_ns", 1500.0);
-        assert_eq!(reg.counter("msgs"), 5);
         let snap = reg.snapshot();
-        assert_eq!(snap.counter("msgs"), 5);
         assert_eq!(snap.histograms["latency_ns"].count, 1);
         let json = serde::json::to_string(&snap);
-        assert!(json.contains(r#""msgs":5"#));
         assert!(json.contains(r#""latency_ns""#));
     }
 

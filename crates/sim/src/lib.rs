@@ -27,7 +27,8 @@
 //! * [`rng`] — a small, self-contained, splittable PRNG (SplitMix64 and
 //!   xoshiro256**) so that simulation randomness is stable across platforms
 //!   and dependency versions.
-//! * [`stats`] — streaming moments (Welford) for the accuracy probe.
+//! * [`stats`] — streaming count, mean and max (Welford) for the accuracy
+//!   probe.
 //!
 //! The engine is deliberately generic: the network model lives in
 //! `loadex-net`, the application (a multifrontal solver) in `loadex-solver`.

@@ -1,31 +1,22 @@
-//! Streaming statistics: [`Welford`] mean/variance/min/max for per-sample
-//! metrics (the accuracy probe's decision-time view errors). Event counts
-//! live in the observability layer's metrics registry.
+//! Streaming statistics: [`Welford`] count/mean/max for per-sample metrics
+//! (the accuracy probe's decision-time view errors). Event counts live in
+//! the observability layer's metrics registry.
 
-/// Streaming mean/variance/min/max (Welford's algorithm).
+/// Streaming count/mean/max. The mean is Welford's running update, so it
+/// is exact to rounding whatever the number of samples.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Welford {
     n: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
     max: f64,
 }
 
 impl Welford {
     /// Record one sample.
     pub fn push(&mut self, x: f64) {
-        if self.n == 0 {
-            self.min = x;
-            self.max = x;
-        } else {
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
-        }
+        self.max = if self.n == 0 { x } else { self.max.max(x) };
         self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
+        self.mean += (x - self.mean) / self.n as f64;
     }
 
     /// Number of samples.
@@ -38,36 +29,9 @@ impl Welford {
         self.mean
     }
 
-    /// Population variance (0 if fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Smallest sample (0 if empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
     /// Largest sample (0 if empty).
     pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.mean * self.n as f64
+        self.max
     }
 }
 
@@ -84,18 +48,13 @@ mod tests {
         }
         assert_eq!(w.count(), 8);
         assert!((w.mean() - 5.0).abs() < 1e-12);
-        assert!((w.variance() - 4.0).abs() < 1e-12);
-        assert_eq!(w.min(), 2.0);
         assert_eq!(w.max(), 9.0);
-        assert!((w.sum() - 40.0).abs() < 1e-12);
     }
 
     #[test]
     fn welford_empty_is_safe() {
         let w = Welford::default();
         assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.variance(), 0.0);
-        assert_eq!(w.min(), 0.0);
         assert_eq!(w.max(), 0.0);
     }
 }

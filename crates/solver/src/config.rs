@@ -1,10 +1,21 @@
 //! Experiment configuration.
+//!
+//! One [`CommMode`] decides, for both execution backends, whether a
+//! dedicated communication thread services state messages (§4.5): the
+//! simulator models it, the threaded backend spawns it. Its 50 µs check
+//! period is a constant of the model, not a setting.
 
 use crate::error::ConfigError;
 use loadex_core::{LeaderPolicy, MechKind, Threshold};
 use loadex_net::NetworkModel;
 use loadex_sim::SimDuration;
 use std::time::Duration;
+
+/// How often the §4.5 communication thread checks the state channel (the
+/// paper fixes 50 µs). Simulated time on the simulator; wall time on the
+/// threaded backend, whose transport also wakes on arrival, so there it
+/// bounds the check period rather than adding latency.
+pub(crate) const COMM_POLL_PERIOD: SimDuration = SimDuration::from_micros(50);
 
 /// Which dynamic scheduling strategy drives slave/task selection (§4.2).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -26,47 +37,34 @@ impl Strategy {
     }
 }
 
-/// How state messages are serviced (§4.5).
+/// How state messages are serviced (§4.5), on either execution backend.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CommMode {
     /// The paper's base model: a process cannot treat a message and compute
     /// simultaneously; messages are drained at task boundaries.
     MainLoop,
     /// The §4.5 threaded variant: a dedicated communication thread checks the
-    /// state channel with the given period (the paper fixes 50 µs) and can
+    /// state channel every 50 µs, concurrently with the computation, and can
     /// pause the computation while a snapshot is in progress.
-    CommThread {
-        /// Polling period of the communication thread.
-        period: SimDuration,
-    },
+    CommThread,
 }
 
 impl CommMode {
-    /// The paper's threaded configuration (50 µs poll period).
+    /// The paper's threaded configuration, [`CommMode::CommThread`].
     pub fn threaded_default() -> CommMode {
-        CommMode::CommThread {
-            period: SimDuration::from_micros(50),
-        }
+        CommMode::CommThread
     }
 }
 
-/// Parameters of the threaded execution backend (§4.5 on real OS threads).
+/// Wall-clock parameters of the threaded execution backend (§4.5 on real
+/// OS threads).
 ///
-/// Unlike [`CommMode`], whose period is *simulated* time inside the
-/// discrete-event engine, these are genuine wall-clock quantities: the
-/// backend runs one worker thread per process over
-/// `loadex_net::thread::Endpoint`s and sleeps real microseconds.
+/// The backend runs one worker thread per process over
+/// `loadex_net::thread::Endpoint`s and sleeps real microseconds. Whether each
+/// process also gets a communication thread is
+/// [`SolverConfig::comm`], as on the simulator.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct ThreadedBackend {
-    /// Spawn a dedicated communication thread per process that services the
-    /// state channel concurrently with compute (§4.5). When `false`, state
-    /// messages are only drained at task-chunk boundaries, like the paper's
-    /// base single-threaded model.
-    pub comm_thread: bool,
-    /// Upper bound on the comm thread's state-channel servicing latency (the
-    /// paper polls every 50 µs; our transport also wakes on arrival, so this
-    /// bounds the check period rather than adding latency).
-    pub poll_interval: Duration,
     /// Wall seconds slept per simulated second of compute. The workload's
     /// task durations are still the simulated flops/speed model — this
     /// scales them onto the wall clock so a multi-second simulated
@@ -79,28 +77,13 @@ pub struct ThreadedBackend {
 }
 
 impl ThreadedBackend {
-    /// §4.5 defaults: comm thread on, 50 µs poll period, time compressed
-    /// 50× (`time_scale` 0.02), 120 s safety valve.
+    /// Defaults: time compressed 50× (`time_scale` 0.02), 120 s safety
+    /// valve.
     pub fn new() -> Self {
         ThreadedBackend {
-            comm_thread: true,
-            poll_interval: Duration::from_micros(50),
             time_scale: 0.02,
             wall_timeout: Duration::from_secs(120),
         }
-    }
-
-    /// Builder-style: disable the dedicated communication thread (the
-    /// baseline the §4.5 comparison measures against).
-    pub fn without_comm_thread(mut self) -> Self {
-        self.comm_thread = false;
-        self
-    }
-
-    /// Builder-style: set the comm thread's poll interval.
-    pub fn with_poll_interval(mut self, p: Duration) -> Self {
-        self.poll_interval = p;
-        self
     }
 
     /// Builder-style: set the wall-per-simulated-second compression factor.
@@ -129,8 +112,8 @@ pub enum ExecBackend {
     /// network costs explicitly. The default.
     #[default]
     Sim,
-    /// One OS thread per process over a real channel transport; the §4.5
-    /// threaded variant runs an additional comm thread per process.
+    /// One OS thread per process over a real channel transport; with
+    /// [`CommMode::CommThread`] each process also runs a §4.5 comm thread.
     Threaded(ThreadedBackend),
 }
 
@@ -155,7 +138,7 @@ pub struct SolverConfig {
     pub mechanism: MechKind,
     /// Scheduling strategy.
     pub strategy: Strategy,
-    /// State-message servicing model.
+    /// State-message servicing model, read by both backends.
     pub comm: CommMode,
     /// Broadcast thresholds of the maintained-view mechanisms. §2.3 advises
     /// “a threshold of the same order as the granularity of the tasks”; the
@@ -171,11 +154,6 @@ pub struct SolverConfig {
     /// multipliers applied on top of [`SolverConfig::speed_flops`]. Empty =
     /// homogeneous. Must have `nprocs` entries otherwise.
     pub speed_factors: Vec<f64>,
-    /// Time to treat one state message in the main loop (single-threaded
-    /// receive overhead; the threaded variant services them concurrently).
-    pub state_msg_cost: SimDuration,
-    /// Time to treat one application message (unpack, assemble).
-    pub app_msg_cost: SimDuration,
     /// Minimum rows of a slave share (granularity floor: “there are
     /// granularity constraints on the sizes of the subtasks”, §4.2.2).
     pub kmin_rows: u32,
@@ -205,6 +183,7 @@ pub struct SolverConfig {
     /// "coherence" the paper's mechanisms trade off against traffic). Only
     /// takes effect with [`SolverConfig::accuracy`] on the simulator backend;
     /// the probe's time-weighted and decision-time errors need no ticks.
+    /// Must be positive when set.
     pub coherence_probe: Option<SimDuration>,
     /// Instrumentation: maintain a
     /// [`ViewAccuracyProbe`](loadex_obs::ViewAccuracyProbe) across the run —
@@ -247,8 +226,6 @@ impl SolverConfig {
             network: NetworkModel::ibm_sp_like(),
             speed_flops: 5.0e7,
             speed_factors: Vec::new(),
-            state_msg_cost: SimDuration::from_micros(2),
-            app_msg_cost: SimDuration::from_micros(5),
             kmin_rows: 150,
             kmax_rows: 4096,
             type2_min_front: 200,
@@ -347,10 +324,8 @@ impl SolverConfig {
         if !(self.mem_relax.is_finite() && self.mem_relax > 0.0) {
             return Err(ConfigError::BadMemRelax(self.mem_relax));
         }
-        if let CommMode::CommThread { period } = self.comm {
-            if period == SimDuration::ZERO {
-                return Err(ConfigError::BadPollInterval);
-            }
+        if self.coherence_probe == Some(SimDuration::ZERO) {
+            return Err(ConfigError::ZeroProbePeriod);
         }
         match self.mechanism {
             MechKind::Periodic if self.periodic_interval == SimDuration::ZERO => {
@@ -370,9 +345,6 @@ impl SolverConfig {
             return Err(ConfigError::ZeroSnapshotCandidates);
         }
         if let ExecBackend::Threaded(t) = &self.backend {
-            if t.poll_interval.is_zero() {
-                return Err(ConfigError::BadPollInterval);
-            }
             if !(t.time_scale.is_finite() && t.time_scale > 0.0) {
                 return Err(ConfigError::BadTimeScale(t.time_scale));
             }
@@ -406,7 +378,7 @@ mod tests {
             .with_backend(ExecBackend::Threaded(ThreadedBackend::new()));
         assert_eq!(c.mechanism, MechKind::Snapshot);
         assert_eq!(c.strategy, Strategy::MemoryBased);
-        assert!(matches!(c.comm, CommMode::CommThread { .. }));
+        assert_eq!(c.comm, CommMode::CommThread);
         assert_eq!(c.backend.name(), "threaded");
     }
 
@@ -466,10 +438,9 @@ mod tests {
             Err(ConfigError::BadFrontBounds { .. })
         ));
 
-        let c = SolverConfig::new(4).with_comm(CommMode::CommThread {
-            period: SimDuration::ZERO,
-        });
-        assert_eq!(c.validate(), Err(ConfigError::BadPollInterval));
+        let mut c = SolverConfig::new(4);
+        c.coherence_probe = Some(SimDuration::ZERO);
+        assert_eq!(c.validate(), Err(ConfigError::ZeroProbePeriod));
 
         let mut c = SolverConfig::new(4);
         c.snapshot_candidates = Some(0);
@@ -479,10 +450,5 @@ mod tests {
             ThreadedBackend::new().with_time_scale(0.0),
         ));
         assert!(matches!(c.validate(), Err(ConfigError::BadTimeScale(_))));
-
-        let c = SolverConfig::new(4).with_backend(ExecBackend::Threaded(
-            ThreadedBackend::new().with_poll_interval(Duration::ZERO),
-        ));
-        assert_eq!(c.validate(), Err(ConfigError::BadPollInterval));
     }
 }

@@ -7,8 +7,10 @@
 //! and treat messages simultaneously — incoming messages buffer while a task
 //! runs and are drained at the next task boundary ([`CommMode::MainLoop`]).
 //! The [`CommMode::CommThread`] variant reproduces §4.5: state messages are
-//! serviced every `period` even during computation, and the computation is
-//! paused while a snapshot is in flight.
+//! serviced every 50 µs of simulated time (`Ev::Poll`) even during
+//! computation, and the computation is paused while a snapshot is in
+//! flight. The threaded backend reads the same [`CommMode`] to decide
+//! whether to spawn a real communication thread.
 //!
 //! The procedures of the loop are written once in `crate::process` and
 //! shared with the real-thread backend; this module is their discrete-event
@@ -34,7 +36,7 @@
 //! copying it. `Rc` suffices because the simulator runs in one thread; it
 //! also means [`SolverWorld`] is not `Send`.
 
-use crate::config::{CommMode, SolverConfig};
+use crate::config::{CommMode, SolverConfig, COMM_POLL_PERIOD};
 use crate::mapping::{NodeType, TreePlan};
 use crate::process::{self, Cx, Host, NodeState, Proc};
 use crate::report::{NetCounters, RunReport, RunTotals, SnapUnion};
@@ -386,12 +388,9 @@ impl SimHost<'_, '_, '_> {
         &mut self.w.procs[self.p]
     }
 
-    /// The comm-thread poll period in threaded mode.
-    fn comm_period(&self) -> Option<SimDuration> {
-        match self.cx.cfg.comm {
-            CommMode::MainLoop => None,
-            CommMode::CommThread { period } => Some(period),
-        }
+    /// Whether a modeled comm thread services the state channel.
+    fn comm_thread(&self) -> bool {
+        self.cx.cfg.comm == CommMode::CommThread
     }
 
     fn flush_outbox(&mut self) {
@@ -453,7 +452,7 @@ impl SimHost<'_, '_, '_> {
     // ----- the Algorithm 1 loop ------------------------------------------
 
     fn progress(&mut self) {
-        let mainloop = self.comm_period().is_none();
+        let mainloop = !self.comm_thread();
         loop {
             if matches!(
                 self.rt().state,
@@ -526,13 +525,13 @@ impl SimHost<'_, '_, '_> {
     }
 
     fn on_state_event(&mut self, from: ActorId, msg: Rc<StateMsg>) {
-        if let Some(period) = self.comm_period() {
+        if self.comm_thread() {
             let now = self.now;
             let rt = self.rt();
             rt.state_mb.push_back((from, msg));
             if !rt.poll_scheduled {
                 rt.poll_scheduled = true;
-                let period_ns = period.as_nanos().max(1);
+                let period_ns = COMM_POLL_PERIOD.as_nanos();
                 let next = (now.as_nanos() / period_ns + 1) * period_ns;
                 self.sched
                     .schedule_at(SimTime(next), ActorId(self.p), Ev::Poll);
@@ -551,9 +550,7 @@ impl SimHost<'_, '_, '_> {
 
     fn on_poll(&mut self) {
         let (p, now) = (self.p, self.now);
-        let period = self
-            .comm_period()
-            .expect("poll event outside threaded mode");
+        debug_assert!(self.comm_thread(), "poll event outside threaded mode");
         // The comm thread must take the lock protecting MPI calls (§4.5); a
         // bulk send in flight from this process holds it.
         let lock_free = self.w.net.egress_free(ActorId(p));
@@ -561,7 +558,7 @@ impl SimHost<'_, '_, '_> {
             self.sched.schedule_at(lock_free, ActorId(p), Ev::Poll);
             return;
         }
-        // One receive per poll iteration: the thread sleeps `period` between
+        // One receive per poll iteration: the thread sleeps one period between
         // channel checks, so a burst drains at one message per tick.
         if let Some((from, msg)) = self.rt().state_mb.pop_front() {
             process::on_state_msg(self, from, Rc::unwrap_or_clone(msg), false);
@@ -569,7 +566,8 @@ impl SimHost<'_, '_, '_> {
         if self.rt().state_mb.is_empty() {
             self.rt().poll_scheduled = false;
         } else {
-            self.sched.schedule_at(now + period, ActorId(p), Ev::Poll);
+            self.sched
+                .schedule_at(now + COMM_POLL_PERIOD, ActorId(p), Ev::Poll);
         }
         self.reconcile_block();
         if matches!(self.rt().state, PState::Idle) {
@@ -733,7 +731,7 @@ impl<'w> Host<'w> for SimHost<'w, '_, '_> {
     /// snapshot receive loop.
     fn reconcile_block(&mut self) {
         let (p, now) = (self.p, self.now);
-        let threaded = self.comm_period().is_some();
+        let threaded = self.comm_thread();
         let rt = self.rt();
         match (rt.mech.blocked(), rt.state) {
             // Only the threaded variant can interrupt a computation.

@@ -59,9 +59,10 @@ pub enum ConfigError {
     BadMappingAlpha(f64),
     /// `mem_relax` must be positive and finite.
     BadMemRelax(f64),
-    /// A comm-thread poll interval (sim `CommMode::CommThread` period or the
-    /// threaded backend's `poll_interval`) must be positive.
-    BadPollInterval,
+    /// The accuracy probe's sampling period (`coherence_probe`) must be
+    /// positive when set: a zero period would resample at the same instant
+    /// forever.
+    ZeroProbePeriod,
     /// The threaded backend's `time_scale` (wall seconds per simulated
     /// second) must be positive and finite.
     BadTimeScale(f64),
@@ -110,7 +111,9 @@ impl fmt::Display for ConfigError {
             ConfigError::BadMemRelax(v) => {
                 write!(f, "mem_relax must be positive and finite, got {v}")
             }
-            ConfigError::BadPollInterval => write!(f, "poll interval must be positive"),
+            ConfigError::ZeroProbePeriod => {
+                write!(f, "coherence_probe period must be positive when set")
+            }
             ConfigError::BadTimeScale(v) => {
                 write!(f, "time_scale must be positive and finite, got {v}")
             }

@@ -35,6 +35,12 @@ use loadex_sim::{ActorId, SimDuration, SimTime};
 use loadex_sparse::AssemblyTree;
 use std::collections::VecDeque;
 
+/// Time to treat one state message in the main loop (single-threaded
+/// receive overhead; a comm thread services them concurrently at no charge).
+const STATE_MSG_COST: SimDuration = SimDuration::from_micros(2);
+/// Time to treat one application message (unpack, assemble).
+const APP_MSG_COST: SimDuration = SimDuration::from_micros(5);
+
 /// The static inputs of a run, shared by every process.
 #[derive(Clone, Copy)]
 pub(crate) struct Cx<'a> {
@@ -257,7 +263,7 @@ pub(crate) fn on_state_msg<'a, H: Host<'a>>(h: &mut H, from: ActorId, msg: State
         .then(|| msg.subjects(from, ActorId(h.rank())));
     let notifies = h.mech_mut(|m, out| m.on_state_msg(from, msg, out));
     if charge {
-        h.proc().overhead += cx.cfg.state_msg_cost;
+        h.proc().overhead += STATE_MSG_COST;
     }
     for q in subjects.into_iter().flatten() {
         refresh_belief(h, q);
@@ -488,7 +494,7 @@ fn announce_plan<'a, H: Host<'a>>(h: &mut H, node: u32, pieces: u32) {
 /// Treat one application message (Algorithm 1 line 4).
 pub(crate) fn handle_app<'a, H: Host<'a>>(h: &mut H, msg: AppMsg) {
     let cx = h.cx();
-    h.proc().overhead += cx.cfg.app_msg_cost;
+    h.proc().overhead += APP_MSG_COST;
     match msg {
         AppMsg::SlaveTask { node, rows } => {
             let m = cx.tree.nodes[node as usize].nfront as f64;

@@ -247,6 +247,15 @@ mod tests {
     }
 
     #[test]
+    fn zero_probe_period_is_rejected_before_running() {
+        // A zero sampling period would resample the accuracy probe at the
+        // same instant forever; it must fail validation, never reach a run.
+        let mut c = cfg(4, MechKind::Increments).with_accuracy(true);
+        c.coherence_probe = Some(loadex_sim::SimDuration::ZERO);
+        assert!(matches!(Runtime::new(c), Err(ConfigError::ZeroProbePeriod)));
+    }
+
+    #[test]
     fn threaded_mode_completes_and_speeds_up_snapshots() {
         let t = by_name("TWOTONE").unwrap().build_tree();
         let base = SolverConfig::new(8).with_mechanism(MechKind::Snapshot);

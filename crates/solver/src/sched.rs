@@ -71,18 +71,10 @@ fn water_fill(levels: &[f64], c: f64, total: f64) -> Vec<f64> {
 /// strategy levels believed **workload** but refuses candidates whose
 /// believed memory exceeds `mem_relax ×` the average (its "dynamically
 /// estimated memory constraint", §4.2.2) unless no candidate qualifies.
-pub fn select_slaves(
-    cfg: &SolverConfig,
-    view: &LoadTable,
-    ncb_rows: u32,
-    mem_per_row: f64,
-    work_per_row: f64,
-) -> Vec<Share> {
-    select_slaves_among(cfg, view, ncb_rows, mem_per_row, work_per_row, None)
-}
-
-/// [`select_slaves`] restricted to an optional candidate subset (used with
-/// partial snapshots, whose view is only fresh for the queried candidates).
+///
+/// `allowed` restricts the candidates to a subset (used with partial
+/// snapshots, whose view is only fresh for the queried candidates); `None`
+/// considers every other process.
 pub fn select_slaves_among(
     cfg: &SolverConfig,
     view: &LoadTable,
@@ -341,7 +333,7 @@ mod tests {
         let c = cfg(Strategy::MemoryBased);
         // P1 has low memory, P2 and P3 are loaded.
         let v = view(&[(0.0, 0.0), (5.0, 100.0), (5.0, 9000.0), (5.0, 9000.0)]);
-        let shares = select_slaves(&c, &v, 100, 10.0, 50.0);
+        let shares = select_slaves_among(&c, &v, 100, 10.0, 50.0, None);
         assert_eq!(shares.iter().map(|s| s.rows).sum::<u32>(), 100);
         let p1 = shares
             .iter()
@@ -355,7 +347,7 @@ mod tests {
     fn workload_strategy_prefers_idle_procs() {
         let c = cfg(Strategy::WorkloadBased);
         let v = view(&[(0.0, 0.0), (1e6, 0.0), (10.0, 0.0), (1e6, 0.0)]);
-        let shares = select_slaves(&c, &v, 60, 10.0, 50.0);
+        let shares = select_slaves_among(&c, &v, 60, 10.0, 50.0, None);
         let p2 = shares
             .iter()
             .find(|s| s.slave == ActorId(2))
@@ -375,7 +367,7 @@ mod tests {
             (500.0, 100.0),
             (400.0, 100.0),
         ]);
-        let shares = select_slaves(&c, &v, 50, 10.0, 50.0);
+        let shares = select_slaves_among(&c, &v, 50, 10.0, 50.0, None);
         assert!(
             shares.iter().all(|s| s.slave != ActorId(1)),
             "memory-saturated P1 must be excluded: {shares:?}"
@@ -388,7 +380,7 @@ mod tests {
         c.kmin_rows = 30;
         c.kmax_rows = 40;
         let v = view(&[(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)]);
-        let shares = select_slaves(&c, &v, 100, 1.0, 1.0);
+        let shares = select_slaves_among(&c, &v, 100, 1.0, 1.0, None);
         assert_eq!(shares.iter().map(|s| s.rows).sum::<u32>(), 100);
         for s in &shares {
             assert!(s.rows >= 20 && s.rows <= 40, "share {s:?} out of bounds");
@@ -401,7 +393,7 @@ mod tests {
         let mut c = cfg(Strategy::WorkloadBased);
         c.kmax_rows = 10; // 3 candidates × 10 = 30 < 100 rows
         let v = view(&[(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)]);
-        let shares = select_slaves(&c, &v, 100, 1.0, 1.0);
+        let shares = select_slaves_among(&c, &v, 100, 1.0, 1.0, None);
         assert_eq!(shares.iter().map(|s| s.rows).sum::<u32>(), 100);
     }
 
@@ -409,14 +401,14 @@ mod tests {
     fn no_rows_no_slaves() {
         let c = cfg(Strategy::MemoryBased);
         let v = view(&[(0.0, 0.0), (0.0, 0.0)]);
-        assert!(select_slaves(&c, &v, 0, 1.0, 1.0).is_empty());
+        assert!(select_slaves_among(&c, &v, 0, 1.0, 1.0, None).is_empty());
     }
 
     #[test]
     fn master_never_selects_itself() {
         let c = cfg(Strategy::MemoryBased);
         let v = view(&[(0.0, 0.0), (0.0, 1.0), (0.0, 2.0), (0.0, 3.0)]);
-        let shares = select_slaves(&c, &v, 200, 1.0, 1.0);
+        let shares = select_slaves_among(&c, &v, 200, 1.0, 1.0, None);
         assert!(shares.iter().all(|s| s.slave != ActorId(0)));
     }
 
@@ -424,7 +416,7 @@ mod tests {
     fn regret_is_zero_when_views_agree() {
         let c = cfg(Strategy::WorkloadBased);
         let truth = view(&[(0.0, 0.0), (1e6, 0.0), (10.0, 0.0), (1e6, 0.0)]);
-        let chosen = select_slaves(&c, &truth, 60, 10.0, 50.0);
+        let chosen = select_slaves_among(&c, &truth, 60, 10.0, 50.0, None);
         let r = selection_regret(&c, &truth, &chosen, 60, 10.0, 50.0, None);
         assert!(!r.mismatch);
         assert_eq!(r.gap, 0.0);
@@ -437,7 +429,7 @@ mod tests {
         // and P1 is now the idle one.
         let believed = view(&[(0.0, 0.0), (1e6, 0.0), (10.0, 0.0), (1e6, 0.0)]);
         let truth = view(&[(0.0, 0.0), (10.0, 0.0), (1e6, 0.0), (1e6, 0.0)]);
-        let chosen = select_slaves(&c, &believed, 60, 10.0, 50.0);
+        let chosen = select_slaves_among(&c, &believed, 60, 10.0, 50.0, None);
         let r = selection_regret(&c, &truth, &chosen, 60, 10.0, 50.0, None);
         assert!(r.mismatch);
         assert!(r.gap > 0.0, "picked a truly-loaded slave: {r:?}");

@@ -5,11 +5,12 @@
 //! [`loadex_net::thread`] endpoints and the wall clock: compute chunks become
 //! scaled sleeps (see [`WallClock`]), and messages travel through
 //! cross-thread channels instead of the discrete-event calendar. With
-//! [`ThreadedBackend::comm_thread`](crate::config::ThreadedBackend) set, a
-//! dedicated communication thread per process polls the state channel every
-//! `poll_interval` and services `Mechanism::on_state_msg` *concurrently* with
-//! the computation — the paper's §4.5 model, where snapshot answers no longer
-//! wait for task-chunk boundaries.
+//! [`CommMode::CommThread`](crate::config::CommMode), the same switch the
+//! simulator reads, a dedicated communication thread per process polls the
+//! state channel every 50 µs of wall time and services
+//! `Mechanism::on_state_msg` *concurrently* with the computation — the
+//! paper's §4.5 model, where snapshot answers no longer wait for task-chunk
+//! boundaries.
 //!
 //! Differences from the simulator, all in how a worker implements the
 //! process core's `Host`:
@@ -33,7 +34,7 @@
 //! The report uses the simulator's counter and gauge keys, so table code is
 //! backend-agnostic.
 
-use crate::config::{SolverConfig, ThreadedBackend};
+use crate::config::{CommMode, SolverConfig, ThreadedBackend, COMM_POLL_PERIOD};
 use crate::engine::AppMsg;
 use crate::error::RunError;
 use crate::mapping::TreePlan;
@@ -214,20 +215,20 @@ fn flush_cell(
 }
 
 /// §4.5 communication thread: service the state channel every
-/// `poll` (the transport also wakes on arrival, so `poll` bounds the check
-/// period), feed the shared mechanism, and wake the worker.
-#[allow(clippy::too_many_arguments)]
+/// `COMM_POLL_PERIOD` of wall time (the transport also wakes on arrival, so
+/// the period bounds the check interval), feed the shared mechanism, and
+/// wake the worker.
 fn comm_loop(
     comm: CommEndpoint<TMsg>,
     cell: SharedMech,
     coord: &Coord,
     recorder: Recorder,
     clock: WallClock,
-    poll: Duration,
     nprocs: usize,
     probe: Option<SharedProbe>,
 ) {
     let me = comm.rank().index();
+    let poll = Duration::from_nanos(COMM_POLL_PERIOD.as_nanos());
     let timer_period = {
         let g = lock(&cell.0);
         g.mech.timer_period()
@@ -807,7 +808,7 @@ pub(crate) fn run(
         // A single-process network has no peers: nothing will ever arrive on
         // the state channel, so a comm thread would only observe the (benign)
         // permanent disconnect. Skip it.
-        let comm_enabled = t.comm_thread && nprocs > 1;
+        let comm_enabled = cfg.comm == CommMode::CommThread && nprocs > 1;
         for (p, ep) in endpoints.into_iter().enumerate() {
             let cell = Arc::clone(&cells[p]);
             if comm_enabled {
@@ -816,16 +817,7 @@ pub(crate) fn run(
                 let crecorder = recorder.clone();
                 let cprobe = probe.clone();
                 comms.push(s.spawn(move || {
-                    comm_loop(
-                        comm,
-                        ccell,
-                        coord,
-                        crecorder,
-                        clock,
-                        t.poll_interval,
-                        nprocs,
-                        cprobe,
-                    )
+                    comm_loop(comm, ccell, coord, crecorder, clock, nprocs, cprobe)
                 }));
             }
             let wrecorder = recorder.clone();

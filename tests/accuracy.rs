@@ -6,7 +6,7 @@
 use loadex::core::MechKind;
 use loadex::obs::{ProtocolAuditor, Recorder};
 use loadex::sim::SimTime;
-use loadex::solver::{self, ExecBackend, SolverConfig, ThreadedBackend};
+use loadex::solver::{self, CommMode, ExecBackend, SolverConfig, ThreadedBackend};
 use loadex::sparse::{gen, symbolic, AssemblyTree, Symmetry};
 use serde::Serialize;
 use std::time::Duration;
@@ -102,7 +102,9 @@ fn both_backends_emit_the_same_accuracy_schema() {
     let sim = solver::run(&tree, &c).unwrap();
     let thr = solver::run(
         &tree,
-        &c.clone().with_backend(ExecBackend::Threaded(fast())),
+        &c.clone()
+            .with_backend(ExecBackend::Threaded(fast()))
+            .with_comm(CommMode::CommThread),
     )
     .unwrap();
     let (ss, ts) = (
@@ -148,7 +150,9 @@ fn auditor_is_clean_on_every_mechanism_sim() {
 #[test]
 fn auditor_is_clean_on_the_threaded_backend() {
     let tree = small_tree();
-    let c = cfg(4, MechKind::Snapshot).with_backend(ExecBackend::Threaded(fast()));
+    let c = cfg(4, MechKind::Snapshot)
+        .with_backend(ExecBackend::Threaded(fast()))
+        .with_comm(CommMode::CommThread);
     let rec = Recorder::enabled();
     let r = solver::run_observed(&tree, &c, rec.clone()).unwrap();
     assert!(r.factor_time > SimTime::ZERO);

@@ -4,8 +4,9 @@
 
 use loadex::core::{Gate, Load, MechKind, Mechanism, Outbox, SnapshotMechanism, StateMsg};
 use loadex::net::{Channel, Endpoint, RecvError, ThreadNetwork};
+use loadex::obs::{EventRecord, ProtocolEvent, Recorder};
 use loadex::sim::{ActorId, SimDuration, SimRng, SimTime};
-use loadex::solver::{self, ExecBackend, RunError, SolverConfig, ThreadedBackend};
+use loadex::solver::{self, CommMode, ExecBackend, RunError, SolverConfig, ThreadedBackend};
 use loadex::sparse::{gen, symbolic, AssemblyTree, Symmetry};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -51,8 +52,17 @@ fn fast() -> ThreadedBackend {
         .with_wall_timeout(Duration::from_secs(60))
 }
 
-fn run_threaded(tree: &AssemblyTree, c: &SolverConfig, t: ThreadedBackend) -> solver::RunReport {
-    solver::run(tree, &c.clone().with_backend(ExecBackend::Threaded(t))).unwrap()
+fn run_threaded(
+    tree: &AssemblyTree,
+    c: &SolverConfig,
+    t: ThreadedBackend,
+    comm: CommMode,
+) -> solver::RunReport {
+    let c = c
+        .clone()
+        .with_backend(ExecBackend::Threaded(t))
+        .with_comm(comm);
+    solver::run(tree, &c).unwrap()
 }
 
 #[test]
@@ -70,23 +80,18 @@ fn completes_under_all_mechanisms_with_and_without_comm_thread() {
         MechKind::Periodic,
         MechKind::Gossip,
     ] {
-        for comm in [true, false] {
-            let t = if comm {
-                fast()
-            } else {
-                fast().without_comm_thread()
-            };
+        for comm in [CommMode::CommThread, CommMode::MainLoop] {
             let mut c = cfg(4, mech);
             c.periodic_interval = SimDuration::from_millis(5);
             c.gossip_interval = SimDuration::from_millis(5);
-            let r = run_threaded(&tree, &c, t);
+            let r = run_threaded(&tree, &c, fast(), comm);
             assert_eq!(r.backend, "threaded");
-            assert!(r.factor_time > SimTime::ZERO, "{mech} comm={comm}");
+            assert!(r.factor_time > SimTime::ZERO, "{mech} {comm:?}");
             assert_eq!(r.procs.len(), 4);
-            assert!(r.decisions > 0, "{mech} comm={comm}: no dynamic decisions");
-            assert!(r.mem_peak_entries() > 0.0, "{mech} comm={comm}");
-            assert!(r.app_msgs > 0, "{mech} comm={comm}: no application traffic");
-            assert!(r.state_msgs > 0, "{mech} comm={comm}: no state traffic");
+            assert!(r.decisions > 0, "{mech} {comm:?}: no dynamic decisions");
+            assert!(r.mem_peak_entries() > 0.0, "{mech} {comm:?}");
+            assert!(r.app_msgs > 0, "{mech} {comm:?}: no application traffic");
+            assert!(r.state_msgs > 0, "{mech} {comm:?}: no state traffic");
         }
     }
 }
@@ -97,7 +102,7 @@ fn report_schema_matches_sim_backend() {
     let tree = small_tree();
     let c = cfg(4, MechKind::Increments);
     let sim = solver::run(&tree, &c).unwrap();
-    let thr = run_threaded(&tree, &c, fast());
+    let thr = run_threaded(&tree, &c, fast(), CommMode::CommThread);
     // The static plan is shared, so the decision count is backend-invariant.
     assert_eq!(thr.decisions, sim.decisions);
     assert_eq!(thr.procs.len(), sim.procs.len());
@@ -123,7 +128,12 @@ fn report_schema_matches_sim_backend() {
 fn single_process_threaded_run() {
     let _serial = serial();
     let tree = small_tree();
-    let r = run_threaded(&tree, &cfg(1, MechKind::Increments), fast());
+    let r = run_threaded(
+        &tree,
+        &cfg(1, MechKind::Increments),
+        fast(),
+        CommMode::CommThread,
+    );
     assert!(r.factor_time > SimTime::ZERO);
     assert_eq!(r.decisions, 0, "no dynamic decisions with one process");
     assert_eq!(r.state_msgs, 0);
@@ -137,7 +147,9 @@ fn wall_timeout_surfaces_as_typed_error() {
     let t = ThreadedBackend::new()
         .with_time_scale(1e6)
         .with_wall_timeout(Duration::from_millis(100));
-    let c = cfg(2, MechKind::Increments).with_backend(ExecBackend::Threaded(t));
+    let c = cfg(2, MechKind::Increments)
+        .with_backend(ExecBackend::Threaded(t))
+        .with_comm(CommMode::CommThread);
     match solver::run(&tree, &c) {
         Err(RunError::WallTimeout { limit }) => {
             assert_eq!(limit, Duration::from_millis(100));
@@ -157,8 +169,8 @@ fn comm_thread_shrinks_snapshot_blocked_time() {
     // Stretch wall time enough that compute slices dominate the mainloop
     // variant's answer latency.
     let scale = 2.0;
-    let blocked = |t: ThreadedBackend| -> Duration {
-        let r = run_threaded(&tree, &c, t);
+    let blocked = |comm: CommMode| -> Duration {
+        let r = run_threaded(&tree, &c, fast().with_time_scale(scale), comm);
         Duration::from_secs_f64(r.procs.iter().map(|p| p.blocked.as_secs_f64()).sum())
     };
     // Scheduling noise only ever inflates blocked time, so the minimum of a
@@ -166,12 +178,72 @@ fn comm_thread_shrinks_snapshot_blocked_time() {
     // variants alternate so that a burst of host load hits both alike.
     let (mut with_comm, mut without) = (Duration::MAX, Duration::MAX);
     for _ in 0..3 {
-        with_comm = with_comm.min(blocked(fast().with_time_scale(scale)));
-        without = without.min(blocked(fast().with_time_scale(scale).without_comm_thread()));
+        with_comm = with_comm.min(blocked(CommMode::CommThread));
+        without = without.min(blocked(CommMode::MainLoop));
     }
     assert!(
         with_comm < without,
         "comm thread did not shrink blocked time: {with_comm:?} !< {without:?}"
+    );
+}
+
+/// Whether, on some process, a `state_recv` falls between that process's
+/// own `task_start` and its next `task_end` (each actor's events taken in
+/// emission order): a state message treated while a compute chunk runs.
+fn state_recv_during_compute(events: &[EventRecord]) -> bool {
+    let mut computing = Vec::new();
+    for e in events {
+        let p = e.actor.index();
+        if computing.len() <= p {
+            computing.resize(p + 1, false);
+        }
+        match e.event {
+            ProtocolEvent::TaskStart { .. } => computing[p] = true,
+            ProtocolEvent::TaskEnd { .. } => computing[p] = false,
+            ProtocolEvent::StateRecv { .. } if computing[p] => return true,
+            _ => {}
+        }
+    }
+    false
+}
+
+/// `SolverConfig::comm` is the one comm-thread switch, and both backends
+/// honour it: in main-loop mode no process treats a state message in the
+/// middle of a compute chunk, on the simulator or on real threads; the
+/// simulator's modeled comm thread does. (The threaded comm-thread run is
+/// left out: whether a message lands inside a chunk there is timing.)
+#[test]
+fn one_comm_mode_switch_drives_both_backends() {
+    let _serial = serial();
+    let tree = small_tree();
+    let events = |c: SolverConfig| -> Vec<EventRecord> {
+        let rec = Recorder::enabled();
+        solver::run_observed(&tree, &c, rec.clone()).unwrap();
+        let events = rec.take();
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e.event, ProtocolEvent::StateRecv { .. })),
+            "{:?} {:?}: no state traffic",
+            c.backend,
+            c.comm
+        );
+        events
+    };
+    let c = cfg(4, MechKind::Snapshot);
+    let threaded = c.clone().with_backend(ExecBackend::Threaded(fast()));
+    for main_loop in [c.clone(), threaded] {
+        let backend = main_loop.backend;
+        let events = events(main_loop.with_comm(CommMode::MainLoop));
+        assert!(
+            !state_recv_during_compute(&events),
+            "{backend:?}: state message treated mid-chunk without a comm thread"
+        );
+    }
+    let events = events(c.with_comm(CommMode::CommThread));
+    assert!(
+        state_recv_during_compute(&events),
+        "sim: the modeled comm thread never treated a state message mid-chunk"
     );
 }
 
@@ -196,12 +268,12 @@ fn multi_seed_stress_all_mechanisms_terminate() {
         for mech in [MechKind::Naive, MechKind::Increments, MechKind::Snapshot] {
             // Alternate the comm thread by seed so both paths see every seed
             // class without doubling the run count.
-            let t = if seed % 2 == 0 {
-                fast()
+            let comm = if seed % 2 == 0 {
+                CommMode::CommThread
             } else {
-                fast().without_comm_thread()
+                CommMode::MainLoop
             };
-            let r = run_threaded(&tree, &cfg(3, mech), t);
+            let r = run_threaded(&tree, &cfg(3, mech), fast(), comm);
             assert!(r.factor_time > SimTime::ZERO, "seed {seed}, {mech}");
             assert_eq!(r.procs.len(), 3);
         }
