@@ -13,7 +13,10 @@
 //! panics instead of being recorded wrong.
 
 use loadex_sim::{ActorId, SimTime};
-use serde::{ser::JsonMap, Serialize};
+use serde::{
+    ser::{write_f64, write_u64},
+    Serialize,
+};
 use std::fmt::Debug;
 
 /// `p`'s rank as events store it.
@@ -221,8 +224,9 @@ impl ProtocolEvent {
         }
     }
 
-    /// Stable snake_case name of the event variant (used as the JSONL `ev`
-    /// field and the Chrome trace event name).
+    /// Stable snake_case name of the event variant: the Chrome trace event
+    /// name, and the JSONL `ev` field (which the JSONL encoder writes as a
+    /// literal; its tests check the two agree).
     pub fn name(&self) -> &'static str {
         match self {
             ProtocolEvent::StateSend { .. } => "state_send",
@@ -242,51 +246,6 @@ impl ProtocolEvent {
             ProtocolEvent::MemFree { .. } => "mem_free",
         }
     }
-
-    /// Append this event's payload fields (everything except name, time and
-    /// actor) to an open JSON map.
-    fn payload_fields(&self, map: &mut JsonMap<'_>) {
-        match self {
-            ProtocolEvent::StateSend { to, kind, bytes } => {
-                map.field("to", to)
-                    .field("kind", kind.name())
-                    .field("bytes", bytes);
-            }
-            ProtocolEvent::StateRecv { from, kind, bytes } => {
-                map.field("from", from)
-                    .field("kind", kind.name())
-                    .field("bytes", bytes);
-            }
-            ProtocolEvent::SnapshotStart { req } | ProtocolEvent::SnapshotEnd { req } => {
-                map.field("req", req);
-            }
-            ProtocolEvent::ElectionWon { req } => {
-                map.field("req", req);
-            }
-            ProtocolEvent::ElectionLost { req, winner } => {
-                map.field("req", req).field("winner", winner);
-            }
-            ProtocolEvent::DelayedAnswer { to, req } => {
-                map.field("to", to).field("req", req);
-            }
-            ProtocolEvent::DecisionOpen { node } => {
-                map.field("node", node);
-            }
-            ProtocolEvent::DecisionComplete { node, slaves } => {
-                map.field("node", node).field("slaves", slaves);
-            }
-            ProtocolEvent::Blocked | ProtocolEvent::Resumed => {}
-            ProtocolEvent::TaskStart { node, kind } => {
-                map.field("node", node).field("kind", kind.name());
-            }
-            ProtocolEvent::TaskEnd { node } => {
-                map.field("node", node);
-            }
-            ProtocolEvent::MemAlloc { entries } | ProtocolEvent::MemFree { entries } => {
-                map.field("entries", entries);
-            }
-        }
-    }
 }
 
 /// A [`ProtocolEvent`] stamped with simulation time and emitting process.
@@ -300,20 +259,103 @@ pub struct EventRecord {
     pub event: ProtocolEvent,
 }
 
+/// The JSONL encoding: `{"t":..,"p":..,"ev":"..",...payload}`.
+///
+/// A run exports millions of records, so each is written directly: one
+/// match on the variant, pre-joined key fragments, and integers through
+/// [`write_u64`]. `tests::encoder_matches_field_by_field_reference` pins it
+/// to a field-by-field rendering of the same record.
 impl Serialize for EventRecord {
     fn serialize_json(&self, out: &mut String) {
-        let mut map = JsonMap::new(out);
-        map.field("t", &self.time.as_nanos())
-            .field("p", &(self.actor.index() as u64))
-            .field("ev", self.event.name());
-        self.event.payload_fields(&mut map);
-        map.end();
+        out.push_str("{\"t\":");
+        write_u64(out, self.time.as_nanos());
+        out.push_str(",\"p\":");
+        write_u64(out, self.actor.index() as u64);
+        match self.event {
+            ProtocolEvent::StateSend { to, kind, bytes } => {
+                out.push_str(",\"ev\":\"state_send\",\"to\":");
+                match to {
+                    Some(to) => write_u64(out, to.into()),
+                    None => out.push_str("null"),
+                }
+                out.push_str(",\"kind\":\"");
+                out.push_str(kind.name());
+                out.push_str("\",\"bytes\":");
+                write_u64(out, bytes.into());
+            }
+            ProtocolEvent::StateRecv { from, kind, bytes } => {
+                out.push_str(",\"ev\":\"state_recv\",\"from\":");
+                write_u64(out, from.into());
+                out.push_str(",\"kind\":\"");
+                out.push_str(kind.name());
+                out.push_str("\",\"bytes\":");
+                write_u64(out, bytes.into());
+            }
+            ProtocolEvent::SnapshotStart { req } => {
+                out.push_str(",\"ev\":\"snapshot_start\",\"req\":");
+                write_u64(out, req);
+            }
+            ProtocolEvent::SnapshotEnd { req } => {
+                out.push_str(",\"ev\":\"snapshot_end\",\"req\":");
+                write_u64(out, req);
+            }
+            ProtocolEvent::ElectionWon { req } => {
+                out.push_str(",\"ev\":\"election_won\",\"req\":");
+                write_u64(out, req);
+            }
+            ProtocolEvent::ElectionLost { req, winner } => {
+                out.push_str(",\"ev\":\"election_lost\",\"req\":");
+                write_u64(out, req);
+                out.push_str(",\"winner\":");
+                write_u64(out, winner.into());
+            }
+            ProtocolEvent::DelayedAnswer { to, req } => {
+                out.push_str(",\"ev\":\"delayed_answer\",\"to\":");
+                write_u64(out, to.into());
+                out.push_str(",\"req\":");
+                write_u64(out, req);
+            }
+            ProtocolEvent::DecisionOpen { node } => {
+                out.push_str(",\"ev\":\"decision_open\",\"node\":");
+                write_u64(out, node.into());
+            }
+            ProtocolEvent::DecisionComplete { node, slaves } => {
+                out.push_str(",\"ev\":\"decision_complete\",\"node\":");
+                write_u64(out, node.into());
+                out.push_str(",\"slaves\":");
+                write_u64(out, slaves.into());
+            }
+            ProtocolEvent::Blocked => out.push_str(",\"ev\":\"blocked\""),
+            ProtocolEvent::Resumed => out.push_str(",\"ev\":\"resumed\""),
+            ProtocolEvent::TaskStart { node, kind } => {
+                out.push_str(",\"ev\":\"task_start\",\"node\":");
+                write_u64(out, node.into());
+                out.push_str(",\"kind\":\"");
+                out.push_str(kind.name());
+                out.push('"');
+            }
+            ProtocolEvent::TaskEnd { node } => {
+                out.push_str(",\"ev\":\"task_end\",\"node\":");
+                write_u64(out, node.into());
+            }
+            ProtocolEvent::MemAlloc { entries } => {
+                out.push_str(",\"ev\":\"mem_alloc\",\"entries\":");
+                write_f64(out, entries);
+            }
+            ProtocolEvent::MemFree { entries } => {
+                out.push_str(",\"ev\":\"mem_free\",\"entries\":");
+                write_f64(out, entries);
+            }
+        }
+        out.push('}');
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use serde::ser::JsonMap;
 
     #[test]
     fn records_are_32_bytes() {
@@ -380,40 +422,192 @@ mod tests {
         narrow(u64::from(u32::MAX) + 1);
     }
 
-    #[test]
-    fn names_are_distinct() {
-        let evs = [
+    /// One event of each of the 15 variants, built from the given field
+    /// values.
+    fn every_variant(
+        small: u32,
+        req: u64,
+        to: Option<u32>,
+        entries: f64,
+        msg: MsgKind,
+        task: TaskKind,
+    ) -> [ProtocolEvent; 15] {
+        [
             ProtocolEvent::StateSend {
-                to: None,
-                kind: MsgKind::Update,
-                bytes: 1,
+                to,
+                kind: msg,
+                bytes: small,
             },
             ProtocolEvent::StateRecv {
-                from: 0,
-                kind: MsgKind::Update,
-                bytes: 1,
+                from: small,
+                kind: msg,
+                bytes: small,
             },
-            ProtocolEvent::SnapshotStart { req: 1 },
-            ProtocolEvent::SnapshotEnd { req: 1 },
-            ProtocolEvent::ElectionWon { req: 1 },
-            ProtocolEvent::ElectionLost { req: 1, winner: 0 },
-            ProtocolEvent::DelayedAnswer { to: 0, req: 1 },
-            ProtocolEvent::DecisionOpen { node: 0 },
-            ProtocolEvent::DecisionComplete { node: 0, slaves: 0 },
+            ProtocolEvent::SnapshotStart { req },
+            ProtocolEvent::SnapshotEnd { req },
+            ProtocolEvent::ElectionWon { req },
+            ProtocolEvent::ElectionLost { req, winner: small },
+            ProtocolEvent::DelayedAnswer { to: small, req },
+            ProtocolEvent::DecisionOpen { node: small },
+            ProtocolEvent::DecisionComplete {
+                node: small,
+                slaves: small,
+            },
             ProtocolEvent::Blocked,
             ProtocolEvent::Resumed,
             ProtocolEvent::TaskStart {
-                node: 0,
-                kind: TaskKind::Type2Master,
+                node: small,
+                kind: task,
             },
-            ProtocolEvent::TaskEnd { node: 0 },
-            ProtocolEvent::MemAlloc { entries: 1.0 },
-            ProtocolEvent::MemFree { entries: 1.0 },
-        ];
+            ProtocolEvent::TaskEnd { node: small },
+            ProtocolEvent::MemAlloc { entries },
+            ProtocolEvent::MemFree { entries },
+        ]
+    }
+
+    #[test]
+    fn names_are_distinct() {
+        let evs = every_variant(0, 1, None, 1.0, MsgKind::Update, TaskKind::Type2Master);
         let mut names: Vec<_> = evs.iter().map(|e| e.name()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), evs.len());
+    }
+
+    /// The record built field by field through `JsonMap`, names from
+    /// [`ProtocolEvent::name`]: the reference the direct encoder must match.
+    fn reference_json(rec: &EventRecord) -> String {
+        let mut out = String::new();
+        let mut map = JsonMap::new(&mut out);
+        map.field("t", &rec.time.as_nanos())
+            .field("p", &(rec.actor.index() as u64))
+            .field("ev", rec.event.name());
+        match rec.event {
+            ProtocolEvent::StateSend { to, kind, bytes } => {
+                map.field("to", &to)
+                    .field("kind", kind.name())
+                    .field("bytes", &bytes);
+            }
+            ProtocolEvent::StateRecv { from, kind, bytes } => {
+                map.field("from", &from)
+                    .field("kind", kind.name())
+                    .field("bytes", &bytes);
+            }
+            ProtocolEvent::SnapshotStart { req }
+            | ProtocolEvent::SnapshotEnd { req }
+            | ProtocolEvent::ElectionWon { req } => {
+                map.field("req", &req);
+            }
+            ProtocolEvent::ElectionLost { req, winner } => {
+                map.field("req", &req).field("winner", &winner);
+            }
+            ProtocolEvent::DelayedAnswer { to, req } => {
+                map.field("to", &to).field("req", &req);
+            }
+            ProtocolEvent::DecisionOpen { node } | ProtocolEvent::TaskEnd { node } => {
+                map.field("node", &node);
+            }
+            ProtocolEvent::DecisionComplete { node, slaves } => {
+                map.field("node", &node).field("slaves", &slaves);
+            }
+            ProtocolEvent::Blocked | ProtocolEvent::Resumed => {}
+            ProtocolEvent::TaskStart { node, kind } => {
+                map.field("node", &node).field("kind", kind.name());
+            }
+            ProtocolEvent::MemAlloc { entries } | ProtocolEvent::MemFree { entries } => {
+                map.field("entries", &entries);
+            }
+        }
+        map.end();
+        out
+    }
+
+    const MSG_KINDS: [MsgKind; 9] = [
+        MsgKind::Update,
+        MsgKind::UpdateDelta,
+        MsgKind::MasterToAll,
+        MsgKind::NoMoreMaster,
+        MsgKind::StartSnp,
+        MsgKind::Snp,
+        MsgKind::EndSnp,
+        MsgKind::MasterToSlave,
+        MsgKind::Gossip,
+    ];
+
+    const TASK_KINDS: [TaskKind; 6] = [
+        TaskKind::Subtree,
+        TaskKind::Type1,
+        TaskKind::Type2Master,
+        TaskKind::Type2Slave,
+        TaskKind::Type2Whole,
+        TaskKind::RootPart,
+    ];
+
+    #[test]
+    fn encoder_matches_reference_at_edge_values() {
+        let wide = [0, u64::from(u32::MAX), u64::MAX];
+        let actors = [0, u32::MAX as usize, u32::MAX as usize + 1];
+        let entries = [0.5, -0.0, 1e21, f64::NAN, f64::INFINITY];
+        for (&t, &actor) in wide.iter().zip(&actors) {
+            for &req in &wide {
+                for &e in &entries {
+                    for to in [None, Some(0), Some(u32::MAX)] {
+                        let evs =
+                            every_variant(u32::MAX, req, to, e, MsgKind::Gossip, TaskKind::Type1);
+                        for event in evs {
+                            let rec = EventRecord {
+                                time: SimTime(t),
+                                actor: ActorId(actor),
+                                event,
+                            };
+                            assert_eq!(rec.to_json(), reference_json(&rec));
+                        }
+                    }
+                }
+            }
+        }
+        let nan = EventRecord {
+            time: SimTime(1),
+            actor: ActorId(0),
+            event: ProtocolEvent::MemFree { entries: f64::NAN },
+        };
+        assert_eq!(
+            nan.to_json(),
+            r#"{"t":1,"p":0,"ev":"mem_free","entries":null}"#
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn encoder_matches_field_by_field_reference(
+            wide_draw in (any::<u64>(), 0..64u32, any::<u64>(), 0..64u32),
+            small_draw in (any::<u32>(), 0..32u32, any::<usize>()),
+            to in prop::option::of(any::<u32>()),
+            entries in any::<f64>(),
+            kinds in (0..MSG_KINDS.len(), 0..TASK_KINDS.len()),
+        ) {
+            // Shifts spread the drawn integers over every digit count.
+            let (t, t_shift, req, req_shift) = wide_draw;
+            let (small, small_shift, actor) = small_draw;
+            let evs = every_variant(
+                small >> small_shift,
+                req >> req_shift,
+                to,
+                entries,
+                MSG_KINDS[kinds.0],
+                TASK_KINDS[kinds.1],
+            );
+            for event in evs {
+                let rec = EventRecord {
+                    time: SimTime(t >> t_shift),
+                    actor: ActorId(actor),
+                    event,
+                };
+                prop_assert_eq!(rec.to_json(), reference_json(&rec));
+            }
+        }
     }
 
     #[test]

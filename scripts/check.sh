@@ -63,6 +63,19 @@ run cargo run --release --offline -q -p loadex-bench --bin run -- \
 run cmp tests/golden/twotone8_snapshot.jsonl "$golden/events.jsonl"
 run cmp tests/golden/twotone8_snapshot.chrome.json "$golden/trace.json"
 
+# A larger JSONL export pinned by digest (~1 s): the CONV3D64/32 streams carry
+# timestamps of 12 digits and 64 fractional `entries` each, which the
+# TWOTONE/8 golden file lacks (30.5 MB and 3.5 MB, too large to commit).
+for pinned in \
+    "increments 82c0f591b987417647dccab514ee80a84f3cb7dc25ffa63d87e0b744f1bad03f" \
+    "snapshot 2abcf39f1e86e057249631f5a55503f2aa703de8d124118a971ce9db4e7ac2cf"; do
+    read -r mech digest <<<"$pinned"
+    run cargo run --release --offline -q -p loadex-bench --bin run -- \
+        --matrix CONV3D64 --procs 32 --mech "$mech" \
+        --events-out "$golden/conv3d64_$mech.jsonl"
+    echo "$digest  $golden/conv3d64_$mech.jsonl" | run sha256sum -c -
+done
+
 # Deterministic tables: `tables --all` (everything but the wall-clock §4.5
 # table, which only `--threaded` prints) must match the committed
 # tables_output.txt byte for byte (~10 s).

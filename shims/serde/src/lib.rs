@@ -40,8 +40,22 @@ pub mod ser {
     use super::Serialize;
 
     /// Append a JSON string literal (with escaping) to `out`.
+    ///
+    /// A string with nothing to escape (no `"`, `\` or byte below 0x20) is
+    /// copied whole.
+    #[inline]
     pub fn write_str(out: &mut String, s: &str) {
         out.push('"');
+        if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+            out.push_str(s);
+        } else {
+            write_escaped(out, s);
+        }
+        out.push('"');
+    }
+
+    fn write_escaped(out: &mut String, s: &str) {
+        use std::fmt::Write;
         for c in s.chars() {
             match c {
                 '"' => out.push_str("\\\""),
@@ -49,13 +63,44 @@ pub mod ser {
                 '\n' => out.push_str("\\n"),
                 '\r' => out.push_str("\\r"),
                 '\t' => out.push_str("\\t"),
+                // Writing to a `String` cannot fail.
                 c if (c as u32) < 0x20 => {
-                    out.push_str(&format!("\\u{:04x}", c as u32));
+                    let _ = write!(out, "\\u{:04x}", c as u32);
                 }
                 c => out.push(c),
             }
         }
-        out.push('"');
+    }
+
+    /// Append the decimal digits of `v` to `out`.
+    ///
+    /// Two digits at a time from a table into a stack buffer, with no
+    /// `core::fmt` call: the JSONL export writes several integers per event.
+    #[inline]
+    pub fn write_u64(out: &mut String, mut v: u64) {
+        const PAIRS: &[u8; 200] = b"\
+            0001020304050607080910111213141516171819\
+            2021222324252627282930313233343536373839\
+            4041424344454647484950515253545556575859\
+            6061626364656667686970717273747576777879\
+            8081828384858687888990919293949596979899";
+        let mut buf = [0u8; 20];
+        let mut i = buf.len();
+        while v >= 100 {
+            let d = (v % 100) as usize * 2;
+            v /= 100;
+            i -= 2;
+            buf[i..i + 2].copy_from_slice(&PAIRS[d..d + 2]);
+        }
+        if v >= 10 {
+            let d = v as usize * 2;
+            i -= 2;
+            buf[i..i + 2].copy_from_slice(&PAIRS[d..d + 2]);
+        } else {
+            i -= 1;
+            buf[i] = b'0' + v as u8;
+        }
+        out.push_str(std::str::from_utf8(&buf[i..]).expect("digits are ASCII"));
     }
 
     /// Append a JSON number for `v`, mapping non-finite values to `null`
@@ -155,19 +200,32 @@ pub mod ser {
     }
 }
 
-macro_rules! impl_int {
+macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn serialize_json(&self, out: &mut String) {
-                use std::fmt::Write;
-                // Writing to a `String` cannot fail.
-                let _ = write!(out, "{self}");
+                ser::write_u64(out, *self as u64);
             }
         }
     )*};
 }
 
-impl_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+macro_rules! impl_signed {
+    ($($t:ty),*) => {$(
+        impl Serialize for $t {
+            fn serialize_json(&self, out: &mut String) {
+                if *self < 0 {
+                    out.push('-');
+                }
+                // `unsigned_abs` keeps `MIN`, whose magnitude has no positive twin.
+                ser::write_u64(out, self.unsigned_abs() as u64);
+            }
+        }
+    )*};
+}
+
+impl_unsigned!(u8, u16, u32, u64, usize);
+impl_signed!(i8, i16, i32, i64, isize);
 
 impl Serialize for bool {
     fn serialize_json(&self, out: &mut String) {
@@ -268,10 +326,35 @@ mod tests {
         assert_eq!(u64::MAX.to_json(), "18446744073709551615");
         assert_eq!(0u8.to_json(), "0");
         assert_eq!(7usize.to_json(), "7");
+        assert_eq!(u32::MAX.to_json(), "4294967295");
+        assert_eq!(i8::MIN.to_json(), "-128");
+        assert_eq!(isize::MIN.to_json(), isize::MIN.to_string());
         assert_eq!(true.to_json(), "true");
         assert_eq!(1.5f64.to_json(), "1.5");
         assert_eq!(f64::INFINITY.to_json(), "null");
         assert_eq!("a\"b\\c\nd".to_json(), r#""a\"b\\c\nd""#);
+    }
+
+    #[test]
+    fn strings_escape_only_what_json_requires() {
+        assert_eq!("".to_json(), r#""""#);
+        assert_eq!("\"".to_json(), r#""\"""#);
+        assert_eq!("\\".to_json(), r#""\\""#);
+        assert_eq!("\u{1}".to_json(), r#""\u0001""#);
+        assert_eq!("\u{1f}".to_json(), r#""\u001f""#);
+        // DEL and non-ASCII are valid unescaped in JSON.
+        assert_eq!("a\u{7f}é".to_json(), "\"a\u{7f}é\"");
+    }
+
+    #[test]
+    fn digit_writer_matches_display_at_every_width() {
+        let mut v = 1u64;
+        for _ in 0..20 {
+            for x in [v - 1, v, v + 1, v.saturating_mul(10) - 1] {
+                assert_eq!(x.to_json(), x.to_string());
+            }
+            v = v.saturating_mul(10);
+        }
     }
 
     #[test]
