@@ -87,14 +87,6 @@ impl GossipMechanism {
 }
 
 impl Mechanism for GossipMechanism {
-    fn rank(&self) -> ActorId {
-        self.me
-    }
-
-    fn nprocs(&self) -> usize {
-        self.view.nprocs()
-    }
-
     fn on_local_change(&mut self, delta: Load, _origin: ChangeOrigin, _out: &mut Outbox) {
         let v = self.view.my_load() + delta;
         self.view.set(self.me, v);
@@ -262,7 +254,7 @@ mod tests {
                 for staged in o.drain() {
                     if let Dest::Many(peers) = staged.dest {
                         for to in peers {
-                            inflight.push((m.rank(), to, staged.msg.clone()));
+                            inflight.push((m.view().me(), to, staged.msg.clone()));
                         }
                     }
                 }

@@ -96,14 +96,6 @@ impl IncrementMechanism {
 }
 
 impl Mechanism for IncrementMechanism {
-    fn rank(&self) -> ActorId {
-        self.me
-    }
-
-    fn nprocs(&self) -> usize {
-        self.view.nprocs()
-    }
-
     fn on_local_change(&mut self, delta: Load, origin: ChangeOrigin, out: &mut Outbox) {
         // Algorithm 3 line (1): a positive variation for a task where I am
         // slave was already announced by the master's MasterToAll; applying

@@ -12,7 +12,9 @@
 //! * [`NaiveMechanism`] (§2.1, Algorithm 2) — each process broadcasts its
 //!   **absolute** load whenever it drifted more than a threshold away from
 //!   the last broadcast value. Cheap, but decisions may not see the effect of
-//!   other in-flight decisions (the Figure 1 incoherence).
+//!   other in-flight decisions (the Figure 1 incoherence). As an extension,
+//!   [`NaiveMechanism::heartbeat`] broadcasts on a timer instead (the
+//!   `periodic` mechanism of the harness).
 //! * [`IncrementMechanism`] (§2.2, Algorithm 3) — processes broadcast **load
 //!   increments**, and every slave selection is announced to everybody with a
 //!   `MasterToAll` reservation message, so a decision is visible system-wide
@@ -39,7 +41,6 @@ pub mod mech;
 pub mod msg;
 pub mod naive;
 pub mod outbox;
-pub mod periodic;
 pub mod snapshot;
 pub mod view;
 
@@ -50,6 +51,5 @@ pub use mech::{AnyMechanism, ChangeOrigin, Gate, MechKind, MechStats, Mechanism,
 pub use msg::StateMsg;
 pub use naive::NaiveMechanism;
 pub use outbox::{Dest, OutMsg, Outbox};
-pub use periodic::PeriodicMechanism;
 pub use snapshot::{LeaderPolicy, SnapshotMechanism};
 pub use view::LoadTable;

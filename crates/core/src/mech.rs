@@ -143,12 +143,6 @@ impl std::fmt::Display for MechKind {
 /// into worker threads and shares them (behind a mutex) with a dedicated
 /// communication thread, exactly as §4.5 prescribes.
 pub trait Mechanism: Send {
-    /// This process's rank.
-    fn rank(&self) -> ActorId;
-
-    /// Number of processes in the system.
-    fn nprocs(&self) -> usize;
-
     /// Report a local load variation of `delta` with the given origin.
     fn on_local_change(&mut self, delta: Load, origin: ChangeOrigin, out: &mut Outbox);
 
@@ -174,9 +168,9 @@ pub trait Mechanism: Send {
     /// Announce that this process will never again be a master (§2.3).
     fn no_more_master(&mut self, out: &mut Outbox);
 
-    /// Fire the mechanism's dissemination timer, if it has one (periodic
-    /// and gossip extensions). No-op for the paper's event-driven
-    /// mechanisms.
+    /// Fire the mechanism's dissemination timer, if it has one (the naive
+    /// mechanism's heartbeat trigger and gossip extensions). No-op for the
+    /// paper's event-driven mechanisms.
     fn on_timer(&mut self, _out: &mut Outbox) {}
 
     /// Period at which the embedding must call [`Mechanism::on_timer`]
@@ -201,14 +195,12 @@ pub trait Mechanism: Send {
 /// A uniformly-typed mechanism, so harness code can hold any of the three
 /// without generics.
 pub enum AnyMechanism {
-    /// Naive mechanism (§2.1).
+    /// Naive mechanism (§2.1), or its periodic heartbeat extension.
     Naive(crate::naive::NaiveMechanism),
     /// Increment mechanism (§2.2–2.3).
     Increments(crate::increments::IncrementMechanism),
     /// Snapshot mechanism (§3).
     Snapshot(crate::snapshot::SnapshotMechanism),
-    /// Periodic heartbeat extension.
-    Periodic(crate::periodic::PeriodicMechanism),
     /// Gossip extension.
     Gossip(crate::gossip::GossipMechanism),
 }
@@ -217,10 +209,10 @@ impl AnyMechanism {
     /// Which kind this is.
     pub fn kind(&self) -> MechKind {
         match self {
+            AnyMechanism::Naive(m) if m.timer_period().is_some() => MechKind::Periodic,
             AnyMechanism::Naive(_) => MechKind::Naive,
             AnyMechanism::Increments(_) => MechKind::Increments,
             AnyMechanism::Snapshot(_) => MechKind::Snapshot,
-            AnyMechanism::Periodic(_) => MechKind::Periodic,
             AnyMechanism::Gossip(_) => MechKind::Gossip,
         }
     }
@@ -230,7 +222,6 @@ impl AnyMechanism {
             AnyMechanism::Naive(m) => m,
             AnyMechanism::Increments(m) => m,
             AnyMechanism::Snapshot(m) => m,
-            AnyMechanism::Periodic(m) => m,
             AnyMechanism::Gossip(m) => m,
         }
     }
@@ -240,19 +231,12 @@ impl AnyMechanism {
             AnyMechanism::Naive(m) => m,
             AnyMechanism::Increments(m) => m,
             AnyMechanism::Snapshot(m) => m,
-            AnyMechanism::Periodic(m) => m,
             AnyMechanism::Gossip(m) => m,
         }
     }
 }
 
 impl Mechanism for AnyMechanism {
-    fn rank(&self) -> ActorId {
-        self.as_dyn().rank()
-    }
-    fn nprocs(&self) -> usize {
-        self.as_dyn().nprocs()
-    }
     fn on_local_change(&mut self, delta: Load, origin: ChangeOrigin, out: &mut Outbox) {
         self.as_dyn_mut().on_local_change(delta, origin, out)
     }

@@ -1,14 +1,23 @@
-//! The naive mechanism (§2.1, Algorithm 2).
+//! The naive mechanism (§2.1, Algorithm 2), and its heartbeat variant.
 //!
-//! Each process is responsible for knowing its own load; whenever the load
-//! drifts more than a threshold away from the last broadcast value, the
-//! **absolute** value is sent to the other processes, which overwrite their
-//! view entry for the sender.
+//! Each process is responsible for knowing its own load and broadcasts the
+//! **absolute** value to the other processes, which overwrite their view
+//! entry for the sender. What triggers a broadcast is the one thing that
+//! varies:
 //!
-//! Its limitation (Figure 1): nothing ensures a slave selection takes the
-//! previous, still-in-flight selections into account — a slave busy with a
-//! long task cannot yet have told anyone about the work it was just assigned,
-//! so a second master may pile more work on it.
+//! * **Drift** ([`NaiveMechanism::new`]) — Algorithm 2: whenever the load
+//!   drifts more than a threshold away from the last broadcast value.
+//! * **Heartbeat** ([`NaiveMechanism::heartbeat`]) — an extension, not in
+//!   the paper: every period, unless the load is unchanged since the last
+//!   broadcast (the classic time-driven discipline of runtime systems, run
+//!   as `MechKind::Periodic` so the harness can compare the two triggers
+//!   under identical conditions).
+//!
+//! Neither has a reservation path, so both share the limitation of
+//! Figure 1: nothing ensures a slave selection takes the previous,
+//! still-in-flight selections into account — a slave busy with a long task
+//! cannot yet have told anyone about the work it was just assigned, so a
+//! second master may pile more work on it.
 
 use crate::load::{Load, Threshold};
 use crate::mech::{ChangeOrigin, Gate, MechStats, Mechanism, Notify};
@@ -16,14 +25,27 @@ use crate::msg::StateMsg;
 use crate::outbox::{ranks_in, Outbox};
 use crate::view::LoadTable;
 use loadex_obs::ProtocolEvent;
-use loadex_sim::ActorId;
+use loadex_sim::{ActorId, SimDuration};
 
-/// Naive absolute-value broadcast mechanism.
+/// What makes a [`NaiveMechanism`] broadcast.
+#[derive(Clone, Copy, Debug)]
+enum Trigger {
+    /// Algorithm 2 line 3: |my_load − last_load_sent| > threshold.
+    Drift(Threshold),
+    /// Every period, unless the load is unchanged since the last broadcast
+    /// (no news, no message — otherwise an idle machine still floods the
+    /// network).
+    Heartbeat(SimDuration),
+}
+
+/// Absolute-value broadcast mechanism, drift- or heartbeat-triggered.
 pub struct NaiveMechanism {
     me: ActorId,
-    threshold: Threshold,
-    /// `last_load_sent` of Algorithm 2.
-    last_sent: Load,
+    trigger: Trigger,
+    /// `last_load_sent` of Algorithm 2; `None` until the first broadcast or
+    /// [`NaiveMechanism::initialize`]. The drift trigger measures from zero
+    /// then, while the heartbeat trigger's first tick always sends.
+    last_sent: Option<Load>,
     view: LoadTable,
     /// §2.3 `NoMoreMaster`: peers that still want our load information.
     interested: Vec<bool>,
@@ -32,14 +54,24 @@ pub struct NaiveMechanism {
 
 impl NaiveMechanism {
     /// A mechanism instance for process `me` of `nprocs`, broadcasting when
-    /// the drift since the last broadcast exceeds `threshold`.
+    /// the drift since the last broadcast exceeds `threshold` (Algorithm 2).
     pub fn new(me: ActorId, nprocs: usize, threshold: Threshold) -> Self {
+        Self::with_trigger(me, nprocs, Trigger::Drift(threshold))
+    }
+
+    /// A mechanism instance for process `me` of `nprocs` that broadcasts on
+    /// a timer every `period` instead, and never on a load change.
+    pub fn heartbeat(me: ActorId, nprocs: usize, period: SimDuration) -> Self {
+        Self::with_trigger(me, nprocs, Trigger::Heartbeat(period))
+    }
+
+    fn with_trigger(me: ActorId, nprocs: usize, trigger: Trigger) -> Self {
         let mut interested = vec![true; nprocs];
         interested[me.index()] = false;
         NaiveMechanism {
             me,
-            threshold,
-            last_sent: Load::ZERO,
+            trigger,
+            last_sent: None,
             view: LoadTable::new(me, nprocs),
             interested,
             stats: MechStats::default(),
@@ -51,7 +83,18 @@ impl NaiveMechanism {
     /// the local subtrees).
     pub fn initialize(&mut self, load: Load) {
         self.view.set(self.me, load);
-        self.last_sent = load;
+        self.last_sent = Some(load);
+    }
+
+    /// Seed the belief about another process's initial load.
+    pub fn initialize_peer(&mut self, p: ActorId, load: Load) {
+        self.view.set(p, load);
+    }
+
+    /// Broadcast the absolute `load` and remember it as the last sent.
+    fn broadcast(&mut self, load: Load, out: &mut Outbox) {
+        self.send_to_interested(StateMsg::Update { load }, out);
+        self.last_sent = Some(load);
     }
 
     fn send_to_interested(&mut self, msg: StateMsg, out: &mut Outbox) {
@@ -62,23 +105,15 @@ impl NaiveMechanism {
 }
 
 impl Mechanism for NaiveMechanism {
-    fn rank(&self) -> ActorId {
-        self.me
-    }
-
-    fn nprocs(&self) -> usize {
-        self.view.nprocs()
-    }
-
     fn on_local_change(&mut self, delta: Load, _origin: ChangeOrigin, out: &mut Outbox) {
         // The naive mechanism has no reservation path: every variation,
         // whatever its origin, flows through the local absolute load.
         let my_load = self.view.my_load() + delta;
         self.view.set(self.me, my_load);
-        // Algorithm 2 line 3: |my_load − last_load_sent| > threshold.
-        if (my_load - self.last_sent).exceeds(self.threshold) {
-            self.send_to_interested(StateMsg::Update { load: my_load }, out);
-            self.last_sent = my_load;
+        if let Trigger::Drift(threshold) = self.trigger {
+            if (my_load - self.last_sent.unwrap_or(Load::ZERO)).exceeds(threshold) {
+                self.broadcast(my_load, out);
+            }
         }
     }
 
@@ -92,6 +127,20 @@ impl Mechanism for NaiveMechanism {
             other => panic!("naive mechanism received unexpected message {:?}", other),
         }
         Vec::new()
+    }
+
+    fn on_timer(&mut self, out: &mut Outbox) {
+        let my_load = self.view.my_load();
+        if matches!(self.trigger, Trigger::Heartbeat(_)) && self.last_sent != Some(my_load) {
+            self.broadcast(my_load, out);
+        }
+    }
+
+    fn timer_period(&self) -> Option<SimDuration> {
+        match self.trigger {
+            Trigger::Drift(_) => None,
+            Trigger::Heartbeat(period) => Some(period),
+        }
     }
 
     fn request_decision(&mut self, _out: &mut Outbox) -> Gate {
@@ -242,5 +291,64 @@ mod tests {
         let (mut m, mut out) = mech(2);
         m.on_local_change(Load::mem(11.0), ChangeOrigin::Local, &mut out);
         assert_eq!(out.len(), 1, "memory drift alone must broadcast");
+    }
+
+    fn heartbeat(n: usize) -> (NaiveMechanism, Outbox) {
+        (
+            NaiveMechanism::heartbeat(ActorId(0), n, SimDuration::from_millis(10)),
+            Outbox::new(),
+        )
+    }
+
+    #[test]
+    fn heartbeat_load_changes_do_not_send() {
+        let (mut m, mut out) = heartbeat(3);
+        m.on_local_change(Load::work(1e9), ChangeOrigin::Local, &mut out);
+        assert!(out.is_empty(), "only the timer sends");
+    }
+
+    #[test]
+    fn heartbeat_broadcasts_current_absolute_load() {
+        let (mut m, mut out) = heartbeat(3);
+        m.on_local_change(Load::work(5.0), ChangeOrigin::Local, &mut out);
+        m.on_timer(&mut out);
+        let msgs: Vec<_> = out.drain().collect();
+        assert_eq!(msgs.len(), 1);
+        assert_eq!(msgs[0].dest, Dest::Many(vec![ActorId(1), ActorId(2)]));
+        assert_eq!(
+            msgs[0].msg,
+            StateMsg::Update {
+                load: Load::work(5.0)
+            }
+        );
+    }
+
+    #[test]
+    fn heartbeat_idle_ticks_are_suppressed() {
+        let (mut m, mut out) = heartbeat(3);
+        m.on_local_change(Load::work(5.0), ChangeOrigin::Local, &mut out);
+        m.on_timer(&mut out);
+        out.drain().count();
+        m.on_timer(&mut out);
+        assert!(out.is_empty(), "no change since last heartbeat");
+        m.on_local_change(Load::work(1.0), ChangeOrigin::Local, &mut out);
+        m.on_timer(&mut out);
+        assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn heartbeat_reports_its_period() {
+        let (m, _) = heartbeat(2);
+        assert_eq!(m.timer_period(), Some(SimDuration::from_millis(10)));
+    }
+
+    #[test]
+    fn heartbeat_respects_no_more_master() {
+        let (mut m, mut out) = heartbeat(3);
+        m.on_state_msg(ActorId(2), StateMsg::NoMoreMaster, &mut out);
+        m.on_local_change(Load::work(5.0), ChangeOrigin::Local, &mut out);
+        m.on_timer(&mut out);
+        let dests: Vec<_> = out.drain().map(|o| o.dest).collect();
+        assert_eq!(dests, vec![Dest::Many(vec![ActorId(1)])]);
     }
 }

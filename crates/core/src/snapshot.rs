@@ -433,14 +433,6 @@ impl SnapshotMechanism {
 }
 
 impl Mechanism for SnapshotMechanism {
-    fn rank(&self) -> ActorId {
-        self.me
-    }
-
-    fn nprocs(&self) -> usize {
-        self.view.nprocs()
-    }
-
     fn on_local_change(&mut self, delta: Load, origin: ChangeOrigin, _out: &mut Outbox) {
         // "A processor is responsible for updating its own load information
         // regularly" (§3) — no broadcasts, the data travels inside `snp`

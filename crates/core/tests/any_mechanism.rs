@@ -4,7 +4,7 @@
 
 use loadex_core::{
     AnyMechanism, ChangeOrigin, Gate, GossipMechanism, IncrementMechanism, Load, MechKind,
-    Mechanism, NaiveMechanism, Outbox, PeriodicMechanism, SnapshotMechanism, Threshold,
+    Mechanism, NaiveMechanism, Outbox, SnapshotMechanism, Threshold,
 };
 use loadex_sim::{ActorId, SimDuration};
 
@@ -14,9 +14,11 @@ fn make(kind: MechKind, me: ActorId, n: usize) -> AnyMechanism {
         MechKind::Naive => AnyMechanism::Naive(NaiveMechanism::new(me, n, thr)),
         MechKind::Increments => AnyMechanism::Increments(IncrementMechanism::new(me, n, thr)),
         MechKind::Snapshot => AnyMechanism::Snapshot(SnapshotMechanism::new(me, n)),
-        MechKind::Periodic => {
-            AnyMechanism::Periodic(PeriodicMechanism::new(me, n, SimDuration::from_millis(1)))
-        }
+        MechKind::Periodic => AnyMechanism::Naive(NaiveMechanism::heartbeat(
+            me,
+            n,
+            SimDuration::from_millis(1),
+        )),
         MechKind::Gossip => {
             AnyMechanism::Gossip(GossipMechanism::new(me, n, SimDuration::from_millis(1), 2))
         }
@@ -28,8 +30,8 @@ fn kind_round_trips() {
     for kind in MechKind::EXTENDED {
         let m = make(kind, ActorId(0), 4);
         assert_eq!(m.kind(), kind);
-        assert_eq!(m.rank(), ActorId(0));
-        assert_eq!(m.nprocs(), 4);
+        assert_eq!(m.view().me(), ActorId(0));
+        assert_eq!(m.view().nprocs(), 4);
     }
 }
 

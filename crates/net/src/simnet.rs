@@ -65,8 +65,9 @@ pub struct Delivery<M> {
 pub struct SimNetwork {
     nprocs: usize,
     model: NetworkModel,
-    /// Earliest time the next message may arrive on each (from, to, channel)
-    /// link, enforcing FIFO non-overtaking.
+    /// Earliest time the next state-channel message may arrive on each
+    /// (from, to) link, enforcing FIFO non-overtaking. The regular channel
+    /// needs no such clock (see `route`).
     link_clear_at: Vec<SimTime>,
     /// Regular-channel egress port occupancy per sender.
     egress_free: Vec<SimTime>,
@@ -90,7 +91,7 @@ impl SimNetwork {
         SimNetwork {
             nprocs,
             model,
-            link_clear_at: vec![SimTime::ZERO; nprocs * nprocs * 2],
+            link_clear_at: vec![SimTime::ZERO; nprocs * nprocs],
             egress_free: vec![SimTime::ZERO; nprocs],
             ingress_free: vec![SimTime::ZERO; nprocs],
             sent_state: 0,
@@ -112,12 +113,8 @@ impl SimNetwork {
         &self.model
     }
 
-    fn link_index(&self, from: ActorId, to: ActorId, channel: Channel) -> usize {
-        let c = match channel {
-            Channel::State => 0,
-            Channel::Regular => 1,
-        };
-        (from.index() * self.nprocs + to.index()) * 2 + c
+    fn link_index(&self, from: ActorId, to: ActorId) -> usize {
+        from.index() * self.nprocs + to.index()
     }
 
     /// Send one message at time `now`; returns the delivery to schedule.
@@ -221,13 +218,10 @@ impl SimNetwork {
                 let ports_free = start + wire;
                 self.egress_free[from.index()] = ports_free;
                 self.ingress_free[to.index()] = ports_free;
-                let arrive = ports_free + self.model.latency;
-                // Per-pair FIFO is implied by the port serialization, but
-                // keep the link clock coherent for diagnostics.
-                let idx = self.link_index(from, to, channel);
-                let at = arrive.max(self.link_clear_at[idx]);
-                self.link_clear_at[idx] = at;
-                at
+                // Per-pair FIFO follows: `egress_free[from]` only grows and
+                // the latency is fixed, so no later send from `from` arrives
+                // earlier (`tests/contention.rs` checks this property).
+                ports_free + self.model.latency
             }
         }
     }
@@ -240,7 +234,7 @@ impl SimNetwork {
         self.sent_state += 1;
         self.bytes_state += size;
         // Dedicated control channel: per-pair FIFO only.
-        let idx = self.link_index(from, to, Channel::State);
+        let idx = self.link_index(from, to);
         let at = ready.max(self.link_clear_at[idx]);
         self.link_clear_at[idx] = at;
         at

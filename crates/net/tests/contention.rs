@@ -3,6 +3,7 @@
 
 use loadex_net::{Channel, NetworkModel, SimNetwork};
 use loadex_sim::{ActorId, SimDuration, SimTime};
+use proptest::prelude::*;
 
 fn model() -> NetworkModel {
     NetworkModel {
@@ -134,4 +135,42 @@ fn disjoint_regular_pairs_do_not_contend() {
         a.at, b.at,
         "independent NIC pairs must transfer in parallel"
     );
+}
+
+proptest! {
+    /// Regular-channel sends need no per-link FIFO clock: whatever the
+    /// sizes, send times, latency and bandwidth, the arrivals on each
+    /// ordered pair never decrease in send order, because each send waits
+    /// for the sender's egress port, which only ever frees up later.
+    #[test]
+    fn regular_arrivals_are_fifo_per_pair(
+        sends in prop::collection::vec(
+            (0usize..4, 0usize..4, 0u64..2_000_000, 0u64..1_000_000),
+            1..120,
+        ),
+        latency_us in 0u64..200,
+        bandwidth in 1e3f64..1e9,
+    ) {
+        let model = NetworkModel {
+            latency: SimDuration::from_micros(latency_us),
+            bandwidth,
+            overhead: SimDuration::ZERO,
+        };
+        let mut net = SimNetwork::new(4, model);
+        let mut last = [[SimTime::ZERO; 4]; 4];
+        for (from, to, now_ns, size) in sends {
+            if from == to {
+                continue;
+            }
+            let at = net
+                .send(SimTime(now_ns), ActorId(from), ActorId(to), Channel::Regular, size, ())
+                .at;
+            prop_assert!(
+                at >= last[from][to],
+                "{from}->{to}: {size} B sent at {now_ns} ns arrived at {at}, before an earlier send's {}",
+                last[from][to]
+            );
+            last[from][to] = at;
+        }
+    }
 }

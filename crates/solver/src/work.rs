@@ -10,7 +10,7 @@ use crate::config::SolverConfig;
 use crate::mapping::TreePlan;
 use loadex_core::{
     AnyMechanism, GossipMechanism, IncrementMechanism, Load, MechKind, NaiveMechanism,
-    PeriodicMechanism, SnapshotMechanism, Threshold,
+    SnapshotMechanism, Threshold,
 };
 use loadex_sim::{ActorId, SimDuration};
 use loadex_sparse::{AssemblyTree, Symmetry};
@@ -155,14 +155,14 @@ pub(crate) fn build_mechanism(
             AnyMechanism::Snapshot(m)
         }
         MechKind::Periodic => {
-            let mut m = PeriodicMechanism::new(me, nprocs, cfg.periodic_interval);
+            let mut m = NaiveMechanism::heartbeat(me, nprocs, cfg.periodic_interval);
             m.initialize(Load::work(plan.init_work[p]));
             for q in 0..nprocs {
                 if q != p {
                     m.initialize_peer(ActorId(q), Load::work(plan.init_work[q]));
                 }
             }
-            AnyMechanism::Periodic(m)
+            AnyMechanism::Naive(m)
         }
         MechKind::Gossip => {
             let mut m = GossipMechanism::new(me, nprocs, cfg.gossip_interval, cfg.gossip_fanout);

@@ -3,7 +3,7 @@
 //! The PARASOL and Tim Davis matrices used in the paper are not bundled;
 //! these generators produce structurally comparable problems: 2D/3D finite
 //! difference grids (the dominant structure of the paper's mechanical and
-//! wave-propagation problems), band matrices, and random patterns.
+//! wave-propagation problems) and random patterns.
 
 use crate::pattern::SparsePattern;
 use loadex_sim::SimRng;
@@ -47,19 +47,6 @@ pub fn grid3d(nx: usize, ny: usize, nz: usize) -> SparsePattern {
         }
     }
     SparsePattern::from_edges(nx * ny * nz, &edges)
-}
-
-/// Band matrix of the given half-bandwidth.
-pub fn band(n: usize, half_bandwidth: usize) -> SparsePattern {
-    let mut edges = Vec::new();
-    for i in 0..n {
-        for d in 1..=half_bandwidth {
-            if i + d < n {
-                edges.push((i as u32, (i + d) as u32));
-            }
-        }
-    }
-    SparsePattern::from_edges(n, &edges)
 }
 
 /// Random pattern with roughly `avg_degree` neighbours per vertex, plus a
@@ -111,14 +98,6 @@ mod tests {
         assert_eq!(grid2d(1, 1).n(), 1);
         assert_eq!(grid2d(5, 1).nnz_offdiag(), 8, "a path");
         assert_eq!(grid3d(1, 1, 4).nnz_offdiag(), 6);
-    }
-
-    #[test]
-    fn band_degrees() {
-        let p = band(6, 2);
-        p.validate();
-        assert_eq!(p.degree(0), 2);
-        assert_eq!(p.degree(3), 4);
     }
 
     #[test]

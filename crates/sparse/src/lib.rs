@@ -10,8 +10,8 @@
 //! This crate builds that substrate from scratch:
 //!
 //! * [`pattern`] — symmetric sparsity patterns (CSR-like adjacency).
-//! * [`gen`] — problem generators: 2D/3D grid Laplacians, random patterns,
-//!   band matrices.
+//! * [`gen`] — problem generators: 2D/3D grid Laplacians and random
+//!   patterns.
 //! * [`order`] — fill-reducing orderings: reverse Cuthill–McKee and a
 //!   BFS-separator nested dissection (standing in for METIS, which the paper
 //!   uses).

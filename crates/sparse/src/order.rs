@@ -364,180 +364,3 @@ mod tests {
         assert!(is_permutation(&perm, 50));
     }
 }
-
-/// Minimum-degree ordering on the elimination graph (quotient-graph style:
-/// eliminated vertices become *elements* whose boundaries merge).
-///
-/// The classical greedy fill-reducing heuristic of the AMD/MMD family — the
-/// other standard choice besides nested dissection in the paper's era. This
-/// implementation keeps exact external degrees, which is `O(Σ|struct|)` per
-/// elimination: fine for the test- and demo-scale problems of this crate
-/// (use [`nested_dissection`] for large grids).
-pub fn min_degree(p: &SparsePattern) -> Vec<u32> {
-    let n = p.n();
-    // Live adjacency among uneliminated vertices + element lists.
-    let mut adj: Vec<Vec<u32>> = (0..n).map(|v| p.neighbors(v).to_vec()).collect();
-    // Elements this vertex belongs to (indices into `boundaries`).
-    let mut elems: Vec<Vec<u32>> = vec![Vec::new(); n];
-    // Boundary (uneliminated vertices) of each element.
-    let mut boundaries: Vec<Vec<u32>> = Vec::new();
-    let mut eliminated = vec![false; n];
-    let mut perm = Vec::with_capacity(n);
-    // Scratch marker for set unions; every union uses a fresh stamp.
-    let mut mark = vec![u32::MAX; n];
-    let mut next_stamp = 0u32;
-
-    // Degree = |union(adj live, boundaries of incident elements)|.
-    let degree = |v: usize,
-                  stamp: u32,
-                  adj: &[Vec<u32>],
-                  elems: &[Vec<u32>],
-                  boundaries: &[Vec<u32>],
-                  eliminated: &[bool],
-                  mark: &mut [u32]| {
-        let mut d = 0usize;
-        mark[v] = stamp;
-        for &w in &adj[v] {
-            let w = w as usize;
-            if !eliminated[w] && mark[w] != stamp {
-                mark[w] = stamp;
-                d += 1;
-            }
-        }
-        for &e in &elems[v] {
-            for &w in &boundaries[e as usize] {
-                let w = w as usize;
-                if !eliminated[w] && mark[w] != stamp {
-                    mark[w] = stamp;
-                    d += 1;
-                }
-            }
-        }
-        d
-    };
-
-    for _ in 0..n {
-        // Pick the minimum-degree live vertex (ties by index: deterministic).
-        let mut best = usize::MAX;
-        let mut best_deg = usize::MAX;
-        for v in 0..n {
-            if eliminated[v] {
-                continue;
-            }
-            next_stamp += 1;
-            let d = degree(
-                v,
-                next_stamp,
-                &adj,
-                &elems,
-                &boundaries,
-                &eliminated,
-                &mut mark,
-            );
-            if d < best_deg {
-                best_deg = d;
-                best = v;
-            }
-        }
-        let v = best;
-        eliminated[v] = true;
-        perm.push(v as u32);
-        // New element: boundary = current neighbourhood of v.
-        next_stamp += 1;
-        let stamp = next_stamp;
-        mark[v] = stamp;
-        let mut boundary = Vec::new();
-        for &w in &adj[v] {
-            let w = w as usize;
-            if !eliminated[w] && mark[w] != stamp {
-                mark[w] = stamp;
-                boundary.push(w as u32);
-            }
-        }
-        for &e in &elems[v] {
-            for &w in &boundaries[e as usize] {
-                let w = w as usize;
-                if !eliminated[w] && mark[w] != stamp {
-                    mark[w] = stamp;
-                    boundary.push(w as u32);
-                }
-            }
-        }
-        // Absorb: the incident elements die; boundary vertices now reference
-        // the new element instead (element absorption keeps lists short).
-        let new_elem = boundaries.len() as u32;
-        let dead = std::mem::take(&mut elems[v]);
-        for &w in &boundary {
-            let w = w as usize;
-            elems[w].retain(|&e| !dead.contains(&e));
-            elems[w].push(new_elem);
-            // Drop v (and dead vertices) lazily from adjacency.
-            adj[w].retain(|&x| x as usize != v && !eliminated[x as usize]);
-        }
-        boundaries.push(boundary);
-    }
-    perm
-}
-
-#[cfg(test)]
-mod md_tests {
-    use super::*;
-    use crate::etree::{column_counts, elimination_tree, factor_nnz};
-    use crate::gen;
-
-    #[test]
-    fn min_degree_is_permutation() {
-        for pat in [gen::grid2d(7, 5), gen::grid3d(3, 3, 3), gen::band(20, 3)] {
-            let perm = min_degree(&pat);
-            assert!(is_permutation(&perm, pat.n()));
-        }
-    }
-
-    #[test]
-    fn min_degree_reduces_fill_on_grids() {
-        let p = gen::grid2d(14, 14);
-        let id_nnz = factor_nnz(&column_counts(&p, &elimination_tree(&p)));
-        let perm = min_degree(&p);
-        let q = p.permute(&perm);
-        let md_nnz = factor_nnz(&column_counts(&q, &elimination_tree(&q)));
-        assert!(md_nnz < id_nnz, "md={md_nnz} identity={id_nnz}");
-    }
-
-    #[test]
-    fn min_degree_on_star_picks_leaves_first() {
-        // Star graph: the centre has the highest degree until only one leaf
-        // remains (then they tie), so it cannot appear among the first six
-        // eliminations.
-        let edges: Vec<(u32, u32)> = (1..8).map(|i| (0u32, i)).collect();
-        let p = crate::pattern::SparsePattern::from_edges(8, &edges);
-        let perm = min_degree(&p);
-        let centre_pos = perm.iter().position(|&v| v == 0).unwrap();
-        assert!(
-            centre_pos >= 6,
-            "centre eliminated at position {centre_pos}"
-        );
-    }
-
-    #[test]
-    fn min_degree_handles_disconnected() {
-        let p = crate::pattern::SparsePattern::from_edges(6, &[(0, 1), (3, 4)]);
-        let perm = min_degree(&p);
-        assert!(is_permutation(&perm, 6));
-    }
-
-    #[test]
-    fn min_degree_competitive_with_nd_on_small_grids() {
-        let p = gen::grid2d(12, 12);
-        let md = {
-            let q = p.permute(&min_degree(&p));
-            factor_nnz(&column_counts(&q, &elimination_tree(&q)))
-        };
-        let nd = {
-            let q = p.permute(&nested_dissection(&p, NdOptions { leaf_size: 8 }));
-            factor_nnz(&column_counts(&q, &elimination_tree(&q)))
-        };
-        // Both are good; neither should be catastrophically worse.
-        let ratio = md as f64 / nd as f64;
-        assert!((0.4..2.5).contains(&ratio), "md={md} nd={nd}");
-    }
-}

@@ -206,8 +206,6 @@ pub enum Ordering {
     Rcm,
     /// BFS-separator nested dissection (the METIS stand-in).
     NestedDissection,
-    /// Quotient-graph minimum degree (the AMD-family stand-in).
-    MinDegree,
 }
 
 /// Order the pattern, then analyze.
@@ -220,7 +218,6 @@ pub fn analyze_with_ordering(
         Ordering::Identity => order::identity(p.n()),
         Ordering::Rcm => order::rcm(p),
         Ordering::NestedDissection => order::nested_dissection(p, order::NdOptions::default()),
-        Ordering::MinDegree => order::min_degree(p),
     };
     let q = p.permute(&perm);
     analyze(&q, opts)

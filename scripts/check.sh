@@ -41,11 +41,12 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result"; then
         exit 1
     fi
 done
-# Strict protocol-invariant audit over one seeded run per mechanism, in the
-# sim's main-loop and modeled comm-thread modes: the auditor replays the
-# recorded event stream and any violation (snapshot pairing, clock
-# monotonicity, reservation totals, ...) fails the gate.
-for mech in naive increments snapshot; do
+# Strict protocol-invariant audit over one seeded run per mechanism (the
+# paper's three and the periodic and gossip extensions), in the sim's
+# main-loop and modeled comm-thread modes: the auditor replays the recorded
+# event stream and any violation (snapshot pairing, clock monotonicity,
+# reservation totals, ...) fails the gate.
+for mech in naive increments snapshot periodic gossip; do
     for comm in off on; do
         run cargo run --release --offline -p loadex-bench --bin run -- \
             --matrix TWOTONE --procs 8 --mech "$mech" --comm-thread "$comm" --audit
