@@ -1,7 +1,7 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! tables --all            # every deterministic table and figure (~10 s)
+//! tables --all            # every deterministic table and figure (~2 s)
 //! tables --table 3        # one table
 //! tables --figure 1       # one figure
 //! tables --ablations      # NoMoreMaster / latency / threshold ablations

@@ -13,11 +13,64 @@ use loadex_solver::{
     ThreadedBackend,
 };
 use loadex_sparse::models::{paper_matrices, MatrixModel, ProblemSet};
-use loadex_sparse::Symmetry;
+use loadex_sparse::{AssemblyTree, Symmetry};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Baseline configuration used by all table experiments.
 pub fn config_for(nprocs: usize) -> SolverConfig {
     SolverConfig::new(nprocs)
+}
+
+/// Run every `(tree, configuration)` job and return the reports in job
+/// order. The jobs are shared out to `available_parallelism` workers (at
+/// most one per job), the calling thread among them; each worker takes the
+/// next job from a shared counter. A simulated run depends only on its tree
+/// and configuration, so the reports, and every table built from them, do
+/// not depend on which worker ran which job.
+fn run_all(jobs: &[(&AssemblyTree, SolverConfig)]) -> Vec<RunReport> {
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(jobs.len());
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the counter only hands out job indices; the reports
+            // come back through `join`.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some((tree, cfg)) = jobs.get(i) else {
+                return done;
+            };
+            done.push((i, run(tree, cfg).expect("a table's run completes")));
+        }
+    };
+    let mut reports: Vec<Option<RunReport>> = (0..jobs.len()).map(|_| None).collect();
+    std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+        let mine = work();
+        let theirs = spawned
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        for (i, report) in theirs.chain(mine) {
+            reports[i] = Some(report);
+        }
+    });
+    reports
+        .into_iter()
+        .map(|r| r.expect("every job ran"))
+        .collect()
+}
+
+/// Run every configuration on every matrix, building each tree once. The
+/// reports come back matrix by matrix, each matrix's in `cfgs` order: one
+/// chunk of `cfgs.len()` per matrix.
+fn run_grid(matrices: &[MatrixModel], cfgs: &[SolverConfig]) -> Vec<RunReport> {
+    let trees: Vec<AssemblyTree> = matrices.iter().map(MatrixModel::build_tree).collect();
+    let jobs: Vec<(&AssemblyTree, SolverConfig)> = trees
+        .iter()
+        .flat_map(|tree| cfgs.iter().map(move |cfg| (tree, cfg.clone())))
+        .collect();
+    run_all(&jobs)
 }
 
 fn sym_str(s: Symmetry) -> &'static str {
@@ -83,23 +136,21 @@ pub fn table4(nprocs: usize, matrices: &[MatrixModel]) -> Table {
             "matrix", "incr", "snap", "naive", "p.incr", "p.snap", "p.naive",
         ],
     );
-    for m in matrices {
-        let tree = m.build_tree();
-        let mut vals = Vec::new();
-        for mech in [MechKind::Increments, MechKind::Snapshot, MechKind::Naive] {
-            let cfg = config_for(nprocs)
-                .with_mechanism(mech)
-                .with_strategy(Strategy::MemoryBased);
-            vals.push(run(&tree, &cfg).unwrap().mem_peak_millions());
-        }
+    let cfgs = [MechKind::Increments, MechKind::Snapshot, MechKind::Naive].map(|mech| {
+        config_for(nprocs)
+            .with_mechanism(mech)
+            .with_strategy(Strategy::MemoryBased)
+    });
+    let reports = run_grid(matrices, &cfgs);
+    for (m, r) in matrices.iter().zip(reports.chunks(cfgs.len())) {
         let p = paper::table4(m.name, nprocs);
         let pcell =
             |sel: fn((f64, f64, f64)) -> f64| p.map(|v| f(sel(v))).unwrap_or_else(|| "-".into());
         t.row(vec![
             m.name.to_string(),
-            f(vals[0]),
-            f(vals[1]),
-            f(vals[2]),
+            f(r[0].mem_peak_millions()),
+            f(r[1].mem_peak_millions()),
+            f(r[2].mem_peak_millions()),
             pcell(|v| v.0),
             pcell(|v| v.1),
             pcell(|v| v.2),
@@ -108,24 +159,24 @@ pub fn table4(nprocs: usize, matrices: &[MatrixModel]) -> Table {
     t
 }
 
+/// Increments then snapshot, on the baseline configuration.
+fn incr_snap(nprocs: usize) -> [SolverConfig; 2] {
+    [MechKind::Increments, MechKind::Snapshot].map(|mech| config_for(nprocs).with_mechanism(mech))
+}
+
 /// Table 5: factorization time (s), workload-based, increments vs snapshot.
 pub fn table5(nprocs: usize, matrices: &[MatrixModel]) -> Table {
     let mut t = Table::new(
         format!("Table 5: factorization time (s), workload-based, {nprocs} procs"),
         &["matrix", "incr", "snap", "p.incr", "p.snap"],
     );
-    for m in matrices {
-        let tree = m.build_tree();
-        let mut vals = Vec::new();
-        for mech in [MechKind::Increments, MechKind::Snapshot] {
-            let cfg = config_for(nprocs).with_mechanism(mech);
-            vals.push(run(&tree, &cfg).unwrap().seconds());
-        }
+    let reports = run_grid(matrices, &incr_snap(nprocs));
+    for (m, r) in matrices.iter().zip(reports.chunks(2)) {
         let p = paper::table5(m.name, nprocs);
         t.row(vec![
             m.name.to_string(),
-            f(vals[0]),
-            f(vals[1]),
+            f(r[0].seconds()),
+            f(r[1].seconds()),
             p.map(|v| f(v.0)).unwrap_or_else(|| "-".into()),
             p.map(|v| f(v.1)).unwrap_or_else(|| "-".into()),
         ]);
@@ -139,18 +190,13 @@ pub fn table6(nprocs: usize, matrices: &[MatrixModel]) -> Table {
         format!("Table 6: total load-exchange messages, {nprocs} procs"),
         &["matrix", "incr", "snap", "p.incr", "p.snap"],
     );
-    for m in matrices {
-        let tree = m.build_tree();
-        let mut vals = Vec::new();
-        for mech in [MechKind::Increments, MechKind::Snapshot] {
-            let cfg = config_for(nprocs).with_mechanism(mech);
-            vals.push(run(&tree, &cfg).unwrap().state_msgs);
-        }
+    let reports = run_grid(matrices, &incr_snap(nprocs));
+    for (m, r) in matrices.iter().zip(reports.chunks(2)) {
         let p = paper::table6(m.name, nprocs);
         t.row(vec![
             m.name.to_string(),
-            vals[0].to_string(),
-            vals[1].to_string(),
+            r[0].state_msgs.to_string(),
+            r[1].state_msgs.to_string(),
             p.map(|v| v.0.to_string()).unwrap_or_else(|| "-".into()),
             p.map(|v| v.1.to_string()).unwrap_or_else(|| "-".into()),
         ]);
@@ -173,35 +219,25 @@ pub fn table7(nprocs: usize, matrices: &[MatrixModel]) -> Table {
             "snpT.comm",
         ],
     );
-    for m in matrices {
-        let tree = m.build_tree();
-        let mut vals = Vec::new();
-        let mut snp_union_threaded = 0.0;
-        for mech in [MechKind::Increments, MechKind::Snapshot] {
-            let cfg = config_for(nprocs)
-                .with_mechanism(mech)
-                .with_comm(CommMode::threaded_default());
-            let r = run(&tree, &cfg).unwrap();
-            if mech == MechKind::Snapshot {
-                snp_union_threaded = r.snapshot_union_time.as_secs_f64();
-            }
-            vals.push(r.seconds());
-        }
-        // Single-threaded snapshot union for the §4.5 "100 s → 14 s" story.
-        let single = run(
-            &tree,
-            &config_for(nprocs).with_mechanism(MechKind::Snapshot),
-        )
-        .unwrap();
+    let [incr, snap] = incr_snap(nprocs);
+    // The third run is the single-threaded snapshot, for the §4.5
+    // "100 s → 14 s" union-time story.
+    let cfgs = [
+        incr.with_comm(CommMode::CommThread),
+        snap.clone().with_comm(CommMode::CommThread),
+        snap,
+    ];
+    let reports = run_grid(matrices, &cfgs);
+    for (m, r) in matrices.iter().zip(reports.chunks(cfgs.len())) {
         let p = paper::table7(m.name, nprocs);
         t.row(vec![
             m.name.to_string(),
-            f(vals[0]),
-            f(vals[1]),
+            f(r[0].seconds()),
+            f(r[1].seconds()),
             p.map(|v| f(v.0)).unwrap_or_else(|| "-".into()),
             p.map(|v| f(v.1)).unwrap_or_else(|| "-".into()),
-            f(single.snapshot_union_time.as_secs_f64()),
-            f(snp_union_threaded),
+            f(r[2].snapshot_union_time.as_secs_f64()),
+            f(r[1].snapshot_union_time.as_secs_f64()),
         ]);
     }
     t
@@ -335,12 +371,11 @@ pub fn ablation_nomaster(nprocs: usize, matrices: &[MatrixModel]) -> Table {
         format!("Ablation: NoMoreMaster optimisation (§2.3), increments, {nprocs} procs"),
         &["matrix", "with", "without", "ratio"],
     );
-    for m in matrices {
-        let tree = m.build_tree();
-        let with = run(&tree, &config_for(nprocs)).unwrap().state_msgs;
-        let mut cfg = config_for(nprocs);
-        cfg.no_more_master = false;
-        let without = run(&tree, &cfg).unwrap().state_msgs;
+    let mut off = config_for(nprocs);
+    off.no_more_master = false;
+    let reports = run_grid(matrices, &[config_for(nprocs), off]);
+    for (m, r) in matrices.iter().zip(reports.chunks(2)) {
+        let (with, without) = (r[0].state_msgs, r[1].state_msgs);
         t.row(vec![
             m.name.to_string(),
             with.to_string(),
@@ -360,24 +395,29 @@ pub fn ablation_latency(nprocs: usize, matrices: &[MatrixModel]) -> Table {
         format!("Ablation: network latency (§5 discussion), {nprocs} procs, time (s)"),
         &["matrix", "net", "incr", "snap", "snap/incr"],
     );
-    for m in matrices {
-        let tree = m.build_tree();
-        for (name, net) in [
-            ("ibm-sp", NetworkModel::ibm_sp_like()),
-            ("high-lat", NetworkModel::high_latency()),
-        ] {
-            let mut vals = Vec::new();
-            for mech in [MechKind::Increments, MechKind::Snapshot] {
-                let mut cfg = config_for(nprocs).with_mechanism(mech);
+    let nets = [
+        ("ibm-sp", NetworkModel::ibm_sp_like()),
+        ("high-lat", NetworkModel::high_latency()),
+    ];
+    let cfgs: Vec<SolverConfig> = nets
+        .iter()
+        .flat_map(|&(_, net)| {
+            incr_snap(nprocs).map(|mut cfg| {
                 cfg.network = net;
-                vals.push(run(&tree, &cfg).unwrap().seconds());
-            }
+                cfg
+            })
+        })
+        .collect();
+    let reports = run_grid(matrices, &cfgs);
+    for (m, per_matrix) in matrices.iter().zip(reports.chunks(cfgs.len())) {
+        for ((name, _), r) in nets.iter().zip(per_matrix.chunks(2)) {
+            let (incr, snap) = (r[0].seconds(), r[1].seconds());
             t.row(vec![
                 m.name.to_string(),
                 name.to_string(),
-                f(vals[0]),
-                f(vals[1]),
-                format!("{:.2}", vals[1] / vals[0]),
+                f(incr),
+                f(snap),
+                format!("{:.2}", snap / incr),
             ]);
         }
     }
@@ -395,12 +435,19 @@ pub fn ablation_threshold(nprocs: usize, model: &MatrixModel) -> Table {
         &["threshold x", "messages", "time (s)", "mem peak (M)"],
     );
     let tree = model.build_tree();
-    let mut cfg = config_for(nprocs);
+    let cfg = config_for(nprocs);
     let plan = mapping::plan(&tree, nprocs, MappingParams::from(&cfg));
-    for scale in [0.25f64, 1.0, 4.0, 16.0] {
-        // The threshold a run derives by default, scaled.
-        cfg.threshold = Some(derive_threshold(&tree, &plan, &cfg, scale));
-        let r = run(&tree, &cfg).unwrap();
+    let scales = [0.25f64, 1.0, 4.0, 16.0];
+    let jobs: Vec<(&AssemblyTree, SolverConfig)> = scales
+        .iter()
+        .map(|&scale| {
+            // The threshold a run derives by default, scaled.
+            let mut scaled = cfg.clone();
+            scaled.threshold = Some(derive_threshold(&tree, &plan, &cfg, scale));
+            (&tree, scaled)
+        })
+        .collect();
+    for (scale, r) in scales.iter().zip(run_all(&jobs)) {
         t.row(vec![
             format!("{scale}"),
             r.state_msgs.to_string(),
@@ -433,11 +480,13 @@ pub fn ablation_coherence(nprocs: usize, model: &MatrixModel) -> Table {
             "msgs",
         ],
     );
-    let tree = model.build_tree();
-    for mech in MechKind::ALL {
+    let cfgs = MechKind::ALL.map(|mech| {
         let mut cfg = config_for(nprocs).with_mechanism(mech).with_accuracy(true);
         cfg.coherence_probe = Some(SimDuration::from_millis(500));
-        let r = run(&tree, &cfg).unwrap();
+        cfg
+    });
+    let reports = run_grid(std::slice::from_ref(model), &cfgs);
+    for (mech, r) in MechKind::ALL.into_iter().zip(reports) {
         let acc = r.accuracy.as_ref().expect("accuracy was enabled");
         // Every tick averages the same number of pairs, so the mean of the
         // tick means is the mean over all sampled pairs.
@@ -488,10 +537,10 @@ pub fn accuracy_vs_cost(nprocs: usize, model: &MatrixModel) -> Table {
             "msgs",
         ],
     );
-    let tree = model.build_tree();
-    for mech in MechKind::ALL {
-        let cfg = config_for(nprocs).with_mechanism(mech).with_accuracy(true);
-        let r = run(&tree, &cfg).unwrap();
+    let cfgs =
+        MechKind::ALL.map(|mech| config_for(nprocs).with_mechanism(mech).with_accuracy(true));
+    let reports = run_grid(std::slice::from_ref(model), &cfgs);
+    for (mech, r) in MechKind::ALL.into_iter().zip(reports) {
         let s = r.accuracy.as_ref().expect("accuracy was enabled").summary;
         t.row(vec![
             mech.name().to_string(),
@@ -519,14 +568,17 @@ pub fn ablation_leader(nprocs: usize, model: &MatrixModel) -> Table {
         ),
         &["policy", "time (s)", "snp time (s)", "rebroadcasts"],
     );
-    let tree = model.build_tree();
-    for (name, policy) in [
+    let policies = [
         ("min-rank", LeaderPolicy::MinRank),
         ("max-rank", LeaderPolicy::MaxRank),
-    ] {
+    ];
+    let cfgs = policies.map(|(_, policy)| {
         let mut cfg = config_for(nprocs).with_mechanism(MechKind::Snapshot);
         cfg.leader_policy = policy;
-        let r = run(&tree, &cfg).unwrap();
+        cfg
+    });
+    let reports = run_grid(std::slice::from_ref(model), &cfgs);
+    for ((name, _), r) in policies.into_iter().zip(reports) {
         t.row(vec![
             name.to_string(),
             f(r.seconds()),
@@ -548,13 +600,18 @@ pub fn ablation_partial_snapshot(nprocs: usize, model: &MatrixModel) -> Table {
         ),
         &["candidates", "time (s)", "snp time (s)", "msgs", "mem (M)"],
     );
-    let tree = model.build_tree();
     let mut ks = vec![None, Some(nprocs / 2), Some(nprocs / 4), Some(4)];
     ks.dedup();
-    for k in ks {
-        let mut cfg = config_for(nprocs).with_mechanism(MechKind::Snapshot);
-        cfg.snapshot_candidates = k;
-        let r = run(&tree, &cfg).unwrap();
+    let cfgs: Vec<SolverConfig> = ks
+        .iter()
+        .map(|&k| {
+            let mut cfg = config_for(nprocs).with_mechanism(MechKind::Snapshot);
+            cfg.snapshot_candidates = k;
+            cfg
+        })
+        .collect();
+    let reports = run_grid(std::slice::from_ref(model), &cfgs);
+    for (k, r) in ks.into_iter().zip(reports) {
         t.row(vec![
             k.map(|v| v.to_string()).unwrap_or_else(|| "all".into()),
             f(r.seconds()),
@@ -585,10 +642,10 @@ pub fn extended_comparison(nprocs: usize, model: &MatrixModel) -> Table {
             "dec-err",
         ],
     );
-    let tree = model.build_tree();
-    for mech in MechKind::EXTENDED {
-        let cfg = config_for(nprocs).with_mechanism(mech).with_accuracy(true);
-        let r = run(&tree, &cfg).unwrap();
+    let cfgs =
+        MechKind::EXTENDED.map(|mech| config_for(nprocs).with_mechanism(mech).with_accuracy(true));
+    let reports = run_grid(std::slice::from_ref(model), &cfgs);
+    for (mech, r) in MechKind::EXTENDED.into_iter().zip(reports) {
         let acc = r.accuracy.as_ref().expect("accuracy was enabled");
         t.row(vec![
             mech.name().to_string(),
@@ -621,25 +678,25 @@ pub fn ablation_chunk(nprocs: usize, model: &MatrixModel) -> Table {
             "snpT (s)",
         ],
     );
-    let tree = model.build_tree();
-    for ms in [100u64, 400, 1500, 6000] {
-        let mut times = Vec::new();
-        let mut snp_t = 0.0;
-        for mech in [MechKind::Increments, MechKind::Snapshot] {
-            let mut cfg = config_for(nprocs).with_mechanism(mech);
-            cfg.task_chunk = SimDuration::from_millis(ms);
-            let r = run(&tree, &cfg).unwrap();
-            if mech == MechKind::Snapshot {
-                snp_t = r.snapshot_union_time.as_secs_f64();
-            }
-            times.push(r.seconds());
-        }
+    let chunks = [100u64, 400, 1500, 6000];
+    let cfgs: Vec<SolverConfig> = chunks
+        .iter()
+        .flat_map(|&ms| {
+            incr_snap(nprocs).map(|mut cfg| {
+                cfg.task_chunk = SimDuration::from_millis(ms);
+                cfg
+            })
+        })
+        .collect();
+    let reports = run_grid(std::slice::from_ref(model), &cfgs);
+    for (ms, r) in chunks.iter().zip(reports.chunks(2)) {
+        let (incr, snap) = (r[0].seconds(), r[1].seconds());
         t.row(vec![
             ms.to_string(),
-            f(times[0]),
-            f(times[1]),
-            format!("{:.2}", times[1] / times[0]),
-            f(snp_t),
+            f(incr),
+            f(snap),
+            format!("{:.2}", snap / incr),
+            f(r[1].snapshot_union_time.as_secs_f64()),
         ]);
     }
     t
@@ -664,23 +721,21 @@ pub fn ablation_scalability(model: &MatrixModel) -> Table {
             "snap time",
         ],
     );
-    let tree = model.build_tree();
-    for np in [32usize, 64, 128, 256, 512] {
-        let mut msgs = Vec::new();
-        let mut times = Vec::new();
-        for mech in [MechKind::Increments, MechKind::Snapshot] {
-            let cfg = config_for(np).with_mechanism(mech);
-            let r = run(&tree, &cfg).unwrap();
-            msgs.push(r.state_msgs);
-            times.push(r.seconds());
-        }
+    let procs = [32usize, 64, 128, 256, 512];
+    let cfgs: Vec<SolverConfig> = procs.iter().flat_map(|&np| incr_snap(np)).collect();
+    let reports = run_grid(std::slice::from_ref(model), &cfgs);
+    for (np, r) in procs.iter().zip(reports.chunks(2)) {
+        let (incr, snap) = (&r[0], &r[1]);
         t.row(vec![
             np.to_string(),
-            msgs[0].to_string(),
-            msgs[1].to_string(),
-            format!("{:.1}", msgs[0] as f64 / msgs[1].max(1) as f64),
-            f(times[0]),
-            f(times[1]),
+            incr.state_msgs.to_string(),
+            snap.state_msgs.to_string(),
+            format!(
+                "{:.1}",
+                incr.state_msgs as f64 / snap.state_msgs.max(1) as f64
+            ),
+            f(incr.seconds()),
+            f(snap.seconds()),
         ]);
     }
     t
@@ -697,21 +752,28 @@ pub fn ablation_heterogeneous(nprocs: usize, model: &MatrixModel) -> Table {
         ),
         &["slow fraction", "mechanism", "time (s)", "efficiency"],
     );
-    let tree = model.build_tree();
-    for slow in [1.0f64, 0.5, 0.25] {
-        for mech in MechKind::ALL {
+    let runs: Vec<(f64, MechKind)> = [1.0f64, 0.5, 0.25]
+        .into_iter()
+        .flat_map(|slow| MechKind::ALL.map(|mech| (slow, mech)))
+        .collect();
+    let cfgs: Vec<SolverConfig> = runs
+        .iter()
+        .map(|&(slow, mech)| {
             let mut cfg = config_for(nprocs).with_mechanism(mech);
             cfg.speed_factors = (0..nprocs)
                 .map(|p| if p % 2 == 0 { 1.0 } else { slow })
                 .collect();
-            let r = run(&tree, &cfg).unwrap();
-            t.row(vec![
-                format!("{slow}"),
-                mech.name().to_string(),
-                f(r.seconds()),
-                format!("{:.0}%", r.efficiency() * 100.0),
-            ]);
-        }
+            cfg
+        })
+        .collect();
+    let reports = run_grid(std::slice::from_ref(model), &cfgs);
+    for (&(slow, mech), r) in runs.iter().zip(reports) {
+        t.row(vec![
+            format!("{slow}"),
+            mech.name().to_string(),
+            f(r.seconds()),
+            format!("{:.0}%", r.efficiency() * 100.0),
+        ]);
     }
     t
 }
@@ -722,7 +784,9 @@ pub fn ablation_heterogeneous(nprocs: usize, model: &MatrixModel) -> Table {
 /// row: total blocked time collapses once state messages are serviced
 /// concurrently with the computation instead of at task-chunk boundaries.
 /// `backend` sets the real-thread runs' options (time scale, timeout); they
-/// run once with and once without the communication thread.
+/// run once with and once without the communication thread. Unlike the
+/// simulated tables, the runs go one at a time: they are timed by the wall
+/// clock, which a concurrent run would disturb.
 pub fn threaded_backend_comparison(
     nprocs: usize,
     model: &MatrixModel,
@@ -822,6 +886,28 @@ mod tests {
             .collect();
         let t = table4(8, &ms);
         assert_eq!(t.rows.len(), 1);
+    }
+
+    #[test]
+    fn run_all_returns_the_sequential_reports_in_job_order() {
+        use serde::Serialize;
+        let tree = loadex_sparse::models::by_name("TWOTONE")
+            .unwrap()
+            .build_tree();
+        let jobs: Vec<(&AssemblyTree, SolverConfig)> =
+            [MechKind::Increments, MechKind::Snapshot, MechKind::Naive]
+                .into_iter()
+                .flat_map(|mech| {
+                    [CommMode::MainLoop, CommMode::CommThread]
+                        .map(|comm| (&tree, config_for(8).with_mechanism(mech).with_comm(comm)))
+                })
+                .collect();
+        let pooled = run_all(&jobs);
+        assert_eq!(pooled.len(), jobs.len());
+        for ((tree, cfg), report) in jobs.iter().zip(&pooled) {
+            let alone = run(tree, cfg).unwrap();
+            assert_eq!(report.to_json(), alone.to_json(), "{cfg:?}");
+        }
     }
 
     #[test]

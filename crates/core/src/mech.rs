@@ -217,6 +217,26 @@ impl AnyMechanism {
         }
     }
 
+    /// Set this process's initial load (the static work it starts with).
+    pub fn initialize(&mut self, load: Load) {
+        match self {
+            AnyMechanism::Naive(m) => m.initialize(load),
+            AnyMechanism::Increments(m) => m.initialize(load),
+            AnyMechanism::Snapshot(m) => m.initialize(load),
+            AnyMechanism::Gossip(m) => m.initialize(load),
+        }
+    }
+
+    /// Seed the belief about process `p`'s initial load.
+    pub fn initialize_peer(&mut self, p: ActorId, load: Load) {
+        match self {
+            AnyMechanism::Naive(m) => m.initialize_peer(p, load),
+            AnyMechanism::Increments(m) => m.initialize_peer(p, load),
+            AnyMechanism::Snapshot(m) => m.initialize_peer(p, load),
+            AnyMechanism::Gossip(m) => m.initialize_peer(p, load),
+        }
+    }
+
     fn as_dyn(&self) -> &dyn Mechanism {
         match self {
             AnyMechanism::Naive(m) => m,

@@ -50,7 +50,8 @@ pub enum CommMode {
 }
 
 impl CommMode {
-    /// The paper's threaded configuration, [`CommMode::CommThread`].
+    /// The paper's threaded configuration, [`CommMode::CommThread`]. An
+    /// alias kept for existing callers; name the variant in new code.
     pub fn threaded_default() -> CommMode {
         CommMode::CommThread
     }
@@ -374,11 +375,12 @@ mod tests {
         let c = SolverConfig::new(8)
             .with_mechanism(MechKind::Snapshot)
             .with_strategy(Strategy::MemoryBased)
-            .with_comm(CommMode::threaded_default())
+            .with_comm(CommMode::CommThread)
             .with_backend(ExecBackend::Threaded(ThreadedBackend::new()));
         assert_eq!(c.mechanism, MechKind::Snapshot);
         assert_eq!(c.strategy, Strategy::MemoryBased);
         assert_eq!(c.comm, CommMode::CommThread);
+        assert_eq!(CommMode::threaded_default(), CommMode::CommThread);
         assert_eq!(c.backend.name(), "threaded");
     }
 

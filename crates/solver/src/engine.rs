@@ -333,7 +333,7 @@ impl SolverWorld {
                     self.plan.owner[i],
                     st.activated,
                     st.children_done,
-                    self.tree.nodes[i].children.len(),
+                    self.tree.children(i).len(),
                     st.plan_pieces,
                     st.pieces_recv,
                     parts_left,

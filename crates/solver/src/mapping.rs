@@ -101,14 +101,14 @@ fn subtree_peak(tree: &AssemblyTree, root: usize) -> f64 {
     let mut stack = vec![root as u32];
     while let Some(v) = stack.pop() {
         nodes.push(v as usize);
-        stack.extend_from_slice(&tree.nodes[v as usize].children);
+        stack.extend_from_slice(tree.children(v as usize));
     }
     nodes.sort_unstable(); // topological (children have smaller indices)
     let mut cb_stack = 0.0f64;
     let mut peak = 0.0f64;
     for &i in &nodes {
-        let child_cb: f64 = tree.nodes[i]
-            .children
+        let child_cb: f64 = tree
+            .children(i)
             .iter()
             .map(|&c| tree.cb_entries(c as usize))
             .sum();
@@ -160,7 +160,7 @@ pub fn plan(tree: &AssemblyTree, nprocs: usize, params: MappingParams) -> TreePl
     let n = tree.len();
     assert!(nprocs >= 1);
     let sub_flops = tree.subtree_flops();
-    let total: f64 = tree.roots.iter().map(|&r| sub_flops[r as usize]).sum();
+    let total: f64 = tree.roots().iter().map(|&r| sub_flops[r as usize]).sum();
     let limit = if total > 0.0 {
         total / (params.alpha * nprocs as f64)
     } else {
@@ -169,14 +169,14 @@ pub fn plan(tree: &AssemblyTree, nprocs: usize, params: MappingParams) -> TreePl
 
     // Geist–Ng deepening: replace the largest subtree by its children until
     // all fit under the limit (or are leaves).
-    let mut layer: Vec<u32> = tree.roots.clone();
+    let mut layer: Vec<u32> = tree.roots().to_vec();
     loop {
         // Find the largest splittable subtree in the layer.
         let mut best: Option<(usize, f64)> = None;
         for (i, &v) in layer.iter().enumerate() {
             let f = sub_flops[v as usize];
             if f > limit
-                && !tree.nodes[v as usize].children.is_empty()
+                && !tree.children(v as usize).is_empty()
                 && best.is_none_or(|(_, bf)| f > bf)
             {
                 best = Some((i, f));
@@ -184,7 +184,7 @@ pub fn plan(tree: &AssemblyTree, nprocs: usize, params: MappingParams) -> TreePl
         }
         let Some((i, _)) = best else { break };
         let v = layer.swap_remove(i);
-        layer.extend_from_slice(&tree.nodes[v as usize].children);
+        layer.extend_from_slice(tree.children(v as usize));
     }
     layer.sort_unstable();
 
@@ -194,7 +194,7 @@ pub fn plan(tree: &AssemblyTree, nprocs: usize, params: MappingParams) -> TreePl
         let mut stack = vec![r];
         while let Some(v) = stack.pop() {
             collapsed_into[v as usize] = Some(r);
-            stack.extend_from_slice(&tree.nodes[v as usize].children);
+            stack.extend_from_slice(tree.children(v as usize));
         }
     }
 
@@ -250,7 +250,7 @@ pub fn plan(tree: &AssemblyTree, nprocs: usize, params: MappingParams) -> TreePl
         let p = owner[r as usize] as usize;
         while let Some(v) = stack.pop() {
             factor_seed[p] += tree.factor_entries(v as usize);
-            stack.extend_from_slice(&tree.nodes[v as usize].children);
+            stack.extend_from_slice(tree.children(v as usize));
         }
     }
     let upper: Vec<(usize, f64)> = (0..n)
@@ -285,7 +285,7 @@ pub fn plan(tree: &AssemblyTree, nprocs: usize, params: MappingParams) -> TreePl
         match ntype[i] {
             NodeType::InSubtree => {}
             NodeType::SubtreeRoot => subtrees[p].push(i as u32),
-            _ if tree.nodes[i].children.is_empty() => childless_uppers[p].push(i as u32),
+            _ if tree.children(i).is_empty() => childless_uppers[p].push(i as u32),
             _ => {}
         }
     }
@@ -447,7 +447,7 @@ mod tests {
     fn big_root_is_type3() {
         let t = by_name("GUPTA3").unwrap().build_tree();
         let p = plan(&t, 8, params());
-        let root = t.roots[0] as usize;
+        let root = t.roots()[0] as usize;
         assert_eq!(p.ntype[root], NodeType::Type3);
     }
 
@@ -475,7 +475,7 @@ mod tests {
                         .upper_nodes()
                         .into_iter()
                         .filter(|&v| p.owner[v as usize] == q)
-                        .filter(|&v| t.nodes[v as usize].children.is_empty())
+                        .filter(|&v| t.children(v as usize).is_empty())
                         .collect();
                     assert_eq!(p.subtrees_of(q), subtrees, "{name}/{nprocs} P{q}");
                     assert_eq!(p.childless_uppers_of(q), childless, "{name}/{nprocs} P{q}");

@@ -549,7 +549,7 @@ fn try_activate<'a, H: Host<'a>>(h: &mut H, v: u32) {
     let cx = h.cx();
     let p = h.rank();
     debug_assert_eq!(cx.plan.owner[v as usize] as usize, p);
-    let nchildren = cx.tree.nodes[v as usize].children.len() as u32;
+    let nchildren = cx.tree.children(v as usize).len() as u32;
     let st = &mut h.nodes()[v as usize];
     if st.activated || st.children_done < nchildren {
         return;
@@ -753,7 +753,7 @@ fn notify_cb_ready<'a, H: Host<'a>>(h: &mut H, node: u32) {
 /// (the data is folded into the new front and the `SlaveTask`/`RootPart`
 /// payloads).
 fn assemble_children<'a, H: Host<'a>>(h: &mut H, v: u32) {
-    for &c in &h.cx().tree.nodes[v as usize].children {
+    for &c in h.cx().tree.children(v as usize) {
         h.release_cbs(c);
     }
 }
@@ -907,7 +907,7 @@ mod tests {
         // Every child delivered: the activation queues a dynamic decision,
         // which increments grants at once.
         let mut h = host(cx, owner as usize);
-        h.nodes[v as usize].children_done = node.children.len() as u32;
+        h.nodes[v as usize].children_done = tree.children(v as usize).len() as u32;
         try_activate(&mut h, v);
         assert_eq!(h.proc.pending_decisions, [v]);
         assert!(try_start_decision(&mut h));

@@ -260,7 +260,7 @@ mod tests {
         let t = by_name("TWOTONE").unwrap().build_tree();
         let base = SolverConfig::new(8).with_mechanism(MechKind::Snapshot);
         let single = run(&t, &base).unwrap();
-        let threaded = run(&t, &base.clone().with_comm(CommMode::threaded_default())).unwrap();
+        let threaded = run(&t, &base.clone().with_comm(CommMode::CommThread)).unwrap();
         assert!(single.factor_time > SimTime::ZERO);
         assert!(threaded.factor_time > SimTime::ZERO);
         // The whole point of §4.5: snapshots complete much faster when state

@@ -128,53 +128,33 @@ pub(crate) fn build_mechanism(
 ) -> AnyMechanism {
     let nprocs = cfg.nprocs;
     let me = ActorId(p);
-    match cfg.mechanism {
-        MechKind::Naive => {
-            let mut m = NaiveMechanism::new(me, nprocs, threshold);
-            m.initialize(Load::work(plan.init_work[p]));
-            AnyMechanism::Naive(m)
-        }
+    let mut m = match cfg.mechanism {
+        MechKind::Naive => AnyMechanism::Naive(NaiveMechanism::new(me, nprocs, threshold)),
         MechKind::Increments => {
-            let mut m = IncrementMechanism::new(me, nprocs, threshold);
-            m.initialize(Load::work(plan.init_work[p]));
-            for q in 0..nprocs {
-                if q != p {
-                    m.initialize_peer(ActorId(q), Load::work(plan.init_work[q]));
-                }
-            }
-            AnyMechanism::Increments(m)
+            AnyMechanism::Increments(IncrementMechanism::new(me, nprocs, threshold))
         }
-        MechKind::Snapshot => {
-            let mut m = SnapshotMechanism::with_policy(me, nprocs, cfg.leader_policy);
-            m.initialize(Load::work(plan.init_work[p]));
-            for q in 0..nprocs {
-                if q != p {
-                    m.initialize_peer(ActorId(q), Load::work(plan.init_work[q]));
-                }
-            }
-            AnyMechanism::Snapshot(m)
-        }
+        MechKind::Snapshot => AnyMechanism::Snapshot(SnapshotMechanism::with_policy(
+            me,
+            nprocs,
+            cfg.leader_policy,
+        )),
         MechKind::Periodic => {
-            let mut m = NaiveMechanism::heartbeat(me, nprocs, cfg.periodic_interval);
-            m.initialize(Load::work(plan.init_work[p]));
-            for q in 0..nprocs {
-                if q != p {
-                    m.initialize_peer(ActorId(q), Load::work(plan.init_work[q]));
-                }
-            }
-            AnyMechanism::Naive(m)
+            AnyMechanism::Naive(NaiveMechanism::heartbeat(me, nprocs, cfg.periodic_interval))
         }
-        MechKind::Gossip => {
-            let mut m = GossipMechanism::new(me, nprocs, cfg.gossip_interval, cfg.gossip_fanout);
-            m.initialize(Load::work(plan.init_work[p]));
-            for q in 0..nprocs {
-                if q != p {
-                    m.initialize_peer(ActorId(q), Load::work(plan.init_work[q]));
-                }
-            }
-            AnyMechanism::Gossip(m)
+        MechKind::Gossip => AnyMechanism::Gossip(GossipMechanism::new(
+            me,
+            nprocs,
+            cfg.gossip_interval,
+            cfg.gossip_fanout,
+        )),
+    };
+    m.initialize(Load::work(plan.init_work[p]));
+    if cfg.mechanism != MechKind::Naive {
+        for q in (0..nprocs).filter(|&q| q != p) {
+            m.initialize_peer(ActorId(q), Load::work(plan.init_work[q]));
         }
     }
+    m
 }
 
 #[cfg(test)]
@@ -205,10 +185,17 @@ mod tests {
         let cfg = SolverConfig::new(4);
         let plan = mapping::plan(&tree, 4, MappingParams::from(&cfg));
         let thr = Threshold::new(1.0, 1.0);
-        for kind in MechKind::ALL {
+        for kind in MechKind::EXTENDED {
             let m = build_mechanism(&cfg.clone().with_mechanism(kind), &plan, thr, 1);
             assert_eq!(m.kind(), kind);
             assert_eq!(m.view().get(ActorId(1)).work, plan.init_work[1]);
+            // Only the naive drift trigger leaves its peers unseeded.
+            let peer = if kind == MechKind::Naive {
+                0.0
+            } else {
+                plan.init_work[0]
+            };
+            assert_eq!(m.view().get(ActorId(0)).work, peer, "{kind:?}");
         }
     }
 }

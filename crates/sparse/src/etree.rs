@@ -44,33 +44,69 @@ pub fn elimination_tree(p: &SparsePattern) -> Vec<Option<u32>> {
     parent
 }
 
-/// Children lists from a parent array.
-pub fn children_lists(parent: &[Option<u32>]) -> Vec<Vec<u32>> {
-    let mut children = vec![Vec::new(); parent.len()];
-    for (v, &p) in parent.iter().enumerate() {
-        if let Some(p) = p {
-            children[p as usize].push(v as u32);
-        }
-    }
-    children
+/// The children of every vertex of a forest, in CSR form: one offsets
+/// array and one list, two allocations whatever the forest's size. Slot `n`
+/// (one past the last vertex) is a virtual parent of every root. Each slot
+/// lists its children in increasing index order.
+#[derive(Debug)]
+pub(crate) struct ChildIndex {
+    /// Slot `s` lists `list[start[s]..start[s + 1]]`; `n + 2` entries.
+    start: Vec<u32>,
+    list: Vec<u32>,
 }
 
-/// Iterative DFS postorder of the forest. Children are visited in ascending
-/// index order, so the postorder is deterministic.
+impl ChildIndex {
+    /// Index the forest given by each vertex's parent (`None` for a root).
+    /// Every parent must be a vertex of the forest.
+    pub(crate) fn new<I>(parent: I) -> Self
+    where
+        I: ExactSizeIterator<Item = Option<u32>> + Clone,
+    {
+        let n = parent.len();
+        let slot = |p: Option<u32>| p.map_or(n, |p| p as usize);
+        // Counting sort of the vertices by parent slot. It is stable, so
+        // each slot receives its children in increasing index order.
+        let mut start = vec![0u32; n + 2];
+        for p in parent.clone() {
+            start[slot(p) + 1] += 1;
+        }
+        for s in 1..start.len() {
+            start[s] += start[s - 1];
+        }
+        let mut next = start.clone();
+        let mut list = vec![0u32; n];
+        for (v, p) in parent.enumerate() {
+            let s = slot(p);
+            list[next[s] as usize] = v as u32;
+            next[s] += 1;
+        }
+        ChildIndex { start, list }
+    }
+
+    /// Children of vertex `v`, or the roots for `v = n`.
+    pub(crate) fn children(&self, v: usize) -> &[u32] {
+        &self.list[self.start[v] as usize..self.start[v + 1] as usize]
+    }
+
+    /// The roots, in increasing index order.
+    pub(crate) fn roots(&self) -> &[u32] {
+        self.children(self.start.len() - 2)
+    }
+}
+
+/// Iterative DFS postorder of the forest. Roots and children are visited in
+/// ascending index order, so the postorder is deterministic.
 pub fn postorder(parent: &[Option<u32>]) -> Vec<u32> {
     let n = parent.len();
-    let children = children_lists(parent);
+    let index = ChildIndex::new(parent.iter().copied());
     let mut post = Vec::with_capacity(n);
     let mut stack: Vec<(u32, usize)> = Vec::new();
-    for (r, par) in parent.iter().enumerate() {
-        if par.is_some() {
-            continue;
-        }
-        stack.push((r as u32, 0));
+    for &r in index.roots() {
+        stack.push((r, 0));
         while let Some((v, ci)) = stack.last_mut() {
-            let v_ = *v as usize;
-            if *ci < children[v_].len() {
-                let c = children[v_][*ci];
+            let children = index.children(*v as usize);
+            if *ci < children.len() {
+                let c = children[*ci];
                 *ci += 1;
                 stack.push((c, 0));
             } else {

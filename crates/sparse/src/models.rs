@@ -301,7 +301,7 @@ mod tests {
             t.validate();
             assert!(t.len() > 10, "{}: tree too small ({})", m.name, t.len());
             assert!(t.len() < 1_000_000, "{}: tree too big", m.name);
-            let root = t.roots[0] as usize;
+            let root = t.roots()[0] as usize;
             assert_eq!(
                 t.nodes[root].npiv, t.nodes[root].nfront,
                 "{}: root fully eliminated",
@@ -333,7 +333,7 @@ mod tests {
     fn gupta3_is_shallow_and_top_heavy() {
         let g = by_name("GUPTA3").unwrap().build_tree();
         assert!(g.height() <= 5, "height {}", g.height());
-        let root = g.roots[0] as usize;
+        let root = g.roots()[0] as usize;
         assert!(g.nodes[root].nfront >= 3000);
     }
 

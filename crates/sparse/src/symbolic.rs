@@ -17,7 +17,7 @@
 //! in the parent's columns. Exact for chains of fundamental supernodes,
 //! an upper bound otherwise — adequate for a simulated factorization.
 
-use crate::etree::{children_lists, column_counts, elimination_tree, postorder};
+use crate::etree::{column_counts, elimination_tree, postorder};
 use crate::order;
 use crate::pattern::SparsePattern;
 use crate::tree::{AssemblyTree, Symmetry};
@@ -58,11 +58,7 @@ pub fn analyze(p: &SparsePattern, opts: SymbolicOptions) -> SymbolicAnalysis {
     let n = p.n();
     if n == 0 {
         return SymbolicAnalysis {
-            tree: AssemblyTree {
-                nodes: vec![],
-                roots: vec![],
-                sym: opts.sym,
-            },
+            tree: AssemblyTree::from_parents(opts.sym, &[]),
             factor_nnz: 0,
             n_supernodes: 0,
         };
@@ -73,7 +69,10 @@ pub fn analyze(p: &SparsePattern, opts: SymbolicOptions) -> SymbolicAnalysis {
     let p2 = p.permute(&post);
     let parent = elimination_tree(&p2);
     let counts = column_counts(&p2, &parent);
-    let nchildren: Vec<usize> = children_lists(&parent).iter().map(|c| c.len()).collect();
+    let mut nchildren = vec![0u32; n];
+    for &p in parent.iter().flatten() {
+        nchildren[p as usize] += 1;
+    }
 
     // Fundamental supernodes: maximal chains j, j+1, … with parent[j] = j+1,
     // counts[j+1] = counts[j] − 1 and j+1 having exactly one child.
@@ -318,7 +317,7 @@ mod tests {
                 sym: Symmetry::Symmetric,
             },
         );
-        let root = a.tree.roots[0] as usize;
+        let root = a.tree.roots()[0] as usize;
         let nf = a.tree.nodes[root].nfront as usize;
         assert!(nf >= k / 2 && nf <= 4 * k, "root front {nf} for k={k}");
     }

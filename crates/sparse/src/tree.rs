@@ -11,6 +11,9 @@
 //! gone) but *relative* costs across the tree drive the schedulers, so the
 //! cubic/quadratic structure must be right.
 
+use crate::etree::ChildIndex;
+use std::sync::Arc;
+
 /// Symmetry of the underlying problem (Tables 1–2 distinguish SYM/UNS).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Symmetry {
@@ -23,10 +26,9 @@ pub enum Symmetry {
 /// One node (front) of the assembly tree.
 #[derive(Clone, Debug)]
 pub struct FrontNode {
-    /// Parent node index, `None` for roots.
+    /// Parent node index, `None` for roots
+    /// ([`AssemblyTree::children`] lists the other direction).
     pub parent: Option<u32>,
-    /// Children node indices.
-    pub children: Vec<u32>,
     /// Order of the frontal matrix.
     pub nfront: u32,
     /// Pivots eliminated at this node (`npiv ≤ nfront`).
@@ -41,15 +43,18 @@ impl FrontNode {
 }
 
 /// The assembly tree: the multifrontal task graph.
+///
+/// The node array and the child index are immutable and shared, so a clone
+/// copies pointers, not the tree: every run of one tree can own a handle.
 #[derive(Clone, Debug)]
 pub struct AssemblyTree {
     /// Nodes; children always have smaller indices than their parent
     /// (topological / postorder-compatible numbering).
-    pub nodes: Vec<FrontNode>,
-    /// Root node indices.
-    pub roots: Vec<u32>,
+    pub nodes: Arc<[FrontNode]>,
     /// Problem symmetry (halves the dense kernel costs).
     pub sym: Symmetry,
+    /// Children of each node, and the roots, in CSR form.
+    index: Arc<ChildIndex>,
 }
 
 impl AssemblyTree {
@@ -57,33 +62,38 @@ impl AssemblyTree {
     /// are derived. Panics if a parent index is not larger than the child's
     /// (the tree must be topologically numbered) or `npiv > nfront`.
     pub fn from_parents(sym: Symmetry, specs: &[(Option<u32>, u32, u32)]) -> Self {
-        let mut nodes: Vec<FrontNode> = specs
+        let nodes: Arc<[FrontNode]> = specs
             .iter()
-            .map(|&(parent, nfront, npiv)| {
+            .enumerate()
+            .map(|(i, &(parent, nfront, npiv))| {
                 assert!(npiv <= nfront, "npiv {npiv} > nfront {nfront}");
                 assert!(npiv >= 1, "empty front");
+                if let Some(p) = parent {
+                    assert!(
+                        (p as usize) > i && (p as usize) < specs.len(),
+                        "node {i}: parent {p} not topological"
+                    );
+                }
                 FrontNode {
                     parent,
-                    children: Vec::new(),
                     nfront,
                     npiv,
                 }
             })
             .collect();
-        let mut roots = Vec::new();
-        for i in 0..nodes.len() {
-            match nodes[i].parent {
-                Some(p) => {
-                    assert!(
-                        (p as usize) > i && (p as usize) < nodes.len(),
-                        "node {i}: parent {p} not topological"
-                    );
-                    nodes[p as usize].children.push(i as u32);
-                }
-                None => roots.push(i as u32),
-            }
-        }
-        AssemblyTree { nodes, roots, sym }
+        let index = Arc::new(ChildIndex::new(specs.iter().map(|s| s.0)));
+        AssemblyTree { nodes, sym, index }
+    }
+
+    /// Children of node `v`, in increasing index order.
+    pub fn children(&self, v: usize) -> &[u32] {
+        debug_assert!(v < self.len(), "node {v} out of range");
+        self.index.children(v)
+    }
+
+    /// Root node indices, in increasing order.
+    pub fn roots(&self) -> &[u32] {
+        self.index.roots()
     }
 
     /// Number of nodes.
@@ -203,7 +213,7 @@ impl AssemblyTree {
             if let Some(p) = n.parent {
                 assert!((p as usize) > i, "node {i} numbered after parent");
                 assert!(
-                    self.nodes[p as usize].children.contains(&(i as u32)),
+                    self.children(p as usize).contains(&(i as u32)),
                     "child link missing for {i}"
                 );
                 assert!(
@@ -211,11 +221,17 @@ impl AssemblyTree {
                     "CB of {i} larger than parent front"
                 );
             } else {
-                assert!(self.roots.contains(&(i as u32)), "root {i} not listed");
+                assert!(self.roots().contains(&(i as u32)), "root {i} not listed");
             }
-            for &c in &n.children {
+            for &c in self.children(i) {
                 assert_eq!(self.nodes[c as usize].parent, Some(i as u32));
             }
+        }
+        for &r in self.roots() {
+            assert_eq!(
+                self.nodes[r as usize].parent, None,
+                "listed root {r} has a parent"
+            );
         }
         self
     }
@@ -229,14 +245,10 @@ impl AssemblyTree {
         // We evaluate it with an explicit stack over the topological order.
         let mut cb_stack = 0.0f64;
         let mut peak = 0.0f64;
-        let mut pending_children = vec![0usize; self.len()];
-        for i in self.topo_order() {
-            pending_children[i] = self.nodes[i].children.len();
-        }
         for i in self.topo_order() {
             // Assemble: children CBs are consumed into the new front.
-            let child_cb: f64 = self.nodes[i]
-                .children
+            let child_cb: f64 = self
+                .children(i)
                 .iter()
                 .map(|&c| self.cb_entries(c as usize))
                 .sum();
@@ -276,11 +288,20 @@ mod tests {
     fn structure_and_validation() {
         let t = sample();
         t.validate();
-        assert_eq!(t.roots, vec![3]);
-        assert_eq!(t.nodes[3].children, vec![1, 2]);
-        assert_eq!(t.nodes[2].children, vec![0]);
+        assert_eq!(t.roots(), [3]);
+        assert_eq!(t.children(3), [1, 2]);
+        assert_eq!(t.children(2), [0]);
+        assert!(t.children(0).is_empty() && t.children(1).is_empty());
         assert_eq!(t.height(), 3);
         assert_eq!(t.total_pivots(), 2 + 3 + 2 + 6);
+    }
+
+    #[test]
+    fn clones_share_the_arrays() {
+        let t = sample();
+        let c = t.clone();
+        assert!(std::ptr::eq(t.nodes.as_ptr(), c.nodes.as_ptr()));
+        assert!(std::ptr::eq(t.children(3), c.children(3)));
     }
 
     #[test]

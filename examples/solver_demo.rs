@@ -65,7 +65,7 @@ fn main() {
         for strat in [Strategy::MemoryBased, Strategy::WorkloadBased] {
             for (comm_name, comm) in [
                 ("main-loop", CommMode::MainLoop),
-                ("threaded", CommMode::threaded_default()),
+                ("threaded", CommMode::CommThread),
             ] {
                 let mut cfg = SolverConfig::new(nprocs)
                     .with_mechanism(mech)

@@ -74,7 +74,7 @@ fn main() {
             }
             NodeType::InSubtree => return,
         }
-        for &c in node.children.iter().rev() {
+        for &c in tree.children(v).iter().rev() {
             render(tree, p, c as usize, depth + 1);
         }
     }
@@ -84,12 +84,12 @@ fn main() {
         let mut stack = vec![root as u32];
         while let Some(v) = stack.pop() {
             n += 1;
-            stack.extend_from_slice(&tree.nodes[v as usize].children);
+            stack.extend_from_slice(tree.children(v as usize));
         }
         n
     }
 
-    for &r in &tree.roots {
+    for &r in tree.roots() {
         render(&tree, &p, r as usize, 0);
     }
 

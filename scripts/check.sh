@@ -79,9 +79,14 @@ done
 
 # Deterministic tables: `tables --all` (everything but the wall-clock §4.5
 # table, which only `--threaded` prints) must match the committed
-# tables_output.txt byte for byte (~10 s).
+# tables_output.txt byte for byte (~1.2 s on 2 cores). Each table runs its
+# simulations on every available core, so the diff repeats on one core
+# (`taskset -c 0`, ~2 s): both the multi-worker and the one-worker pool must
+# print the same bytes.
 echo "==> tables --all vs tables_output.txt"
 cargo run --release --offline -q -p loadex-bench --bin tables -- --all |
     diff -u tables_output.txt -
+echo "==> taskset -c 0 tables --all vs tables_output.txt"
+taskset -c 0 target/release/tables --all | diff -u tables_output.txt -
 
 echo "All checks passed."

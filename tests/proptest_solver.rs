@@ -38,7 +38,7 @@ proptest! {
                 Strategy::WorkloadBased
             });
         if threaded {
-            cfg = cfg.with_comm(CommMode::threaded_default());
+            cfg = cfg.with_comm(CommMode::CommThread);
         }
         if let Some(us) = chunk_us {
             cfg.task_chunk = SimDuration::from_micros(us);

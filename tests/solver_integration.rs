@@ -35,7 +35,7 @@ fn full_matrix_of_configurations_completes() {
     let tree = grid_tree(24);
     for mech in MechKind::ALL {
         for strat in [Strategy::MemoryBased, Strategy::WorkloadBased] {
-            for comm in [CommMode::MainLoop, CommMode::threaded_default()] {
+            for comm in [CommMode::MainLoop, CommMode::CommThread] {
                 let cfg = small_cfg(6)
                     .with_mechanism(mech)
                     .with_strategy(strat)
@@ -150,7 +150,7 @@ fn threading_reduces_snapshot_time() {
     let mut base = small_cfg(6).with_mechanism(MechKind::Snapshot);
     base.speed_flops = 1.0e6;
     let single = run(&tree, &base).unwrap();
-    let threaded = run(&tree, &base.clone().with_comm(CommMode::threaded_default())).unwrap();
+    let threaded = run(&tree, &base.clone().with_comm(CommMode::CommThread)).unwrap();
     assert!(
         threaded.snapshot_union_time <= single.snapshot_union_time,
         "threaded union {} > single {}",
