@@ -93,7 +93,7 @@ impl Mechanism for GossipMechanism {
         self.versions[self.me.index()] += 1;
     }
 
-    fn on_state_msg(&mut self, from: ActorId, msg: StateMsg, out: &mut Outbox) -> Vec<Notify> {
+    fn on_state_msg(&mut self, from: ActorId, msg: StateMsg, out: &mut Outbox) -> Option<Notify> {
         self.stats.msgs_received += 1;
         out.note(|| ProtocolEvent::state_recv(from, msg.kind(), msg.wire_size()));
         match msg {
@@ -112,7 +112,7 @@ impl Mechanism for GossipMechanism {
             StateMsg::NoMoreMaster => { /* gossip fanout is already bounded */ }
             other => panic!("gossip mechanism received unexpected message {:?}", other),
         }
-        Vec::new()
+        None
     }
 
     fn on_timer(&mut self, out: &mut Outbox) {
@@ -135,9 +135,9 @@ impl Mechanism for GossipMechanism {
         &mut self,
         _assignments: &[(ActorId, Load)],
         _out: &mut Outbox,
-    ) -> Vec<Notify> {
+    ) -> Option<Notify> {
         self.stats.decisions += 1;
-        Vec::new()
+        None
     }
 
     fn no_more_master(&mut self, _out: &mut Outbox) {}

@@ -124,7 +124,7 @@ impl Mechanism for IncrementMechanism {
         }
     }
 
-    fn on_state_msg(&mut self, from: ActorId, msg: StateMsg, out: &mut Outbox) -> Vec<Notify> {
+    fn on_state_msg(&mut self, from: ActorId, msg: StateMsg, out: &mut Outbox) -> Option<Notify> {
         self.stats.msgs_received += 1;
         out.note(|| ProtocolEvent::state_recv(from, msg.kind(), msg.wire_size()));
         match msg {
@@ -145,7 +145,7 @@ impl Mechanism for IncrementMechanism {
                 other
             ),
         }
-        Vec::new()
+        None
     }
 
     fn request_decision(&mut self, _out: &mut Outbox) -> Gate {
@@ -156,10 +156,10 @@ impl Mechanism for IncrementMechanism {
         &mut self,
         assignments: &[(ActorId, Load)],
         out: &mut Outbox,
-    ) -> Vec<Notify> {
+    ) -> Option<Notify> {
         self.stats.decisions += 1;
         if assignments.is_empty() {
-            return Vec::new();
+            return None;
         }
         // Apply the reservation to our own view immediately…
         for &(p, dl) in assignments {
@@ -177,7 +177,7 @@ impl Mechanism for IncrementMechanism {
         self.stats.msgs_sent += n_others;
         self.stats.bytes_sent += size * n_others;
         out.broadcast(msg);
-        Vec::new()
+        None
     }
 
     fn no_more_master(&mut self, out: &mut Outbox) {

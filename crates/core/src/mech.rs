@@ -146,24 +146,27 @@ pub trait Mechanism: Send {
     /// Report a local load variation of `delta` with the given origin.
     fn on_local_change(&mut self, delta: Load, origin: ChangeOrigin, out: &mut Outbox);
 
-    /// Process one incoming state message. Returned notifications must be
-    /// acted upon by the embedding (see [`Notify`]).
+    /// Process one incoming state message. A returned notification must be
+    /// acted upon by the embedding (see [`Notify`]); one message raises at
+    /// most one.
     fn on_state_msg(
         &mut self,
         from: ActorId,
         msg: crate::msg::StateMsg,
         out: &mut Outbox,
-    ) -> Vec<Notify>;
+    ) -> Option<Notify>;
 
     /// Open a dynamic scheduling decision.
     fn request_decision(&mut self, out: &mut Outbox) -> Gate;
 
-    /// Finish a decision with the selected `(slave, assigned load)` pairs.
+    /// Finish a decision with the selected `(slave, assigned load)` pairs;
+    /// the returned notification, if any, says whether the process stays
+    /// blocked or resumes.
     fn complete_decision(
         &mut self,
         assignments: &[(ActorId, Load)],
         out: &mut Outbox,
-    ) -> Vec<Notify>;
+    ) -> Option<Notify>;
 
     /// Announce that this process will never again be a master (§2.3).
     fn no_more_master(&mut self, out: &mut Outbox);
@@ -265,7 +268,7 @@ impl Mechanism for AnyMechanism {
         from: ActorId,
         msg: crate::msg::StateMsg,
         out: &mut Outbox,
-    ) -> Vec<Notify> {
+    ) -> Option<Notify> {
         self.as_dyn_mut().on_state_msg(from, msg, out)
     }
     fn request_decision(&mut self, out: &mut Outbox) -> Gate {
@@ -275,7 +278,7 @@ impl Mechanism for AnyMechanism {
         &mut self,
         assignments: &[(ActorId, Load)],
         out: &mut Outbox,
-    ) -> Vec<Notify> {
+    ) -> Option<Notify> {
         self.as_dyn_mut().complete_decision(assignments, out)
     }
     fn no_more_master(&mut self, out: &mut Outbox) {

@@ -117,7 +117,7 @@ impl Mechanism for NaiveMechanism {
         }
     }
 
-    fn on_state_msg(&mut self, from: ActorId, msg: StateMsg, out: &mut Outbox) -> Vec<Notify> {
+    fn on_state_msg(&mut self, from: ActorId, msg: StateMsg, out: &mut Outbox) -> Option<Notify> {
         self.stats.msgs_received += 1;
         out.note(|| ProtocolEvent::state_recv(from, msg.kind(), msg.wire_size()));
         match msg {
@@ -126,7 +126,7 @@ impl Mechanism for NaiveMechanism {
             StateMsg::NoMoreMaster => self.interested[from.index()] = false,
             other => panic!("naive mechanism received unexpected message {:?}", other),
         }
-        Vec::new()
+        None
     }
 
     fn on_timer(&mut self, out: &mut Outbox) {
@@ -153,12 +153,12 @@ impl Mechanism for NaiveMechanism {
         &mut self,
         _assignments: &[(ActorId, Load)],
         _out: &mut Outbox,
-    ) -> Vec<Notify> {
+    ) -> Option<Notify> {
         // No reservation broadcast: this is precisely the naive mechanism's
         // weakness illustrated by Figure 1. The slaves' loads will only be
         // seen once the slaves themselves process the work and re-broadcast.
         self.stats.decisions += 1;
-        Vec::new()
+        None
     }
 
     fn no_more_master(&mut self, out: &mut Outbox) {
@@ -224,7 +224,7 @@ mod tests {
             },
             &mut out,
         );
-        assert!(n.is_empty());
+        assert_eq!(n, None);
         assert_eq!(m.view().get(ActorId(2)), Load::new(7.0, 3.0));
         // A second update replaces, not accumulates.
         m.on_state_msg(
@@ -251,7 +251,7 @@ mod tests {
         let (mut m, mut out) = mech(4);
         assert_eq!(m.request_decision(&mut out), Gate::Ready);
         let n = m.complete_decision(&[(ActorId(1), Load::work(50.0))], &mut out);
-        assert!(n.is_empty());
+        assert_eq!(n, None);
         assert!(out.is_empty(), "no reservation broadcast in naive");
         // And crucially: the master's view of the slave did NOT change.
         assert_eq!(m.view().get(ActorId(1)), Load::ZERO);

@@ -15,11 +15,13 @@
 //! initiators.
 //!
 //! Each process keeps the active initiators (its own rank included while its
-//! snapshot is pending) in one ordered set, so that election reads an end of
-//! the set — the first rank under [`LeaderPolicy::MinRank`], the last under
-//! [`LeaderPolicy::MaxRank`] — in O(log P) instead of scanning every rank.
-//! The paper's `nb_snp` (concurrent snapshots other than our own) is the
-//! set's size less our own entry.
+//! snapshot is pending) in a `RankSet`, one bit per rank with a count, so
+//! that adding, removing and testing an initiator is one word operation, and
+//! election reads an end of the set — the first rank under
+//! [`LeaderPolicy::MinRank`], the last under [`LeaderPolicy::MaxRank`] — by
+//! scanning P/64 words. The paper's `nb_snp` (concurrent snapshots other
+//! than our own) is the set's count less our own entry. The processes owed a
+//! delayed answer are a second such set.
 //!
 //! Two departures from the report's pseudo-code, both resolving control-flow
 //! holes in it while preserving its evident intent (the elected leader
@@ -48,10 +50,10 @@ use crate::load::Load;
 use crate::mech::{ChangeOrigin, Gate, MechStats, Mechanism, Notify};
 use crate::msg::StateMsg;
 use crate::outbox::{ranks_in, Outbox};
+use crate::rankset::RankSet;
 use crate::view::LoadTable;
 use loadex_obs::{event, ProtocolEvent};
 use loadex_sim::ActorId;
-use std::collections::BTreeSet;
 
 /// Where the initiator side of the state machine stands.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -100,10 +102,10 @@ pub struct SnapshotMechanism {
     snapshot: bool,
     /// Last request id seen (or issued, for our own slot) per process.
     request: Vec<u64>,
-    /// Processes that currently have an initiated snapshot, by rank.
-    active: BTreeSet<ActorId>,
-    /// Whether we owe a delayed answer to each process.
-    delayed: Vec<bool>,
+    /// Processes that currently have an initiated snapshot.
+    active: RankSet,
+    /// Processes we owe a delayed answer.
+    delayed: RankSet,
     /// Answers received for our current request.
     nb_msgs: usize,
     phase: Phase,
@@ -142,8 +144,8 @@ impl SnapshotMechanism {
             leader: None,
             snapshot: false,
             request: vec![0; nprocs],
-            active: BTreeSet::new(),
-            delayed: vec![false; nprocs],
+            active: RankSet::new(nprocs),
+            delayed: RankSet::new(nprocs),
             nb_msgs: 0,
             phase: Phase::Idle,
             abandoned: false,
@@ -189,13 +191,13 @@ impl SnapshotMechanism {
 
     /// Processes with an initiated snapshot, in rank order (diagnostic).
     pub fn active_initiators(&self) -> impl Iterator<Item = ActorId> + '_ {
-        self.active.iter().copied()
+        self.active.iter()
     }
 
     /// Number of concurrent snapshots *excluding our own* (the paper's
     /// `nb_snp`).
     fn nb_snp(&self) -> usize {
-        self.active.len() - usize::from(self.active.contains(&self.me))
+        self.active.len() - usize::from(self.active.contains(self.me))
     }
 
     fn my_state(&self) -> Load {
@@ -228,11 +230,11 @@ impl SnapshotMechanism {
         self.stats.snapshots_started += 1;
     }
 
-    fn gathering_complete(&mut self) -> Vec<Notify> {
+    fn gathering_complete(&mut self) -> Option<Notify> {
         // Initiate-a-snapshot lines 17–19: all answers in.
-        self.active.remove(&self.me);
+        self.active.remove(self.me);
         self.phase = Phase::ReadyToDecide;
-        vec![Notify::DecisionReady]
+        Some(Notify::DecisionReady)
     }
 
     /// Elect a leader among the processes with an active snapshot (including
@@ -242,7 +244,6 @@ impl SnapshotMechanism {
             LeaderPolicy::MinRank => self.active.first(),
             LeaderPolicy::MaxRank => self.active.last(),
         }
-        .copied()
     }
 
     fn on_start_snp(
@@ -251,15 +252,14 @@ impl SnapshotMechanism {
         req: u64,
         partial: bool,
         out: &mut Outbox,
-    ) -> Vec<Notify> {
-        let mut notifies = Vec::new();
+    ) -> Option<Notify> {
         // Reception lines 1–6.
         self.leader = Some(self.policy.elect(pi, self.leader));
         self.request[pi.index()] = req;
         self.active.insert(pi);
         // Lines 7–10: we are the leader — make the rival wait.
         if self.leader == Some(self.me) {
-            self.delayed[pi.index()] = true;
+            self.delayed.insert(pi);
             self.stats.delayed_answers += 1;
             if self.phase == Phase::Gathering {
                 let my_req = self.request[self.me.index()];
@@ -269,7 +269,7 @@ impl SnapshotMechanism {
                 to: event::rank(pi),
                 req,
             });
-            return notifies;
+            return None;
         }
         // §5 extension note: for *partial* snapshots, `pi` may not have
         // queried the other active initiators, so the election below only
@@ -289,7 +289,6 @@ impl SnapshotMechanism {
             };
             self.stats.count_sent(&answer, 1);
             out.send(pi, answer);
-            notifies.push(Notify::Blocked);
             // Lines 23–27 as seen from a gathering initiator that just lost
             // the election: if the rival is the only other active snapshot
             // (`nb_snp == 1`), the paper abandons the current attempt
@@ -302,10 +301,11 @@ impl SnapshotMechanism {
                     winner: event::rank(pi),
                 });
             }
+            Some(Notify::Blocked)
         } else {
             // Lines 15–22: already in snapshot mode.
-            if self.leader != Some(pi) || self.delayed[pi.index()] {
-                self.delayed[pi.index()] = true;
+            if self.leader != Some(pi) || self.delayed.contains(pi) {
+                self.delayed.insert(pi);
                 self.stats.delayed_answers += 1;
                 out.note(|| ProtocolEvent::DelayedAnswer {
                     to: event::rank(pi),
@@ -319,15 +319,14 @@ impl SnapshotMechanism {
                 self.stats.count_sent(&answer, 1);
                 out.send(pi, answer);
             }
+            None
         }
-        notifies
     }
 
-    fn on_end_snp(&mut self, pi: ActorId, out: &mut Outbox) -> Vec<Notify> {
-        let mut notifies = Vec::new();
+    fn on_end_snp(&mut self, pi: ActorId, out: &mut Outbox) -> Option<Notify> {
         // End-snp reception lines 1–3.
         self.leader = None;
-        self.active.remove(&pi);
+        self.active.remove(pi);
         if self.nb_snp() == 0 {
             let was_blocked = self.snapshot;
             self.snapshot = false;
@@ -340,7 +339,7 @@ impl SnapshotMechanism {
                 self.deferred_init = false;
                 self.initiate_now(out);
             } else if self.phase == Phase::Idle && was_blocked {
-                notifies.push(Notify::Resumed);
+                return Some(Notify::Resumed);
             }
             // phase == Gathering && !abandoned: keep waiting for the
             // outstanding answers on the current request id.
@@ -358,34 +357,40 @@ impl SnapshotMechanism {
                         let my_req = self.request[self.me.index()];
                         out.note(|| ProtocolEvent::ElectionWon { req: my_req });
                         if self.nb_msgs == self.gather_target {
-                            notifies.extend(self.gathering_complete());
+                            return self.gathering_complete();
                         }
                     }
-                } else if self.delayed[l.index()] {
-                    let answer = StateMsg::Snp {
-                        load: self.my_state(),
-                        req: self.request[l.index()],
-                    };
-                    self.stats.count_sent(&answer, 1);
-                    out.send(l, answer);
-                    self.delayed[l.index()] = false;
+                } else {
+                    self.release_delayed(l, out);
                 }
             }
         }
-        notifies
+        None
     }
 
-    fn on_snp(&mut self, from: ActorId, load: Load, req: u64) -> Vec<Notify> {
+    /// Send `l` the answer we delayed, if we owe it one.
+    fn release_delayed(&mut self, l: ActorId, out: &mut Outbox) {
+        if self.delayed.remove(l) {
+            let answer = StateMsg::Snp {
+                load: self.my_state(),
+                req: self.request[l.index()],
+            };
+            self.stats.count_sent(&answer, 1);
+            out.send(l, answer);
+        }
+    }
+
+    fn on_snp(&mut self, from: ActorId, load: Load, req: u64) -> Option<Notify> {
         // Snp reception: only answers to our *current* request are valid.
         if req != self.request[self.me.index()] || self.phase != Phase::Gathering {
-            return Vec::new();
+            return None;
         }
         self.nb_msgs += 1;
         self.view.set(from, load);
         if !self.abandoned && self.nb_msgs == self.gather_target {
             return self.gathering_complete();
         }
-        Vec::new()
+        None
     }
 }
 
@@ -444,7 +449,7 @@ impl Mechanism for SnapshotMechanism {
         self.view.add(self.me, delta);
     }
 
-    fn on_state_msg(&mut self, from: ActorId, msg: StateMsg, out: &mut Outbox) -> Vec<Notify> {
+    fn on_state_msg(&mut self, from: ActorId, msg: StateMsg, out: &mut Outbox) -> Option<Notify> {
         self.stats.msgs_received += 1;
         out.note(|| ProtocolEvent::state_recv(from, msg.kind(), msg.wire_size()));
         match msg {
@@ -455,7 +460,7 @@ impl Mechanism for SnapshotMechanism {
                 // Algorithm 4: the selected slave charges its share so that a
                 // subsequent snapshot sees the previous decision.
                 self.view.add(self.me, delta);
-                Vec::new()
+                None
             }
             other => panic!("snapshot mechanism received unexpected message {:?}", other),
         }
@@ -475,12 +480,11 @@ impl Mechanism for SnapshotMechanism {
         &mut self,
         assignments: &[(ActorId, Load)],
         out: &mut Outbox,
-    ) -> Vec<Notify> {
+    ) -> Option<Notify> {
         assert_eq!(self.phase, Phase::ReadyToDecide, "no decision in flight");
         self.stats.decisions += 1;
         let my_req = self.request[self.me.index()];
         out.note(|| ProtocolEvent::SnapshotEnd { req: my_req });
-        let mut notifies = Vec::new();
         // Algorithm 4 lines 3–5: tell each selected slave its share.
         for &(p, dl) in assignments {
             debug_assert_ne!(p, self.me);
@@ -507,23 +511,14 @@ impl Mechanism for SnapshotMechanism {
             self.snapshot = true;
             let next = self.elect_among_active();
             self.leader = next;
-            if let Some(l) = next {
-                if l != self.me && self.delayed[l.index()] {
-                    let answer = StateMsg::Snp {
-                        load: self.my_state(),
-                        req: self.request[l.index()],
-                    };
-                    self.stats.count_sent(&answer, 1);
-                    out.send(l, answer);
-                    self.delayed[l.index()] = false;
-                }
+            if let Some(l) = next.filter(|&l| l != self.me) {
+                self.release_delayed(l, out);
             }
-            notifies.push(Notify::Blocked);
+            Some(Notify::Blocked)
         } else {
             self.snapshot = false;
-            notifies.push(Notify::Resumed);
+            Some(Notify::Resumed)
         }
-        notifies
     }
 
     fn no_more_master(&mut self, _out: &mut Outbox) {
@@ -603,7 +598,7 @@ mod tests {
             };
             let mut out = Outbox::new();
             let notifies = self.mechs[to.index()].on_state_msg(from, msg, &mut out);
-            for nf in notifies {
+            if let Some(nf) = notifies {
                 self.notifications.push((to, nf));
             }
             self.stage(to, &mut out);
@@ -628,7 +623,7 @@ mod tests {
         fn complete_decision(&mut self, p: ActorId, sel: &[(ActorId, Load)]) {
             let mut out = Outbox::new();
             let notifies = self.mechs[p.index()].complete_decision(sel, &mut out);
-            for nf in notifies {
+            if let Some(nf) = notifies {
                 self.notifications.push((p, nf));
             }
             self.stage(p, &mut out);
@@ -860,6 +855,62 @@ mod tests {
         }
     }
 
+    /// P = 130: the active set spans three words. Initiators at the ends
+    /// and on both sides of each word boundary all request before any
+    /// message moves; each policy must pick them off from its own end,
+    /// every later one seeing the shares of the decisions before it.
+    #[test]
+    fn initiators_across_word_boundaries_decide_in_policy_order() {
+        const N: usize = 130;
+        for policy in POLICIES {
+            let mut c = Cluster::with_policy(N, policy);
+            let initiators = [64, 0, 129, 127, 63].map(ActorId);
+            for &p in &initiators {
+                assert_eq!(c.request_decision(p), Gate::Wait);
+            }
+            let mut order = initiators.to_vec();
+            order.sort();
+            if policy == LeaderPolicy::MaxRank {
+                order.reverse();
+            }
+            c.deliver_all();
+            // Every bystander sees all five initiators and the same leader.
+            let bystander = &c.mechs[100];
+            let mut sorted = order.clone();
+            sorted.sort();
+            assert_eq!(bystander.active_initiators().collect::<Vec<_>>(), sorted);
+            assert_eq!(bystander.leader(), Some(order[0]), "{policy:?}");
+            let slave = ActorId(1); // not an initiator
+            let mut charged = 0.0;
+            for (i, &leader) in order.iter().enumerate() {
+                assert!(c.decision_ready(leader), "{policy:?}: {leader} at {i}");
+                for &later in &order[i + 1..] {
+                    assert!(!c.decision_ready(later), "{policy:?}: {later} early");
+                }
+                if i == 0 || c.mechs[leader.index()].stats().snapshot_rebroadcasts > 0 {
+                    assert_eq!(
+                        c.mechs[leader.index()].view().get(slave),
+                        Load::work(charged),
+                        "{policy:?}: {leader} misses an earlier share"
+                    );
+                }
+                charged += 1.0;
+                c.complete_decision(leader, &[(slave, Load::work(1.0))]);
+                c.deliver_all();
+            }
+            let ready: Vec<ActorId> = c
+                .notifications
+                .iter()
+                .filter(|(_, nf)| *nf == Notify::DecisionReady)
+                .map(|&(p, _)| p)
+                .collect();
+            assert_eq!(ready, order, "{policy:?}: readiness order");
+            for p in 0..N {
+                assert!(!c.mechs[p].blocked(), "{policy:?}: P{p} still blocked");
+            }
+        }
+    }
+
     #[test]
     fn election_state_is_readable_in_rank_order() {
         let mut c = Cluster::new(5);
@@ -969,7 +1020,7 @@ mod tests {
             "p3 cannot complete before p1 answers"
         );
         assert!(
-            c.mechs[p1.index()].delayed[p3.index()],
+            c.mechs[p1.index()].delayed.contains(p3),
             "p1 delays p3's new request"
         );
 
@@ -1009,7 +1060,7 @@ mod tests {
             },
             &mut out,
         );
-        assert!(n.is_empty());
+        assert_eq!(n, None);
         assert_eq!(m.missing_answers(), 2);
         // Valid answers complete the snapshot.
         m.on_state_msg(
@@ -1028,7 +1079,7 @@ mod tests {
             },
             &mut out,
         );
-        assert_eq!(n, vec![Notify::DecisionReady]);
+        assert_eq!(n, Some(Notify::DecisionReady));
     }
 
     #[test]
@@ -1095,7 +1146,7 @@ mod tests {
         assert_eq!(m.request_decision(&mut out), Gate::Ready);
         assert!(out.is_empty());
         let n = m.complete_decision(&[], &mut out);
-        assert_eq!(n, vec![Notify::Resumed]);
+        assert_eq!(n, Some(Notify::Resumed));
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //! each destination in turn — one [`World::handle`] call and one processed
 //! step each — before it pops the calendar again. This is exactly the order
 //! the same destinations would get as separate [`Scheduler::schedule_at`]
-//! calls made back to back: those entries share a time and take consecutive
-//! sequence numbers, so no other entry can pop between them, and anything
-//! scheduled while they are handled gets a larger sequence number and pops
-//! after the last of them.
+//! calls made back to back: those entries share a time and sit back to back
+//! in that instant's FIFO bucket, so no other entry can pop between them,
+//! and anything scheduled while they are handled joins the bucket behind
+//! them and pops after the last of them.
 
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};

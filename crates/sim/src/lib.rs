@@ -10,9 +10,12 @@
 //!
 //! * [`SimTime`] — simulated time in integer nanoseconds (no floating-point
 //!   drift, total order, deterministic).
-//! * [`EventQueue`] — a binary-heap calendar with stable FIFO tie-breaking so
-//!   that two events scheduled for the same instant are handled in the order
-//!   they were scheduled. This makes every run bit-reproducible.
+//! * [`EventQueue`] — a calendar of per-instant FIFO buckets ordered by
+//!   time, so that two events scheduled for the same instant are handled in
+//!   the order they were scheduled. This makes every run bit-reproducible.
+//!   The earliest bucket sits apart, so pops and same-instant pushes touch
+//!   no map, and drained buckets are reused (up to a bound) rather than
+//!   allocated afresh.
 //! * [`Simulator`] / [`World`] — the run loop. The `World` owns all process
 //!   state; the simulator owns time and the calendar.
 //! * Fan-out entries — [`Scheduler::schedule_fanout_at`] puts one event for
@@ -21,9 +24,9 @@
 //!   the simulator hands each destination its own copy, one
 //!   [`World::handle`] call and one processed step each, before it pops the
 //!   calendar again. That is exactly the order of `P−1` separate entries:
-//!   they would share a time and take consecutive sequence numbers, so no
-//!   other entry could pop between them, and anything scheduled while they
-//!   are handled gets a larger sequence number and pops after the last one.
+//!   they would sit back to back in their instant's FIFO bucket, so no other
+//!   entry could pop between them, and anything scheduled while they are
+//!   handled joins the bucket behind them and pops after the last one.
 //! * [`rng`] — a small, self-contained, splittable PRNG (SplitMix64 and
 //!   xoshiro256**) so that simulation randomness is stable across platforms
 //!   and dependency versions.

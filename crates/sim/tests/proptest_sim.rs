@@ -153,6 +153,53 @@ proptest! {
         }
     }
 
+    /// Interleaved pushes and pops against a model that sorts by
+    /// `(time, push index)`: few distinct instants, so buckets fill, drain
+    /// and come back, and pushes at the instant just popped, as a world
+    /// scheduling "now" does. `len`, `peek_time` and `is_empty` agree with
+    /// the model after every step.
+    #[test]
+    fn event_queue_matches_a_stable_model_under_interleaving(
+        ops in prop::collection::vec((0u8..4, 0u64..4), 1..300),
+    ) {
+        let mut q = EventQueue::new();
+        let mut model: Vec<(SimTime, usize)> = Vec::new();
+        let mut pushed = 0;
+        let mut last_popped = SimTime(0);
+        for (op, t) in ops {
+            match op {
+                0 => {
+                    let expected = model
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|&(_, &key)| key)
+                        .map(|(i, _)| i)
+                        .map(|i| model.remove(i));
+                    let popped = q.pop();
+                    prop_assert_eq!(popped, expected);
+                    if let Some((time, _)) = popped {
+                        last_popped = time;
+                    }
+                }
+                op => {
+                    let time = if op == 1 { last_popped } else { SimTime(10 * t) };
+                    q.push(time, pushed);
+                    model.push((time, pushed));
+                    pushed += 1;
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.is_empty(), model.is_empty());
+            prop_assert_eq!(q.peek_time(), model.iter().map(|&(time, _)| time).min());
+        }
+        let mut rest = Vec::new();
+        while let Some(popped) = q.pop() {
+            rest.push(popped);
+        }
+        model.sort();
+        prop_assert_eq!(rest, model);
+    }
+
     /// `next_below` is always in range and deterministic per seed.
     #[test]
     fn rng_bounds_and_determinism(seed in any::<u64>(), n in 1u64..1_000_000) {

@@ -282,7 +282,10 @@ fn refresh_belief<'a, H: Host<'a>>(h: &mut H, q: ActorId) {
 
 /// Act on mechanism notifications: a ready decision runs its selection.
 /// Blocked/Resumed are reconciled from the mechanism's blocked flag.
-pub(crate) fn handle_notifies<'a, H: Host<'a>>(h: &mut H, notifies: Vec<Notify>) {
+pub(crate) fn handle_notifies<'a, H: Host<'a>>(
+    h: &mut H,
+    notifies: impl IntoIterator<Item = Notify>,
+) {
     for n in notifies {
         if matches!(n, Notify::DecisionReady) {
             if let Some(node) = h.proc().decision_inflight.take() {

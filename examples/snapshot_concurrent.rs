@@ -68,22 +68,20 @@ fn main() {
                     if let Ok(env) = ep.recv_timeout(Duration::from_millis(5)) {
                         let notifies = mech.on_state_msg(env.from, env.msg, &mut out);
                         flush(&ep, &mut out);
-                        for n in notifies {
-                            if n == Notify::DecisionReady && want_decision {
-                                want_decision = false;
-                                // The decision: give P3 some work, an amount
-                                // that depends on how loaded P3 already looks.
-                                let seen = mech.view().get(ActorId(3)).work;
-                                decisions.lock().unwrap().push((me.index(), seen));
-                                println!(
-                                    "P{}: snapshot complete; view of P3 = {} work units; assigning 100 more",
-                                    me.index(),
-                                    seen
-                                );
-                                let sel = [(ActorId(3), Load::work(100.0))];
-                                mech.complete_decision(&sel, &mut out);
-                                flush(&ep, &mut out);
-                            }
+                        if notifies == Some(Notify::DecisionReady) && want_decision {
+                            want_decision = false;
+                            // The decision: give P3 some work, an amount
+                            // that depends on how loaded P3 already looks.
+                            let seen = mech.view().get(ActorId(3)).work;
+                            decisions.lock().unwrap().push((me.index(), seen));
+                            println!(
+                                "P{}: snapshot complete; view of P3 = {} work units; assigning 100 more",
+                                me.index(),
+                                seen
+                            );
+                            let sel = [(ActorId(3), Load::work(100.0))];
+                            mech.complete_decision(&sel, &mut out);
+                            flush(&ep, &mut out);
                         }
                     }
                     // Termination: quiesce once nothing is in flight.

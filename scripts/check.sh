@@ -11,6 +11,9 @@ run() {
 
 run cargo build --workspace --release --offline
 run cargo test --workspace --offline -q
+# The mechanism tests again in the release profile: a word-update form in
+# `RankSet` (crates/core/src/rankset.rs) was once miscompiled at -O only.
+run cargo test --release --offline -p loadex-core -q
 # Dedicated threaded-backend pass: real OS threads (the suite bounds itself
 # to <= 4 processes per run), wrapped in a hard timeout so a protocol
 # deadlock fails the gate quickly instead of hanging it. The per-run
@@ -51,6 +54,12 @@ for mech in naive increments snapshot periodic gossip; do
         run cargo run --release --offline -p loadex-bench --bin run -- \
             --matrix TWOTONE --procs 8 --mech "$mech" --comm-thread "$comm" --audit
     done
+done
+# The same audit at P = 130, where the snapshot mechanism's sets of ranks
+# span three 64-bit words.
+for comm in off on; do
+    run cargo run --release --offline -p loadex-bench --bin run -- \
+        --matrix TWOTONE --procs 130 --mech snapshot --comm-thread "$comm" --audit
 done
 
 # Golden exports through the CLI's own file path: the release `run` binary's

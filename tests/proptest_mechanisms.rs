@@ -166,20 +166,18 @@ proptest! {
             let (from, to, msg) = post.deliver(*pick_iter.next().unwrap()).unwrap();
             let notifies = mechs[to.index()].on_state_msg(from, msg, &mut out);
             post.stage(to, &mut out);
-            for nf in notifies {
-                if nf == Notify::DecisionReady {
-                    completed.push(to.index());
-                    // Assign some work to a non-self slave.
-                    let slave = (0..n).map(ActorId).find(|s| {
-                        s.index() != to.index() && (slave_pick + s.index()) % 2 == 0
-                    });
-                    let sel: Vec<(ActorId, Load)> = slave
-                        .into_iter()
-                        .map(|s| (s, Load::work(10.0)))
-                        .collect();
-                    mechs[to.index()].complete_decision(&sel, &mut out);
-                    post.stage(to, &mut out);
-                }
+            if notifies == Some(Notify::DecisionReady) {
+                completed.push(to.index());
+                // Assign some work to a non-self slave.
+                let slave = (0..n).map(ActorId).find(|s| {
+                    s.index() != to.index() && (slave_pick + s.index()) % 2 == 0
+                });
+                let sel: Vec<(ActorId, Load)> = slave
+                    .into_iter()
+                    .map(|s| (s, Load::work(10.0)))
+                    .collect();
+                mechs[to.index()].complete_decision(&sel, &mut out);
+                post.stage(to, &mut out);
             }
         }
         // Every initiator decided exactly once, in rank order.
@@ -218,7 +216,7 @@ proptest! {
             let (from, to, msg) = post.deliver(*pick_iter.next().unwrap()).unwrap();
             let notifies = mechs[to.index()].on_state_msg(from, msg, &mut out);
             post.stage(to, &mut out);
-            if notifies.contains(&Notify::DecisionReady) {
+            if notifies == Some(Notify::DecisionReady) {
                 ready = true;
                 for q in 1..n {
                     let seen = mechs[0].view().get(ActorId(q)).work;

@@ -62,7 +62,12 @@ fn run_threaded(
         .clone()
         .with_backend(ExecBackend::Threaded(t))
         .with_comm(comm);
-    solver::run(tree, &c).unwrap()
+    solver::run(tree, &c).unwrap_or_else(|e| {
+        panic!(
+            "threaded {} run with comm {comm:?} failed: {e} ({e:?})",
+            c.mechanism
+        )
+    })
 }
 
 #[test]
