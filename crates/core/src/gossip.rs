@@ -93,12 +93,12 @@ impl Mechanism for GossipMechanism {
         self.versions[self.me.index()] += 1;
     }
 
-    fn on_state_msg(&mut self, from: ActorId, msg: StateMsg, out: &mut Outbox) -> Option<Notify> {
+    fn on_state(&mut self, from: ActorId, msg: &StateMsg, out: &mut Outbox) -> Option<Notify> {
         self.stats.msgs_received += 1;
         out.note(|| ProtocolEvent::state_recv(from, msg.kind(), msg.wire_size()));
         match msg {
             StateMsg::Gossip { entries } => {
-                for (q, ver, load) in entries {
+                for &(q, ver, load) in entries {
                     // Never let second-hand data overwrite our own entry.
                     if q == self.me {
                         continue;

@@ -20,10 +20,11 @@
 use crate::load::{Load, Threshold};
 use crate::mech::{ChangeOrigin, Gate, MechStats, Mechanism, Notify};
 use crate::msg::StateMsg;
-use crate::outbox::{ranks_in, Outbox};
+use crate::outbox::Outbox;
 use crate::view::LoadTable;
 use loadex_obs::ProtocolEvent;
-use loadex_sim::ActorId;
+use loadex_sim::{ActorId, RankSet};
+use std::sync::Arc;
 
 /// Increment-based mechanism with the `MasterToAll` reservation broadcast.
 ///
@@ -40,8 +41,9 @@ use loadex_sim::ActorId;
 /// assert!(out.is_empty());
 /// // …until the threshold trips and a delta goes to every other process.
 /// mech.on_local_change(Load::work(600.0), ChangeOrigin::Local, &mut out);
+/// let Dest::Set(interested) = &out.peek()[0].dest else { panic!("a rank set") };
 /// let all_others = vec![ActorId(1), ActorId(2), ActorId(3)];
-/// assert_eq!(out.peek()[0].dest, Dest::Many(all_others));
+/// assert_eq!(interested.iter().collect::<Vec<_>>(), all_others);
 ///
 /// // A slave selection reserves load on the chosen slaves system-wide.
 /// out.drain().count();
@@ -54,22 +56,21 @@ pub struct IncrementMechanism {
     /// `∆load` of Algorithm 3: accumulated not-yet-broadcast increments.
     delta_accum: Load,
     view: LoadTable,
-    /// §2.3: peers that still want our `Update` messages.
-    interested: Vec<bool>,
+    /// §2.3: peers that still want our `Update` messages, shared with the
+    /// updates in flight.
+    interested: Arc<RankSet>,
     stats: MechStats,
 }
 
 impl IncrementMechanism {
     /// A mechanism instance for process `me` of `nprocs`.
     pub fn new(me: ActorId, nprocs: usize, threshold: Threshold) -> Self {
-        let mut interested = vec![true; nprocs];
-        interested[me.index()] = false;
         IncrementMechanism {
             me,
             threshold,
             delta_accum: Load::ZERO,
             view: LoadTable::new(me, nprocs),
-            interested,
+            interested: Arc::new(RankSet::all_but(nprocs, me)),
             stats: MechStats::default(),
         }
     }
@@ -89,9 +90,8 @@ impl IncrementMechanism {
     }
 
     fn send_to_interested(&mut self, msg: StateMsg, out: &mut Outbox) {
-        let dests = ranks_in(&self.interested);
-        self.stats.count_sent(&msg, dests.len());
-        out.multicast(dests, msg);
+        self.stats.count_sent(&msg, self.interested.len());
+        out.multicast_set(&self.interested, msg);
     }
 }
 
@@ -124,22 +124,24 @@ impl Mechanism for IncrementMechanism {
         }
     }
 
-    fn on_state_msg(&mut self, from: ActorId, msg: StateMsg, out: &mut Outbox) -> Option<Notify> {
+    fn on_state(&mut self, from: ActorId, msg: &StateMsg, out: &mut Outbox) -> Option<Notify> {
         self.stats.msgs_received += 1;
         out.note(|| ProtocolEvent::state_recv(from, msg.kind(), msg.wire_size()));
         match msg {
             // Algorithm 3 line 12: load(Pj) += ∆lj.
-            StateMsg::UpdateDelta { delta } => self.view.add(from, delta),
+            StateMsg::UpdateDelta { delta } => self.view.add(from, *delta),
             // Algorithm 3 lines 17–23.
             StateMsg::MasterToAll { assignments } => {
-                for (p, dl) in assignments {
+                for &(p, dl) in assignments {
                     // Whether `p` is us or a third party, the entry to bump
                     // is the same table slot; for ourselves this *is*
                     // `my_load += δ` (line 21) since we own our entry.
                     self.view.add(p, dl);
                 }
             }
-            StateMsg::NoMoreMaster => self.interested[from.index()] = false,
+            StateMsg::NoMoreMaster => {
+                Arc::make_mut(&mut self.interested).remove(from);
+            }
             other => panic!(
                 "increment mechanism received unexpected message {:?}",
                 other
@@ -198,6 +200,14 @@ mod tests {
     use super::*;
     use crate::outbox::{Dest, OutMsg};
 
+    /// The ranks a staged destination names (a set, here).
+    fn ranks(dest: &Dest) -> Vec<ActorId> {
+        match dest {
+            Dest::Set(set) => set.iter().collect(),
+            other => panic!("expected a rank set, got {other:?}"),
+        }
+    }
+
     fn mech(n: usize) -> (IncrementMechanism, Outbox) {
         (
             IncrementMechanism::new(ActorId(0), n, Threshold::new(10.0, 10.0)),
@@ -212,15 +222,14 @@ mod tests {
         m.on_local_change(Load::work(4.0), ChangeOrigin::Local, &mut out);
         assert!(out.is_empty());
         m.on_local_change(Load::work(4.0), ChangeOrigin::Local, &mut out);
-        let staged: Vec<_> = out.drain().collect();
+        let staged: Vec<OutMsg> = out.drain().collect();
+        assert_eq!(staged.len(), 1);
+        assert_eq!(ranks(&staged[0].dest), vec![ActorId(1), ActorId(2)]);
         assert_eq!(
-            staged,
-            vec![OutMsg {
-                dest: Dest::Many(vec![ActorId(1), ActorId(2)]),
-                msg: StateMsg::UpdateDelta {
-                    delta: Load::work(12.0)
-                },
-            }]
+            staged[0].msg,
+            StateMsg::UpdateDelta {
+                delta: Load::work(12.0)
+            }
         );
         // Accumulator reset after flush (Algorithm 3 line 10).
         m.on_local_change(Load::work(4.0), ChangeOrigin::Local, &mut out);
@@ -352,8 +361,8 @@ mod tests {
         m.on_state_msg(ActorId(1), StateMsg::NoMoreMaster, &mut out);
         m.on_state_msg(ActorId(2), StateMsg::NoMoreMaster, &mut out);
         m.on_local_change(Load::work(100.0), ChangeOrigin::Local, &mut out);
-        let dests: Vec<_> = out.drain().map(|s| s.dest).collect();
-        assert_eq!(dests, vec![Dest::Many(vec![ActorId(3), ActorId(4)])]);
+        let dests: Vec<_> = out.drain().map(|s| ranks(&s.dest)).collect();
+        assert_eq!(dests, vec![vec![ActorId(3), ActorId(4)]]);
         // But a MasterToAll still reaches everyone.
         m.complete_decision(&[(ActorId(1), Load::work(5.0))], &mut out);
         assert_eq!(out.drain().next().unwrap().dest, Dest::AllOthers);

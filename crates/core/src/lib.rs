@@ -41,7 +41,6 @@ pub mod mech;
 pub mod msg;
 pub mod naive;
 pub mod outbox;
-mod rankset;
 pub mod snapshot;
 pub mod view;
 

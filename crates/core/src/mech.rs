@@ -8,6 +8,14 @@
 //! through return values, [`Notify`] events and staged messages in the
 //! [`Outbox`].
 //!
+//! A state message is read by reference ([`Mechanism::on_state`]), so an
+//! embedding may hand every receiver of a broadcast the one shared payload;
+//! the by-value [`Mechanism::on_state_msg`] is a wrapper for a caller that
+//! owns its copy. Mechanisms that send to a changing set of peers stage it
+//! as a shared rank set ([`Outbox::multicast_set`]) rather than a fresh
+//! list, and copy it before changing it while a staged message still holds
+//! it.
+//!
 //! Protocol expected by implementations:
 //!
 //! 1. The application calls [`Mechanism::request_decision`] at a slave
@@ -146,15 +154,16 @@ pub trait Mechanism: Send {
     /// Report a local load variation of `delta` with the given origin.
     fn on_local_change(&mut self, delta: Load, origin: ChangeOrigin, out: &mut Outbox);
 
-    /// Process one incoming state message. A returned notification must be
-    /// acted upon by the embedding (see [`Notify`]); one message raises at
-    /// most one.
-    fn on_state_msg(
-        &mut self,
-        from: ActorId,
-        msg: crate::msg::StateMsg,
-        out: &mut Outbox,
-    ) -> Option<Notify>;
+    /// Process one incoming state message, read by reference: every
+    /// receiver of a broadcast reads the one shared payload. A returned
+    /// notification must be acted upon by the embedding (see [`Notify`]);
+    /// one message raises at most one.
+    fn on_state(&mut self, from: ActorId, msg: &StateMsg, out: &mut Outbox) -> Option<Notify>;
+
+    /// [`Mechanism::on_state`] for a message the caller owns.
+    fn on_state_msg(&mut self, from: ActorId, msg: StateMsg, out: &mut Outbox) -> Option<Notify> {
+        self.on_state(from, &msg, out)
+    }
 
     /// Open a dynamic scheduling decision.
     fn request_decision(&mut self, out: &mut Outbox) -> Gate;
@@ -263,13 +272,14 @@ impl Mechanism for AnyMechanism {
     fn on_local_change(&mut self, delta: Load, origin: ChangeOrigin, out: &mut Outbox) {
         self.as_dyn_mut().on_local_change(delta, origin, out)
     }
-    fn on_state_msg(
-        &mut self,
-        from: ActorId,
-        msg: crate::msg::StateMsg,
-        out: &mut Outbox,
-    ) -> Option<Notify> {
-        self.as_dyn_mut().on_state_msg(from, msg, out)
+    fn on_state(&mut self, from: ActorId, msg: &StateMsg, out: &mut Outbox) -> Option<Notify> {
+        // Static dispatch: this runs once per state message delivered.
+        match self {
+            AnyMechanism::Naive(m) => m.on_state(from, msg, out),
+            AnyMechanism::Increments(m) => m.on_state(from, msg, out),
+            AnyMechanism::Snapshot(m) => m.on_state(from, msg, out),
+            AnyMechanism::Gossip(m) => m.on_state(from, msg, out),
+        }
     }
     fn request_decision(&mut self, out: &mut Outbox) -> Gate {
         self.as_dyn_mut().request_decision(out)
@@ -288,7 +298,13 @@ impl Mechanism for AnyMechanism {
         self.as_dyn().view()
     }
     fn blocked(&self) -> bool {
-        self.as_dyn().blocked()
+        // Static dispatch: the engine asks this around every state message.
+        match self {
+            AnyMechanism::Naive(m) => m.blocked(),
+            AnyMechanism::Increments(m) => m.blocked(),
+            AnyMechanism::Snapshot(m) => m.blocked(),
+            AnyMechanism::Gossip(m) => m.blocked(),
+        }
     }
     fn on_timer(&mut self, out: &mut Outbox) {
         self.as_dyn_mut().on_timer(out)

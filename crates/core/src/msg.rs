@@ -97,24 +97,24 @@ impl StateMsg {
     /// `MasterToSlave` share updates the receiver's **own** state (not a
     /// peer view); gossip digests refresh every entry's process. Pure
     /// control messages carry no load information.
-    pub fn subjects(&self, from: ActorId, me: ActorId) -> Vec<ActorId> {
-        match self {
+    pub fn subjects(&self, from: ActorId, me: ActorId) -> impl Iterator<Item = ActorId> + '_ {
+        type Lists<'a> = (&'a [(ActorId, Load)], &'a [(ActorId, u64, Load)]);
+        let (one, (assigned, gossiped)): (Option<ActorId>, Lists<'_>) = match self {
             StateMsg::Update { .. } | StateMsg::UpdateDelta { .. } | StateMsg::Snp { .. } => {
-                vec![from]
+                (Some(from), (&[], &[]))
             }
-            StateMsg::MasterToAll { assignments } => assignments
-                .iter()
-                .map(|(slave, _)| *slave)
-                .filter(|slave| *slave != me)
-                .collect(),
-            StateMsg::Gossip { entries } => entries
-                .iter()
-                .map(|(p, _, _)| *p)
-                .filter(|p| *p != me)
-                .collect(),
-            StateMsg::MasterToSlave { .. } => vec![me],
-            StateMsg::NoMoreMaster | StateMsg::StartSnp { .. } | StateMsg::EndSnp => Vec::new(),
-        }
+            StateMsg::MasterToAll { assignments } => (None, (assignments, &[])),
+            StateMsg::Gossip { entries } => (None, (&[], entries)),
+            StateMsg::MasterToSlave { .. } => (Some(me), (&[], &[])),
+            StateMsg::NoMoreMaster | StateMsg::StartSnp { .. } | StateMsg::EndSnp => {
+                (None, (&[], &[]))
+            }
+        };
+        let peers = assigned
+            .iter()
+            .map(|a| a.0)
+            .chain(gossiped.iter().map(|e| e.0));
+        one.into_iter().chain(peers.filter(move |&p| p != me))
     }
 
     /// The message's kind, as protocol events record it (its name is
@@ -167,21 +167,25 @@ mod tests {
     fn subjects_name_the_processes_a_message_informs_about() {
         let from = ActorId(2);
         let me = ActorId(0);
+        let subjects = |m: &StateMsg| m.subjects(from, me).collect::<Vec<_>>();
+        assert_eq!(subjects(&StateMsg::Update { load: Load::ZERO }), vec![from]);
         assert_eq!(
-            StateMsg::Update { load: Load::ZERO }.subjects(from, me),
-            vec![from]
-        );
-        assert_eq!(
-            StateMsg::UpdateDelta { delta: Load::ZERO }.subjects(from, me),
+            subjects(&StateMsg::UpdateDelta { delta: Load::ZERO }),
             vec![from]
         );
         let m2a = StateMsg::MasterToAll {
             assignments: vec![(ActorId(0), Load::ZERO), (ActorId(3), Load::ZERO)],
         };
         // The receiver's own entry is excluded.
-        assert_eq!(m2a.subjects(from, me), vec![ActorId(3)]);
-        assert!(StateMsg::EndSnp.subjects(from, me).is_empty());
-        assert!(StateMsg::NoMoreMaster.subjects(from, me).is_empty());
+        assert_eq!(subjects(&m2a), vec![ActorId(3)]);
+        let digest = StateMsg::Gossip {
+            entries: vec![(ActorId(5), 1, Load::ZERO), (ActorId(0), 2, Load::ZERO)],
+        };
+        assert_eq!(subjects(&digest), vec![ActorId(5)]);
+        let share = StateMsg::MasterToSlave { delta: Load::ZERO };
+        assert_eq!(subjects(&share), vec![me], "a share updates the receiver");
+        assert!(subjects(&StateMsg::EndSnp).is_empty());
+        assert!(subjects(&StateMsg::NoMoreMaster).is_empty());
     }
 
     #[test]

@@ -22,10 +22,11 @@
 use crate::load::{Load, Threshold};
 use crate::mech::{ChangeOrigin, Gate, MechStats, Mechanism, Notify};
 use crate::msg::StateMsg;
-use crate::outbox::{ranks_in, Outbox};
+use crate::outbox::Outbox;
 use crate::view::LoadTable;
 use loadex_obs::ProtocolEvent;
-use loadex_sim::{ActorId, SimDuration};
+use loadex_sim::{ActorId, RankSet, SimDuration};
+use std::sync::Arc;
 
 /// What makes a [`NaiveMechanism`] broadcast.
 #[derive(Clone, Copy, Debug)]
@@ -47,8 +48,9 @@ pub struct NaiveMechanism {
     /// then, while the heartbeat trigger's first tick always sends.
     last_sent: Option<Load>,
     view: LoadTable,
-    /// §2.3 `NoMoreMaster`: peers that still want our load information.
-    interested: Vec<bool>,
+    /// §2.3 `NoMoreMaster`: peers that still want our load information,
+    /// shared with the broadcasts in flight.
+    interested: Arc<RankSet>,
     stats: MechStats,
 }
 
@@ -66,14 +68,12 @@ impl NaiveMechanism {
     }
 
     fn with_trigger(me: ActorId, nprocs: usize, trigger: Trigger) -> Self {
-        let mut interested = vec![true; nprocs];
-        interested[me.index()] = false;
         NaiveMechanism {
             me,
             trigger,
             last_sent: None,
             view: LoadTable::new(me, nprocs),
-            interested,
+            interested: Arc::new(RankSet::all_but(nprocs, me)),
             stats: MechStats::default(),
         }
     }
@@ -98,9 +98,8 @@ impl NaiveMechanism {
     }
 
     fn send_to_interested(&mut self, msg: StateMsg, out: &mut Outbox) {
-        let dests = ranks_in(&self.interested);
-        self.stats.count_sent(&msg, dests.len());
-        out.multicast(dests, msg);
+        self.stats.count_sent(&msg, self.interested.len());
+        out.multicast_set(&self.interested, msg);
     }
 }
 
@@ -117,13 +116,15 @@ impl Mechanism for NaiveMechanism {
         }
     }
 
-    fn on_state_msg(&mut self, from: ActorId, msg: StateMsg, out: &mut Outbox) -> Option<Notify> {
+    fn on_state(&mut self, from: ActorId, msg: &StateMsg, out: &mut Outbox) -> Option<Notify> {
         self.stats.msgs_received += 1;
         out.note(|| ProtocolEvent::state_recv(from, msg.kind(), msg.wire_size()));
         match msg {
             // Algorithm 2 line 7: load(Pj) = lj.
-            StateMsg::Update { load } => self.view.set(from, load),
-            StateMsg::NoMoreMaster => self.interested[from.index()] = false,
+            StateMsg::Update { load } => self.view.set(from, *load),
+            StateMsg::NoMoreMaster => {
+                Arc::make_mut(&mut self.interested).remove(from);
+            }
             other => panic!("naive mechanism received unexpected message {:?}", other),
         }
         None
@@ -179,6 +180,14 @@ mod tests {
     use super::*;
     use crate::outbox::{Dest, OutMsg};
 
+    /// The ranks a staged destination names (a set, here).
+    fn ranks(dest: &Dest) -> Vec<ActorId> {
+        match dest {
+            Dest::Set(set) => set.iter().collect(),
+            other => panic!("expected a rank set, got {other:?}"),
+        }
+    }
+
     fn mech(n: usize) -> (NaiveMechanism, Outbox) {
         (
             NaiveMechanism::new(ActorId(0), n, Threshold::new(10.0, 10.0)),
@@ -201,16 +210,18 @@ mod tests {
         assert!(out.is_empty());
         m.on_local_change(Load::work(6.0), ChangeOrigin::Local, &mut out);
         // Drift from last_sent (0) is now 12 > 10: broadcast absolute value.
-        let staged: Vec<_> = out.drain().collect();
+        let staged: Vec<OutMsg> = out.drain().collect();
+        assert_eq!(staged.len(), 1);
         assert_eq!(
-            staged,
-            vec![OutMsg {
-                dest: Dest::Many(vec![ActorId(1), ActorId(2)]),
-                msg: StateMsg::Update {
-                    load: Load::work(12.0)
-                },
-            }],
+            ranks(&staged[0].dest),
+            vec![ActorId(1), ActorId(2)],
             "one copy per other process"
+        );
+        assert_eq!(
+            staged[0].msg,
+            StateMsg::Update {
+                load: Load::work(12.0)
+            }
         );
     }
 
@@ -262,8 +273,8 @@ mod tests {
         let (mut m, mut out) = mech(3);
         m.on_state_msg(ActorId(1), StateMsg::NoMoreMaster, &mut out);
         m.on_local_change(Load::work(100.0), ChangeOrigin::Local, &mut out);
-        let dests: Vec<_> = out.drain().map(|s| s.dest).collect();
-        assert_eq!(dests, vec![Dest::Many(vec![ActorId(2)])]);
+        let dests: Vec<_> = out.drain().map(|s| ranks(&s.dest)).collect();
+        assert_eq!(dests, vec![vec![ActorId(2)]]);
     }
 
     #[test]
@@ -314,7 +325,7 @@ mod tests {
         m.on_timer(&mut out);
         let msgs: Vec<_> = out.drain().collect();
         assert_eq!(msgs.len(), 1);
-        assert_eq!(msgs[0].dest, Dest::Many(vec![ActorId(1), ActorId(2)]));
+        assert_eq!(ranks(&msgs[0].dest), vec![ActorId(1), ActorId(2)]);
         assert_eq!(
             msgs[0].msg,
             StateMsg::Update {
@@ -348,7 +359,7 @@ mod tests {
         m.on_state_msg(ActorId(2), StateMsg::NoMoreMaster, &mut out);
         m.on_local_change(Load::work(5.0), ChangeOrigin::Local, &mut out);
         m.on_timer(&mut out);
-        let dests: Vec<_> = out.drain().map(|o| o.dest).collect();
-        assert_eq!(dests, vec![Dest::Many(vec![ActorId(1)])]);
+        let dests: Vec<_> = out.drain().map(|o| ranks(&o.dest)).collect();
+        assert_eq!(dests, vec![vec![ActorId(1)]]);
     }
 }

@@ -13,7 +13,8 @@
 
 use crate::msg::StateMsg;
 use loadex_obs::{event, ProtocolEvent};
-use loadex_sim::ActorId;
+use loadex_sim::{ActorId, Dests, RankSet};
+use std::sync::Arc;
 
 /// Where a staged message goes.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -22,13 +23,28 @@ pub enum Dest {
     One(ActorId),
     /// Each of these processes, in this order (see [`Outbox::multicast`]).
     Many(Vec<ActorId>),
+    /// The members of a rank set, in rank order, shared with the mechanism
+    /// that staged it (see [`Outbox::multicast_set`]).
+    Set(Arc<RankSet>),
     /// Every process except the sender.
     AllOthers,
 }
 
-/// The ranks whose entry in `mask` is set, in rank order.
-pub(crate) fn ranks_in(mask: &[bool]) -> Vec<ActorId> {
-    (0..mask.len()).filter(|&p| mask[p]).map(ActorId).collect()
+impl Dest {
+    /// The destinations of a message that process `from` of `nprocs`
+    /// staged, as the simulator's calendar takes them: no list is built,
+    /// and a set stays shared.
+    pub fn into_dests(self, from: ActorId, nprocs: usize) -> Dests {
+        match self {
+            Dest::One(to) => Dests::One(to),
+            Dest::Many(list) => Dests::List(list.into()),
+            Dest::Set(set) => Dests::Set(set),
+            Dest::AllOthers => Dests::AllBut {
+                n: nprocs,
+                except: from,
+            },
+        }
+    }
 }
 
 /// One staged outgoing message.
@@ -98,19 +114,40 @@ impl Outbox {
         if dests.is_empty() {
             return;
         }
-        if self.observe {
-            let (kind, bytes) = (msg.kind(), event::narrow(msg.wire_size()));
-            self.events
-                .extend(dests.iter().map(|&to| ProtocolEvent::StateSend {
-                    to: Some(event::rank(to)),
-                    kind,
-                    bytes,
-                }));
-        }
+        self.note_sends(dests.iter().copied(), &msg);
         self.msgs.push(OutMsg {
             dest: Dest::Many(dests),
             msg,
         });
+    }
+
+    /// Stage one message for each member of `set`, in rank order, as a
+    /// single entry that shares the set rather than copying it: a later
+    /// change to the mechanism's set copies it first if a staged or
+    /// in-flight message still holds it ([`Arc::make_mut`]). Observed as one
+    /// send per member, like [`Outbox::multicast`]. An empty set stages
+    /// nothing.
+    pub fn multicast_set(&mut self, set: &Arc<RankSet>, msg: StateMsg) {
+        if set.is_empty() {
+            return;
+        }
+        self.note_sends(set.iter(), &msg);
+        self.msgs.push(OutMsg {
+            dest: Dest::Set(Arc::clone(set)),
+            msg,
+        });
+    }
+
+    /// Stage one send event per destination while observing.
+    fn note_sends(&mut self, dests: impl Iterator<Item = ActorId>, msg: &StateMsg) {
+        if self.observe {
+            let (kind, bytes) = (msg.kind(), event::narrow(msg.wire_size()));
+            self.events.extend(dests.map(|to| ProtocolEvent::StateSend {
+                to: Some(event::rank(to)),
+                kind,
+                bytes,
+            }));
+        }
     }
 
     /// Stage a broadcast to all other processes (observed as a single
@@ -193,6 +230,34 @@ mod tests {
         multi.multicast(Vec::new(), StateMsg::EndSnp);
         assert_eq!(multi.len(), 1, "no destination stages nothing");
         assert_eq!(multi.drain_events().count(), 0);
+    }
+
+    #[test]
+    fn observed_set_multicast_stages_what_per_peer_sends_did() {
+        let msg = StateMsg::NoMoreMaster;
+        let mut set = RankSet::new(70);
+        for r in [66, 3, 64] {
+            set.insert(ActorId(r));
+        }
+        let set = Arc::new(set);
+        let mut per_peer = Outbox::observed();
+        let mut multi = Outbox::observed();
+        for q in [3, 64, 66] {
+            per_peer.send(ActorId(q), msg.clone());
+        }
+        multi.multicast_set(&set, msg.clone());
+        assert_eq!(
+            multi.drain_events().collect::<Vec<_>>(),
+            per_peer.drain_events().collect::<Vec<_>>()
+        );
+        let staged: Vec<_> = multi.drain().collect();
+        assert_eq!(staged.len(), 1);
+        match &staged[0].dest {
+            Dest::Set(shared) => assert!(Arc::ptr_eq(shared, &set), "the set is shared"),
+            other => panic!("unexpected {other:?}"),
+        }
+        multi.multicast_set(&Arc::new(RankSet::new(70)), msg);
+        assert!(multi.is_empty(), "an empty set stages nothing");
     }
 
     #[test]

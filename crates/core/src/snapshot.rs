@@ -49,11 +49,11 @@
 use crate::load::Load;
 use crate::mech::{ChangeOrigin, Gate, MechStats, Mechanism, Notify};
 use crate::msg::StateMsg;
-use crate::outbox::{ranks_in, Outbox};
-use crate::rankset::RankSet;
+use crate::outbox::Outbox;
 use crate::view::LoadTable;
 use loadex_obs::{event, ProtocolEvent};
-use loadex_sim::ActorId;
+use loadex_sim::{ActorId, RankSet};
+use std::sync::Arc;
 
 /// Where the initiator side of the state machine stands.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -117,11 +117,11 @@ pub struct SnapshotMechanism {
     /// Leader-election criterion (must be system-wide uniform).
     policy: LeaderPolicy,
     /// Processes queried by the current/pending snapshot (§5's "snapshot
-    /// algorithms involving only part of the processes"). `true` for every
-    /// other process in the classic full snapshot.
-    gather_set: Vec<bool>,
-    /// Number of answers required (`popcount(gather_set)`).
-    gather_target: usize,
+    /// algorithms involving only part of the processes"): every other
+    /// process in the classic full snapshot. Shared with the partial
+    /// snapshot's `start_snp` and `end_snp` multicasts. Its size is the
+    /// number of answers required.
+    gather_set: Arc<RankSet>,
     /// Whether the current/pending own snapshot is partial.
     my_partial: bool,
     stats: MechStats,
@@ -136,8 +136,6 @@ impl SnapshotMechanism {
 
     /// A mechanism instance with an explicit leader-election policy.
     pub fn with_policy(me: ActorId, nprocs: usize, policy: LeaderPolicy) -> Self {
-        let mut gather_set = vec![true; nprocs];
-        gather_set[me.index()] = false;
         SnapshotMechanism {
             me,
             view: LoadTable::new(me, nprocs),
@@ -151,8 +149,7 @@ impl SnapshotMechanism {
             abandoned: false,
             deferred_init: false,
             policy,
-            gather_target: nprocs - 1,
-            gather_set,
+            gather_set: Arc::new(RankSet::all_but(nprocs, me)),
             my_partial: false,
             stats: MechStats::default(),
         }
@@ -173,7 +170,7 @@ impl SnapshotMechanism {
     /// (diagnostic).
     pub fn missing_answers(&self) -> usize {
         if self.phase == Phase::Gathering {
-            self.gather_target - self.nb_msgs
+            self.gather_set.len() - self.nb_msgs
         } else {
             0
         }
@@ -217,15 +214,14 @@ impl SnapshotMechanism {
             req: self.request[self.me.index()],
             partial: self.my_partial,
         };
-        if self.gather_target == self.view.nprocs() - 1 {
+        if self.gather_set.len() == self.view.nprocs() - 1 {
             self.stats.count_sent(&msg, self.view.nprocs() - 1);
             out.broadcast(msg);
         } else {
             // Partial snapshot: only the candidate subset is queried (and
             // thus synchronized); disjoint snapshots proceed concurrently.
-            let dests = ranks_in(&self.gather_set);
-            self.stats.count_sent(&msg, dests.len());
-            out.multicast(dests, msg);
+            self.stats.count_sent(&msg, self.gather_set.len());
+            out.multicast_set(&self.gather_set, msg);
         }
         self.stats.snapshots_started += 1;
     }
@@ -356,7 +352,7 @@ impl SnapshotMechanism {
                         self.abandoned = false;
                         let my_req = self.request[self.me.index()];
                         out.note(|| ProtocolEvent::ElectionWon { req: my_req });
-                        if self.nb_msgs == self.gather_target {
+                        if self.nb_msgs == self.gather_set.len() {
                             return self.gathering_complete();
                         }
                     }
@@ -387,7 +383,7 @@ impl SnapshotMechanism {
         }
         self.nb_msgs += 1;
         self.view.set(from, load);
-        if !self.abandoned && self.nb_msgs == self.gather_target {
+        if !self.abandoned && self.nb_msgs == self.gather_set.len() {
             return self.gathering_complete();
         }
         None
@@ -403,25 +399,19 @@ impl SnapshotMechanism {
     /// `candidates` (other view entries may be stale).
     pub fn request_decision_among(&mut self, candidates: &[ActorId], out: &mut Outbox) -> Gate {
         assert!(!candidates.is_empty(), "empty candidate set");
-        for q in 0..self.view.nprocs() {
-            self.gather_set[q] = false;
+        let gather_set = Arc::make_mut(&mut self.gather_set);
+        gather_set.clear();
+        for &c in candidates {
+            assert_ne!(c, self.me, "the initiator is not a candidate");
+            gather_set.insert(c);
         }
-        let mut target = 0;
-        for c in candidates {
-            assert_ne!(*c, self.me, "the initiator is not a candidate");
-            if !self.gather_set[c.index()] {
-                self.gather_set[c.index()] = true;
-                target += 1;
-            }
-        }
-        self.gather_target = target;
         self.my_partial = true;
         self.request_prepared(out)
     }
 
     fn request_prepared(&mut self, out: &mut Outbox) -> Gate {
         assert_eq!(self.phase, Phase::Idle, "nested decision request");
-        if self.view.nprocs() == 1 || self.gather_target == 0 {
+        if self.view.nprocs() == 1 || self.gather_set.is_empty() {
             // Degenerate: nobody to ask; the view is trivially "complete".
             self.phase = Phase::ReadyToDecide;
             return Gate::Ready;
@@ -449,10 +439,10 @@ impl Mechanism for SnapshotMechanism {
         self.view.add(self.me, delta);
     }
 
-    fn on_state_msg(&mut self, from: ActorId, msg: StateMsg, out: &mut Outbox) -> Option<Notify> {
+    fn on_state(&mut self, from: ActorId, msg: &StateMsg, out: &mut Outbox) -> Option<Notify> {
         self.stats.msgs_received += 1;
         out.note(|| ProtocolEvent::state_recv(from, msg.kind(), msg.wire_size()));
-        match msg {
+        match *msg {
             StateMsg::StartSnp { req, partial } => self.on_start_snp(from, req, partial, out),
             StateMsg::EndSnp => self.on_end_snp(from, out),
             StateMsg::Snp { load, req } => self.on_snp(from, load, req),
@@ -462,16 +452,16 @@ impl Mechanism for SnapshotMechanism {
                 self.view.add(self.me, delta);
                 None
             }
-            other => panic!("snapshot mechanism received unexpected message {:?}", other),
+            ref other => panic!("snapshot mechanism received unexpected message {:?}", other),
         }
     }
 
     fn request_decision(&mut self, out: &mut Outbox) -> Gate {
         // Classic full snapshot: query everyone.
-        for q in 0..self.view.nprocs() {
-            self.gather_set[q] = q != self.me.index();
+        let nprocs = self.view.nprocs();
+        if self.gather_set.len() != nprocs - 1 {
+            Arc::make_mut(&mut self.gather_set).fill_all_but(nprocs, self.me);
         }
-        self.gather_target = self.view.nprocs() - 1;
         self.my_partial = false;
         self.request_prepared(out)
     }
@@ -495,13 +485,12 @@ impl Mechanism for SnapshotMechanism {
         }
         // Finalize-the-snapshot: release exactly the processes we queried.
         let end = StateMsg::EndSnp;
-        if self.gather_target == self.view.nprocs() - 1 {
+        if self.gather_set.len() == self.view.nprocs() - 1 {
             self.stats.count_sent(&end, self.view.nprocs() - 1);
             out.broadcast(end);
         } else {
-            let dests = ranks_in(&self.gather_set);
-            self.stats.count_sent(&end, dests.len());
-            out.multicast(dests, end);
+            self.stats.count_sent(&end, self.gather_set.len());
+            out.multicast_set(&self.gather_set, end);
         }
         self.leader = None;
         self.phase = Phase::Idle;
@@ -573,20 +562,8 @@ mod tests {
         fn stage(&mut self, from: ActorId, out: &mut Outbox) {
             let n = self.mechs.len();
             for OutMsg { dest, msg } in out.drain() {
-                match dest {
-                    Dest::One(to) => self.queue.push_back((from, to, msg)),
-                    Dest::Many(qs) => {
-                        for q in qs {
-                            self.queue.push_back((from, q, msg.clone()));
-                        }
-                    }
-                    Dest::AllOthers => {
-                        for p in 0..n {
-                            if p != from.index() {
-                                self.queue.push_back((from, ActorId(p), msg.clone()));
-                            }
-                        }
-                    }
+                for to in dest.into_dests(from, n).iter() {
+                    self.queue.push_back((from, to, msg.clone()));
                 }
             }
         }

@@ -13,22 +13,26 @@
 //!
 //! A one-to-many send goes through [`SimNetwork::multicast`]: each copy is
 //! routed on its own link exactly as [`SimNetwork::send`] would route it,
-//! but no payload is cloned. Destinations are handed back grouped by
-//! arrival time, so the caller can put each group on the calendar as a
-//! single fan-out entry (`loadex_sim::Scheduler::schedule_fanout_at`).
-//! Usually every copy arrives at once and there is one group. A copy held
-//! back by FIFO order on its link — say a small update sent right behind a
-//! larger message to the same peer — lands in a later group. Within a group
-//! the destinations keep their send order, which is the order separate
+//! but no payload is cloned and the destination set ([`Dests`]: one rank,
+//! an all-but-sender range, a shared rank set or a list) is not copied.
+//! Destinations are handed back grouped by arrival time, so the caller can
+//! put each group on the calendar as a single fan-out entry
+//! (`loadex_sim::Scheduler::schedule_fanout_at`). Usually every copy
+//! arrives at once, and the one group is the caller's own destination set.
+//! A copy held back by FIFO order on its link — say a small update sent
+//! right behind a larger message to the same peer — lands in a later group,
+//! and only then are the groups built as lists. Within a group the
+//! destinations keep their send order, which is the order separate
 //! same-instant calendar entries would have popped in.
 //!
 //! A state-channel multicast computes the copies' common arrival,
-//! `now + transfer_time(size)`, once per call and then walks the sender's
-//! row of link clocks, still checking every destination as `send` does.
+//! `now + transfer_time(size)`, once per call and then makes one pass over
+//! the sender's row of link clocks, still checking every destination as
+//! `send` does.
 
 use crate::channel::{Channel, Envelope};
 use crate::model::NetworkModel;
-use loadex_sim::{ActorId, SimTime};
+use loadex_sim::{ActorId, Dests, SimTime};
 
 /// A computed delivery: the envelope plus the time it reaches the receiver's
 /// mailbox.
@@ -79,10 +83,31 @@ pub struct SimNetwork {
     /// Bytes sent per channel.
     bytes_state: u64,
     bytes_regular: u64,
-    /// Scratch for [`SimNetwork::multicast`]: each copy's arrival, and one
-    /// arrival group's destinations.
+    /// Scratch for [`SimNetwork::multicast`]: each copy's arrival, filled
+    /// only when some copy is held back.
     arrivals: Vec<(SimTime, ActorId)>,
-    group: Vec<ActorId>,
+}
+
+/// Note that copy `i` of a multicast, to `to`, arrives at `at`. `arrivals`
+/// stays empty while every copy so far arrives with the first; the first
+/// copy that arrives apart lists every copy so far, and each later one is
+/// listed too.
+#[inline]
+fn note_arrival(
+    first: &mut Option<SimTime>,
+    arrivals: &mut Vec<(SimTime, ActorId)>,
+    dests: &Dests,
+    i: usize,
+    at: SimTime,
+    to: ActorId,
+) {
+    let first = *first.get_or_insert(at);
+    if at != first && arrivals.is_empty() {
+        arrivals.extend(dests.iter().take(i).map(|q| (first, q)));
+    }
+    if !arrivals.is_empty() {
+        arrivals.push((at, to));
+    }
 }
 
 impl SimNetwork {
@@ -99,7 +124,6 @@ impl SimNetwork {
             bytes_state: 0,
             bytes_regular: 0,
             arrivals: Vec::new(),
-            group: Vec::new(),
         }
     }
 
@@ -141,51 +165,76 @@ impl SimNetwork {
     /// time `now`. Every copy is routed as [`SimNetwork::send`] would route
     /// it; the payload stays with the caller. `deliver(at, group)` is called
     /// once per distinct arrival time, earliest first, with the destinations
-    /// arriving then in `dests` order.
+    /// arriving then in `dests` order: when they all arrive together, the
+    /// one group is `dests` itself.
     ///
     /// Panics as [`SimNetwork::send`] does, for any destination.
     pub fn multicast(
         &mut self,
         now: SimTime,
         from: ActorId,
-        dests: &[ActorId],
+        dests: Dests,
         channel: Channel,
         size: u64,
-        mut deliver: impl FnMut(SimTime, &[ActorId]),
+        mut deliver: impl FnMut(SimTime, Dests),
     ) {
-        if dests.is_empty() {
-            return;
-        }
+        let mut first = None;
         let mut arrivals = std::mem::take(&mut self.arrivals);
         arrivals.clear();
         match channel {
             Channel::State => {
                 let ready = now + self.model.transfer_time(size);
-                for &to in dests {
-                    arrivals.push((self.state_arrival(ready, from, to, size), to));
-                }
+                self.state_fanout(ready, from, &dests, size, &mut first, &mut arrivals);
             }
             Channel::Regular => {
-                for &to in dests {
-                    arrivals.push((self.route(now, from, to, channel, size), to));
+                for (i, to) in dests.iter().enumerate() {
+                    let at = self.route(now, from, to, channel, size);
+                    note_arrival(&mut first, &mut arrivals, &dests, i, at, to);
                 }
             }
         }
-        let first = arrivals[0].0;
-        if arrivals.iter().all(|&(at, _)| at == first) {
-            deliver(first, dests);
-        } else {
-            // Stable: a group keeps its destinations in send order.
-            arrivals.sort_by_key(|&(at, _)| at);
-            let mut group = std::mem::take(&mut self.group);
-            for run in arrivals.chunk_by(|a, b| a.0 == b.0) {
-                group.clear();
-                group.extend(run.iter().map(|&(_, to)| to));
-                deliver(run[0].0, &group);
+        match first {
+            None => {}
+            Some(at) if arrivals.is_empty() => deliver(at, dests),
+            Some(_) => {
+                // Stable: a group keeps its destinations in send order.
+                arrivals.sort_by_key(|&(at, _)| at);
+                for run in arrivals.chunk_by(|a, b| a.0 == b.0) {
+                    let group: Vec<ActorId> = run.iter().map(|&(_, to)| to).collect();
+                    deliver(run[0].0, group.into());
+                }
             }
-            self.group = group;
         }
         self.arrivals = arrivals;
+    }
+
+    /// Route a state-channel copy, ready to arrive at `ready`, to each of
+    /// `dests` in one pass over the sender's row of link clocks, noting each
+    /// arrival as [`SimNetwork::multicast`] needs.
+    fn state_fanout(
+        &mut self,
+        ready: SimTime,
+        from: ActorId,
+        dests: &Dests,
+        size: u64,
+        first: &mut Option<SimTime>,
+        arrivals: &mut Vec<(SimTime, ActorId)>,
+    ) {
+        let n = self.nprocs;
+        assert!(from.index() < n, "sender out of range");
+        let row = &mut self.link_clear_at[from.index() * n..][..n];
+        let mut copies = 0;
+        for to in dests.iter() {
+            assert!(to.index() < n, "receiver out of range");
+            assert_ne!(from, to, "self-send");
+            // Dedicated control channel: per-pair FIFO only.
+            let at = ready.max(row[to.index()]);
+            row[to.index()] = at;
+            note_arrival(first, arrivals, dests, copies, at, to);
+            copies += 1;
+        }
+        self.sent_state += copies as u64;
+        self.bytes_state += size * copies as u64;
     }
 
     /// Account for one message and advance its link's clocks; returns when
@@ -405,10 +454,10 @@ mod tests {
         net.multicast(
             SimTime::ZERO,
             ActorId(0),
-            &dests,
+            Dests::from(dests.to_vec()),
             Channel::State,
             10,
-            |at, g| groups.push((at, g.to_vec())),
+            |at, g| groups.push((at, g.iter().collect::<Vec<_>>())),
         );
         assert_eq!(
             groups,
@@ -435,16 +484,71 @@ mod tests {
         net.multicast(
             SimTime(5),
             ActorId(1),
-            &dests,
+            Dests::from(dests.to_vec()),
             Channel::State,
             8,
-            |at, g| groups.push((at, g.to_vec())),
+            |at, g| groups.push((at, g.iter().collect::<Vec<_>>())),
         );
         assert_eq!(groups, vec![(SimTime(3_005), dests.to_vec())]);
-        net.multicast(SimTime(5), ActorId(1), &[], Channel::State, 8, |_, _| {
-            panic!("no destination, no group")
-        });
+        net.multicast(
+            SimTime(5),
+            ActorId(1),
+            vec![].into(),
+            Channel::State,
+            8,
+            |_, _| panic!("no destination, no group"),
+        );
         assert_eq!(net.sent_state(), 3);
+    }
+
+    #[test]
+    fn multicast_hands_back_the_callers_set_unless_a_copy_is_held_back() {
+        let model = NetworkModel {
+            latency: SimDuration::ZERO,
+            bandwidth: 1e6, // 1 byte = 1 µs
+            overhead: SimDuration::ZERO,
+        };
+        let mut net = SimNetwork::new(5, model);
+        let all_but_1 = Dests::AllBut {
+            n: 5,
+            except: ActorId(1),
+        };
+        let mut groups = Vec::new();
+        net.multicast(
+            SimTime::ZERO,
+            ActorId(1),
+            all_but_1.clone(),
+            Channel::State,
+            10,
+            |at, g| groups.push((at, g)),
+        );
+        assert_eq!(groups, vec![(SimTime(10_000), all_but_1.clone())]);
+        // A large message now holds the 1→3 link: P3's copy comes apart.
+        net.send(
+            SimTime::ZERO,
+            ActorId(1),
+            ActorId(3),
+            Channel::State,
+            1_000,
+            (),
+        );
+        let mut groups = Vec::new();
+        net.multicast(
+            SimTime::ZERO,
+            ActorId(1),
+            all_but_1,
+            Channel::State,
+            10,
+            |at, g| groups.push((at, g.iter().collect::<Vec<_>>())),
+        );
+        assert_eq!(
+            groups,
+            vec![
+                (SimTime(10_000), vec![ActorId(0), ActorId(2), ActorId(4)]),
+                (SimTime(1_000_000), vec![ActorId(3)]),
+            ]
+        );
+        assert_eq!(net.sent_state(), 9);
     }
 
     #[test]
@@ -465,10 +569,10 @@ mod tests {
             net.multicast(
                 SimTime(7),
                 ActorId(2),
-                &[ActorId(0)],
+                Dests::One(ActorId(0)),
                 channel,
                 10,
-                |at, g| groups.push((at, g.to_vec())),
+                |at, g| groups.push((at, g.iter().collect::<Vec<_>>())),
             );
             let d = twin.send(SimTime(7), ActorId(2), ActorId(0), channel, 10, ());
             assert_eq!(groups, vec![(d.at, vec![ActorId(0)])]);
@@ -488,7 +592,7 @@ mod tests {
         net.multicast(
             SimTime::ZERO,
             ActorId(1),
-            &dests,
+            Dests::from(dests.to_vec()),
             Channel::State,
             8,
             |_, _| {},
@@ -503,7 +607,7 @@ mod tests {
         net.multicast(
             SimTime::ZERO,
             ActorId(1),
-            &dests,
+            Dests::from(dests.to_vec()),
             Channel::State,
             8,
             |_, _| {},

@@ -12,17 +12,29 @@
 //! # Fan-out entries
 //!
 //! [`Scheduler::schedule_fanout_at`] stores one event for many actors as a
-//! single calendar entry. When it pops, the simulator hands the event to
-//! each destination in turn — one [`World::handle`] call and one processed
-//! step each — before it pops the calendar again. This is exactly the order
-//! the same destinations would get as separate [`Scheduler::schedule_at`]
-//! calls made back to back: those entries share a time and sit back to back
-//! in that instant's FIFO bucket, so no other entry can pop between them,
-//! and anything scheduled while they are handled joins the bucket behind
-//! them and pops after the last of them.
+//! single calendar entry, with its destinations as a [`Dests`] (a rank range
+//! or a shared set is never expanded into a list). When it pops, the
+//! simulator hands the whole entry to the world in one
+//! [`World::handle_fanout`] call, which takes the destinations one at a
+//! time from [`Recipients`]; each one taken is one processed step. The
+//! provided `handle_fanout` calls [`World::handle`] once per destination; a
+//! world may override it to treat the destinations in one loop, reading the
+//! event by reference.
+//!
+//! Either way the order is exactly that of the same destinations as
+//! separate [`Scheduler::schedule_at`] calls made back to back: those
+//! entries share a time and sit back to back in that instant's FIFO bucket,
+//! so no other entry can pop between them, and anything scheduled while
+//! they are handled joins the bucket behind them and pops after the last of
+//! them. A stop requested part-way, or the `max_events` limit reached
+//! part-way, ends the iteration; the undelivered destinations stay pending
+//! and the next [`Simulator::step`] resumes them before popping the
+//! calendar again.
 
+use crate::dests::{Cursor, Dests};
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
+use std::cell::Cell;
 
 /// Identifies an actor (simulated process) inside a world.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -42,23 +54,13 @@ impl std::fmt::Display for ActorId {
     }
 }
 
-/// Who a calendar entry is for.
-enum Target {
-    One(ActorId),
-    /// At least two actors, delivered in this order.
-    Many(Box<[ActorId]>),
-}
-
 /// The calendar's entry type.
-type Calendar<E> = EventQueue<(Target, E)>;
+type Calendar<E> = EventQueue<(Dests, E)>;
 
-/// Push `event` for `dests` at `at`: nothing for no destination, a plain
-/// entry for one, a fan-out entry for more.
-fn push_fanout<E>(queue: &mut Calendar<E>, at: SimTime, dests: &[ActorId], event: E) {
-    match dests {
-        [] => {}
-        [one] => queue.push(at, (Target::One(*one), event)),
-        many => queue.push(at, (Target::Many(many.into()), event)),
+/// Push `event` for `dests` at `at`, unless there is no destination.
+fn push_fanout<E>(queue: &mut Calendar<E>, at: SimTime, dests: Dests, event: E) {
+    if !dests.is_empty() {
+        queue.push(at, (dests, event));
     }
 }
 
@@ -66,7 +68,7 @@ fn push_fanout<E>(queue: &mut Calendar<E>, at: SimTime, dests: &[ActorId], event
 pub struct Scheduler<'a, E> {
     queue: &'a mut Calendar<E>,
     now: SimTime,
-    stop_requested: &'a mut bool,
+    stop_requested: &'a Cell<bool>,
 }
 
 impl<'a, E> Scheduler<'a, E> {
@@ -79,7 +81,7 @@ impl<'a, E> Scheduler<'a, E> {
     /// Schedule `event` for `actor` at `delay` from now.
     pub fn schedule_in(&mut self, delay: SimDuration, actor: ActorId, event: E) {
         self.queue
-            .push(self.now + delay, (Target::One(actor), event));
+            .push(self.now + delay, (Dests::One(actor), event));
     }
 
     /// Schedule `event` for `actor` at absolute time `at`. Events scheduled
@@ -87,20 +89,48 @@ impl<'a, E> Scheduler<'a, E> {
     /// events at the current instant).
     pub fn schedule_at(&mut self, at: SimTime, actor: ActorId, event: E) {
         self.queue
-            .push(at.max(self.now), (Target::One(actor), event));
+            .push(at.max(self.now), (Dests::One(actor), event));
     }
 
-    /// Schedule a copy of `event` for each of `dests`, in that order, at
-    /// absolute time `at` (clamped to "now" like [`Scheduler::schedule_at`]),
-    /// as one calendar entry. Delivery is the same as one `schedule_at` per
+    /// Schedule `event` for each of `dests`, in that order, at absolute time
+    /// `at` (clamped to "now" like [`Scheduler::schedule_at`]), as one
+    /// calendar entry. Delivery is the same as one `schedule_at` per
     /// destination made back to back; see the [module docs](self).
-    pub fn schedule_fanout_at(&mut self, at: SimTime, dests: &[ActorId], event: E) {
+    pub fn schedule_fanout_at(&mut self, at: SimTime, dests: Dests, event: E) {
         push_fanout(self.queue, at.max(self.now), dests, event);
     }
 
-    /// Ask the simulator to stop after the current event completes.
+    /// Ask the simulator to stop after the current event completes (within
+    /// a fan-out entry: after the current destination).
     pub fn request_stop(&mut self) {
-        *self.stop_requested = true;
+        self.stop_requested.set(true);
+    }
+}
+
+/// The undelivered destinations of a fan-out entry, handed to
+/// [`World::handle_fanout`]. Each destination it yields counts as one
+/// processed step; it yields nothing more once a stop has been requested or
+/// the simulator's `max_events` is reached, and the rest then stay pending.
+pub struct Recipients<'a> {
+    dests: &'a Dests,
+    /// Where the next destination is.
+    cursor: &'a mut Cursor,
+    processed: &'a mut u64,
+    max_events: u64,
+    stop_requested: &'a Cell<bool>,
+}
+
+impl Iterator for Recipients<'_> {
+    type Item = ActorId;
+
+    #[inline]
+    fn next(&mut self) -> Option<ActorId> {
+        if self.stop_requested.get() || *self.processed >= self.max_events {
+            return None;
+        }
+        let actor = self.dests.next(self.cursor)?;
+        *self.processed += 1;
+        Some(actor)
     }
 }
 
@@ -117,6 +147,25 @@ pub trait World {
         event: Self::Event,
         sched: &mut Scheduler<'_, Self::Event>,
     );
+
+    /// Handle a fan-out entry: `event`, at time `now`, for each actor that
+    /// `recipients` yields, in that order. An override must treat each
+    /// yielded actor exactly as [`World::handle`] would, and should take
+    /// them until the iterator ends; the provided method calls `handle` on
+    /// a copy of the event for each. See the [module docs](self).
+    fn handle_fanout(
+        &mut self,
+        now: SimTime,
+        recipients: &mut Recipients<'_>,
+        event: &Self::Event,
+        sched: &mut Scheduler<'_, Self::Event>,
+    ) where
+        Self::Event: Clone,
+    {
+        for actor in recipients {
+            self.handle(now, actor, event.clone(), sched);
+        }
+    }
 
     /// Called once when the calendar drains or the horizon/stop is reached.
     fn on_finish(&mut self, _now: SimTime) {}
@@ -181,7 +230,7 @@ pub enum StopReason {
 /// ```
 pub struct Simulator<E> {
     queue: Calendar<E>,
-    /// The undelivered rest of the fan-out entry popped last, if any.
+    /// The fan-out entry popped last, while destinations remain.
     fanout: Option<Fanout<E>>,
     now: SimTime,
     processed: u64,
@@ -191,9 +240,9 @@ pub struct Simulator<E> {
 /// A fan-out entry part way through delivery.
 struct Fanout<E> {
     time: SimTime,
-    dests: Box<[ActorId]>,
-    /// Index in `dests` of the next destination.
-    next: usize,
+    dests: Dests,
+    /// Where the next destination is.
+    cursor: Cursor,
     event: E,
 }
 
@@ -214,7 +263,8 @@ impl<E> Simulator<E> {
         self.now
     }
 
-    /// Number of events processed so far.
+    /// Number of events processed so far (a fan-out entry counts one per
+    /// destination).
     pub fn processed(&self) -> u64 {
         self.processed
     }
@@ -222,70 +272,82 @@ impl<E> Simulator<E> {
     /// Schedule an initial event before the run starts (or between steps).
     pub fn schedule_at(&mut self, at: SimTime, actor: ActorId, event: E) {
         self.queue
-            .push(at.max(self.now), (Target::One(actor), event));
+            .push(at.max(self.now), (Dests::One(actor), event));
     }
 
-    /// Schedule a copy of `event` for each of `dests` before the run starts
-    /// (or between steps), as one calendar entry; see
+    /// Schedule `event` for each of `dests` before the run starts (or
+    /// between steps), as one calendar entry; see
     /// [`Scheduler::schedule_fanout_at`].
-    pub fn schedule_fanout_at(&mut self, at: SimTime, dests: &[ActorId], event: E) {
+    pub fn schedule_fanout_at(&mut self, at: SimTime, dests: Dests, event: E) {
         push_fanout(&mut self.queue, at.max(self.now), dests, event);
     }
 }
 
 impl<E: Clone> Simulator<E> {
-    /// The next delivery: the rest of the current fan-out entry first, then
-    /// the calendar's earliest entry. An entry past the horizon stays pending.
-    fn next_delivery(&mut self) -> Result<(SimTime, ActorId, E), StopReason> {
-        if let Some(f) = self.fanout.as_mut() {
-            let actor = f.dests[f.next];
-            f.next += 1;
-            if f.next < f.dests.len() {
-                return Ok((f.time, actor, f.event.clone()));
-            }
-            let f = self.fanout.take().expect("fan-out in progress");
-            return Ok((f.time, actor, f.event));
-        }
-        match self.queue.peek_time() {
-            None => return Err(StopReason::Drained),
-            Some(time) if time > self.config.horizon => return Err(StopReason::Horizon),
-            Some(_) => {}
-        }
-        let (time, (target, event)) = self.queue.pop().expect("peeked");
-        match target {
-            Target::One(actor) => Ok((time, actor, event)),
-            Target::Many(dests) => {
-                let actor = dests[0];
-                self.fanout = Some(Fanout {
-                    time,
-                    dests,
-                    next: 1,
-                    event: event.clone(),
-                });
-                Ok((time, actor, event))
-            }
-        }
-    }
-
-    /// Deliver a single event to the world, or say why the run is over.
+    /// Deliver the next calendar entry to the world — or, while a fan-out
+    /// entry is part way through, the rest of it — or say why the run is
+    /// over. An entry past the horizon stays pending.
     pub fn step<W: World<Event = E>>(&mut self, world: &mut W) -> Result<(), StopReason> {
         if self.processed >= self.config.max_events {
             return Err(StopReason::EventLimit);
         }
-        let (time, actor, event) = self.next_delivery()?;
-        debug_assert!(time >= self.now, "time went backwards");
-        self.now = time;
-        self.processed += 1;
-        let mut stop = false;
-        {
-            let mut sched = Scheduler {
-                queue: &mut self.queue,
-                now: self.now,
-                stop_requested: &mut stop,
-            };
-            world.handle(time, actor, event, &mut sched);
+        let stop = Cell::new(false);
+        let Simulator {
+            queue,
+            fanout,
+            now,
+            processed,
+            config,
+        } = self;
+        if fanout.is_none() {
+            match queue.peek_time() {
+                None => return Err(StopReason::Drained),
+                Some(time) if time > config.horizon => return Err(StopReason::Horizon),
+                Some(_) => {}
+            }
+            let (time, (dests, event)) = queue.pop().expect("peeked");
+            debug_assert!(time >= *now, "time went backwards");
+            *now = time;
+            match dests {
+                Dests::One(actor) => {
+                    *processed += 1;
+                    let mut sched = Scheduler {
+                        queue,
+                        now: time,
+                        stop_requested: &stop,
+                    };
+                    world.handle(time, actor, event, &mut sched);
+                }
+                dests => {
+                    *fanout = Some(Fanout {
+                        time,
+                        dests,
+                        cursor: Cursor::default(),
+                        event,
+                    });
+                }
+            }
         }
-        if stop {
+        if let Some(f) = fanout {
+            let mut sched = Scheduler {
+                queue,
+                now: f.time,
+                stop_requested: &stop,
+            };
+            let mut recipients = Recipients {
+                dests: &f.dests,
+                cursor: &mut f.cursor,
+                processed,
+                max_events: config.max_events,
+                stop_requested: &stop,
+            };
+            world.handle_fanout(f.time, &mut recipients, &f.event, &mut sched);
+            let mut rest = f.cursor;
+            if f.dests.next(&mut rest).is_none() {
+                *fanout = None;
+            }
+        }
+        if stop.get() {
             Err(StopReason::Requested)
         } else {
             Ok(())
@@ -468,9 +530,13 @@ mod tests {
         }
         let mut sim = Simulator::new(SimConfig::default());
         sim.schedule_at(SimTime(5), ActorId(9), 0);
-        sim.schedule_fanout_at(SimTime(5), &[ActorId(3), ActorId(1), ActorId(2)], 1);
-        sim.schedule_fanout_at(SimTime(5), &[], 7);
-        sim.schedule_fanout_at(SimTime(5), &[ActorId(8)], 3);
+        sim.schedule_fanout_at(
+            SimTime(5),
+            vec![ActorId(3), ActorId(1), ActorId(2)].into(),
+            1,
+        );
+        sim.schedule_fanout_at(SimTime(5), vec![].into(), 7);
+        sim.schedule_fanout_at(SimTime(5), vec![ActorId(8)].into(), 3);
         let mut w = Log(vec![]);
         assert_eq!(sim.run(&mut w), StopReason::Drained);
         assert_eq!(

@@ -20,13 +20,19 @@
 //!   state; the simulator owns time and the calendar.
 //! * Fan-out entries — [`Scheduler::schedule_fanout_at`] puts one event for
 //!   many actors on the calendar as a single entry, so a broadcast to `P−1`
-//!   processes costs one calendar push and pop instead of `P−1`. On delivery
-//!   the simulator hands each destination its own copy, one
-//!   [`World::handle`] call and one processed step each, before it pops the
-//!   calendar again. That is exactly the order of `P−1` separate entries:
-//!   they would sit back to back in their instant's FIFO bucket, so no other
+//!   processes costs one calendar push and pop instead of `P−1`. Its
+//!   destinations are a [`Dests`]: an all-but-sender rank range or a shared
+//!   [`RankSet`] travels as is, and only an arbitrary order is a list. On
+//!   delivery the simulator hands the whole entry to the world in one
+//!   [`World::handle_fanout`] call, which takes the destinations one at a
+//!   time from [`Recipients`], one processed step each, before the calendar
+//!   pops again (the provided method makes one [`World::handle`] call per
+//!   destination). That is exactly the order of `P−1` separate entries: they
+//!   would sit back to back in their instant's FIFO bucket, so no other
 //!   entry could pop between them, and anything scheduled while they are
-//!   handled joins the bucket behind them and pops after the last one.
+//!   handled joins the bucket behind them and pops after the last one. A
+//!   stop or the event limit reached part-way leaves the rest pending for
+//!   the next step.
 //! * [`rng`] — a small, self-contained, splittable PRNG (SplitMix64 and
 //!   xoshiro256**) so that simulation randomness is stable across platforms
 //!   and dependency versions.
@@ -36,14 +42,18 @@
 //! The engine is deliberately generic: the network model lives in
 //! `loadex-net`, the application (a multifrontal solver) in `loadex-solver`.
 
+pub mod dests;
 pub mod engine;
 pub mod queue;
+pub mod rankset;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::{ActorId, Scheduler, SimConfig, Simulator, StopReason, World};
+pub use dests::Dests;
+pub use engine::{ActorId, Recipients, Scheduler, SimConfig, Simulator, StopReason, World};
 pub use queue::EventQueue;
+pub use rankset::RankSet;
 pub use rng::{SimRng, SplitMix64};
 pub use stats::Welford;
 pub use time::{SimDuration, SimTime};

@@ -1,16 +1,21 @@
-//! A set of process ranks as a fixed-size bitset with a count.
+//! A set of actor ranks as a fixed-size bitset with a count.
 //!
 //! The snapshot mechanism asks the same few questions of its sets of ranks
 //! on every state message: is `p` in it, how many are in it, and which is
 //! the smallest or largest. One bit per rank answers the first in one word
 //! operation, the kept count answers the second without a scan, and the
 //! ends are found by scanning words (16 for P = 1024) rather than ranks.
+//!
+//! A set is also a fan-out destination ([`crate::Dests::Set`]): the naive
+//! and increments mechanisms keep their interested peers in one, shared by
+//! reference with every message in flight, and members are visited in rank
+//! order.
 
-use loadex_sim::ActorId;
+use crate::engine::ActorId;
 
 /// A set of ranks below a capacity fixed at construction.
-#[derive(Debug)]
-pub(crate) struct RankSet {
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RankSet {
     words: Box<[u64]>,
     len: usize,
 }
@@ -24,16 +29,40 @@ fn slot(r: ActorId) -> (usize, u64) {
 impl RankSet {
     /// An empty set able to hold ranks `0..nprocs` (rounded up to a whole
     /// 64-rank word). Operations on a rank past that word panic.
-    pub(crate) fn new(nprocs: usize) -> Self {
+    pub fn new(nprocs: usize) -> Self {
         RankSet {
             words: vec![0; nprocs.div_ceil(64)].into_boxed_slice(),
             len: 0,
         }
     }
 
+    /// The set of every rank of `0..nprocs` except `me`.
+    pub fn all_but(nprocs: usize, me: ActorId) -> Self {
+        let mut s = RankSet::new(nprocs);
+        s.fill_all_but(nprocs, me);
+        s
+    }
+
+    /// Make this set every rank of `0..nprocs` except `me` (`nprocs` within
+    /// the capacity).
+    pub fn fill_all_but(&mut self, nprocs: usize, me: ActorId) {
+        for (i, w) in self.words.iter_mut().enumerate() {
+            let below = nprocs.saturating_sub(i * 64).min(64);
+            *w = if below == 64 { !0 } else { (1 << below) - 1 };
+        }
+        self.len = nprocs;
+        self.remove(me);
+    }
+
+    /// Remove every rank.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+        self.len = 0;
+    }
+
     /// Add `r`; returns whether it was absent.
     #[inline]
-    pub(crate) fn insert(&mut self, r: ActorId) -> bool {
+    pub fn insert(&mut self, r: ActorId) -> bool {
         // Copy the word out rather than test and set it through one `&mut`:
         // rustc 1.95.0 at `-O` compiled that form so that `len` never grew
         // (`ends_cross_word_boundaries` failed in release builds only).
@@ -47,7 +76,7 @@ impl RankSet {
 
     /// Remove `r`; returns whether it was present.
     #[inline]
-    pub(crate) fn remove(&mut self, r: ActorId) -> bool {
+    pub fn remove(&mut self, r: ActorId) -> bool {
         let (w, bit) = slot(r);
         let old = self.words[w];
         self.words[w] = old & !bit;
@@ -58,31 +87,43 @@ impl RankSet {
 
     /// Whether `r` is in the set.
     #[inline]
-    pub(crate) fn contains(&self, r: ActorId) -> bool {
+    pub fn contains(&self, r: ActorId) -> bool {
         let (w, bit) = slot(r);
         self.words[w] & bit != 0
     }
 
     /// Number of ranks in the set.
     #[inline]
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.len
     }
 
     /// The smallest rank in the set.
-    pub(crate) fn first(&self) -> Option<ActorId> {
+    pub fn first(&self) -> Option<ActorId> {
         let (i, &w) = self.words.iter().enumerate().find(|(_, &w)| w != 0)?;
         Some(ActorId(i * 64 + w.trailing_zeros() as usize))
     }
 
     /// The largest rank in the set.
-    pub(crate) fn last(&self) -> Option<ActorId> {
+    pub fn last(&self) -> Option<ActorId> {
         let (i, &w) = self.words.iter().enumerate().rfind(|(_, &w)| w != 0)?;
         Some(ActorId(i * 64 + 63 - w.leading_zeros() as usize))
     }
 
+    /// Whether the set is empty.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The set's words: rank `r` is bit `r % 64` of word `r / 64`.
+    #[inline]
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// The ranks in the set, in increasing order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = ActorId> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = ActorId> + '_ {
         self.words.iter().enumerate().flat_map(|(i, &w)| {
             let mut rest = w;
             std::iter::from_fn(move || {

@@ -1,8 +1,8 @@
 //! Property tests for the simulation substrate.
 
 use loadex_sim::{
-    ActorId, EventQueue, Scheduler, SimConfig, SimDuration, SimRng, SimTime, Simulator, SplitMix64,
-    StopReason, Welford, World,
+    ActorId, EventQueue, Recipients, Scheduler, SimConfig, SimDuration, SimRng, SimTime, Simulator,
+    SplitMix64, StopReason, Welford, World,
 };
 use proptest::prelude::*;
 
@@ -12,8 +12,12 @@ const ACTORS: u64 = 5;
 /// of `(seed, event id, actor)` only, so two runs that deliver the same
 /// sequence spawn the same cascade. One-to-many sends either go in as one
 /// fan-out entry or are expanded into one `schedule_at` per destination.
+/// With `batched`, fan-out entries are handled by an override of
+/// `handle_fanout` that reads the event by reference in one loop, instead of
+/// the provided one-`handle`-per-destination method.
 struct Cascade {
     fanout: bool,
+    batched: bool,
     seed: u64,
     /// Request a stop while handling this delivery (1-based), once.
     stop_at: Option<u64>,
@@ -25,6 +29,7 @@ impl Cascade {
     fn new(fanout: bool, seed: u64, stop_at: Option<u64>) -> Self {
         Cascade {
             fanout,
+            batched: false,
             seed,
             stop_at,
             delivered: 0,
@@ -41,7 +46,7 @@ impl Cascade {
         sched: &mut Scheduler<'_, (u64, u8)>,
     ) {
         if self.fanout {
-            sched.schedule_fanout_at(at, dests, ev);
+            sched.schedule_fanout_at(at, dests.to_vec().into(), ev);
         } else {
             for &d in dests {
                 sched.schedule_at(at, d, ev);
@@ -64,7 +69,37 @@ impl World for Cascade {
         &mut self,
         now: SimTime,
         actor: ActorId,
-        (id, depth): (u64, u8),
+        ev: (u64, u8),
+        sched: &mut Scheduler<'_, (u64, u8)>,
+    ) {
+        self.deliver(now, actor, &ev, sched);
+    }
+
+    fn handle_fanout(
+        &mut self,
+        now: SimTime,
+        recipients: &mut Recipients<'_>,
+        ev: &(u64, u8),
+        sched: &mut Scheduler<'_, (u64, u8)>,
+    ) {
+        if self.batched {
+            for actor in recipients {
+                self.deliver(now, actor, ev, sched);
+            }
+        } else {
+            for actor in recipients {
+                self.handle(now, actor, *ev, sched);
+            }
+        }
+    }
+}
+
+impl Cascade {
+    fn deliver(
+        &mut self,
+        now: SimTime,
+        actor: ActorId,
+        &(id, depth): &(u64, u8),
         sched: &mut Scheduler<'_, (u64, u8)>,
     ) {
         self.log.push((now.as_nanos(), actor.index(), id));
@@ -100,20 +135,32 @@ impl World for Cascade {
 /// clock and step count at that point.
 type Trace = (Vec<(u64, usize, u64)>, Vec<(StopReason, u64, u64)>);
 
-/// Seed the initial sends, run, and after a requested stop resume once.
+/// How a run's one-to-many sends are scheduled and handled.
+#[derive(Clone, Copy)]
+enum Mode {
+    /// One `schedule_at` per destination.
+    Expanded,
+    /// One fan-out entry, handled by the provided `handle_fanout`.
+    Fanout,
+    /// One fan-out entry, handled by the batched override.
+    Batched,
+}
+
+/// Seed the initial sends, run, and after each requested stop resume.
 fn run_cascade(
-    fanout: bool,
+    mode: Mode,
     seed: u64,
     initial: &[(u64, u64)],
     config: SimConfig,
     stop_at: Option<u64>,
 ) -> Trace {
+    let fanout = !matches!(mode, Mode::Expanded);
     let mut sim = Simulator::new(config);
     let mut rng = SplitMix64::new(seed);
     for &(t, id) in initial {
         let dests = dests_from(&mut rng);
         if fanout {
-            sim.schedule_fanout_at(SimTime(t), &dests, (id, 3));
+            sim.schedule_fanout_at(SimTime(t), dests.into(), (id, 3));
         } else {
             for &d in &dests {
                 sim.schedule_at(SimTime(t), d, (id, 3));
@@ -121,6 +168,7 @@ fn run_cascade(
         }
     }
     let mut world = Cascade::new(fanout, seed, stop_at);
+    world.batched = matches!(mode, Mode::Batched);
     let mut stops = Vec::new();
     loop {
         let reason = sim.run(&mut world);
@@ -242,9 +290,40 @@ proptest! {
             horizon: horizon.map_or(SimTime::MAX, SimTime),
             max_events: max_events.unwrap_or(u64::MAX),
         };
-        let expanded = run_cascade(false, seed, &initial, config, stop_at);
-        let fanned = run_cascade(true, seed, &initial, config, stop_at);
+        let expanded = run_cascade(Mode::Expanded, seed, &initial, config, stop_at);
+        let fanned = run_cascade(Mode::Fanout, seed, &initial, config, stop_at);
         prop_assert_eq!(fanned, expanded);
+    }
+
+    /// A world whose `handle_fanout` treats the destinations in one loop
+    /// delivers exactly what the provided one-`handle`-per-destination
+    /// method does: the same `(time, actor, event)` log and the same
+    /// `processed()` count at every stop. A stop requested part-way through
+    /// a fan-out leaves the rest for the resumed run, which delivers it
+    /// before anything else; `max_events` reached part-way ends the run with
+    /// a prefix of the unlimited run's log.
+    #[test]
+    fn batched_fanout_handler_matches_the_provided_one(
+        seed in any::<u64>(),
+        initial in prop::collection::vec((0u64..30, any::<u64>()), 1..8),
+        max_events in prop::option::of(1u64..120),
+        stop_at in prop::option::of(1u64..120),
+    ) {
+        let config = SimConfig {
+            max_events: max_events.unwrap_or(u64::MAX),
+            ..SimConfig::default()
+        };
+        let provided = run_cascade(Mode::Fanout, seed, &initial, config, stop_at);
+        let batched = run_cascade(Mode::Batched, seed, &initial, config, stop_at);
+        prop_assert_eq!(&batched, &provided);
+        let unlimited = run_cascade(Mode::Batched, seed, &initial, SimConfig::default(), stop_at);
+        let (log, stops) = &batched;
+        prop_assert!(unlimited.0.starts_with(log));
+        let last = stops.last().expect("every run stops");
+        prop_assert_eq!(last.2, log.len() as u64, "one processed step per delivery");
+        if max_events.is_none() {
+            prop_assert_eq!(log, &unlimited.0);
+        }
     }
 
     /// Splitting an RNG yields streams that do not echo the parent.
@@ -255,4 +334,56 @@ proptest! {
         let same = (0..64).filter(|_| parent.next_u64() == child.next_u64()).count();
         prop_assert!(same < 8);
     }
+}
+
+/// A world that logs deliveries and requests a stop at chosen deliveries.
+struct StopLog {
+    stops: Vec<u64>,
+    log: Vec<(u64, usize, u8)>,
+}
+
+impl World for StopLog {
+    type Event = u8;
+
+    fn handle(&mut self, now: SimTime, a: ActorId, ev: u8, s: &mut Scheduler<'_, u8>) {
+        self.log.push((now.as_nanos(), a.index(), ev));
+        if self.stops.contains(&(self.log.len() as u64)) {
+            s.request_stop();
+        }
+    }
+}
+
+#[test]
+fn stop_and_event_limit_part_way_leave_the_rest_of_a_fanout_pending() {
+    let dests: Vec<ActorId> = [4, 0, 3, 1].map(ActorId).to_vec();
+    // A stop on the second destination: the resumed run delivers the other
+    // two before the later entry.
+    let mut sim = Simulator::new(SimConfig::default());
+    sim.schedule_fanout_at(SimTime(5), dests.clone().into(), 1);
+    sim.schedule_at(SimTime(5), ActorId(2), 2);
+    let mut w = StopLog {
+        stops: vec![2],
+        log: vec![],
+    };
+    assert_eq!(sim.run(&mut w), StopReason::Requested);
+    assert_eq!(sim.processed(), 2);
+    assert_eq!(sim.run(&mut w), StopReason::Drained);
+    let order: Vec<(usize, u8)> = w.log.iter().map(|&(_, a, ev)| (a, ev)).collect();
+    assert_eq!(order, vec![(4, 1), (0, 1), (3, 1), (1, 1), (2, 2)]);
+    assert_eq!(sim.processed(), 5);
+    // The event limit part-way: every later step reports it and delivers
+    // nothing more.
+    let mut sim = Simulator::new(SimConfig {
+        max_events: 3,
+        ..SimConfig::default()
+    });
+    sim.schedule_fanout_at(SimTime(5), dests.into(), 1);
+    let mut w = StopLog {
+        stops: vec![],
+        log: vec![],
+    };
+    assert_eq!(sim.run(&mut w), StopReason::EventLimit);
+    assert_eq!(sim.step(&mut w), Err(StopReason::EventLimit));
+    assert_eq!(w.log.len(), 3);
+    assert_eq!(sim.processed(), 3);
 }

@@ -30,21 +30,32 @@
 //!
 //! A state message is one shared payload per send, however many processes
 //! it reaches. The outbox flush wraps each staged message in an [`Rc`] once;
-//! the calendar's fan-out entry, every delivery ([`Ev::State`]) and every
-//! buffered mailbox slot hold a pointer to it. A handler takes the message
-//! with [`Rc::unwrap_or_clone`], so the last holder moves it out instead of
-//! copying it. `Rc` suffices because the simulator runs in one thread; it
-//! also means [`SolverWorld`] is not `Send`.
+//! the calendar's fan-out entry and every buffered mailbox slot hold a
+//! pointer to it, and the mechanisms read it by reference
+//! ([`Mechanism::on_state`]), so no receiver copies it. `Rc` suffices
+//! because the simulator runs in one thread; it also means [`SolverWorld`]
+//! is not `Send`.
+//!
+//! Nor is the destination set copied: a broadcast reaches the calendar as
+//! an all-but-sender rank range, and a multicast to a mechanism's
+//! interested peers as the mechanism's own shared rank set
+//! ([`Dest::into_dests`](loadex_core::Dest::into_dests)). [`SolverWorld`]
+//! treats a popped fan-out entry in one [`World::handle_fanout`] loop: a
+//! receiver that is computing gets the message appended to its mailbox,
+//! any other is handled as a single delivery would be. A process then
+//! treats its buffered messages in one loop, where a message that neither
+//! raises a notification, stages a send nor changes the blocked flag costs
+//! one mechanism call.
 
 use crate::config::{CommMode, SolverConfig, COMM_POLL_PERIOD};
 use crate::mapping::{NodeType, TreePlan};
 use crate::process::{self, Cx, Host, NodeState, Proc};
 use crate::report::{NetCounters, RunReport, RunTotals, SnapUnion};
 use crate::work::{self, Task};
-use loadex_core::{AnyMechanism, Dest, Mechanism, OutMsg, Outbox, StateMsg};
+use loadex_core::{AnyMechanism, Mechanism, OutMsg, Outbox, StateMsg};
 use loadex_net::{Channel, SimNetwork};
 use loadex_obs::{MetricsRegistry, ProtocolEvent, Recorder, ViewAccuracyProbe};
-use loadex_sim::{ActorId, Scheduler, SimDuration, SimTime, World};
+use loadex_sim::{ActorId, Recipients, Scheduler, SimDuration, SimTime, World};
 use loadex_sparse::AssemblyTree;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -417,24 +428,17 @@ impl SimHost<'_, '_, '_> {
         }
         // Every staged message, whatever its destination, is routed as a
         // multicast and lands on the calendar as one fan-out entry per
-        // arrival time, all sharing one payload.
+        // arrival time, all sharing one payload and, usually, the staged
+        // destination set itself.
         let from = ActorId(p);
         for OutMsg { dest, msg } in outbox.drain() {
-            let all_others: Vec<ActorId>;
-            let dests: &[ActorId] = match &dest {
-                Dest::One(to) => std::slice::from_ref(to),
-                Dest::Many(dests) => dests,
-                Dest::AllOthers => {
-                    all_others = (0..nprocs).filter(|&q| q != p).map(ActorId).collect();
-                    &all_others
-                }
-            };
             let size = msg.wire_size();
             let msg = Rc::new(msg);
+            let dests = dest.into_dests(from, nprocs);
             net.multicast(now, from, dests, Channel::State, size, |at, group| {
                 if obs {
                     let latency = at.since(now).as_nanos() as f64;
-                    for _ in group {
+                    for _ in 0..group.len() {
                         metrics.observe("state_msg_latency_ns", latency);
                     }
                 }
@@ -463,11 +467,9 @@ impl SimHost<'_, '_, '_> {
             // (1) state messages first (Algorithm 1 line 2) — drained even
             // inside the snapshot receive loop, which *only* treats these.
             // In threaded mode the comm thread owns them instead.
-            if mainloop {
-                if let Some((from, msg)) = self.rt().state_mb.pop_front() {
-                    process::on_state_msg(self, from, Rc::unwrap_or_clone(msg), true);
-                    continue;
-                }
+            if mainloop && !self.rt().state_mb.is_empty() {
+                self.treat_state_mailbox();
+                continue;
             }
             if self.rt().mech.blocked() {
                 if !matches!(self.rt().state, PState::WaitSnapshot) {
@@ -506,6 +508,37 @@ impl SimHost<'_, '_, '_> {
         }
     }
 
+    /// Treat the buffered state messages in one loop, each as
+    /// `process::on_state_msg` would. A message that raises no
+    /// notification, stages no send and leaves the blocked flag (and the
+    /// wait state that follows it) as it was needs only the mechanism's
+    /// step and its accounting. The first that needs more gets the rest of
+    /// the per-message step — outbox flush, notification, block
+    /// reconciliation — and ends the loop, so that the caller's loop decides
+    /// what comes next. The staged protocol events of the quiet messages are
+    /// flushed with it, or when the mailbox empties, in order and stamped
+    /// with the same instant.
+    fn treat_state_mailbox(&mut self) {
+        loop {
+            let rt = self.rt();
+            let Some((from, msg)) = rt.state_mb.pop_front() else {
+                break;
+            };
+            let blocked = rt.mech.blocked();
+            let settled = blocked == matches!(rt.state, PState::WaitSnapshot);
+            let notify = rt.mech.on_state(from, &msg, &mut rt.outbox);
+            let quiet =
+                settled && notify.is_none() && rt.outbox.is_empty() && rt.mech.blocked() == blocked;
+            process::account_state_msg(self, from, &msg, true);
+            if !quiet {
+                self.flush_outbox();
+                process::handle_notifies(self, notify);
+                return;
+            }
+        }
+        self.flush_outbox();
+    }
+
     // ----- event handlers --------------------------------------------------
 
     fn on_kick(&mut self) {
@@ -524,11 +557,11 @@ impl SimHost<'_, '_, '_> {
         self.progress();
     }
 
-    fn on_state_event(&mut self, from: ActorId, msg: Rc<StateMsg>) {
+    fn on_state_event(&mut self, from: ActorId, msg: &Rc<StateMsg>) {
         if self.comm_thread() {
             let now = self.now;
             let rt = self.rt();
-            rt.state_mb.push_back((from, msg));
+            rt.state_mb.push_back((from, Rc::clone(msg)));
             if !rt.poll_scheduled {
                 rt.poll_scheduled = true;
                 let period_ns = COMM_POLL_PERIOD.as_nanos();
@@ -539,10 +572,10 @@ impl SimHost<'_, '_, '_> {
             return;
         }
         match self.rt().state {
-            PState::Computing { .. } => self.rt().state_mb.push_back((from, msg)),
+            PState::Computing { .. } => self.rt().state_mb.push_back((from, Rc::clone(msg))),
             _ => {
                 // Idle or in the snapshot receive loop: treat immediately.
-                process::on_state_msg(self, from, Rc::unwrap_or_clone(msg), true);
+                process::on_state_msg(self, from, msg, true);
                 self.progress();
             }
         }
@@ -561,7 +594,7 @@ impl SimHost<'_, '_, '_> {
         // One receive per poll iteration: the thread sleeps one period between
         // channel checks, so a burst drains at one message per tick.
         if let Some((from, msg)) = self.rt().state_mb.pop_front() {
-            process::on_state_msg(self, from, Rc::unwrap_or_clone(msg), false);
+            process::on_state_msg(self, from, &msg, false);
         }
         if self.rt().state_mb.is_empty() {
             self.rt().poll_scheduled = false;
@@ -770,7 +803,7 @@ impl World for SolverWorld {
         let mut h = self.host(actor.index(), now, sched);
         match event {
             Ev::Kick => h.on_kick(),
-            Ev::State(from, msg) => h.on_state_event(from, msg),
+            Ev::State(from, msg) => h.on_state_event(from, &msg),
             Ev::App(from, msg) => {
                 h.rt().app_mb.push_back((from, msg));
                 if matches!(h.rt().state, PState::Idle) {
@@ -781,6 +814,34 @@ impl World for SolverWorld {
             Ev::Poll => h.on_poll(),
             Ev::Probe => h.on_probe(),
             Ev::MechTimer => h.on_mech_timer(),
+        }
+    }
+
+    /// A state message's fan-out in one loop: a receiver computing in the
+    /// main loop only buffers it, any other is handled as by
+    /// [`World::handle`].
+    fn handle_fanout(
+        &mut self,
+        now: SimTime,
+        recipients: &mut Recipients<'_>,
+        event: &Ev,
+        sched: &mut Scheduler<'_, Ev>,
+    ) {
+        let Ev::State(from, msg) = event else {
+            for actor in recipients {
+                self.handle(now, actor, event.clone(), sched);
+            }
+            return;
+        };
+        let mainloop = self.cfg.comm == CommMode::MainLoop;
+        for actor in recipients {
+            let rt = &mut self.st.procs[actor.index()];
+            if mainloop && matches!(rt.state, PState::Computing { .. }) {
+                rt.state_mb.push_back((*from, Rc::clone(msg)));
+            } else {
+                self.host(actor.index(), now, sched)
+                    .on_state_event(*from, msg);
+            }
         }
     }
 
@@ -798,6 +859,7 @@ mod tests {
     use super::*;
     use crate::mapping::{self, MappingParams};
     use loadex_core::MechKind;
+    use loadex_sim::{SimConfig, Simulator, StopReason};
     use loadex_sparse::models::by_name;
 
     fn mini_world(nprocs: usize) -> SolverWorld {
@@ -886,6 +948,66 @@ mod tests {
         // Every calendar entry and every buffered `state_mb` slot scales with
         // this size; perfbench reports it as `sim.ev_bytes`.
         assert_eq!(std::mem::size_of::<Ev>(), 24);
+    }
+
+    /// The simulator's provided `handle_fanout`: every destination of a
+    /// fan-out handed to `SolverWorld::handle` one at a time.
+    struct PerDestination<'a>(&'a mut SolverWorld);
+
+    impl World for PerDestination<'_> {
+        type Event = Ev;
+
+        fn handle(&mut self, now: SimTime, a: ActorId, ev: Ev, s: &mut Scheduler<'_, Ev>) {
+            self.0.handle(now, a, ev, s);
+        }
+
+        fn on_finish(&mut self, now: SimTime) {
+            self.0.on_finish(now);
+        }
+    }
+
+    /// An observed, probed TWOTONE run: its report and step count, and its
+    /// recorded protocol events.
+    fn observed_run(
+        nprocs: usize,
+        mech: MechKind,
+        comm: CommMode,
+        per_destination: bool,
+    ) -> (String, Vec<loadex_obs::EventRecord>) {
+        let tree = by_name("TWOTONE").unwrap().build_tree();
+        let cfg = SolverConfig::new(nprocs)
+            .with_mechanism(mech)
+            .with_comm(comm)
+            .with_accuracy(true);
+        let plan = mapping::plan(&tree, nprocs, MappingParams::from(&cfg));
+        let mut world = SolverWorld::new(tree, plan, cfg);
+        let recorder = Recorder::enabled();
+        world.set_recorder(recorder.clone());
+        let mut sim = Simulator::new(SimConfig::default());
+        for p in 0..nprocs {
+            sim.schedule_at(SimTime::ZERO, ActorId(p), Ev::Kick);
+        }
+        let reason = if per_destination {
+            sim.run(&mut PerDestination(&mut world))
+        } else {
+            sim.run(&mut world)
+        };
+        assert_eq!(reason, StopReason::Requested, "{mech} {comm:?}");
+        let summary = format!("{:?} after {} steps", world.report(), sim.processed());
+        (summary, recorder.take())
+    }
+
+    #[test]
+    fn fanout_override_matches_per_destination_handling() {
+        // P = 70: the interested-peer sets span two words.
+        for mech in MechKind::EXTENDED {
+            for comm in [CommMode::MainLoop, CommMode::CommThread] {
+                let batched = observed_run(70, mech, comm, false);
+                let per_destination = observed_run(70, mech, comm, true);
+                assert!(!batched.1.is_empty());
+                assert!(batched == per_destination, "{mech} {comm:?} differ");
+            }
+        }
     }
 
     #[test]

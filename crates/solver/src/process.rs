@@ -253,22 +253,35 @@ pub(crate) fn kick<'a, H: Host<'a>>(h: &mut H) {
 
 /// Treat one state message (Algorithm 1 line 2). With `charge`, its
 /// treatment cost delays the next compute chunk.
-pub(crate) fn on_state_msg<'a, H: Host<'a>>(h: &mut H, from: ActorId, msg: StateMsg, charge: bool) {
-    let cx = h.cx();
-    // Which peers the message carries load information about; computed
-    // before the mechanism consumes it.
-    let subjects = cx
-        .cfg
-        .accuracy
-        .then(|| msg.subjects(from, ActorId(h.rank())));
-    let notifies = h.mech_mut(|m, out| m.on_state_msg(from, msg, out));
+pub(crate) fn on_state_msg<'a, H: Host<'a>>(
+    h: &mut H,
+    from: ActorId,
+    msg: &StateMsg,
+    charge: bool,
+) {
+    let notify = h.mech_mut(|m, out| m.on_state(from, msg, out));
+    account_state_msg(h, from, msg, charge);
+    handle_notifies(h, notify);
+}
+
+/// What treating a state message costs besides the mechanism's step, once
+/// the mechanism has read it: with `charge`, its treatment time delays the
+/// next compute chunk, and the accuracy probe (if any) learns the process's
+/// refreshed beliefs about the peers the message informs on.
+pub(crate) fn account_state_msg<'a, H: Host<'a>>(
+    h: &mut H,
+    from: ActorId,
+    msg: &StateMsg,
+    charge: bool,
+) {
     if charge {
         h.proc().overhead += STATE_MSG_COST;
     }
-    for q in subjects.into_iter().flatten() {
-        refresh_belief(h, q);
+    if h.cx().cfg.accuracy {
+        for q in msg.subjects(from, ActorId(h.rank())) {
+            refresh_belief(h, q);
+        }
     }
-    handle_notifies(h, notifies);
 }
 
 /// The process's view of `q` changed: tell the accuracy probe.

@@ -190,20 +190,17 @@ fn flush_cell(
     for OutMsg { dest, msg } in staged {
         let size = msg.wire_size();
         let sent = match dest {
-            Dest::One(to) => {
-                ok &= tx.send(to, size, msg);
-                1
-            }
-            Dest::Many(dests) => {
-                for &to in &dests {
-                    ok &= tx.send(to, size, msg.clone());
-                }
-                dests.len()
-            }
             Dest::AllOthers => {
                 let delivered = tx.broadcast(size, &msg);
                 ok &= delivered == nprocs - 1;
                 delivered
+            }
+            dest => {
+                let dests = dest.into_dests(ActorId(me), nprocs);
+                for to in dests.iter() {
+                    ok &= tx.send(to, size, msg.clone());
+                }
+                dests.len()
             }
         } as u64;
         coord.net_state_msgs.fetch_add(sent, Ordering::Relaxed);
@@ -271,15 +268,10 @@ fn comm_loop(
                     debug_assert!(false, "application traffic on the state channel");
                     continue;
                 };
-                let subjects = if probe.is_some() {
-                    msg.subjects(env.from, ActorId(me))
-                } else {
-                    Vec::new()
-                };
                 let mut g = lock(&cell.0);
                 let notifies = {
                     let MechCell { mech, outbox, .. } = &mut *g;
-                    mech.on_state_msg(env.from, msg, outbox)
+                    mech.on_state(env.from, &msg, outbox)
                 };
                 let ok = flush_cell(
                     &mut g,
@@ -292,11 +284,14 @@ fn comm_loop(
                 );
                 // Read under the cell lock, applied to the probe after it.
                 let view = g.mech.view();
-                let refreshed: Vec<(usize, Load)> = subjects
-                    .iter()
-                    .filter(|q| q.index() != me)
-                    .map(|&q| (q.index(), view.get(q)))
-                    .collect();
+                let refreshed: Vec<(usize, Load)> = if probe.is_some() {
+                    msg.subjects(env.from, ActorId(me))
+                        .filter(|q| q.index() != me)
+                        .map(|q| (q.index(), view.get(q)))
+                        .collect()
+                } else {
+                    Vec::new()
+                };
                 g.notifies.extend(notifies);
                 drop(g);
                 cell.1.notify_all();
@@ -553,7 +548,7 @@ impl Worker<'_> {
                 // Only reachable in main-loop mode through recv_timeout's
                 // state-first polling.
                 debug_assert!(!self.comm_enabled, "state message on the worker");
-                process::on_state_msg(self, env.from, msg, true);
+                process::on_state_msg(self, env.from, &msg, true);
             }
         }
     }
@@ -606,7 +601,7 @@ impl Worker<'_> {
                 match self.ep.recv_state_timeout(WAIT_SLICE) {
                     Ok(env) => {
                         if let TMsg::State(msg) = env.msg {
-                            process::on_state_msg(self, env.from, msg, true);
+                            process::on_state_msg(self, env.from, &msg, true);
                         }
                     }
                     Err(RecvError::Timeout) => {}
@@ -719,7 +714,7 @@ impl Worker<'_> {
                 // (1) state messages first (Algorithm 1 line 2).
                 while let Some(env) = self.ep.try_recv_state() {
                     if let TMsg::State(msg) = env.msg {
-                        process::on_state_msg(self, env.from, msg, true);
+                        process::on_state_msg(self, env.from, &msg, true);
                     }
                 }
             }

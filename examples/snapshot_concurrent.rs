@@ -30,6 +30,11 @@ fn flush(ep: &Endpoint<loadex::core::StateMsg>, out: &mut Outbox) {
                     ep.send(to, Channel::State, size, msg.clone());
                 }
             }
+            Dest::Set(dests) => {
+                for to in dests.iter() {
+                    ep.send(to, Channel::State, size, msg.clone());
+                }
+            }
             Dest::AllOthers => {
                 ep.broadcast(Channel::State, size, &msg);
             }

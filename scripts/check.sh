@@ -11,9 +11,11 @@ run() {
 
 run cargo build --workspace --release --offline
 run cargo test --workspace --offline -q
-# The mechanism tests again in the release profile: a word-update form in
-# `RankSet` (crates/core/src/rankset.rs) was once miscompiled at -O only.
+# The mechanism and simulator tests again in the release profile: a
+# word-update form in `RankSet` (crates/sim/src/rankset.rs), which the
+# mechanisms use, was once miscompiled at -O only.
 run cargo test --release --offline -p loadex-core -q
+run cargo test --release --offline -p loadex-sim -q
 # Dedicated threaded-backend pass: real OS threads (the suite bounds itself
 # to <= 4 processes per run), wrapped in a hard timeout so a protocol
 # deadlock fails the gate quickly instead of hanging it. The per-run
@@ -84,6 +86,22 @@ for pinned in \
         --matrix CONV3D64 --procs 32 --mech "$mech" \
         --events-out "$golden/conv3d64_$mech.jsonl"
     echo "$digest  $golden/conv3d64_$mech.jsonl" | run sha256sum -c -
+done
+
+# The event streams of the two multicasting mechanisms at P = 130, where a
+# rank set spans three 64-bit words, pinned by digest in both comm modes:
+# naive sends to its shared set of interested peers, and gossip is the one
+# mechanism whose multicast order is not rank order (3-13 MB each).
+for pinned in \
+    "gossip off bf698853a719385c3027b281eea3e8fbf28e69c633a30e44f5afedf2b9e0409a" \
+    "gossip on fcd0dcb7e33d1090084273bd7cc696fb17980d320812474765d6e1dc8ea6779b" \
+    "naive off 497f37ca2092fee18c564769db327e63951e630dd721e9f6a904d1e5f52937b9" \
+    "naive on 6f8960271bd850d0881258f3ddc984647b353a713c7dc244a5d4a10c327b593c"; do
+    read -r mech comm digest <<<"$pinned"
+    run cargo run --release --offline -q -p loadex-bench --bin run -- \
+        --matrix TWOTONE --procs 130 --mech "$mech" --comm-thread "$comm" \
+        --events-out "$golden/twotone130_${mech}_$comm.jsonl"
+    echo "$digest  $golden/twotone130_${mech}_$comm.jsonl" | run sha256sum -c -
 done
 
 # Deterministic tables: `tables --all` (everything but the wall-clock §4.5

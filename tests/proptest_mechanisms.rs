@@ -3,7 +3,7 @@
 //! exactly the asynchrony MPI allows).
 
 use loadex::core::{
-    AnyMechanism, ChangeOrigin, Dest, Gate, IncrementMechanism, Load, MechKind, Mechanism,
+    AnyMechanism, ChangeOrigin, Gate, IncrementMechanism, Load, MechKind, Mechanism,
     NaiveMechanism, Notify, OutMsg, Outbox, SnapshotMechanism, StateMsg, Threshold,
 };
 use loadex::sim::ActorId;
@@ -27,20 +27,8 @@ impl Postman {
 
     fn stage(&mut self, from: ActorId, out: &mut Outbox) {
         for OutMsg { dest, msg } in out.drain() {
-            match dest {
-                Dest::One(to) => self.queues[from.index() * self.n + to.index()].push_back(msg),
-                Dest::Many(dests) => {
-                    for to in dests {
-                        self.queues[from.index() * self.n + to.index()].push_back(msg.clone());
-                    }
-                }
-                Dest::AllOthers => {
-                    for q in 0..self.n {
-                        if q != from.index() {
-                            self.queues[from.index() * self.n + q].push_back(msg.clone());
-                        }
-                    }
-                }
+            for to in dest.into_dests(from, self.n).iter() {
+                self.queues[from.index() * self.n + to.index()].push_back(msg.clone());
             }
         }
     }

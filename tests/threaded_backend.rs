@@ -297,6 +297,11 @@ fn flush(ep: &Endpoint<StateMsg>, out: &mut Outbox) {
                     ep.send(to, Channel::State, size, m.msg.clone());
                 }
             }
+            loadex::core::Dest::Set(dests) => {
+                for to in dests.iter() {
+                    ep.send(to, Channel::State, size, m.msg.clone());
+                }
+            }
             loadex::core::Dest::AllOthers => {
                 ep.broadcast(Channel::State, size, &m.msg);
             }
