@@ -178,12 +178,13 @@ mod tests {
         let d1: Vec<_> = out.drain().map(|o| o.dest).collect();
         m.on_timer(&mut out);
         let d2: Vec<_> = out.drain().map(|o| o.dest).collect();
-        assert_eq!(d1, vec![Dest::Many(vec![ActorId(1), ActorId(2)])]);
-        assert_eq!(d2, vec![Dest::Many(vec![ActorId(3), ActorId(4)])]);
+        let peers = |a, b| Dest::To(vec![ActorId(a), ActorId(b)].into());
+        assert_eq!(d1, vec![peers(1, 2)]);
+        assert_eq!(d2, vec![peers(3, 4)]);
         // Rotation skips self and wraps.
         m.on_timer(&mut out);
         let d3: Vec<_> = out.drain().map(|o| o.dest).collect();
-        assert_eq!(d3, vec![Dest::Many(vec![ActorId(1), ActorId(2)])]);
+        assert_eq!(d3, vec![peers(1, 2)]);
     }
 
     #[test]
@@ -252,8 +253,8 @@ mod tests {
                 let mut o = Outbox::new();
                 m.on_timer(&mut o);
                 for staged in o.drain() {
-                    if let Dest::Many(peers) = staged.dest {
-                        for to in peers {
+                    if let Dest::To(peers) = staged.dest {
+                        for to in peers.iter() {
                             inflight.push((m.view().me(), to, staged.msg.clone()));
                         }
                     }

@@ -30,7 +30,7 @@ use std::sync::Arc;
 ///
 /// ```
 /// use loadex_core::{Dest, IncrementMechanism, Mechanism, ChangeOrigin, Load, Outbox, Threshold};
-/// use loadex_sim::ActorId;
+/// use loadex_sim::{ActorId, Dests};
 ///
 /// // Process 0 of a 4-process system, broadcasting on 1000-unit drifts.
 /// let mut mech = IncrementMechanism::new(ActorId(0), 4, Threshold::new(1000.0, 1000.0));
@@ -41,7 +41,7 @@ use std::sync::Arc;
 /// assert!(out.is_empty());
 /// // …until the threshold trips and a delta goes to every other process.
 /// mech.on_local_change(Load::work(600.0), ChangeOrigin::Local, &mut out);
-/// let Dest::Set(interested) = &out.peek()[0].dest else { panic!("a rank set") };
+/// let Dest::To(Dests::Set(interested)) = &out.peek()[0].dest else { panic!("a rank set") };
 /// let all_others = vec![ActorId(1), ActorId(2), ActorId(3)];
 /// assert_eq!(interested.iter().collect::<Vec<_>>(), all_others);
 ///
@@ -199,11 +199,12 @@ impl Mechanism for IncrementMechanism {
 mod tests {
     use super::*;
     use crate::outbox::{Dest, OutMsg};
+    use loadex_sim::Dests;
 
     /// The ranks a staged destination names (a set, here).
     fn ranks(dest: &Dest) -> Vec<ActorId> {
         match dest {
-            Dest::Set(set) => set.iter().collect(),
+            Dest::To(Dests::Set(set)) => set.iter().collect(),
             other => panic!("expected a rank set, got {other:?}"),
         }
     }

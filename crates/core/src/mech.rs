@@ -273,13 +273,7 @@ impl Mechanism for AnyMechanism {
         self.as_dyn_mut().on_local_change(delta, origin, out)
     }
     fn on_state(&mut self, from: ActorId, msg: &StateMsg, out: &mut Outbox) -> Option<Notify> {
-        // Static dispatch: this runs once per state message delivered.
-        match self {
-            AnyMechanism::Naive(m) => m.on_state(from, msg, out),
-            AnyMechanism::Increments(m) => m.on_state(from, msg, out),
-            AnyMechanism::Snapshot(m) => m.on_state(from, msg, out),
-            AnyMechanism::Gossip(m) => m.on_state(from, msg, out),
-        }
+        self.as_dyn_mut().on_state(from, msg, out)
     }
     fn request_decision(&mut self, out: &mut Outbox) -> Gate {
         self.as_dyn_mut().request_decision(out)
@@ -298,13 +292,7 @@ impl Mechanism for AnyMechanism {
         self.as_dyn().view()
     }
     fn blocked(&self) -> bool {
-        // Static dispatch: the engine asks this around every state message.
-        match self {
-            AnyMechanism::Naive(m) => m.blocked(),
-            AnyMechanism::Increments(m) => m.blocked(),
-            AnyMechanism::Snapshot(m) => m.blocked(),
-            AnyMechanism::Gossip(m) => m.blocked(),
-        }
+        self.as_dyn().blocked()
     }
     fn on_timer(&mut self, out: &mut Outbox) {
         self.as_dyn_mut().on_timer(out)

@@ -179,11 +179,12 @@ impl Mechanism for NaiveMechanism {
 mod tests {
     use super::*;
     use crate::outbox::{Dest, OutMsg};
+    use loadex_sim::Dests;
 
     /// The ranks a staged destination names (a set, here).
     fn ranks(dest: &Dest) -> Vec<ActorId> {
         match dest {
-            Dest::Set(set) => set.iter().collect(),
+            Dest::To(Dests::Set(set)) => set.iter().collect(),
             other => panic!("expected a rank set, got {other:?}"),
         }
     }

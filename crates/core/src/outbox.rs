@@ -19,30 +19,27 @@ use std::sync::Arc;
 /// Where a staged message goes.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Dest {
-    /// A single process.
-    One(ActorId),
-    /// Each of these processes, in this order (see [`Outbox::multicast`]).
-    Many(Vec<ActorId>),
-    /// The members of a rank set, in rank order, shared with the mechanism
-    /// that staged it (see [`Outbox::multicast_set`]).
-    Set(Arc<RankSet>),
-    /// Every process except the sender.
+    /// Every process except the sender: a mechanism need not know how many
+    /// there are.
     AllOthers,
+    /// These processes, in the simulator's own destination format: one
+    /// rank ([`Outbox::send`]), a list in send order
+    /// ([`Outbox::multicast`]) or a rank set shared with the mechanism that
+    /// staged it ([`Outbox::multicast_set`]).
+    To(Dests),
 }
 
 impl Dest {
     /// The destinations of a message that process `from` of `nprocs`
-    /// staged, as the simulator's calendar takes them: no list is built,
-    /// and a set stays shared.
+    /// staged: a broadcast becomes the all-but-sender range, and a set
+    /// stays shared.
     pub fn into_dests(self, from: ActorId, nprocs: usize) -> Dests {
         match self {
-            Dest::One(to) => Dests::One(to),
-            Dest::Many(list) => Dests::List(list.into()),
-            Dest::Set(set) => Dests::Set(set),
             Dest::AllOthers => Dests::AllBut {
                 n: nprocs,
                 except: from,
             },
+            Dest::To(dests) => dests,
         }
     }
 }
@@ -101,7 +98,7 @@ impl Outbox {
     pub fn send(&mut self, to: ActorId, msg: StateMsg) {
         self.note(|| ProtocolEvent::state_send(Some(to), msg.kind(), msg.wire_size()));
         self.msgs.push(OutMsg {
-            dest: Dest::One(to),
+            dest: Dest::To(Dests::One(to)),
             msg,
         });
     }
@@ -116,7 +113,7 @@ impl Outbox {
         }
         self.note_sends(dests.iter().copied(), &msg);
         self.msgs.push(OutMsg {
-            dest: Dest::Many(dests),
+            dest: Dest::To(dests.into()),
             msg,
         });
     }
@@ -133,7 +130,7 @@ impl Outbox {
         }
         self.note_sends(set.iter(), &msg);
         self.msgs.push(OutMsg {
-            dest: Dest::Set(Arc::clone(set)),
+            dest: Dest::To(Dests::Set(Arc::clone(set))),
             msg,
         });
     }
@@ -199,7 +196,7 @@ mod tests {
         ob.broadcast(StateMsg::Update { load: Load::ZERO });
         assert_eq!(ob.len(), 2);
         let drained: Vec<_> = ob.drain().collect();
-        assert_eq!(drained[0].dest, Dest::One(ActorId(1)));
+        assert_eq!(drained[0].dest, Dest::To(Dests::One(ActorId(1))));
         assert_eq!(drained[1].dest, Dest::AllOthers);
         assert!(ob.is_empty());
     }
@@ -223,7 +220,7 @@ mod tests {
         assert_eq!(
             multi.peek(),
             &[OutMsg {
-                dest: Dest::Many(dests),
+                dest: Dest::To(dests.into()),
                 msg
             }]
         );
@@ -253,7 +250,7 @@ mod tests {
         let staged: Vec<_> = multi.drain().collect();
         assert_eq!(staged.len(), 1);
         match &staged[0].dest {
-            Dest::Set(shared) => assert!(Arc::ptr_eq(shared, &set), "the set is shared"),
+            Dest::To(Dests::Set(shared)) => assert!(Arc::ptr_eq(shared, &set), "the set is shared"),
             other => panic!("unexpected {other:?}"),
         }
         multi.multicast_set(&Arc::new(RankSet::new(70)), msg);

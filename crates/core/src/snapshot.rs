@@ -533,7 +533,7 @@ impl Mechanism for SnapshotMechanism {
 mod tests {
     use super::*;
     use crate::outbox::{Dest, OutMsg};
-    use loadex_sim::SimRng;
+    use loadex_sim::{Dests, SimRng};
     use std::collections::VecDeque;
 
     /// A tiny synchronous postman delivering staged messages between
@@ -942,7 +942,10 @@ mod tests {
         };
         let mut out = Outbox::new();
         c.mechs[p1.index()].on_state_msg(p3, m1, &mut out);
-        let answered_p3 = out.peek().iter().any(|o| o.dest == Dest::One(p3));
+        let answered_p3 = out
+            .peek()
+            .iter()
+            .any(|o| o.dest == Dest::To(Dests::One(p3)));
         assert!(answered_p3, "first start_snp seen is answered immediately");
         c.stage(p1, &mut out);
 
@@ -959,7 +962,10 @@ mod tests {
         };
         let mut out = Outbox::new();
         c.mechs[p1.index()].on_state_msg(p2, m2, &mut out);
-        assert!(out.peek().iter().any(|o| o.dest == Dest::One(p2)));
+        assert!(out
+            .peek()
+            .iter()
+            .any(|o| o.dest == Dest::To(Dests::One(p2))));
         c.stage(p1, &mut out);
 
         // Let everything settle: p2 (leader) completes first.

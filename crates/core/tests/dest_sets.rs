@@ -6,7 +6,7 @@ use loadex_core::{
     ChangeOrigin, Dest, IncrementMechanism, Load, Mechanism, NaiveMechanism, OutMsg, Outbox,
     StateMsg, Threshold,
 };
-use loadex_sim::ActorId;
+use loadex_sim::{ActorId, Dests};
 use proptest::prelude::*;
 
 const SIZES: [usize; 7] = [1, 2, 63, 64, 65, 130, 1024];
@@ -27,7 +27,7 @@ fn broadcast_ranks(mech: &mut dyn Mechanism, out: &mut Outbox) -> (Vec<ActorId>,
         return (Vec::new(), None);
     };
     let ranks = match &staged.dest {
-        Dest::Set(set) => set.iter().collect(),
+        Dest::To(Dests::Set(set)) => set.iter().collect(),
         other => panic!("expected a rank set, got {other:?}"),
     };
     (ranks, Some(staged))
@@ -61,7 +61,7 @@ fn check(mech: &mut dyn Mechanism, me: usize, n: usize, senders: &[usize], every
     }
     assert_eq!(mech.stats().msgs_sent, sent);
     for (staged, expected) in in_flight {
-        let Dest::Set(set) = staged.dest else {
+        let Dest::To(Dests::Set(set)) = staged.dest else {
             unreachable!()
         };
         assert_eq!(set.iter().collect::<Vec<_>>(), expected, "copy-on-write");

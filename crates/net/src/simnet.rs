@@ -26,9 +26,8 @@
 //! same-instant calendar entries would have popped in.
 //!
 //! A state-channel multicast computes the copies' common arrival,
-//! `now + transfer_time(size)`, once per call and then makes one pass over
-//! the sender's row of link clocks, still checking every destination as
-//! `send` does.
+//! `now + transfer_time(size)`, once per call and then routes each copy on
+//! its link, checking every destination as `send` does.
 
 use crate::channel::{Channel, Envelope};
 use crate::model::NetworkModel;
@@ -184,7 +183,10 @@ impl SimNetwork {
         match channel {
             Channel::State => {
                 let ready = now + self.model.transfer_time(size);
-                self.state_fanout(ready, from, &dests, size, &mut first, &mut arrivals);
+                for (i, to) in dests.iter().enumerate() {
+                    let at = self.state_arrival(ready, from, to, size);
+                    note_arrival(&mut first, &mut arrivals, &dests, i, at, to);
+                }
             }
             Channel::Regular => {
                 for (i, to) in dests.iter().enumerate() {
@@ -206,35 +208,6 @@ impl SimNetwork {
             }
         }
         self.arrivals = arrivals;
-    }
-
-    /// Route a state-channel copy, ready to arrive at `ready`, to each of
-    /// `dests` in one pass over the sender's row of link clocks, noting each
-    /// arrival as [`SimNetwork::multicast`] needs.
-    fn state_fanout(
-        &mut self,
-        ready: SimTime,
-        from: ActorId,
-        dests: &Dests,
-        size: u64,
-        first: &mut Option<SimTime>,
-        arrivals: &mut Vec<(SimTime, ActorId)>,
-    ) {
-        let n = self.nprocs;
-        assert!(from.index() < n, "sender out of range");
-        let row = &mut self.link_clear_at[from.index() * n..][..n];
-        let mut copies = 0;
-        for to in dests.iter() {
-            assert!(to.index() < n, "receiver out of range");
-            assert_ne!(from, to, "self-send");
-            // Dedicated control channel: per-pair FIFO only.
-            let at = ready.max(row[to.index()]);
-            row[to.index()] = at;
-            note_arrival(first, arrivals, dests, copies, at, to);
-            copies += 1;
-        }
-        self.sent_state += copies as u64;
-        self.bytes_state += size * copies as u64;
     }
 
     /// Account for one message and advance its link's clocks; returns when

@@ -12,12 +12,10 @@ const ACTORS: u64 = 5;
 /// of `(seed, event id, actor)` only, so two runs that deliver the same
 /// sequence spawn the same cascade. One-to-many sends either go in as one
 /// fan-out entry or are expanded into one `schedule_at` per destination.
-/// With `batched`, fan-out entries are handled by an override of
-/// `handle_fanout` that reads the event by reference in one loop, instead of
-/// the provided one-`handle`-per-destination method.
+/// `Cascade` implements only `handle`, so its fan-out entries go through the
+/// provided `World::handle_fanout`; [`Batched`] overrides that method.
 struct Cascade {
     fanout: bool,
-    batched: bool,
     seed: u64,
     /// Request a stop while handling this delivery (1-based), once.
     stop_at: Option<u64>,
@@ -29,7 +27,6 @@ impl Cascade {
     fn new(fanout: bool, seed: u64, stop_at: Option<u64>) -> Self {
         Cascade {
             fanout,
-            batched: false,
             seed,
             stop_at,
             delivered: 0,
@@ -74,6 +71,25 @@ impl World for Cascade {
     ) {
         self.deliver(now, actor, &ev, sched);
     }
+}
+
+/// A [`Cascade`] whose fan-out entries are handled by an override of
+/// `handle_fanout` that reads the event by reference in one loop, instead
+/// of the provided one-`handle`-per-destination method.
+struct Batched<'a>(&'a mut Cascade);
+
+impl World for Batched<'_> {
+    type Event = (u64, u8);
+
+    fn handle(
+        &mut self,
+        now: SimTime,
+        actor: ActorId,
+        ev: (u64, u8),
+        sched: &mut Scheduler<'_, (u64, u8)>,
+    ) {
+        self.0.deliver(now, actor, &ev, sched);
+    }
 
     fn handle_fanout(
         &mut self,
@@ -82,14 +98,8 @@ impl World for Cascade {
         ev: &(u64, u8),
         sched: &mut Scheduler<'_, (u64, u8)>,
     ) {
-        if self.batched {
-            for actor in recipients {
-                self.deliver(now, actor, ev, sched);
-            }
-        } else {
-            for actor in recipients {
-                self.handle(now, actor, *ev, sched);
-            }
+        for actor in recipients {
+            self.0.deliver(now, actor, ev, sched);
         }
     }
 }
@@ -142,7 +152,7 @@ enum Mode {
     Expanded,
     /// One fan-out entry, handled by the provided `handle_fanout`.
     Fanout,
-    /// One fan-out entry, handled by the batched override.
+    /// One fan-out entry, handled by [`Batched`]'s override.
     Batched,
 }
 
@@ -168,10 +178,12 @@ fn run_cascade(
         }
     }
     let mut world = Cascade::new(fanout, seed, stop_at);
-    world.batched = matches!(mode, Mode::Batched);
     let mut stops = Vec::new();
     loop {
-        let reason = sim.run(&mut world);
+        let reason = match mode {
+            Mode::Batched => sim.run(&mut Batched(&mut world)),
+            Mode::Expanded | Mode::Fanout => sim.run(&mut world),
+        };
         stops.push((reason, sim.now().as_nanos(), sim.processed()));
         if reason != StopReason::Requested {
             break;

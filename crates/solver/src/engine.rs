@@ -37,15 +37,13 @@
 //! is not `Send`.
 //!
 //! Nor is the destination set copied: a broadcast reaches the calendar as
-//! an all-but-sender rank range, and a multicast to a mechanism's
-//! interested peers as the mechanism's own shared rank set
-//! ([`Dest::into_dests`](loadex_core::Dest::into_dests)). [`SolverWorld`]
+//! an all-but-sender rank range
+//! ([`Dest::into_dests`](loadex_core::Dest::into_dests)), and a multicast
+//! to a mechanism's interested peers as the mechanism's own shared rank
+//! set. [`SolverWorld`]
 //! treats a popped fan-out entry in one [`World::handle_fanout`] loop: a
 //! receiver that is computing gets the message appended to its mailbox,
-//! any other is handled as a single delivery would be. A process then
-//! treats its buffered messages in one loop, where a message that neither
-//! raises a notification, stages a send nor changes the blocked flag costs
-//! one mechanism call.
+//! any other is handled as a single delivery would be.
 
 use crate::config::{CommMode, SolverConfig, COMM_POLL_PERIOD};
 use crate::mapping::{NodeType, TreePlan};
@@ -467,9 +465,11 @@ impl SimHost<'_, '_, '_> {
             // (1) state messages first (Algorithm 1 line 2) — drained even
             // inside the snapshot receive loop, which *only* treats these.
             // In threaded mode the comm thread owns them instead.
-            if mainloop && !self.rt().state_mb.is_empty() {
-                self.treat_state_mailbox();
-                continue;
+            if mainloop {
+                if let Some((from, msg)) = self.rt().state_mb.pop_front() {
+                    process::on_state_msg(self, from, &msg, true);
+                    continue;
+                }
             }
             if self.rt().mech.blocked() {
                 if !matches!(self.rt().state, PState::WaitSnapshot) {
@@ -506,37 +506,6 @@ impl SimHost<'_, '_, '_> {
             self.rt().state = PState::Idle;
             return;
         }
-    }
-
-    /// Treat the buffered state messages in one loop, each as
-    /// `process::on_state_msg` would. A message that raises no
-    /// notification, stages no send and leaves the blocked flag (and the
-    /// wait state that follows it) as it was needs only the mechanism's
-    /// step and its accounting. The first that needs more gets the rest of
-    /// the per-message step — outbox flush, notification, block
-    /// reconciliation — and ends the loop, so that the caller's loop decides
-    /// what comes next. The staged protocol events of the quiet messages are
-    /// flushed with it, or when the mailbox empties, in order and stamped
-    /// with the same instant.
-    fn treat_state_mailbox(&mut self) {
-        loop {
-            let rt = self.rt();
-            let Some((from, msg)) = rt.state_mb.pop_front() else {
-                break;
-            };
-            let blocked = rt.mech.blocked();
-            let settled = blocked == matches!(rt.state, PState::WaitSnapshot);
-            let notify = rt.mech.on_state(from, &msg, &mut rt.outbox);
-            let quiet =
-                settled && notify.is_none() && rt.outbox.is_empty() && rt.mech.blocked() == blocked;
-            process::account_state_msg(self, from, &msg, true);
-            if !quiet {
-                self.flush_outbox();
-                process::handle_notifies(self, notify);
-                return;
-            }
-        }
-        self.flush_outbox();
     }
 
     // ----- event handlers --------------------------------------------------

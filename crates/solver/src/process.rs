@@ -252,28 +252,16 @@ pub(crate) fn kick<'a, H: Host<'a>>(h: &mut H) {
 // ----- state messages -------------------------------------------------------
 
 /// Treat one state message (Algorithm 1 line 2). With `charge`, its
-/// treatment cost delays the next compute chunk.
+/// treatment cost delays the next compute chunk. The mechanism reads the
+/// message by reference; the accuracy probe (if any) then learns the
+/// process's refreshed beliefs about the peers the message informs on.
 pub(crate) fn on_state_msg<'a, H: Host<'a>>(
     h: &mut H,
     from: ActorId,
     msg: &StateMsg,
     charge: bool,
 ) {
-    let notify = h.mech_mut(|m, out| m.on_state(from, msg, out));
-    account_state_msg(h, from, msg, charge);
-    handle_notifies(h, notify);
-}
-
-/// What treating a state message costs besides the mechanism's step, once
-/// the mechanism has read it: with `charge`, its treatment time delays the
-/// next compute chunk, and the accuracy probe (if any) learns the process's
-/// refreshed beliefs about the peers the message informs on.
-pub(crate) fn account_state_msg<'a, H: Host<'a>>(
-    h: &mut H,
-    from: ActorId,
-    msg: &StateMsg,
-    charge: bool,
-) {
+    let notifies = h.mech_mut(|m, out| m.on_state(from, msg, out));
     if charge {
         h.proc().overhead += STATE_MSG_COST;
     }
@@ -282,6 +270,7 @@ pub(crate) fn account_state_msg<'a, H: Host<'a>>(
             refresh_belief(h, q);
         }
     }
+    handle_notifies(h, notifies);
 }
 
 /// The process's view of `q` changed: tell the accuracy probe.

@@ -195,8 +195,7 @@ fn flush_cell(
                 ok &= delivered == nprocs - 1;
                 delivered
             }
-            dest => {
-                let dests = dest.into_dests(ActorId(me), nprocs);
+            Dest::To(dests) => {
                 for to in dests.iter() {
                     ok &= tx.send(to, size, msg.clone());
                 }

@@ -22,15 +22,7 @@ fn flush(ep: &Endpoint<loadex::core::StateMsg>, out: &mut Outbox) {
     for OutMsg { dest, msg } in out.drain() {
         let size = msg.wire_size();
         match dest {
-            Dest::One(to) => {
-                ep.send(to, Channel::State, size, msg);
-            }
-            Dest::Many(dests) => {
-                for to in dests {
-                    ep.send(to, Channel::State, size, msg.clone());
-                }
-            }
-            Dest::Set(dests) => {
+            Dest::To(dests) => {
                 for to in dests.iter() {
                     ep.send(to, Channel::State, size, msg.clone());
                 }

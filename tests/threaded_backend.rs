@@ -289,15 +289,7 @@ fn flush(ep: &Endpoint<StateMsg>, out: &mut Outbox) {
     for m in out.drain() {
         let size = m.msg.wire_size();
         match m.dest {
-            loadex::core::Dest::One(to) => {
-                ep.send(to, Channel::State, size, m.msg);
-            }
-            loadex::core::Dest::Many(dests) => {
-                for to in dests {
-                    ep.send(to, Channel::State, size, m.msg.clone());
-                }
-            }
-            loadex::core::Dest::Set(dests) => {
+            loadex::core::Dest::To(dests) => {
                 for to in dests.iter() {
                     ep.send(to, Channel::State, size, m.msg.clone());
                 }
