@@ -175,33 +175,18 @@ mod tests {
     use crate::config::{CommMode, Strategy};
     use loadex_core::MechKind;
     use loadex_sparse::models::by_name;
-    use loadex_sparse::{gen, symbolic, Symmetry};
 
-    fn small_tree() -> AssemblyTree {
-        let p = gen::grid2d(20, 20);
-        symbolic::analyze_with_ordering(
-            &p,
-            symbolic::Ordering::NestedDissection,
-            symbolic::SymbolicOptions {
-                amalg_pivots: 8,
-                sym: Symmetry::Symmetric,
-            },
-        )
-        .tree
+    fn twotone() -> AssemblyTree {
+        by_name("TWOTONE").unwrap().build_tree()
     }
 
     fn cfg(nprocs: usize, mech: MechKind) -> SolverConfig {
-        let mut c = SolverConfig::new(nprocs).with_mechanism(mech);
-        // Small problems: lower the parallel thresholds so Type 2 exists.
-        c.type2_min_front = 20;
-        c.type3_min_front = 60;
-        c.kmin_rows = 4;
-        c
+        SolverConfig::new(nprocs).with_mechanism(mech)
     }
 
     #[test]
     fn completes_on_one_process() {
-        let t = small_tree();
+        let t = twotone();
         let r = run(&t, &cfg(1, MechKind::Increments)).unwrap();
         assert!(r.factor_time > SimTime::ZERO);
         assert_eq!(r.decisions, 0, "no dynamic decisions with one process");
@@ -211,7 +196,7 @@ mod tests {
 
     #[test]
     fn completes_under_all_mechanisms() {
-        let t = small_tree();
+        let t = twotone();
         for mech in [MechKind::Naive, MechKind::Increments, MechKind::Snapshot] {
             let r = run(&t, &cfg(4, mech)).unwrap();
             assert!(r.factor_time > SimTime::ZERO, "{mech}: no progress");
@@ -222,7 +207,7 @@ mod tests {
 
     #[test]
     fn completes_under_both_strategies() {
-        let t = small_tree();
+        let t = twotone();
         for strat in [Strategy::MemoryBased, Strategy::WorkloadBased] {
             let c = cfg(4, MechKind::Increments).with_strategy(strat);
             let r = run(&t, &c).unwrap();
@@ -236,7 +221,7 @@ mod tests {
 
     #[test]
     fn invalid_config_is_rejected_before_running() {
-        let t = small_tree();
+        let t = twotone();
         let mut c = cfg(4, MechKind::Increments);
         c.nprocs = 0;
         assert!(matches!(
@@ -257,7 +242,7 @@ mod tests {
 
     #[test]
     fn threaded_mode_completes_and_speeds_up_snapshots() {
-        let t = by_name("TWOTONE").unwrap().build_tree();
+        let t = twotone();
         let base = SolverConfig::new(8).with_mechanism(MechKind::Snapshot);
         let single = run(&t, &base).unwrap();
         let threaded = run(&t, &base.clone().with_comm(CommMode::CommThread)).unwrap();
@@ -275,7 +260,7 @@ mod tests {
 
     #[test]
     fn snapshot_mechanism_counts_fewer_messages() {
-        let t = by_name("TWOTONE").unwrap().build_tree();
+        let t = twotone();
         let inc = run(
             &t,
             &SolverConfig::new(8).with_mechanism(MechKind::Increments),
@@ -294,8 +279,10 @@ mod tests {
 
     #[test]
     fn observed_run_captures_events_and_metrics() {
-        let t = small_tree();
-        let c = cfg(4, MechKind::Snapshot);
+        // Eight processes, as in `tests/golden/`: at four, TWOTONE's seven
+        // snapshots never overlap, so no election is ever won.
+        let t = twotone();
+        let c = cfg(8, MechKind::Snapshot);
         let rec = Recorder::enabled();
         let r = run_observed(&t, &c, rec.clone()).unwrap();
         let events = rec.take();
@@ -354,7 +341,7 @@ mod tests {
 
     #[test]
     fn deterministic_runs() {
-        let t = small_tree();
+        let t = twotone();
         let c = cfg(4, MechKind::Increments);
         let a = run(&t, &c).unwrap();
         let b = run(&t, &c).unwrap();

@@ -1,8 +1,7 @@
 //! Calibrated models of the paper's test problems (Tables 1 and 2).
 //!
 //! The original matrices (PARASOL collection, Tim Davis collection, private
-//! CEA/Simula problems) are not redistributable, and several exceed what a
-//! full symbolic pipeline should chew on in a unit-test environment. The
+//! CEA/Simula problems) are not redistributable. The
 //! mechanisms under study only see a matrix through its **assembly tree** —
 //! shape, front sizes, costs — so each paper problem is modeled as a
 //! deterministic synthetic assembly tree calibrated to:
@@ -14,9 +13,9 @@
 //!   with the processor count like Table 3.
 //!
 //! Trees are generated by [`TreeShape::build`]: a top-down recursive
-//! construction with deterministic per-model jitter. Real matrices can still
-//! be analyzed with the full pipeline in [`crate::symbolic`]; see the
-//! `solver_demo` example.
+//! construction with deterministic per-model jitter. The same builder
+//! makes test trees of any size: `depth_cap`, `branch` and `decay` set the
+//! height and width.
 
 use crate::tree::{AssemblyTree, Symmetry};
 use loadex_sim::SimRng;

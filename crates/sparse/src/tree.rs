@@ -11,7 +11,6 @@
 //! gone) but *relative* costs across the tree drive the schedulers, so the
 //! cubic/quadratic structure must be right.
 
-use crate::etree::ChildIndex;
 use std::sync::Arc;
 
 /// Symmetry of the underlying problem (Tables 1–2 distinguish SYM/UNS).
@@ -201,11 +200,6 @@ impl AssemblyTree {
         self.depths().iter().copied().max().map_or(0, |d| d + 1)
     }
 
-    /// Total pivots across the tree — equals the matrix order `n`.
-    pub fn total_pivots(&self) -> u64 {
-        self.nodes.iter().map(|n| n.npiv as u64).sum()
-    }
-
     /// Structural validation: parent/child symmetry, topological numbering,
     /// CB smaller than the parent's front (a contribution must fit).
     pub fn validate(&self) -> &Self {
@@ -235,30 +229,55 @@ impl AssemblyTree {
         }
         self
     }
+}
 
-    /// Sequential peak of active memory (fronts + CB stack) assuming a
-    /// postorder traversal on one process — the classical multifrontal
-    /// active-memory model, used as a baseline by the harness.
-    pub fn sequential_peak_memory(&self) -> f64 {
-        // Classic recurrence: when factoring node i, the active memory is
-        // its front + the CBs of nodes whose parents are not yet processed.
-        // We evaluate it with an explicit stack over the topological order.
-        let mut cb_stack = 0.0f64;
-        let mut peak = 0.0f64;
-        for i in self.topo_order() {
-            // Assemble: children CBs are consumed into the new front.
-            let child_cb: f64 = self
-                .children(i)
-                .iter()
-                .map(|&c| self.cb_entries(c as usize))
-                .sum();
-            // Front allocated while children CBs still on the stack.
-            let active = cb_stack + self.front_entries(i);
-            peak = peak.max(active);
-            cb_stack -= child_cb;
-            cb_stack += self.cb_entries(i);
+/// The children of every vertex of a forest, in CSR form: one offsets
+/// array and one list, two allocations whatever the forest's size. Slot `n`
+/// (one past the last vertex) is a virtual parent of every root. Each slot
+/// lists its children in increasing index order.
+#[derive(Debug)]
+struct ChildIndex {
+    /// Slot `s` lists `list[start[s]..start[s + 1]]`; `n + 2` entries.
+    start: Vec<u32>,
+    list: Vec<u32>,
+}
+
+impl ChildIndex {
+    /// Index the forest given by each vertex's parent (`None` for a root).
+    /// Every parent must be a vertex of the forest.
+    fn new<I>(parent: I) -> Self
+    where
+        I: ExactSizeIterator<Item = Option<u32>> + Clone,
+    {
+        let n = parent.len();
+        let slot = |p: Option<u32>| p.map_or(n, |p| p as usize);
+        // Counting sort of the vertices by parent slot. It is stable, so
+        // each slot receives its children in increasing index order.
+        let mut start = vec![0u32; n + 2];
+        for p in parent.clone() {
+            start[slot(p) + 1] += 1;
         }
-        peak
+        for s in 1..start.len() {
+            start[s] += start[s - 1];
+        }
+        let mut next = start.clone();
+        let mut list = vec![0u32; n];
+        for (v, p) in parent.enumerate() {
+            let s = slot(p);
+            list[next[s] as usize] = v as u32;
+            next[s] += 1;
+        }
+        ChildIndex { start, list }
+    }
+
+    /// Children of vertex `v`, or the roots for `v = n`.
+    fn children(&self, v: usize) -> &[u32] {
+        &self.list[self.start[v] as usize..self.start[v + 1] as usize]
+    }
+
+    /// The roots, in increasing index order.
+    fn roots(&self) -> &[u32] {
+        self.children(self.start.len() - 2)
     }
 }
 
@@ -293,7 +312,16 @@ mod tests {
         assert_eq!(t.children(2), [0]);
         assert!(t.children(0).is_empty() && t.children(1).is_empty());
         assert_eq!(t.height(), 3);
-        assert_eq!(t.total_pivots(), 2 + 3 + 2 + 6);
+    }
+
+    #[test]
+    fn empty_tree() {
+        let t = AssemblyTree::from_parents(Symmetry::Symmetric, &[]);
+        t.validate();
+        assert!(t.is_empty());
+        assert!(t.roots().is_empty());
+        assert_eq!(t.height(), 0);
+        assert_eq!(t.total_flops(), 0.0);
     }
 
     #[test]
@@ -349,18 +377,6 @@ mod tests {
         let sub = t.subtree_flops();
         assert!((sub[3] - t.total_flops()).abs() < 1e-9);
         assert!(sub[2] > t.flops(2), "includes child");
-    }
-
-    #[test]
-    fn sequential_peak_at_least_biggest_front() {
-        // The peak is the root's front over the CBs of its two children
-        // (same for every children-first order). Unsymmetric: 36 + 4 + 4;
-        // symmetric: 21 + 3 + 3.
-        let t = sample();
-        assert_eq!(t.sequential_peak_memory(), 44.0);
-        let mut s = sample();
-        s.sym = Symmetry::Symmetric;
-        assert_eq!(s.sequential_peak_memory(), 27.0);
     }
 
     #[test]

@@ -4,56 +4,39 @@
 //! cargo run --release --example quickstart
 //! ```
 //!
-//! Builds a 3D grid problem with the full analysis pipeline (nested
-//! dissection → elimination tree → assembly tree), then runs the simulated
-//! asynchronous multifrontal factorization on 16 processes under each of the
-//! paper's mechanisms, printing the quantities the paper studies.
+//! Builds the assembly tree of the paper's TWOTONE model (Table 1), then
+//! runs the simulated asynchronous multifrontal factorization on 16
+//! processes under each of the paper's mechanisms, printing the quantities
+//! the paper studies.
 
 use loadex::core::MechKind;
 use loadex::solver::{run, SolverConfig, Strategy};
-use loadex::sparse::symbolic::{analyze_with_ordering, Ordering, SymbolicOptions};
-use loadex::sparse::{gen, Symmetry};
+use loadex::sparse::models::by_name;
 
 fn main() {
-    // 1. A problem: the 7-point Laplacian on a 24^3 grid (n = 13 824).
-    let pattern = gen::grid3d(24, 24, 24);
+    // 1. A problem: the calibrated assembly tree of TWOTONE.
+    let model = by_name("TWOTONE").expect("a paper model");
     println!(
-        "problem: 24x24x24 grid Laplacian, n = {}, nnz = {}",
-        pattern.n(),
-        pattern.nnz_full()
+        "problem: {} ({}), n = {}, nnz = {}",
+        model.name, model.description, model.order, model.nnz
     );
-
-    // 2. Symbolic analysis: ordering, elimination tree, assembly tree.
-    let analysis = analyze_with_ordering(
-        &pattern,
-        Ordering::NestedDissection,
-        SymbolicOptions {
-            amalg_pivots: 16,
-            sym: Symmetry::Symmetric,
-        },
-    );
-    let tree = &analysis.tree;
+    let tree = &model.build_tree();
     println!(
-        "assembly tree: {} fronts (from {} supernodes), |L| = {:.2e}, {:.2e} flops\n",
+        "assembly tree: {} fronts, height {}, {:.2e} flops\n",
         tree.len(),
-        analysis.n_supernodes,
-        analysis.factor_nnz as f64,
+        tree.height(),
         tree.total_flops()
     );
 
-    // 3. Factorize under each mechanism.
+    // 2. Factorize under each mechanism.
     println!(
         "{:<12} {:>10} {:>12} {:>12} {:>10}",
         "mechanism", "time (s)", "state msgs", "mem peak (M)", "decisions"
     );
     for mech in MechKind::EXTENDED {
-        let mut cfg = SolverConfig::new(16)
+        let cfg = SolverConfig::new(16)
             .with_mechanism(mech)
             .with_strategy(Strategy::WorkloadBased);
-        // Small problem: lower the parallelism thresholds.
-        cfg.type2_min_front = 100;
-        cfg.type3_min_front = 400;
-        cfg.kmin_rows = 16;
         let report = run(tree, &cfg).unwrap();
         println!(
             "{:<12} {:>10.4} {:>12} {:>12.3} {:>10}",

@@ -7,36 +7,21 @@
 //! ```
 
 use loadex::solver::mapping::{plan, MappingParams, NodeType};
-use loadex::sparse::symbolic::{analyze_with_ordering, Ordering, SymbolicOptions};
-use loadex::sparse::{gen, Symmetry};
+use loadex::solver::SolverConfig;
+use loadex::sparse::models::by_name;
 
 fn main() {
     let nprocs = 4;
-    let pattern = gen::grid2d(40, 40);
-    let tree = analyze_with_ordering(
-        &pattern,
-        Ordering::NestedDissection,
-        SymbolicOptions {
-            amalg_pivots: 12,
-            sym: Symmetry::Symmetric,
-        },
-    )
-    .tree;
-    let p = plan(
-        &tree,
-        nprocs,
-        MappingParams {
-            alpha: 2.0,
-            type2_min_front: 30,
-            kmin_rows: 8,
-            type3_min_front: 60,
-            speed_factors: Vec::new(),
-        },
-    );
+    let tree = by_name("TWOTONE").expect("a paper model").build_tree();
+    // The mapping `tables --figure 2` draws: the default configuration with
+    // Type 2 fronts from order 300 up.
+    let mut cfg = SolverConfig::new(nprocs);
+    cfg.type2_min_front = 300;
+    let p = plan(&tree, nprocs, MappingParams::from(&cfg));
     p.validate(&tree);
 
     println!(
-        "40x40 grid Laplacian -> assembly tree with {} fronts on {} processors\n",
+        "TWOTONE -> assembly tree with {} fronts on {} processors\n",
         tree.len(),
         nprocs
     );

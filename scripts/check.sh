@@ -116,4 +116,19 @@ cargo run --release --offline -q -p loadex-bench --bin tables -- --all |
 echo "==> taskset -c 0 tables --all vs tables_output.txt"
 taskset -c 0 target/release/tables --all | diff -u tables_output.txt -
 
+# Every example once (the test steps compile them but never run them); a
+# nonzero exit fails the gate.
+for file in examples/*.rs; do
+    example=$(basename "$file" .rs)
+    echo "==> example $example"
+    cargo run --release --offline -q --example "$example" >/dev/null
+done
+
+# Size of the program: the lines of each .rs file under crates/, src/ and
+# examples/ (outside tests/ directories) before its first `#[cfg(test)]`.
+loc=$(find crates src examples -name '*.rs' -not -path '*/tests/*' -print0 |
+    xargs -0 awk 'FNR == 1 { stop = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { stop = 1 }
+        !stop { n++ } END { print n }')
+echo "==> non-test lines of Rust: $loc"
+
 echo "All checks passed."

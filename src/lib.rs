@@ -11,8 +11,8 @@
 //!   *state* channel, plus a real multi-threaded transport).
 //! * [`core`] — the paper's contribution: the **naive**, **increment-based**
 //!   and **snapshot-based** load-information exchange mechanisms.
-//! * [`sparse`] — sparse-matrix substrate: problem generators, orderings,
-//!   elimination/assembly trees, symbolic factorization.
+//! * [`sparse`] — the multifrontal task graph: assembly trees with their
+//!   cost model, and calibrated models of the paper's test matrices.
 //! * [`solver`] — a MUMPS-like asynchronous multifrontal solver simulator
 //!   with memory-based and workload-based dynamic scheduling.
 //! * [`obs`] — observability: typed protocol events, a metrics registry

@@ -7,36 +7,21 @@ use loadex::core::MechKind;
 use loadex::obs::{ProtocolAuditor, Recorder};
 use loadex::sim::SimTime;
 use loadex::solver::{self, CommMode, ExecBackend, SolverConfig, ThreadedBackend};
-use loadex::sparse::{gen, symbolic, AssemblyTree, Symmetry};
 use serde::Serialize;
 use std::time::Duration;
 
-fn small_tree() -> AssemblyTree {
-    let p = gen::grid2d(20, 20);
-    symbolic::analyze_with_ordering(
-        &p,
-        symbolic::Ordering::NestedDissection,
-        symbolic::SymbolicOptions {
-            amalg_pivots: 8,
-            sym: Symmetry::Symmetric,
-        },
-    )
-    .tree
-}
+mod common;
+use common::twotone;
 
 fn cfg(nprocs: usize, mech: MechKind) -> SolverConfig {
-    let mut c = SolverConfig::new(nprocs)
+    SolverConfig::new(nprocs)
         .with_mechanism(mech)
-        .with_accuracy(true);
-    c.type2_min_front = 20;
-    c.type3_min_front = 60;
-    c.kmin_rows = 4;
-    c
+        .with_accuracy(true)
 }
 
 fn fast() -> ThreadedBackend {
     ThreadedBackend::new()
-        .with_time_scale(0.02)
+        .with_time_scale(0.002)
         .with_wall_timeout(Duration::from_secs(60))
 }
 
@@ -63,7 +48,7 @@ fn keys(flat: &str) -> Vec<String> {
 
 #[test]
 fn sim_accuracy_summary_is_finite_and_counts_decisions() {
-    let tree = small_tree();
+    let tree = twotone();
     for mech in [MechKind::Naive, MechKind::Increments, MechKind::Snapshot] {
         let r = solver::run(&tree, &cfg(4, mech)).unwrap();
         let acc = r.accuracy.as_ref().expect("accuracy enabled");
@@ -82,7 +67,7 @@ fn sim_accuracy_summary_is_finite_and_counts_decisions() {
 
 #[test]
 fn accuracy_probe_does_not_perturb_the_simulation() {
-    let tree = small_tree();
+    let tree = twotone();
     let plain = {
         let mut c = cfg(4, MechKind::Increments);
         c.accuracy = false;
@@ -97,7 +82,7 @@ fn accuracy_probe_does_not_perturb_the_simulation() {
 
 #[test]
 fn both_backends_emit_the_same_accuracy_schema() {
-    let tree = small_tree();
+    let tree = twotone();
     let c = cfg(4, MechKind::Increments);
     let sim = solver::run(&tree, &c).unwrap();
     let thr = solver::run(
@@ -129,7 +114,7 @@ fn both_backends_emit_the_same_accuracy_schema() {
 
 #[test]
 fn auditor_is_clean_on_every_mechanism_sim() {
-    let tree = small_tree();
+    let tree = twotone();
     for mech in [MechKind::Naive, MechKind::Increments, MechKind::Snapshot] {
         let rec = Recorder::enabled();
         let r = solver::run_observed(&tree, &cfg(4, mech), rec.clone()).unwrap();
@@ -149,7 +134,7 @@ fn auditor_is_clean_on_every_mechanism_sim() {
 
 #[test]
 fn auditor_is_clean_on_the_threaded_backend() {
-    let tree = small_tree();
+    let tree = twotone();
     let c = cfg(4, MechKind::Snapshot)
         .with_backend(ExecBackend::Threaded(fast()))
         .with_comm(CommMode::CommThread);

@@ -7,7 +7,7 @@
 use loadex::core::MechKind;
 use loadex::obs::{chrome, jsonl, Recorder};
 use loadex::solver::{run_observed, RunReport, SolverConfig, Strategy};
-use loadex::sparse::{gen, models, symbolic, AssemblyTree, Symmetry};
+use loadex::sparse::AssemblyTree;
 use serde::Serialize;
 
 /// `run --matrix TWOTONE --procs 8 --mech snapshot --events-out … --trace-out …`
@@ -16,25 +16,11 @@ use serde::Serialize;
 const GOLDEN_JSONL: &str = include_str!("golden/twotone8_snapshot.jsonl");
 const GOLDEN_CHROME: &str = include_str!("golden/twotone8_snapshot.chrome.json");
 
-fn small_tree() -> AssemblyTree {
-    let p = gen::grid2d(20, 20);
-    symbolic::analyze_with_ordering(
-        &p,
-        symbolic::Ordering::NestedDissection,
-        symbolic::SymbolicOptions {
-            amalg_pivots: 8,
-            sym: Symmetry::Symmetric,
-        },
-    )
-    .tree
-}
+mod common;
+use common::twotone;
 
 fn cfg() -> SolverConfig {
-    let mut c = SolverConfig::new(4).with_mechanism(MechKind::Snapshot);
-    c.type2_min_front = 20;
-    c.type3_min_front = 60;
-    c.kmin_rows = 4;
-    c
+    SolverConfig::new(4).with_mechanism(MechKind::Snapshot)
 }
 
 fn observed_run(tree: &AssemblyTree, c: &SolverConfig) -> (RunReport, String, String) {
@@ -55,7 +41,7 @@ fn observed_run(tree: &AssemblyTree, c: &SolverConfig) -> (RunReport, String, St
 
 #[test]
 fn exports_match_the_committed_golden_files() {
-    let tree = models::by_name("TWOTONE").unwrap().build_tree();
+    let tree = twotone();
     let c = SolverConfig::new(8)
         .with_mechanism(MechKind::Snapshot)
         .with_strategy(Strategy::WorkloadBased);
@@ -73,7 +59,7 @@ fn exports_match_the_committed_golden_files() {
 
 #[test]
 fn same_seed_runs_produce_identical_exports() {
-    let tree = small_tree();
+    let tree = twotone();
     let c = cfg();
     let (r1, jsonl1, chrome1) = observed_run(&tree, &c);
     let (r2, jsonl2, chrome2) = observed_run(&tree, &c);
@@ -89,7 +75,7 @@ fn same_seed_runs_produce_identical_exports() {
 
 #[test]
 fn exports_are_well_formed_and_metrics_match_report() {
-    let tree = small_tree();
+    let tree = twotone();
     let c = cfg();
     let (r, jsonl, chrome) = observed_run(&tree, &c);
 
@@ -129,7 +115,7 @@ fn exports_are_well_formed_and_metrics_match_report() {
 
 #[test]
 fn disabled_recorder_changes_nothing() {
-    let tree = small_tree();
+    let tree = twotone();
     let c = cfg();
     let (r_obs, _, _) = observed_run(&tree, &c);
     let r_plain = run_observed(&tree, &c, Recorder::disabled()).unwrap();

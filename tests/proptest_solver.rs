@@ -1,12 +1,12 @@
-//! End-to-end fuzz of the simulated solver: random problems × random
+//! End-to-end fuzz of the simulated solver: random tree shapes × random
 //! configurations must complete, conserve memory, and satisfy the engine's
 //! structural invariants under every mechanism.
 
 use loadex::core::MechKind;
 use loadex::sim::SimDuration;
 use loadex::solver::{run, CommMode, SolverConfig, Strategy};
-use loadex::sparse::symbolic::{analyze_with_ordering, Ordering, SymbolicOptions};
-use loadex::sparse::{gen, Symmetry};
+use loadex::sparse::models::TreeShape;
+use loadex::sparse::Symmetry;
 use proptest::prelude::*;
 
 proptest! {
@@ -14,21 +14,27 @@ proptest! {
 
     #[test]
     fn any_configuration_completes_cleanly(
-        k in 8usize..22,
+        root_front in 24u32..160,
+        decay in 0.4f64..0.85,
+        branch in 1u32..4,
+        npiv_frac in 0.2f64..0.7,
+        leaf_front in 4u32..24,
+        depth_cap in 1u32..16,
+        jitter in 0.0f64..0.5,
+        symmetric in any::<bool>(),
+        seed in any::<u64>(),
         nprocs in 1usize..8,
         mech_pick in 0usize..5,
         strat_pick in 0usize..2,
         threaded in any::<bool>(),
         chunk_us in prop::option::of(50u64..5_000),
-        amalg in 1u32..16,
         partial in prop::option::of(2usize..5),
     ) {
-        let tree = analyze_with_ordering(
-            &gen::grid2d(k, k),
-            Ordering::NestedDissection,
-            SymbolicOptions { amalg_pivots: amalg, sym: Symmetry::Symmetric },
-        )
-        .tree;
+        let shape = TreeShape { root_front, decay, branch, npiv_frac, leaf_front, depth_cap, jitter };
+        let sym = if symmetric { Symmetry::Symmetric } else { Symmetry::Unsymmetric };
+        let tree = shape.build(sym, seed);
+        // Deep and bushy together would make trees of 10⁵ fronts or more.
+        prop_assume!(tree.len() <= 2_000);
         let mech = MechKind::EXTENDED[mech_pick];
         let mut cfg = SolverConfig::new(nprocs)
             .with_mechanism(mech)

@@ -1,42 +1,23 @@
-//! Cross-crate integration: the full pipeline (pattern → ordering → symbolic
-//! analysis → mapping → simulated factorization) under every mechanism,
-//! strategy and communication mode.
+//! Cross-crate integration: a paper model's assembly tree through mapping
+//! and simulated factorization, under every mechanism, strategy and
+//! communication mode.
 
 use loadex::core::MechKind;
 use loadex::obs::span::{render_gantt, spans_from_events};
 use loadex::obs::Recorder;
 use loadex::solver::mapping::{plan, MappingParams};
 use loadex::solver::{run, run_observed, CommMode, SolverConfig, Strategy};
-use loadex::sparse::symbolic::{analyze_with_ordering, Ordering, SymbolicOptions};
-use loadex::sparse::{gen, AssemblyTree, Symmetry};
 
-fn grid_tree(k: usize) -> AssemblyTree {
-    analyze_with_ordering(
-        &gen::grid2d(k, k),
-        Ordering::NestedDissection,
-        SymbolicOptions {
-            amalg_pivots: 8,
-            sym: Symmetry::Symmetric,
-        },
-    )
-    .tree
-}
-
-fn small_cfg(nprocs: usize) -> SolverConfig {
-    let mut c = SolverConfig::new(nprocs);
-    c.type2_min_front = 20;
-    c.type3_min_front = 80;
-    c.kmin_rows = 4;
-    c
-}
+mod common;
+use common::twotone;
 
 #[test]
 fn full_matrix_of_configurations_completes() {
-    let tree = grid_tree(24);
+    let tree = twotone();
     for mech in MechKind::ALL {
         for strat in [Strategy::MemoryBased, Strategy::WorkloadBased] {
             for comm in [CommMode::MainLoop, CommMode::CommThread] {
-                let cfg = small_cfg(6)
+                let cfg = SolverConfig::new(6)
                     .with_mechanism(mech)
                     .with_strategy(strat)
                     .with_comm(comm);
@@ -58,9 +39,9 @@ fn full_matrix_of_configurations_completes() {
 
 #[test]
 fn all_active_memory_is_released_at_the_end() {
-    let tree = grid_tree(20);
+    let tree = twotone();
     for mech in MechKind::ALL {
-        let r = run(&tree, &small_cfg(4).with_mechanism(mech)).unwrap();
+        let r = run(&tree, &SolverConfig::new(4).with_mechanism(mech)).unwrap();
         for (p, proc) in r.procs.iter().enumerate() {
             assert!(
                 proc.mem_final_entries.abs() < 1e-6,
@@ -75,8 +56,8 @@ fn all_active_memory_is_released_at_the_end() {
 fn decision_count_is_mechanism_independent() {
     // The classification is static, so all mechanisms must take exactly the
     // same number of dynamic decisions.
-    let tree = grid_tree(24);
-    let cfg = small_cfg(6);
+    let tree = twotone();
+    let cfg = SolverConfig::new(6);
     let expected = plan(&tree, 6, MappingParams::from(&cfg)).n_decisions as u64;
     assert!(expected > 0, "test needs parallel tasks");
     for mech in MechKind::ALL {
@@ -87,9 +68,9 @@ fn decision_count_is_mechanism_independent() {
 
 #[test]
 fn runs_are_bit_deterministic() {
-    let tree = grid_tree(20);
+    let tree = twotone();
     for mech in MechKind::ALL {
-        let cfg = small_cfg(5).with_mechanism(mech);
+        let cfg = SolverConfig::new(5).with_mechanism(mech);
         let a = run(&tree, &cfg).unwrap();
         let b = run(&tree, &cfg).unwrap();
         assert_eq!(a.factor_time, b.factor_time, "{mech}");
@@ -102,9 +83,9 @@ fn runs_are_bit_deterministic() {
 
 #[test]
 fn single_process_degenerates_gracefully() {
-    let tree = grid_tree(16);
+    let tree = twotone();
     for mech in MechKind::ALL {
-        let r = run(&tree, &small_cfg(1).with_mechanism(mech)).unwrap();
+        let r = run(&tree, &SolverConfig::new(1).with_mechanism(mech)).unwrap();
         assert_eq!(r.state_msgs, 0, "{mech}: nobody to talk to");
         assert_eq!(r.decisions, 0, "{mech}: no parallel tasks");
         assert!(r.factor_time.as_nanos() > 0);
@@ -113,8 +94,12 @@ fn single_process_degenerates_gracefully() {
 
 #[test]
 fn snapshot_mechanism_blocks_and_accounts_time() {
-    let tree = grid_tree(28);
-    let r = run(&tree, &small_cfg(6).with_mechanism(MechKind::Snapshot)).unwrap();
+    let tree = twotone();
+    let r = run(
+        &tree,
+        &SolverConfig::new(6).with_mechanism(MechKind::Snapshot),
+    )
+    .unwrap();
     assert!(r.decisions > 0);
     assert!(
         r.snapshot_union_time.as_nanos() > 0,
@@ -123,16 +108,28 @@ fn snapshot_mechanism_blocks_and_accounts_time() {
     assert!(r.snapshots_started >= r.decisions);
     assert!(r.snapshot_max_concurrent >= 1);
     // Maintained-view mechanisms never block.
-    let r2 = run(&tree, &small_cfg(6).with_mechanism(MechKind::Increments)).unwrap();
+    let r2 = run(
+        &tree,
+        &SolverConfig::new(6).with_mechanism(MechKind::Increments),
+    )
+    .unwrap();
     assert_eq!(r2.snapshot_union_time.as_nanos(), 0);
     assert_eq!(r2.snapshot_max_concurrent, 0);
 }
 
 #[test]
 fn snapshot_sends_fewer_messages_than_increments() {
-    let tree = grid_tree(28);
-    let inc = run(&tree, &small_cfg(8).with_mechanism(MechKind::Increments)).unwrap();
-    let snp = run(&tree, &small_cfg(8).with_mechanism(MechKind::Snapshot)).unwrap();
+    let tree = twotone();
+    let inc = run(
+        &tree,
+        &SolverConfig::new(8).with_mechanism(MechKind::Increments),
+    )
+    .unwrap();
+    let snp = run(
+        &tree,
+        &SolverConfig::new(8).with_mechanism(MechKind::Snapshot),
+    )
+    .unwrap();
     assert!(
         snp.state_msgs < inc.state_msgs,
         "snapshot {} !< increments {}",
@@ -144,11 +141,9 @@ fn snapshot_sends_fewer_messages_than_increments() {
 #[test]
 fn threading_reduces_snapshot_time() {
     // The §4.5 effect needs task durations well above the 50 µs poll period
-    // (on the paper's machine they are); slow the simulated processors down
-    // so this small test problem has millisecond-scale tasks.
-    let tree = grid_tree(28);
-    let mut base = small_cfg(6).with_mechanism(MechKind::Snapshot);
-    base.speed_flops = 1.0e6;
+    // (on the paper's machine and on this tree they are).
+    let tree = twotone();
+    let base = SolverConfig::new(6).with_mechanism(MechKind::Snapshot);
     let single = run(&tree, &base).unwrap();
     let threaded = run(&tree, &base.clone().with_comm(CommMode::CommThread)).unwrap();
     assert!(
@@ -162,13 +157,13 @@ fn threading_reduces_snapshot_time() {
 #[test]
 fn more_processes_do_not_lose_work() {
     // Total busy time (work done) must be within float noise of the tree's
-    // flops / speed, independent of the process count.
-    // Use a problem large enough that compute dominates the per-message
-    // processing overheads that `busy` also includes.
-    let tree = grid_tree(48);
+    // flops / speed, independent of the process count. The tree is large
+    // enough that compute dominates the per-message processing overheads
+    // that `busy` also includes.
+    let tree = twotone();
     let total_flops = tree.total_flops();
     for np in [1usize, 2, 4, 8] {
-        let cfg = small_cfg(np);
+        let cfg = SolverConfig::new(np);
         let r = run(&tree, &cfg).unwrap();
         let busy: f64 = r.procs.iter().map(|p| p.busy.as_secs_f64()).sum();
         let expected = total_flops / cfg.speed_flops;
@@ -182,9 +177,9 @@ fn more_processes_do_not_lose_work() {
 #[test]
 fn disabled_chunking_still_completes() {
     use loadex::sim::SimDuration;
-    let tree = grid_tree(20);
+    let tree = twotone();
     for mech in MechKind::ALL {
-        let mut cfg = small_cfg(4).with_mechanism(mech);
+        let mut cfg = SolverConfig::new(4).with_mechanism(mech);
         cfg.task_chunk = SimDuration::ZERO;
         let r = run(&tree, &cfg).unwrap();
         assert!(r.factor_time.as_nanos() > 0, "{mech}");
@@ -193,9 +188,9 @@ fn disabled_chunking_still_completes() {
 
 #[test]
 fn no_more_master_reduces_traffic() {
-    let tree = grid_tree(28);
-    let with = run(&tree, &small_cfg(8)).unwrap();
-    let mut cfg = small_cfg(8);
+    let tree = twotone();
+    let with = run(&tree, &SolverConfig::new(8)).unwrap();
+    let mut cfg = SolverConfig::new(8);
     cfg.no_more_master = false;
     let without = run(&tree, &cfg).unwrap();
     assert!(
@@ -208,12 +203,11 @@ fn no_more_master_reduces_traffic() {
 
 #[test]
 fn extension_mechanisms_complete_and_disseminate() {
-    use loadex::sim::SimDuration;
-    let tree = grid_tree(24);
+    // The 100 ms default timer period is a small fraction of this tree's
+    // makespan, so both timers fire many times.
+    let tree = twotone();
     for mech in [MechKind::Periodic, MechKind::Gossip] {
-        let mut cfg = small_cfg(6).with_mechanism(mech);
-        cfg.periodic_interval = SimDuration::from_micros(200);
-        cfg.gossip_interval = SimDuration::from_micros(200);
+        let cfg = SolverConfig::new(6).with_mechanism(mech);
         let r = run(&tree, &cfg).unwrap();
         assert!(r.factor_time.as_nanos() > 0, "{mech}");
         assert!(r.state_msgs > 0, "{mech}: timers must produce traffic");
@@ -228,12 +222,9 @@ fn extension_mechanisms_complete_and_disseminate() {
 
 #[test]
 fn gossip_uses_fewer_messages_than_naive_per_round() {
-    use loadex::sim::SimDuration;
-    let tree = grid_tree(28);
-    let mut naive_cfg = small_cfg(8).with_mechanism(MechKind::Periodic);
-    naive_cfg.periodic_interval = SimDuration::from_micros(500);
-    let mut gossip_cfg = small_cfg(8).with_mechanism(MechKind::Gossip);
-    gossip_cfg.gossip_interval = SimDuration::from_micros(500);
+    let tree = twotone();
+    let naive_cfg = SolverConfig::new(8).with_mechanism(MechKind::Periodic);
+    let mut gossip_cfg = SolverConfig::new(8).with_mechanism(MechKind::Gossip);
     gossip_cfg.gossip_fanout = 2;
     let p = run(&tree, &naive_cfg).unwrap();
     let g = run(&tree, &gossip_cfg).unwrap();
@@ -245,9 +236,13 @@ fn gossip_uses_fewer_messages_than_naive_per_round() {
 
 #[test]
 fn partial_snapshots_cut_traffic_at_engine_level() {
-    let tree = grid_tree(28);
-    let full = run(&tree, &small_cfg(8).with_mechanism(MechKind::Snapshot)).unwrap();
-    let mut cfg = small_cfg(8).with_mechanism(MechKind::Snapshot);
+    let tree = twotone();
+    let full = run(
+        &tree,
+        &SolverConfig::new(8).with_mechanism(MechKind::Snapshot),
+    )
+    .unwrap();
+    let mut cfg = SolverConfig::new(8).with_mechanism(MechKind::Snapshot);
     cfg.snapshot_candidates = Some(3);
     let partial = run(&tree, &cfg).unwrap();
     assert!(partial.factor_time.as_nanos() > 0);
@@ -266,9 +261,9 @@ fn partial_snapshots_cut_traffic_at_engine_level() {
 #[test]
 fn leader_policy_changes_behavior_not_correctness() {
     use loadex::core::LeaderPolicy;
-    let tree = grid_tree(28);
+    let tree = twotone();
     for policy in [LeaderPolicy::MinRank, LeaderPolicy::MaxRank] {
-        let mut cfg = small_cfg(6).with_mechanism(MechKind::Snapshot);
+        let mut cfg = SolverConfig::new(6).with_mechanism(MechKind::Snapshot);
         cfg.leader_policy = policy;
         let r = run(&tree, &cfg).unwrap();
         assert!(r.factor_time.as_nanos() > 0, "{policy:?}");
@@ -279,9 +274,9 @@ fn leader_policy_changes_behavior_not_correctness() {
 #[test]
 fn coherence_probe_collects_samples() {
     use loadex::sim::SimDuration;
-    let tree = grid_tree(24);
-    let mut cfg = small_cfg(4).with_accuracy(true);
-    cfg.coherence_probe = Some(SimDuration::from_micros(100));
+    let tree = twotone();
+    let mut cfg = SolverConfig::new(4).with_accuracy(true);
+    cfg.coherence_probe = Some(SimDuration::from_millis(100));
     let r = run(&tree, &cfg).unwrap();
     let acc = r.accuracy.as_ref().expect("accuracy enabled");
     assert!(!acc.series.is_empty(), "probe must sample");
@@ -292,7 +287,7 @@ fn coherence_probe_collects_samples() {
     );
     assert!(acc.series.iter().all(|p| p.mean_abs_err_work >= 0.0));
     // Without the sampling period, only decision samples appear.
-    let r2 = run(&tree, &small_cfg(4).with_accuracy(true)).unwrap();
+    let r2 = run(&tree, &SolverConfig::new(4).with_accuracy(true)).unwrap();
     let acc2 = r2.accuracy.as_ref().expect("accuracy enabled");
     assert!(acc2.series.is_empty());
     assert!(acc2.summary.decision_err_samples > 0);
@@ -302,10 +297,12 @@ fn coherence_probe_collects_samples() {
 fn snapshot_decision_views_are_most_accurate() {
     // The paper's quality ordering (§4.4): at decision time the snapshot's
     // view beats increments, which beats naive.
-    let tree = grid_tree(40);
+    let tree = twotone();
     let mut errs = Vec::new();
     for mech in MechKind::ALL {
-        let cfg = small_cfg(8).with_mechanism(mech).with_accuracy(true);
+        let cfg = SolverConfig::new(8)
+            .with_mechanism(mech)
+            .with_accuracy(true);
         let r = run(&tree, &cfg).unwrap();
         let acc = r.accuracy.as_ref().expect("accuracy enabled");
         errs.push((mech, acc.summary.mean_decision_err_work));
@@ -321,8 +318,8 @@ fn snapshot_decision_views_are_most_accurate() {
 
 #[test]
 fn timeline_records_and_renders() {
-    let tree = grid_tree(24);
-    let cfg = small_cfg(4).with_mechanism(MechKind::Snapshot);
+    let tree = twotone();
+    let cfg = SolverConfig::new(4).with_mechanism(MechKind::Snapshot);
     let rec = Recorder::enabled();
     let r = run_observed(&tree, &cfg, rec.clone()).unwrap();
     let spans = spans_from_events(&rec.take(), 4, r.factor_time);
@@ -342,9 +339,9 @@ fn timeline_records_and_renders() {
 
 #[test]
 fn heterogeneous_speeds_slow_the_makespan_but_stay_correct() {
-    let tree = grid_tree(28);
-    let homo = run(&tree, &small_cfg(6)).unwrap();
-    let mut cfg = small_cfg(6);
+    let tree = twotone();
+    let homo = run(&tree, &SolverConfig::new(6)).unwrap();
+    let mut cfg = SolverConfig::new(6);
     cfg.speed_factors = vec![1.0, 0.25, 1.0, 0.25, 1.0, 0.25];
     let hetero = run(&tree, &cfg).unwrap();
     assert!(

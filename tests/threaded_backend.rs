@@ -5,11 +5,14 @@
 use loadex::core::{Gate, Load, MechKind, Mechanism, Outbox, SnapshotMechanism, StateMsg};
 use loadex::net::{Channel, Endpoint, RecvError, ThreadNetwork};
 use loadex::obs::{EventRecord, ProtocolEvent, Recorder};
-use loadex::sim::{ActorId, SimDuration, SimRng, SimTime};
+use loadex::sim::{ActorId, SimTime};
 use loadex::solver::{self, CommMode, ExecBackend, RunError, SolverConfig, ThreadedBackend};
-use loadex::sparse::{gen, symbolic, AssemblyTree, Symmetry};
+use loadex::sparse::{models, AssemblyTree};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
+
+mod common;
+use common::twotone;
 
 /// Every test here spawns real threads and some compare wall-clock
 /// measurements, so they run one at a time: a sibling test competing for
@@ -21,34 +24,15 @@ fn serial() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-fn small_tree() -> AssemblyTree {
-    let p = gen::grid2d(20, 20);
-    symbolic::analyze_with_ordering(
-        &p,
-        symbolic::Ordering::NestedDissection,
-        symbolic::SymbolicOptions {
-            amalg_pivots: 8,
-            sym: Symmetry::Symmetric,
-        },
-    )
-    .tree
-}
-
-/// Lowered parallelism thresholds so the small test trees still produce
-/// Type 2 fronts (and therefore dynamic decisions / state traffic).
 fn cfg(nprocs: usize, mech: MechKind) -> SolverConfig {
-    let mut c = SolverConfig::new(nprocs).with_mechanism(mech);
-    c.type2_min_front = 20;
-    c.type3_min_front = 60;
-    c.kmin_rows = 4;
-    c
+    SolverConfig::new(nprocs).with_mechanism(mech)
 }
 
 /// A time-compressed backend so a test run takes milliseconds of wall time,
 /// with a generous safety valve well under the harness timeout.
 fn fast() -> ThreadedBackend {
     ThreadedBackend::new()
-        .with_time_scale(0.02)
+        .with_time_scale(0.002)
         .with_wall_timeout(Duration::from_secs(60))
 }
 
@@ -73,11 +57,11 @@ fn run_threaded(
 #[test]
 fn completes_under_all_mechanisms_with_and_without_comm_thread() {
     let _serial = serial();
-    let tree = small_tree();
+    let tree = twotone();
     // Periodic and gossip disseminate only from their timer, which lives on
     // the comm thread or, without one, in the worker's main loop: state
-    // traffic shows that timer path fired. Their 5 ms period sits well
-    // inside this tree's ~80 ms makespan (the 100 ms default does not).
+    // traffic shows that timer path fired. Their 100 ms default period sits
+    // well inside this tree's makespan of about 28 s.
     for mech in [
         MechKind::Naive,
         MechKind::Increments,
@@ -86,10 +70,7 @@ fn completes_under_all_mechanisms_with_and_without_comm_thread() {
         MechKind::Gossip,
     ] {
         for comm in [CommMode::CommThread, CommMode::MainLoop] {
-            let mut c = cfg(4, mech);
-            c.periodic_interval = SimDuration::from_millis(5);
-            c.gossip_interval = SimDuration::from_millis(5);
-            let r = run_threaded(&tree, &c, fast(), comm);
+            let r = run_threaded(&tree, &cfg(4, mech), fast(), comm);
             assert_eq!(r.backend, "threaded");
             assert!(r.factor_time > SimTime::ZERO, "{mech} {comm:?}");
             assert_eq!(r.procs.len(), 4);
@@ -104,7 +85,7 @@ fn completes_under_all_mechanisms_with_and_without_comm_thread() {
 #[test]
 fn report_schema_matches_sim_backend() {
     let _serial = serial();
-    let tree = small_tree();
+    let tree = twotone();
     let c = cfg(4, MechKind::Increments);
     let sim = solver::run(&tree, &c).unwrap();
     let thr = run_threaded(&tree, &c, fast(), CommMode::CommThread);
@@ -132,7 +113,7 @@ fn report_schema_matches_sim_backend() {
 #[test]
 fn single_process_threaded_run() {
     let _serial = serial();
-    let tree = small_tree();
+    let tree = twotone();
     let r = run_threaded(
         &tree,
         &cfg(1, MechKind::Increments),
@@ -147,7 +128,7 @@ fn single_process_threaded_run() {
 #[test]
 fn wall_timeout_surfaces_as_typed_error() {
     let _serial = serial();
-    let tree = small_tree();
+    let tree = twotone();
     // Blow up the wall clock so no run can finish inside the valve.
     let t = ThreadedBackend::new()
         .with_time_scale(1e6)
@@ -169,13 +150,13 @@ fn wall_timeout_surfaces_as_typed_error() {
 #[test]
 fn comm_thread_shrinks_snapshot_blocked_time() {
     let _serial = serial();
-    let tree = small_tree();
+    let tree = twotone();
     let c = cfg(4, MechKind::Snapshot);
-    // Stretch wall time enough that compute slices dominate the mainloop
-    // variant's answer latency.
-    let scale = 2.0;
+    // At the compressed time scale a 1.5 s compute slice still takes 3 ms
+    // of wall time, sixty times the 50 µs poll period, so compute slices
+    // dominate the mainloop variant's answer latency.
     let blocked = |comm: CommMode| -> Duration {
-        let r = run_threaded(&tree, &c, fast().with_time_scale(scale), comm);
+        let r = run_threaded(&tree, &c, fast(), comm);
         Duration::from_secs_f64(r.procs.iter().map(|p| p.blocked.as_secs_f64()).sum())
     };
     // Scheduling noise only ever inflates blocked time, so the minimum of a
@@ -220,7 +201,7 @@ fn state_recv_during_compute(events: &[EventRecord]) -> bool {
 #[test]
 fn one_comm_mode_switch_drives_both_backends() {
     let _serial = serial();
-    let tree = small_tree();
+    let tree = twotone();
     let events = |c: SolverConfig| -> Vec<EventRecord> {
         let rec = Recorder::enabled();
         solver::run_observed(&tree, &c, rec.clone()).unwrap();
@@ -254,22 +235,13 @@ fn one_comm_mode_switch_drives_both_backends() {
 
 /// Randomized trees and several seeds: every mechanism must terminate under
 /// the threaded backend, with and without the communication thread, within
-/// the wall-timeout valve.
+/// the wall-timeout valve. Each seed jitters TWOTONE's tree shape anew.
 #[test]
 fn multi_seed_stress_all_mechanisms_terminate() {
     let _serial = serial();
+    let twotone = models::by_name("TWOTONE").unwrap();
     for seed in [1u64, 7, 42] {
-        let mut rng = SimRng::seed_from_u64(seed);
-        let p = gen::random(150, 6, &mut rng);
-        let tree = symbolic::analyze_with_ordering(
-            &p,
-            symbolic::Ordering::NestedDissection,
-            symbolic::SymbolicOptions {
-                amalg_pivots: 8,
-                sym: Symmetry::Symmetric,
-            },
-        )
-        .tree;
+        let tree = twotone.shape.build(twotone.sym, seed);
         for mech in [MechKind::Naive, MechKind::Increments, MechKind::Snapshot] {
             // Alternate the comm thread by seed so both paths see every seed
             // class without doubling the run count.
