@@ -46,6 +46,18 @@ impl Dests {
         self.len() == 0
     }
 
+    /// Whether `actor` is one of the destinations. `actor` must be below
+    /// the size of a [`Dests::Set`]'s set.
+    #[inline]
+    pub fn contains(&self, actor: ActorId) -> bool {
+        match self {
+            Dests::One(one) => *one == actor,
+            Dests::AllBut { n, except } => actor != *except && actor.index() < *n,
+            Dests::Set(set) => set.contains(actor),
+            Dests::List(list) => list.contains(&actor),
+        }
+    }
+
     /// The destination at `cursor`, advancing it; `None` past the last.
     #[inline]
     pub(crate) fn next(&self, cursor: &mut Cursor) -> Option<ActorId> {
@@ -89,6 +101,8 @@ pub(crate) struct Cursor {
     index: usize,
     /// The members of the last word loaded not yet taken (a set).
     bits: u64,
+    /// Destinations yielded so far through [`Recipients`](crate::Recipients).
+    pub(crate) taken: usize,
 }
 
 impl From<Vec<ActorId>> for Dests {
@@ -122,6 +136,29 @@ mod tests {
                 let set = Dests::Set(Arc::new(RankSet::all_but(n, ActorId(me))));
                 assert_eq!(set.iter().collect::<Vec<_>>(), expected, "P={n} me={me}");
                 assert_eq!(set.len(), expected.len());
+            }
+        }
+    }
+
+    #[test]
+    fn contains_agrees_with_iteration() {
+        for n in SIZES {
+            let me = ActorId(n / 2);
+            let mut set = RankSet::new(n);
+            for r in (0..n).step_by(3) {
+                set.insert(ActorId(r));
+            }
+            let list: Vec<ActorId> = [n - 1, 0, n / 3].map(ActorId).to_vec();
+            for dests in [
+                Dests::One(me),
+                Dests::AllBut { n, except: me },
+                Dests::Set(Arc::new(set.clone())),
+                list.into(),
+            ] {
+                let members: Vec<ActorId> = dests.iter().collect();
+                for r in (0..n).map(ActorId) {
+                    assert_eq!(dests.contains(r), members.contains(&r), "{dests:?} {r}");
+                }
             }
         }
     }

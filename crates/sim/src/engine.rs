@@ -129,8 +129,30 @@ impl Iterator for Recipients<'_> {
             return None;
         }
         let actor = self.dests.next(self.cursor)?;
+        self.cursor.taken += 1;
         *self.processed += 1;
         Some(actor)
+    }
+}
+
+impl Recipients<'_> {
+    /// How many destinations of the entry have been yielded, by this call
+    /// and by any earlier one that a stop cut short.
+    #[inline]
+    pub fn taken(&self) -> usize {
+        self.cursor.taken
+    }
+
+    /// The destinations yielded since [`Recipients::taken`] read `from`, in
+    /// order: the entry's own [`Dests`] when that is all of them (a fan-out
+    /// delivered in one call), else a list of them.
+    pub fn yielded_since(&self, from: usize) -> Dests {
+        if from == 0 && self.cursor.taken == self.dests.len() {
+            self.dests.clone()
+        } else {
+            let span = self.dests.iter().skip(from).take(self.cursor.taken - from);
+            Dests::List(span.collect())
+        }
     }
 }
 
@@ -342,8 +364,7 @@ impl<E: Clone> Simulator<E> {
                 stop_requested: &stop,
             };
             world.handle_fanout(f.time, &mut recipients, &f.event, &mut sched);
-            let mut rest = f.cursor;
-            if f.dests.next(&mut rest).is_none() {
+            if f.cursor.taken == f.dests.len() {
                 *fanout = None;
             }
         }

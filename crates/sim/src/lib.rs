@@ -33,6 +33,9 @@
 //!   handled joins the bucket behind them and pops after the last one. A
 //!   stop or the event limit reached part-way leaves the rest pending for
 //!   the next step.
+//! * [`Backlog`] — messages that wait for busy actors, with each fan-out's
+//!   message buffered once for all its busy destinations instead of once
+//!   per destination.
 //! * [`rng`] — a small, self-contained, splittable PRNG (SplitMix64 and
 //!   xoshiro256**) so that simulation randomness is stable across platforms
 //!   and dependency versions.
@@ -42,6 +45,7 @@
 //! The engine is deliberately generic: the network model lives in
 //! `loadex-net`, the application (a multifrontal solver) in `loadex-solver`.
 
+pub mod backlog;
 pub mod dests;
 pub mod engine;
 pub mod queue;
@@ -50,6 +54,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
+pub use backlog::Backlog;
 pub use dests::Dests;
 pub use engine::{ActorId, Recipients, Scheduler, SimConfig, Simulator, StopReason, World};
 pub use queue::EventQueue;

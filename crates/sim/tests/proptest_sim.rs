@@ -1,10 +1,12 @@
 //! Property tests for the simulation substrate.
 
 use loadex_sim::{
-    ActorId, EventQueue, Recipients, Scheduler, SimConfig, SimDuration, SimRng, SimTime, Simulator,
-    SplitMix64, StopReason, Welford, World,
+    ActorId, Backlog, Dests, EventQueue, RankSet, Recipients, Scheduler, SimConfig, SimDuration,
+    SimRng, SimTime, Simulator, SplitMix64, StopReason, Welford, World,
 };
 use proptest::prelude::*;
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 const ACTORS: u64 = 5;
 
@@ -192,6 +194,265 @@ fn run_cascade(
     (world.log, stops)
 }
 
+/// Distinct destinations among `0..n` of every [`Dests`] form, drawn from
+/// `rng`; never empty.
+fn random_dests(rng: &mut SplitMix64, n: usize) -> Dests {
+    let pick = |rng: &mut SplitMix64| ActorId((rng.next_u64() % n as u64) as usize);
+    match rng.next_u64() % 4 {
+        0 => Dests::One(pick(rng)),
+        1 if n > 1 => Dests::AllBut {
+            n,
+            except: pick(rng),
+        },
+        2 => {
+            let mut set = RankSet::new(n);
+            for _ in 0..=rng.next_u64() % n as u64 {
+                set.insert(pick(rng));
+            }
+            Dests::Set(Arc::new(set))
+        }
+        _ => {
+            let mut list = Vec::new();
+            for _ in 0..=rng.next_u64() % n as u64 {
+                let r = pick(rng);
+                if !list.contains(&r) {
+                    list.push(r);
+                }
+            }
+            list.into()
+        }
+    }
+}
+
+/// Each reader's buffered messages as a FIFO of its own: what a
+/// [`Backlog`] must hand back.
+struct Mailboxes {
+    busy: Vec<bool>,
+    queues: Vec<VecDeque<u64>>,
+}
+
+impl Mailboxes {
+    fn new(n: usize) -> Self {
+        Mailboxes {
+            busy: vec![false; n],
+            queues: vec![VecDeque::new(); n],
+        }
+    }
+
+    /// `msg` reaches `r`: buffered if `r` is busy; returns whether it was.
+    fn deliver(&mut self, r: ActorId, msg: u64) -> bool {
+        let busy = self.busy[r.index()];
+        if busy {
+            self.queues[r.index()].push_back(msg);
+        }
+        busy
+    }
+}
+
+/// Random operations on a [`Backlog`] and on per-reader FIFO queues side by
+/// side: fan-outs (some delivered in two parts, as when a stop cuts one
+/// short and a later step resumes it), single deliveries, busy flags
+/// switched, and one-at-a-time or full drains. Every read must match the
+/// reference, and once every reader has drained, nothing may be left.
+fn backlog_matches_fifo_mailboxes(seed: u64, n: usize, steps: usize) -> Result<(), TestCaseError> {
+    let mut rng = SplitMix64::new(seed);
+    let mut backlog = Backlog::<u64>::new(n);
+    let mut model = Mailboxes::new(n);
+    for msg in 0..steps as u64 {
+        let r = ActorId((rng.next_u64() % n as u64) as usize);
+        match rng.next_u64() % 8 {
+            0 => {
+                // A reader turns busy, or idle once it has read everything.
+                let busy = !model.busy[r.index()];
+                if busy || model.queues[r.index()].is_empty() {
+                    model.busy[r.index()] = busy;
+                    backlog.set_busy(r, busy);
+                }
+            }
+            1 | 2 => {
+                let dests = random_dests(&mut rng, n);
+                let order: Vec<ActorId> = dests.iter().collect();
+                // Cut after `cut` receivers, or not at all.
+                let cut = (rng.next_u64() % (order.len() as u64 + 1)) as usize;
+                for part in [&order[..cut], &order[cut..]] {
+                    for &q in part {
+                        let buffered = backlog.offer(q).is_some();
+                        prop_assert_eq!(buffered, model.deliver(q, msg));
+                    }
+                    let part = if cut == 0 || cut == order.len() {
+                        dests.clone()
+                    } else {
+                        Dests::List(part.into())
+                    };
+                    backlog.close_fanout(|| (msg, part));
+                    if cut == 0 || cut == order.len() {
+                        break;
+                    }
+                }
+            }
+            3 => {
+                let buffered = backlog.offer_single(r, || msg).is_some();
+                prop_assert_eq!(buffered, model.deliver(r, msg));
+            }
+            4..=6 => {
+                prop_assert_eq!(backlog.pop(r), model.queues[r.index()].pop_front());
+            }
+            _ => {
+                while let Some(m) = backlog.pop(r) {
+                    prop_assert_eq!(Some(m), model.queues[r.index()].pop_front());
+                }
+                prop_assert!(model.queues[r.index()].is_empty());
+            }
+        }
+        prop_assert_eq!(backlog.unread(r), model.queues[r.index()].len());
+    }
+    for (q, queue) in model.queues.iter_mut().enumerate() {
+        while let Some(m) = backlog.pop(ActorId(q)) {
+            prop_assert_eq!(Some(m), queue.pop_front());
+        }
+        prop_assert!(queue.is_empty(), "reader {} lost messages", q);
+    }
+    prop_assert!(backlog.is_empty(), "{} entries left", backlog.len());
+    Ok(())
+}
+
+/// A world of readers that are busy between a `Start` and a `Finish` event
+/// of their own. A message reaching an idle reader is read at once (and
+/// the `stop_at`-th such read requests a stop); a busy reader keeps it
+/// until `Finish`, which reads everything it kept. With `backlog`, fan-outs
+/// go through a [`Backlog`] in one `handle_fanout` loop; without, each
+/// destination through `handle` and a FIFO queue per reader.
+struct Readers {
+    backlog: Option<Backlog<u64>>,
+    model: Mailboxes,
+    stop_at: Option<u64>,
+    read_at_once: u64,
+    /// Per reader, the messages read, in order.
+    log: Vec<Vec<u64>>,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum ReaderEv {
+    Msg(u64),
+    Start,
+    Finish,
+}
+
+impl Readers {
+    fn new(n: usize, backlog: bool, stop_at: Option<u64>) -> Self {
+        Readers {
+            backlog: backlog.then(|| Backlog::new(n)),
+            model: Mailboxes::new(n),
+            stop_at,
+            read_at_once: 0,
+            log: vec![Vec::new(); n],
+        }
+    }
+
+    fn read_now(&mut self, r: ActorId, msg: u64, sched: &mut Scheduler<'_, ReaderEv>) {
+        self.log[r.index()].push(msg);
+        self.read_at_once += 1;
+        if self.stop_at == Some(self.read_at_once) {
+            sched.request_stop();
+        }
+    }
+
+    /// Read everything `r` kept, in order.
+    fn drain(&mut self, r: ActorId) {
+        let log = &mut self.log[r.index()];
+        match self.backlog.as_mut() {
+            Some(b) => log.extend(std::iter::from_fn(|| b.pop(r))),
+            None => log.extend(self.model.queues[r.index()].drain(..)),
+        }
+    }
+
+    fn set_busy(&mut self, r: ActorId, busy: bool) {
+        match self.backlog.as_mut() {
+            Some(b) => b.set_busy(r, busy),
+            None => self.model.busy[r.index()] = busy,
+        }
+    }
+}
+
+impl World for Readers {
+    type Event = ReaderEv;
+
+    fn handle(&mut self, _: SimTime, r: ActorId, ev: ReaderEv, s: &mut Scheduler<'_, ReaderEv>) {
+        match ev {
+            ReaderEv::Msg(msg) => {
+                let buffered = match self.backlog.as_mut() {
+                    Some(b) => b.offer_single(r, || msg).is_some(),
+                    None => self.model.deliver(r, msg),
+                };
+                if !buffered {
+                    self.read_now(r, msg, s);
+                }
+            }
+            ReaderEv::Start => self.set_busy(r, true),
+            ReaderEv::Finish => {
+                self.drain(r);
+                self.set_busy(r, false);
+            }
+        }
+    }
+
+    fn handle_fanout(
+        &mut self,
+        now: SimTime,
+        recipients: &mut Recipients<'_>,
+        ev: &ReaderEv,
+        s: &mut Scheduler<'_, ReaderEv>,
+    ) {
+        let (ReaderEv::Msg(msg), true) = (*ev, self.backlog.is_some()) else {
+            for r in recipients {
+                self.handle(now, r, *ev, s);
+            }
+            return;
+        };
+        let start = recipients.taken();
+        for r in recipients.by_ref() {
+            if self.backlog.as_mut().unwrap().offer(r).is_none() {
+                self.read_now(r, msg, s);
+            }
+        }
+        let backlog = self.backlog.as_mut().unwrap();
+        backlog.close_fanout(|| (msg, recipients.yielded_since(start)));
+    }
+}
+
+/// Run a [`Readers`] world over random traffic, resuming after every
+/// requested stop; then every reader reads what it still keeps.
+fn run_readers(
+    seed: u64,
+    n: usize,
+    backlog: bool,
+    config: SimConfig,
+    stop_at: Option<u64>,
+) -> Readers {
+    let mut rng = SplitMix64::new(seed);
+    let mut sim = Simulator::new(config);
+    for msg in 0..40 {
+        let at = SimTime(rng.next_u64() % 50);
+        let dests = random_dests(&mut rng, n);
+        sim.schedule_fanout_at(at, dests, ReaderEv::Msg(msg));
+    }
+    for r in 0..n {
+        let start = rng.next_u64() % 40;
+        sim.schedule_at(SimTime(start), ActorId(r), ReaderEv::Start);
+        sim.schedule_at(
+            SimTime(start + rng.next_u64() % 20),
+            ActorId(r),
+            ReaderEv::Finish,
+        );
+    }
+    let mut world = Readers::new(n, backlog, stop_at);
+    while sim.run(&mut world) == StopReason::Requested {}
+    for r in 0..n {
+        world.drain(ActorId(r));
+    }
+    world
+}
+
 proptest! {
     /// The calendar pops events in nondecreasing time order, FIFO at ties.
     #[test]
@@ -336,6 +597,42 @@ proptest! {
         if max_events.is_none() {
             prop_assert_eq!(log, &unlimited.0);
         }
+    }
+
+    /// A shared backlog reads back, to each reader, exactly what a FIFO
+    /// mailbox of its own would: over small clusters and over sets of
+    /// ranks that span two 64-bit words.
+    #[test]
+    fn backlog_reads_like_per_reader_fifo_mailboxes(
+        seed in any::<u64>(),
+        small in 1usize..8,
+        steps in 1usize..300,
+    ) {
+        backlog_matches_fifo_mailboxes(seed, small, steps)?;
+        backlog_matches_fifo_mailboxes(seed, 70, steps)?;
+    }
+
+    /// A world that buffers fan-outs in a backlog reads what the
+    /// per-destination world reads, reader by reader, when requested stops
+    /// cut fan-outs short and later steps resume them, or the event limit
+    /// cuts one for good: each remaining receiver gets its copy once, and a
+    /// receiver served before the cut does not read it again.
+    #[test]
+    fn backlog_fanouts_cut_short_and_resumed_read_like_mailboxes(
+        seed in any::<u64>(),
+        n in 1usize..8,
+        max_events in prop::option::of(1u64..200),
+        stop_at in prop::option::of(1u64..60),
+    ) {
+        let config = SimConfig {
+            max_events: max_events.unwrap_or(u64::MAX),
+            ..SimConfig::default()
+        };
+        let reference = run_readers(seed, n, false, config, stop_at);
+        let batched = run_readers(seed, n, true, config, stop_at);
+        prop_assert_eq!(&batched.log, &reference.log);
+        let backlog = batched.backlog.as_ref().unwrap();
+        prop_assert!(backlog.is_empty(), "{} entries left", backlog.len());
     }
 
     /// Splitting an RNG yields streams that do not echo the parent.

@@ -14,8 +14,8 @@
 //!
 //! The procedures of the loop are written once in `crate::process` and
 //! shared with the real-thread backend; this module is their discrete-event
-//! driver: event dispatch, the mailboxes, each process's compute / paused /
-//! blocked state, `TaskDone` scheduling and the deadlock dump.
+//! driver: event dispatch, the message buffers, each process's compute /
+//! paused / blocked state, `TaskDone` scheduling and the deadlock dump.
 //!
 //! Application-level protocol (all on the regular channel):
 //!
@@ -30,20 +30,26 @@
 //!
 //! A state message is one shared payload per send, however many processes
 //! it reaches. The outbox flush wraps each staged message in an [`Rc`] once;
-//! the calendar's fan-out entry and every buffered mailbox slot hold a
-//! pointer to it, and the mechanisms read it by reference
-//! ([`Mechanism::on_state`]), so no receiver copies it. `Rc` suffices
-//! because the simulator runs in one thread; it also means [`SolverWorld`]
-//! is not `Send`.
+//! the calendar's fan-out entry and the buffered message hold a pointer to
+//! it, and the mechanisms read it by reference ([`Mechanism::on_state`]),
+//! so no receiver copies it. `Rc` suffices because the simulator runs in one
+//! thread; it also means [`SolverWorld`] is not `Send`.
 //!
 //! Nor is the destination set copied: a broadcast reaches the calendar as
 //! an all-but-sender rank range
 //! ([`Dest::into_dests`](loadex_core::Dest::into_dests)), and a multicast
 //! to a mechanism's interested peers as the mechanism's own shared rank
-//! set. [`SolverWorld`]
-//! treats a popped fan-out entry in one [`World::handle_fanout`] loop: a
-//! receiver that is computing gets the message appended to its mailbox,
-//! any other is handled as a single delivery would be.
+//! set.
+//!
+//! Nor is a buffered message kept once per receiver. The state messages
+//! that wait for a process live in one [`Backlog`] for the whole world: a
+//! process is *busy* there while it computes in the main loop, and always
+//! with a comm thread (which treats them at its own pace). [`SolverWorld`]
+//! treats a popped fan-out entry in one [`World::handle_fanout`] loop that
+//! reads each receiver's busy flag: a busy receiver only counts the message
+//! as unread, and the loop keeps the message once for all of them; any
+//! other receiver treats it as a single delivery would be treated. A busy
+//! process later reads its messages back in the order they reached it.
 
 use crate::config::{CommMode, SolverConfig, COMM_POLL_PERIOD};
 use crate::mapping::{NodeType, TreePlan};
@@ -53,7 +59,7 @@ use crate::work::{self, Task};
 use loadex_core::{AnyMechanism, Mechanism, OutMsg, Outbox, StateMsg};
 use loadex_net::{Channel, SimNetwork};
 use loadex_obs::{MetricsRegistry, ProtocolEvent, Recorder, ViewAccuracyProbe};
-use loadex_sim::{ActorId, Recipients, Scheduler, SimDuration, SimTime, World};
+use loadex_sim::{ActorId, Backlog, Recipients, Scheduler, SimDuration, SimTime, World};
 use loadex_sparse::AssemblyTree;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -125,19 +131,18 @@ enum PState {
     WaitSnapshot,
 }
 
-/// One simulated process: its Algorithm 1 core plus the mailboxes, compute
-/// state and blocking model of the simulator.
+/// One simulated process: its Algorithm 1 core plus the application
+/// mailbox, compute state and blocking model of the simulator. Its state
+/// messages wait in [`SimState::inbox`].
 struct ProcRt {
     core: Proc,
     mech: AnyMechanism,
     outbox: Outbox,
-    state_mb: VecDeque<(ActorId, Rc<StateMsg>)>,
     app_mb: VecDeque<(ActorId, AppMsg)>,
     state: PState,
     gen: u64,
     blocked_since: Option<SimTime>,
     blocked_total: SimDuration,
-    poll_scheduled: bool,
 }
 
 /// The solver world: all processes + network + tree bookkeeping.
@@ -151,6 +156,10 @@ pub struct SolverWorld {
 /// Everything the event handlers mutate.
 struct SimState {
     procs: Vec<ProcRt>,
+    /// The state messages that wait for busy processes: those computing in
+    /// the main loop, every process with a comm thread. A comm thread has a
+    /// poll tick pending exactly while its process has unread messages.
+    inbox: Backlog<(ActorId, Rc<StateMsg>)>,
     net: SimNetwork,
     /// One node table for the whole run (it is indexed by node, and each
     /// entry is only touched by one process).
@@ -222,21 +231,26 @@ impl SolverWorld {
                 core: Proc::new(&plan, p),
                 mech: work::build_mechanism(&cfg, &plan, threshold, p),
                 outbox: Outbox::new(),
-                state_mb: VecDeque::new(),
                 app_mb: VecDeque::new(),
                 state: PState::Idle,
                 gen: 0,
                 blocked_since: None,
                 blocked_total: SimDuration::ZERO,
-                poll_scheduled: false,
             })
             .collect();
+        let mut inbox = Backlog::new(nprocs);
+        if cfg.comm == CommMode::CommThread {
+            for p in 0..nprocs {
+                inbox.set_busy(ActorId(p), true);
+            }
+        }
         let probe = cfg.accuracy.then(|| {
             let views: Vec<_> = procs.iter().map(|rt| rt.mech.view()).collect();
             process::seeded_probe(&plan, &views)
         });
         let st = SimState {
             procs,
+            inbox,
             net: SimNetwork::new(nprocs, cfg.network),
             nodes: process::node_table(&plan),
             parts_left: (0..tree.len())
@@ -304,15 +318,20 @@ impl SolverWorld {
     pub fn debug_dump(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
-        let _ = writeln!(s, "nodes_remaining={}", self.st.nodes_remaining);
+        let _ = writeln!(
+            s,
+            "nodes_remaining={} backlog={}",
+            self.st.nodes_remaining,
+            self.st.inbox.len()
+        );
         for (p, rt) in self.st.procs.iter().enumerate() {
             let _ = writeln!(
                 s,
-                "P{p}: state={:?} blocked={} ready={} state_mb={} app_mb={} pend_dec={:?} inflight={:?}",
+                "P{p}: state={:?} blocked={} ready={} unread={} app_mb={} pend_dec={:?} inflight={:?}",
                 rt.state,
                 rt.mech.blocked(),
                 rt.core.ready.len(),
-                rt.state_mb.len(),
+                self.st.inbox.unread(ActorId(p)),
                 rt.app_mb.len(),
                 rt.core.pending_decisions,
                 rt.core.decision_inflight,
@@ -402,7 +421,17 @@ impl SimHost<'_, '_, '_> {
         self.cx.cfg.comm == CommMode::CommThread
     }
 
+    /// Send what the mechanism staged; with the recorder on, stamp its
+    /// protocol events first.
+    #[inline]
     fn flush_outbox(&mut self) {
+        if self.w.procs[self.p].outbox.is_empty() && !self.w.recorder.is_enabled() {
+            return;
+        }
+        self.send_staged();
+    }
+
+    fn send_staged(&mut self) {
         let SimHost {
             w, p, now, sched, ..
         } = self;
@@ -451,6 +480,16 @@ impl SimHost<'_, '_, '_> {
         self.w.note_block_state(self.p, self.now);
     }
 
+    /// Enter compute state `state`. In the main loop a process buffers its
+    /// state messages exactly while it computes.
+    fn set_state(&mut self, state: PState) {
+        if !self.comm_thread() {
+            let computing = matches!(state, PState::Computing { .. });
+            self.w.inbox.set_busy(ActorId(self.p), computing);
+        }
+        self.rt().state = state;
+    }
+
     // ----- the Algorithm 1 loop ------------------------------------------
 
     fn progress(&mut self) {
@@ -466,20 +505,20 @@ impl SimHost<'_, '_, '_> {
             // inside the snapshot receive loop, which *only* treats these.
             // In threaded mode the comm thread owns them instead.
             if mainloop {
-                if let Some((from, msg)) = self.rt().state_mb.pop_front() {
+                if let Some((from, msg)) = self.w.inbox.pop(ActorId(self.p)) {
                     process::on_state_msg(self, from, &msg, true);
                     continue;
                 }
             }
             if self.rt().mech.blocked() {
                 if !matches!(self.rt().state, PState::WaitSnapshot) {
-                    self.rt().state = PState::WaitSnapshot;
+                    self.set_state(PState::WaitSnapshot);
                     self.note_block_state();
                 }
                 return;
             }
             if matches!(self.rt().state, PState::WaitSnapshot) {
-                self.rt().state = PState::Idle;
+                self.set_state(PState::Idle);
                 self.note_block_state();
             }
             // (2) pending dynamic decisions.
@@ -498,12 +537,12 @@ impl SimHost<'_, '_, '_> {
                 let rt = self.rt();
                 rt.gen += 1;
                 let gen = rt.gen;
-                rt.state = PState::Computing { end, task };
+                self.set_state(PState::Computing { end, task });
                 self.sched
                     .schedule_at(end, ActorId(self.p), Ev::TaskDone(gen));
                 return;
             }
-            self.rt().state = PState::Idle;
+            self.set_state(PState::Idle);
             return;
         }
     }
@@ -526,28 +565,27 @@ impl SimHost<'_, '_, '_> {
         self.progress();
     }
 
-    fn on_state_event(&mut self, from: ActorId, msg: &Rc<StateMsg>) {
-        if self.comm_thread() {
-            let now = self.now;
-            let rt = self.rt();
-            rt.state_mb.push_back((from, Rc::clone(msg)));
-            if !rt.poll_scheduled {
-                rt.poll_scheduled = true;
-                let period_ns = COMM_POLL_PERIOD.as_nanos();
-                let next = (now.as_nanos() / period_ns + 1) * period_ns;
+    /// One state message for this process alone.
+    fn on_state_event(&mut self, from: ActorId, msg: Rc<StateMsg>) {
+        match self
+            .w
+            .inbox
+            .offer_single(ActorId(self.p), || (from, Rc::clone(&msg)))
+        {
+            Some(1) if self.comm_thread() => {
                 self.sched
-                    .schedule_at(SimTime(next), ActorId(self.p), Ev::Poll);
+                    .schedule_at(next_poll(self.now), ActorId(self.p), Ev::Poll)
             }
-            return;
+            Some(_) => {}
+            None => self.treat_state_now(from, &msg),
         }
-        match self.rt().state {
-            PState::Computing { .. } => self.rt().state_mb.push_back((from, Rc::clone(msg))),
-            _ => {
-                // Idle or in the snapshot receive loop: treat immediately.
-                process::on_state_msg(self, from, msg, true);
-                self.progress();
-            }
-        }
+    }
+
+    /// A state message reaches the main loop while it does not compute:
+    /// idle or in the snapshot receive loop, it treats the message at once.
+    fn treat_state_now(&mut self, from: ActorId, msg: &StateMsg) {
+        process::on_state_msg(self, from, msg, true);
+        self.progress();
     }
 
     fn on_poll(&mut self) {
@@ -562,12 +600,10 @@ impl SimHost<'_, '_, '_> {
         }
         // One receive per poll iteration: the thread sleeps one period between
         // channel checks, so a burst drains at one message per tick.
-        if let Some((from, msg)) = self.rt().state_mb.pop_front() {
+        if let Some((from, msg)) = self.w.inbox.pop(ActorId(p)) {
             process::on_state_msg(self, from, &msg, false);
         }
-        if self.rt().state_mb.is_empty() {
-            self.rt().poll_scheduled = false;
-        } else {
+        if self.w.inbox.unread(ActorId(p)) > 0 {
             self.sched
                 .schedule_at(now + COMM_POLL_PERIOD, ActorId(p), Ev::Poll);
         }
@@ -599,7 +635,7 @@ impl SimHost<'_, '_, '_> {
         let PState::Computing { task, .. } = rt.state else {
             return;
         };
-        rt.state = PState::Idle;
+        self.set_state(PState::Idle);
         process::finish_chunk(self, task);
         self.progress();
     }
@@ -735,34 +771,44 @@ impl<'w> Host<'w> for SimHost<'w, '_, '_> {
         let (p, now) = (self.p, self.now);
         let threaded = self.comm_thread();
         let rt = self.rt();
-        match (rt.mech.blocked(), rt.state) {
+        let blocked = rt.mech.blocked();
+        if blocked == matches!(rt.state, PState::Paused { .. } | PState::WaitSnapshot) {
+            return; // already in step (the usual case)
+        }
+        match (blocked, rt.state) {
             // Only the threaded variant can interrupt a computation.
             (true, PState::Computing { end, task }) if threaded => {
                 let remaining = end.since(now);
                 rt.gen += 1; // invalidate pending TaskDone
-                rt.state = PState::Paused { task, remaining };
+                self.set_state(PState::Paused { task, remaining });
                 self.note_block_state();
             }
             (true, PState::Idle) => {
-                rt.state = PState::WaitSnapshot;
+                self.set_state(PState::WaitSnapshot);
                 self.note_block_state();
             }
             (false, PState::Paused { task, remaining }) => {
                 let end = now + remaining;
                 rt.gen += 1;
                 let gen = rt.gen;
-                rt.state = PState::Computing { end, task };
+                self.set_state(PState::Computing { end, task });
                 self.note_block_state();
                 self.sched.schedule_at(end, ActorId(p), Ev::TaskDone(gen));
             }
             (false, PState::WaitSnapshot) => {
-                rt.state = PState::Idle;
+                self.set_state(PState::Idle);
                 self.note_block_state();
                 self.progress();
             }
             _ => {}
         }
     }
+}
+
+/// The comm thread's next poll tick after `now`.
+fn next_poll(now: SimTime) -> SimTime {
+    let period_ns = COMM_POLL_PERIOD.as_nanos();
+    SimTime((now.as_nanos() / period_ns + 1) * period_ns)
 }
 
 impl World for SolverWorld {
@@ -772,7 +818,7 @@ impl World for SolverWorld {
         let mut h = self.host(actor.index(), now, sched);
         match event {
             Ev::Kick => h.on_kick(),
-            Ev::State(from, msg) => h.on_state_event(from, &msg),
+            Ev::State(from, msg) => h.on_state_event(from, msg),
             Ev::App(from, msg) => {
                 h.rt().app_mb.push_back((from, msg));
                 if matches!(h.rt().state, PState::Idle) {
@@ -786,9 +832,9 @@ impl World for SolverWorld {
         }
     }
 
-    /// A state message's fan-out in one loop: a receiver computing in the
-    /// main loop only buffers it, any other is handled as by
-    /// [`World::handle`].
+    /// A state message's fan-out in one loop: a busy receiver only counts
+    /// it as unread, and the loop keeps the message once for all of them in
+    /// the backlog; any other is handled as by [`World::handle`].
     fn handle_fanout(
         &mut self,
         now: SimTime,
@@ -802,16 +848,22 @@ impl World for SolverWorld {
             }
             return;
         };
-        let mainloop = self.cfg.comm == CommMode::MainLoop;
-        for actor in recipients {
-            let rt = &mut self.st.procs[actor.index()];
-            if mainloop && matches!(rt.state, PState::Computing { .. }) {
-                rt.state_mb.push_back((*from, Rc::clone(msg)));
-            } else {
-                self.host(actor.index(), now, sched)
-                    .on_state_event(*from, msg);
+        let comm_thread = self.cfg.comm == CommMode::CommThread;
+        // A stop may cut this fan-out short, or this call may resume one:
+        // the kept entry names only the receivers this call reached.
+        let start = recipients.taken();
+        for actor in recipients.by_ref() {
+            match self.st.inbox.offer(actor) {
+                Some(1) if comm_thread => sched.schedule_at(next_poll(now), actor, Ev::Poll),
+                Some(_) => {}
+                None => self
+                    .host(actor.index(), now, sched)
+                    .treat_state_now(*from, msg),
             }
         }
+        self.st
+            .inbox
+            .close_fanout(|| ((*from, Rc::clone(msg)), recipients.yielded_since(start)));
     }
 
     fn on_finish(&mut self, now: SimTime) {
@@ -914,8 +966,9 @@ mod tests {
 
     #[test]
     fn events_are_24_bytes() {
-        // Every calendar entry and every buffered `state_mb` slot scales with
-        // this size; perfbench reports it as `sim.ev_bytes`.
+        // Every calendar entry scales with this size; perfbench reports it
+        // as `sim.ev_bytes`. A buffered state message is not an `Ev`: the
+        // backlog keeps one `(sender, Rc)` pair per fan-out.
         assert_eq!(std::mem::size_of::<Ev>(), 24);
     }
 

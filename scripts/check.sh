@@ -75,17 +75,21 @@ run cargo run --release --offline -q -p loadex-bench --bin run -- \
 run cmp tests/golden/twotone8_snapshot.jsonl "$golden/events.jsonl"
 run cmp tests/golden/twotone8_snapshot.chrome.json "$golden/trace.json"
 
-# A larger JSONL export pinned by digest (~1 s): the CONV3D64/32 streams carry
+# Larger JSONL exports pinned by digest (~2 s): the CONV3D64/32 streams carry
 # timestamps of 12 digits and 64 fractional `entries` each, which the
-# TWOTONE/8 golden file lacks (30.5 MB and 3.5 MB, too large to commit).
+# TWOTONE/8 golden file lacks (30.5 MB and 3.5 MB, too large to commit). Both
+# comm modes: the modeled comm thread buffers every state message and
+# treats one per poll tick, the main loop only while a process computes.
 for pinned in \
-    "increments 82c0f591b987417647dccab514ee80a84f3cb7dc25ffa63d87e0b744f1bad03f" \
-    "snapshot 2abcf39f1e86e057249631f5a55503f2aa703de8d124118a971ce9db4e7ac2cf"; do
-    read -r mech digest <<<"$pinned"
+    "increments off 82c0f591b987417647dccab514ee80a84f3cb7dc25ffa63d87e0b744f1bad03f" \
+    "increments on d8159fc6ae28325cbb1628047c5c3900508fce3f4011b0ffdfd447e80d44feca" \
+    "snapshot off 2abcf39f1e86e057249631f5a55503f2aa703de8d124118a971ce9db4e7ac2cf" \
+    "snapshot on 960324aa27fe96d360d3d0b28a4ce68500b22032aa557ca849e4b6dc5b8c6226"; do
+    read -r mech comm digest <<<"$pinned"
     run cargo run --release --offline -q -p loadex-bench --bin run -- \
-        --matrix CONV3D64 --procs 32 --mech "$mech" \
-        --events-out "$golden/conv3d64_$mech.jsonl"
-    echo "$digest  $golden/conv3d64_$mech.jsonl" | run sha256sum -c -
+        --matrix CONV3D64 --procs 32 --mech "$mech" --comm-thread "$comm" \
+        --events-out "$golden/conv3d64_${mech}_$comm.jsonl"
+    echo "$digest  $golden/conv3d64_${mech}_$comm.jsonl" | run sha256sum -c -
 done
 
 # The event streams of the two multicasting mechanisms at P = 130, where a
