@@ -87,28 +87,6 @@ pub struct SimNetwork {
     arrivals: Vec<(SimTime, ActorId)>,
 }
 
-/// Note that copy `i` of a multicast, to `to`, arrives at `at`. `arrivals`
-/// stays empty while every copy so far arrives with the first; the first
-/// copy that arrives apart lists every copy so far, and each later one is
-/// listed too.
-#[inline]
-fn note_arrival(
-    first: &mut Option<SimTime>,
-    arrivals: &mut Vec<(SimTime, ActorId)>,
-    dests: &Dests,
-    i: usize,
-    at: SimTime,
-    to: ActorId,
-) {
-    let first = *first.get_or_insert(at);
-    if at != first && arrivals.is_empty() {
-        arrivals.extend(dests.iter().take(i).map(|q| (first, q)));
-    }
-    if !arrivals.is_empty() {
-        arrivals.push((at, to));
-    }
-}
-
 impl SimNetwork {
     /// A network connecting `nprocs` processes with the given cost model.
     pub fn new(nprocs: usize, model: NetworkModel) -> Self {
@@ -160,10 +138,11 @@ impl SimNetwork {
         }
     }
 
-    /// Send one message from `from` to each of `dests`, in that order, at
-    /// time `now`. Every copy is routed as [`SimNetwork::send`] would route
-    /// it; the payload stays with the caller. `deliver(at, group)` is called
-    /// once per distinct arrival time, earliest first, with the destinations
+    /// Send one state-channel message from `from` to each of `dests`, in
+    /// that order, at time `now`. Every copy is routed as
+    /// [`SimNetwork::send`] would route it on [`Channel::State`]; the
+    /// payload stays with the caller. `deliver(at, group)` is called once
+    /// per distinct arrival time, earliest first, with the destinations
     /// arriving then in `dests` order: when they all arrive together, the
     /// one group is `dests` itself.
     ///
@@ -173,26 +152,24 @@ impl SimNetwork {
         now: SimTime,
         from: ActorId,
         dests: Dests,
-        channel: Channel,
         size: u64,
         mut deliver: impl FnMut(SimTime, Dests),
     ) {
+        let ready = now + self.model.transfer_time(size);
         let mut first = None;
         let mut arrivals = std::mem::take(&mut self.arrivals);
         arrivals.clear();
-        match channel {
-            Channel::State => {
-                let ready = now + self.model.transfer_time(size);
-                for (i, to) in dests.iter().enumerate() {
-                    let at = self.state_arrival(ready, from, to, size);
-                    note_arrival(&mut first, &mut arrivals, &dests, i, at, to);
-                }
+        for (i, to) in dests.iter().enumerate() {
+            let at = self.state_arrival(ready, from, to, size);
+            // `arrivals` stays empty while every copy so far arrives with
+            // the first; the first copy that arrives apart lists every copy
+            // so far, and each later one is listed too.
+            let first = *first.get_or_insert(at);
+            if at != first && arrivals.is_empty() {
+                arrivals.extend(dests.iter().take(i).map(|q| (first, q)));
             }
-            Channel::Regular => {
-                for (i, to) in dests.iter().enumerate() {
-                    let at = self.route(now, from, to, channel, size);
-                    note_arrival(&mut first, &mut arrivals, &dests, i, at, to);
-                }
+            if !arrivals.is_empty() {
+                arrivals.push((at, to));
             }
         }
         match first {
@@ -428,7 +405,6 @@ mod tests {
             SimTime::ZERO,
             ActorId(0),
             Dests::from(dests.to_vec()),
-            Channel::State,
             10,
             |at, g| groups.push((at, g.iter().collect::<Vec<_>>())),
         );
@@ -458,19 +434,13 @@ mod tests {
             SimTime(5),
             ActorId(1),
             Dests::from(dests.to_vec()),
-            Channel::State,
             8,
             |at, g| groups.push((at, g.iter().collect::<Vec<_>>())),
         );
         assert_eq!(groups, vec![(SimTime(3_005), dests.to_vec())]);
-        net.multicast(
-            SimTime(5),
-            ActorId(1),
-            vec![].into(),
-            Channel::State,
-            8,
-            |_, _| panic!("no destination, no group"),
-        );
+        net.multicast(SimTime(5), ActorId(1), vec![].into(), 8, |_, _| {
+            panic!("no destination, no group")
+        });
         assert_eq!(net.sent_state(), 3);
     }
 
@@ -487,14 +457,9 @@ mod tests {
             except: ActorId(1),
         };
         let mut groups = Vec::new();
-        net.multicast(
-            SimTime::ZERO,
-            ActorId(1),
-            all_but_1.clone(),
-            Channel::State,
-            10,
-            |at, g| groups.push((at, g)),
-        );
+        net.multicast(SimTime::ZERO, ActorId(1), all_but_1.clone(), 10, |at, g| {
+            groups.push((at, g))
+        });
         assert_eq!(groups, vec![(SimTime(10_000), all_but_1.clone())]);
         // A large message now holds the 1→3 link: P3's copy comes apart.
         net.send(
@@ -506,14 +471,9 @@ mod tests {
             (),
         );
         let mut groups = Vec::new();
-        net.multicast(
-            SimTime::ZERO,
-            ActorId(1),
-            all_but_1,
-            Channel::State,
-            10,
-            |at, g| groups.push((at, g.iter().collect::<Vec<_>>())),
-        );
+        net.multicast(SimTime::ZERO, ActorId(1), all_but_1, 10, |at, g| {
+            groups.push((at, g.iter().collect::<Vec<_>>()))
+        });
         assert_eq!(
             groups,
             vec![
@@ -531,30 +491,32 @@ mod tests {
             bandwidth: 1e6,
             overhead: SimDuration::ZERO,
         };
-        for channel in [Channel::State, Channel::Regular] {
-            let mut net = SimNetwork::new(3, model);
-            let mut twin = SimNetwork::new(3, model);
-            // Something already in flight on the 2→0 link holds the copy back.
-            for n in [&mut net, &mut twin] {
-                n.send(SimTime::ZERO, ActorId(2), ActorId(0), channel, 500, ());
-            }
-            let mut groups = Vec::new();
-            net.multicast(
-                SimTime(7),
+        let mut net = SimNetwork::new(3, model);
+        let mut twin = SimNetwork::new(3, model);
+        // Something already in flight on the 2→0 link holds the copy back.
+        for n in [&mut net, &mut twin] {
+            n.send(
+                SimTime::ZERO,
                 ActorId(2),
-                Dests::One(ActorId(0)),
-                channel,
-                10,
-                |at, g| groups.push((at, g.iter().collect::<Vec<_>>())),
+                ActorId(0),
+                Channel::State,
+                500,
+                (),
             );
-            let d = twin.send(SimTime(7), ActorId(2), ActorId(0), channel, 10, ());
-            assert_eq!(groups, vec![(d.at, vec![ActorId(0)])]);
-            assert_eq!(net.sent_state(), twin.sent_state());
-            assert_eq!(net.bytes_state(), twin.bytes_state());
-            assert_eq!(net.sent_regular(), twin.sent_regular());
-            assert_eq!(net.bytes_regular(), twin.bytes_regular());
-            assert_eq!(net.link_clear_at, twin.link_clear_at);
         }
+        let mut groups = Vec::new();
+        net.multicast(
+            SimTime(7),
+            ActorId(2),
+            Dests::One(ActorId(0)),
+            10,
+            |at, g| groups.push((at, g.iter().collect::<Vec<_>>())),
+        );
+        let d = twin.send(SimTime(7), ActorId(2), ActorId(0), Channel::State, 10, ());
+        assert_eq!(groups, vec![(d.at, vec![ActorId(0)])]);
+        assert_eq!(net.sent_state(), twin.sent_state());
+        assert_eq!(net.bytes_state(), twin.bytes_state());
+        assert_eq!(net.link_clear_at, twin.link_clear_at);
     }
 
     #[test]
@@ -566,7 +528,6 @@ mod tests {
             SimTime::ZERO,
             ActorId(1),
             Dests::from(dests.to_vec()),
-            Channel::State,
             8,
             |_, _| {},
         );
@@ -581,7 +542,6 @@ mod tests {
             SimTime::ZERO,
             ActorId(1),
             Dests::from(dests.to_vec()),
-            Channel::State,
             8,
             |_, _| {},
         );

@@ -20,8 +20,9 @@
 //! readers: **from the entry a reader's count last rose from zero at, every
 //! later entry that addresses the reader was buffered by it.** That holds
 //! when a reader that has unread messages is busy whenever a message is
-//! offered to it, and when an entry names only the actors that were offered
-//! its copies (see [`Backlog::close_fanout`]).
+//! offered to it, and when an entry names exactly the actors that were
+//! offered its copies: the destinations of the calendar entry it came in
+//! (see [`Backlog::close_fanout`]).
 
 use crate::dests::Dests;
 use crate::engine::ActorId;
@@ -143,9 +144,10 @@ impl<M: Clone> Backlog<M> {
 
     /// End the fan-out whose copies [`Backlog::offer`] handed out since the
     /// last close: if any reader buffered one, `entry` gives the message and
-    /// its destinations, and it is kept once for all of them. The
-    /// destinations must be every actor offered a copy since the last close
-    /// (buffered or not) and no other, each once.
+    /// the fan-out's destinations, and it is kept once for all of them. The
+    /// destinations must be exactly the actors offered a copy since the
+    /// last close (buffered or not), each once: a calendar entry's whole
+    /// [`Dests`] when every destination of it was offered one.
     pub fn close_fanout(&mut self, entry: impl FnOnce() -> (M, Dests)) {
         if self.pending == 0 {
             return;

@@ -58,51 +58,37 @@ impl Dests {
         }
     }
 
-    /// The destination at `cursor`, advancing it; `None` past the last.
-    #[inline]
-    pub(crate) fn next(&self, cursor: &mut Cursor) -> Option<ActorId> {
-        match self {
+    /// The destinations, in delivery order.
+    pub fn iter(&self) -> impl Iterator<Item = ActorId> + '_ {
+        // Destinations taken (a range or list), or words loaded (a set).
+        let mut index = 0;
+        // The members of the last word loaded not yet taken (a set).
+        let mut bits = 0u64;
+        std::iter::from_fn(move || match self {
             Dests::One(actor) => {
-                cursor.index += 1;
-                (cursor.index == 1).then_some(*actor)
+                index += 1;
+                (index == 1).then_some(*actor)
             }
             Dests::AllBut { n, except } => {
-                let r = cursor.index + usize::from(cursor.index >= except.index());
-                cursor.index += 1;
+                let r = index + usize::from(index >= except.index());
+                index += 1;
                 (r < *n).then_some(ActorId(r))
             }
             Dests::Set(set) => {
-                while cursor.bits == 0 {
-                    cursor.bits = *set.words().get(cursor.index)?;
-                    cursor.index += 1;
+                while bits == 0 {
+                    bits = *set.words().get(index)?;
+                    index += 1;
                 }
-                let bit = cursor.bits.trailing_zeros() as usize;
-                cursor.bits &= cursor.bits - 1;
-                Some(ActorId((cursor.index - 1) * 64 + bit))
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(ActorId((index - 1) * 64 + bit))
             }
             Dests::List(list) => {
-                cursor.index += 1;
-                list.get(cursor.index - 1).copied()
+                index += 1;
+                list.get(index - 1).copied()
             }
-        }
+        })
     }
-
-    /// The destinations, in delivery order.
-    pub fn iter(&self) -> impl Iterator<Item = ActorId> + '_ {
-        let mut cursor = Cursor::default();
-        std::iter::from_fn(move || self.next(&mut cursor))
-    }
-}
-
-/// A position in a [`Dests`]'s delivery order: the start, by default.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct Cursor {
-    /// Destinations taken (a range or list), or words loaded (a set).
-    index: usize,
-    /// The members of the last word loaded not yet taken (a set).
-    bits: u64,
-    /// Destinations yielded so far through [`Recipients`](crate::Recipients).
-    pub(crate) taken: usize,
 }
 
 impl From<Vec<ActorId>> for Dests {

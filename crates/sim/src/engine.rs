@@ -15,26 +15,23 @@
 //! single calendar entry, with its destinations as a [`Dests`] (a rank range
 //! or a shared set is never expanded into a list). When it pops, the
 //! simulator hands the whole entry to the world in one
-//! [`World::handle_fanout`] call, which takes the destinations one at a
-//! time from [`Recipients`]; each one taken is one processed step. The
-//! provided `handle_fanout` calls [`World::handle`] once per destination; a
-//! world may override it to treat the destinations in one loop, reading the
-//! event by reference.
+//! [`World::handle_fanout`] call; each destination is one processed step.
+//! The provided `handle_fanout` calls [`World::handle`] once per
+//! destination; a world may override it to treat the destinations in one
+//! loop, reading the event by reference.
 //!
 //! Either way the order is exactly that of the same destinations as
 //! separate [`Scheduler::schedule_at`] calls made back to back: those
 //! entries share a time and sit back to back in that instant's FIFO bucket,
 //! so no other entry can pop between them, and anything scheduled while
 //! they are handled joins the bucket behind them and pops after the last of
-//! them. A stop requested part-way, or the `max_events` limit reached
-//! part-way, ends the iteration; the undelivered destinations stay pending
-//! and the next [`Simulator::step`] resumes them before popping the
-//! calendar again.
+//! them. The calendar entry is the unit of delivery: a stop request, or the
+//! `max_events` limit, takes effect between entries, so within a fan-out
+//! it takes effect after the last destination.
 
-use crate::dests::{Cursor, Dests};
+use crate::dests::Dests;
 use crate::queue::EventQueue;
-use crate::time::{SimDuration, SimTime};
-use std::cell::Cell;
+use crate::time::SimTime;
 
 /// Identifies an actor (simulated process) inside a world.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -68,7 +65,7 @@ fn push_fanout<E>(queue: &mut Calendar<E>, at: SimTime, dests: Dests, event: E) 
 pub struct Scheduler<'a, E> {
     queue: &'a mut Calendar<E>,
     now: SimTime,
-    stop_requested: &'a Cell<bool>,
+    stop_requested: bool,
 }
 
 impl<'a, E> Scheduler<'a, E> {
@@ -76,12 +73,6 @@ impl<'a, E> Scheduler<'a, E> {
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Schedule `event` for `actor` at `delay` from now.
-    pub fn schedule_in(&mut self, delay: SimDuration, actor: ActorId, event: E) {
-        self.queue
-            .push(self.now + delay, (Dests::One(actor), event));
     }
 
     /// Schedule `event` for `actor` at absolute time `at`. Events scheduled
@@ -100,59 +91,10 @@ impl<'a, E> Scheduler<'a, E> {
         push_fanout(self.queue, at.max(self.now), dests, event);
     }
 
-    /// Ask the simulator to stop after the current event completes (within
-    /// a fan-out entry: after the current destination).
+    /// Ask the simulator to stop once the current calendar entry is handled
+    /// (within a fan-out entry: after its last destination).
     pub fn request_stop(&mut self) {
-        self.stop_requested.set(true);
-    }
-}
-
-/// The undelivered destinations of a fan-out entry, handed to
-/// [`World::handle_fanout`]. Each destination it yields counts as one
-/// processed step; it yields nothing more once a stop has been requested or
-/// the simulator's `max_events` is reached, and the rest then stay pending.
-pub struct Recipients<'a> {
-    dests: &'a Dests,
-    /// Where the next destination is.
-    cursor: &'a mut Cursor,
-    processed: &'a mut u64,
-    max_events: u64,
-    stop_requested: &'a Cell<bool>,
-}
-
-impl Iterator for Recipients<'_> {
-    type Item = ActorId;
-
-    #[inline]
-    fn next(&mut self) -> Option<ActorId> {
-        if self.stop_requested.get() || *self.processed >= self.max_events {
-            return None;
-        }
-        let actor = self.dests.next(self.cursor)?;
-        self.cursor.taken += 1;
-        *self.processed += 1;
-        Some(actor)
-    }
-}
-
-impl Recipients<'_> {
-    /// How many destinations of the entry have been yielded, by this call
-    /// and by any earlier one that a stop cut short.
-    #[inline]
-    pub fn taken(&self) -> usize {
-        self.cursor.taken
-    }
-
-    /// The destinations yielded since [`Recipients::taken`] read `from`, in
-    /// order: the entry's own [`Dests`] when that is all of them (a fan-out
-    /// delivered in one call), else a list of them.
-    pub fn yielded_since(&self, from: usize) -> Dests {
-        if from == 0 && self.cursor.taken == self.dests.len() {
-            self.dests.clone()
-        } else {
-            let span = self.dests.iter().skip(from).take(self.cursor.taken - from);
-            Dests::List(span.collect())
-        }
+        self.stop_requested = true;
     }
 }
 
@@ -170,43 +112,40 @@ pub trait World {
         sched: &mut Scheduler<'_, Self::Event>,
     );
 
-    /// Handle a fan-out entry: `event`, at time `now`, for each actor that
-    /// `recipients` yields, in that order. An override must treat each
-    /// yielded actor exactly as [`World::handle`] would, and should take
-    /// them until the iterator ends; the provided method calls `handle` on
-    /// a copy of the event for each. See the [module docs](self).
+    /// Handle a fan-out entry: `event`, at time `now`, for each of `dests`,
+    /// in order. An override must treat each destination exactly as
+    /// [`World::handle`] would; the provided method calls `handle` on a copy
+    /// of the event for each. See the [module docs](self).
     fn handle_fanout(
         &mut self,
         now: SimTime,
-        recipients: &mut Recipients<'_>,
+        dests: &Dests,
         event: &Self::Event,
         sched: &mut Scheduler<'_, Self::Event>,
     ) where
         Self::Event: Clone,
     {
-        for actor in recipients {
+        for actor in dests.iter() {
             self.handle(now, actor, event.clone(), sched);
         }
     }
 
-    /// Called once when the calendar drains or the horizon/stop is reached.
+    /// Called once when a run ends: the calendar drained, a stop was
+    /// requested or the event limit was reached.
     fn on_finish(&mut self, _now: SimTime) {}
 }
 
 /// Configuration for a simulation run.
 #[derive(Clone, Copy, Debug)]
 pub struct SimConfig {
-    /// Hard horizon: the run stops when the clock would pass this time.
-    pub horizon: SimTime,
-    /// Safety valve against runaway models: maximum number of events
-    /// processed before the run aborts with an error.
+    /// Safety valve against runaway models: once this many events have been
+    /// processed, the run ends before the next calendar entry.
     pub max_events: u64,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            horizon: SimTime::MAX,
             max_events: u64::MAX,
         }
     }
@@ -219,9 +158,7 @@ pub enum StopReason {
     Drained,
     /// The world requested a stop.
     Requested,
-    /// The horizon was reached.
-    Horizon,
-    /// `max_events` was exceeded — almost always a model bug (livelock).
+    /// `max_events` was reached — almost always a model bug (livelock).
     EventLimit,
 }
 
@@ -234,11 +171,11 @@ pub enum StopReason {
 /// struct Ring { n: usize, hops: u32 }
 /// impl World for Ring {
 ///     type Event = u32;
-///     fn handle(&mut self, _now: SimTime, a: ActorId, ev: u32, s: &mut Scheduler<'_, u32>) {
+///     fn handle(&mut self, now: SimTime, a: ActorId, ev: u32, s: &mut Scheduler<'_, u32>) {
 ///         self.hops += 1;
 ///         if ev > 0 {
 ///             let next = ActorId((a.index() + 1) % self.n);
-///             s.schedule_in(SimDuration::from_micros(10), next, ev - 1);
+///             s.schedule_at(now + SimDuration::from_micros(10), next, ev - 1);
 ///         }
 ///     }
 /// }
@@ -252,20 +189,9 @@ pub enum StopReason {
 /// ```
 pub struct Simulator<E> {
     queue: Calendar<E>,
-    /// The fan-out entry popped last, while destinations remain.
-    fanout: Option<Fanout<E>>,
     now: SimTime,
     processed: u64,
     config: SimConfig,
-}
-
-/// A fan-out entry part way through delivery.
-struct Fanout<E> {
-    time: SimTime,
-    dests: Dests,
-    /// Where the next destination is.
-    cursor: Cursor,
-    event: E,
 }
 
 impl<E> Simulator<E> {
@@ -273,7 +199,6 @@ impl<E> Simulator<E> {
     pub fn new(config: SimConfig) -> Self {
         Simulator {
             queue: EventQueue::new(),
-            fanout: None,
             now: SimTime::ZERO,
             processed: 0,
             config,
@@ -291,14 +216,14 @@ impl<E> Simulator<E> {
         self.processed
     }
 
-    /// Schedule an initial event before the run starts (or between steps).
+    /// Schedule an initial event before the run starts (or between runs).
     pub fn schedule_at(&mut self, at: SimTime, actor: ActorId, event: E) {
         self.queue
             .push(at.max(self.now), (Dests::One(actor), event));
     }
 
     /// Schedule `event` for each of `dests` before the run starts (or
-    /// between steps), as one calendar entry; see
+    /// between runs), as one calendar entry; see
     /// [`Scheduler::schedule_fanout_at`].
     pub fn schedule_fanout_at(&mut self, at: SimTime, dests: Dests, event: E) {
         push_fanout(&mut self.queue, at.max(self.now), dests, event);
@@ -306,82 +231,38 @@ impl<E> Simulator<E> {
 }
 
 impl<E: Clone> Simulator<E> {
-    /// Deliver the next calendar entry to the world — or, while a fan-out
-    /// entry is part way through, the rest of it — or say why the run is
-    /// over. An entry past the horizon stays pending.
-    pub fn step<W: World<Event = E>>(&mut self, world: &mut W) -> Result<(), StopReason> {
+    /// Deliver the next calendar entry, every destination of it, to the
+    /// world, or say why the run is over.
+    fn step<W: World<Event = E>>(&mut self, world: &mut W) -> Result<(), StopReason> {
         if self.processed >= self.config.max_events {
             return Err(StopReason::EventLimit);
         }
-        let stop = Cell::new(false);
-        let Simulator {
-            queue,
-            fanout,
-            now,
-            processed,
-            config,
-        } = self;
-        if fanout.is_none() {
-            match queue.peek_time() {
-                None => return Err(StopReason::Drained),
-                Some(time) if time > config.horizon => return Err(StopReason::Horizon),
-                Some(_) => {}
-            }
-            let (time, (dests, event)) = queue.pop().expect("peeked");
-            debug_assert!(time >= *now, "time went backwards");
-            *now = time;
-            match dests {
-                Dests::One(actor) => {
-                    *processed += 1;
-                    let mut sched = Scheduler {
-                        queue,
-                        now: time,
-                        stop_requested: &stop,
-                    };
-                    world.handle(time, actor, event, &mut sched);
-                }
-                dests => {
-                    *fanout = Some(Fanout {
-                        time,
-                        dests,
-                        cursor: Cursor::default(),
-                        event,
-                    });
-                }
-            }
+        let (time, (dests, event)) = self.queue.pop().ok_or(StopReason::Drained)?;
+        debug_assert!(time >= self.now, "time went backwards");
+        self.now = time;
+        self.processed += dests.len() as u64;
+        let mut sched = Scheduler {
+            queue: &mut self.queue,
+            now: time,
+            stop_requested: false,
+        };
+        match dests {
+            Dests::One(actor) => world.handle(time, actor, event, &mut sched),
+            dests => world.handle_fanout(time, &dests, &event, &mut sched),
         }
-        if let Some(f) = fanout {
-            let mut sched = Scheduler {
-                queue,
-                now: f.time,
-                stop_requested: &stop,
-            };
-            let mut recipients = Recipients {
-                dests: &f.dests,
-                cursor: &mut f.cursor,
-                processed,
-                max_events: config.max_events,
-                stop_requested: &stop,
-            };
-            world.handle_fanout(f.time, &mut recipients, &f.event, &mut sched);
-            if f.cursor.taken == f.dests.len() {
-                *fanout = None;
-            }
-        }
-        if stop.get() {
+        if sched.stop_requested {
             Err(StopReason::Requested)
         } else {
             Ok(())
         }
     }
 
-    /// Run until the calendar drains, the horizon passes, the world requests
-    /// a stop, or the event limit trips.
+    /// Run until the calendar drains, the world requests a stop, or the
+    /// event limit trips.
     pub fn run<W: World<Event = E>>(&mut self, world: &mut W) -> StopReason {
         let reason = loop {
-            match self.step(world) {
-                Ok(()) => {}
-                Err(r) => break r,
+            if let Err(r) = self.step(world) {
+                break r;
             }
         };
         world.on_finish(self.now);
@@ -392,6 +273,7 @@ impl<E: Clone> Simulator<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     /// A world where each actor, upon receiving `n`, schedules `n-1` for the
     /// next actor until 0. Verifies clock progression and delivery order.
@@ -412,7 +294,7 @@ mod tests {
             self.log.push((now.as_nanos(), actor.index(), ev));
             if ev > 0 {
                 let next = ActorId((actor.index() + 1) % self.nprocs);
-                sched.schedule_in(SimDuration::from_nanos(10), next, ev - 1);
+                sched.schedule_at(now + SimDuration::from_nanos(10), next, ev - 1);
             }
         }
     }
@@ -442,34 +324,15 @@ mod tests {
     }
 
     #[test]
-    fn horizon_stops_run() {
-        let mut sim = Simulator::new(SimConfig {
-            horizon: SimTime(25),
-            ..Default::default()
-        });
-        let mut w = Relay {
-            log: vec![],
-            nprocs: 2,
-        };
-        sim.schedule_at(SimTime::ZERO, ActorId(0), 100);
-        let reason = sim.run(&mut w);
-        assert_eq!(reason, StopReason::Horizon);
-        assert!(w.log.len() <= 3);
-    }
-
-    #[test]
     fn event_limit_detects_livelock() {
         struct Livelock;
         impl World for Livelock {
             type Event = ();
             fn handle(&mut self, _: SimTime, a: ActorId, _: (), s: &mut Scheduler<'_, ()>) {
-                s.schedule_in(SimDuration::ZERO, a, ());
+                s.schedule_at(s.now(), a, ());
             }
         }
-        let mut sim = Simulator::new(SimConfig {
-            max_events: 1000,
-            ..Default::default()
-        });
+        let mut sim = Simulator::new(SimConfig { max_events: 1000 });
         sim.schedule_at(SimTime::ZERO, ActorId(0), ());
         assert_eq!(sim.run(&mut Livelock), StopReason::EventLimit);
     }
@@ -484,7 +347,7 @@ mod tests {
                 if self.0 == 3 {
                     s.request_stop();
                 } else {
-                    s.schedule_in(SimDuration::from_nanos(1), a, ());
+                    s.schedule_at(s.now() + SimDuration::from_nanos(1), a, ());
                 }
             }
         }
@@ -545,7 +408,7 @@ mod tests {
             fn handle(&mut self, _: SimTime, a: ActorId, ev: u8, s: &mut Scheduler<'_, u8>) {
                 self.0.push((a.index(), ev));
                 if ev == 1 {
-                    s.schedule_in(SimDuration::ZERO, a, 2);
+                    s.schedule_at(s.now(), a, 2);
                 }
             }
         }

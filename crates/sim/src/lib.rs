@@ -24,15 +24,14 @@
 //!   destinations are a [`Dests`]: an all-but-sender rank range or a shared
 //!   [`RankSet`] travels as is, and only an arbitrary order is a list. On
 //!   delivery the simulator hands the whole entry to the world in one
-//!   [`World::handle_fanout`] call, which takes the destinations one at a
-//!   time from [`Recipients`], one processed step each, before the calendar
-//!   pops again (the provided method makes one [`World::handle`] call per
-//!   destination). That is exactly the order of `P−1` separate entries: they
-//!   would sit back to back in their instant's FIFO bucket, so no other
-//!   entry could pop between them, and anything scheduled while they are
-//!   handled joins the bucket behind them and pops after the last one. A
-//!   stop or the event limit reached part-way leaves the rest pending for
-//!   the next step.
+//!   [`World::handle_fanout`] call, one processed step per destination,
+//!   before the calendar pops again (the provided method makes one
+//!   [`World::handle`] call per destination). That is exactly the order of
+//!   `P−1` separate entries: they would sit back to back in their instant's
+//!   FIFO bucket, so no other entry could pop between them, and anything
+//!   scheduled while they are handled joins the bucket behind them and pops
+//!   after the last one. A stop request or the event limit takes effect
+//!   between entries.
 //! * [`Backlog`] — messages that wait for busy actors, with each fan-out's
 //!   message buffered once for all its busy destinations instead of once
 //!   per destination.
@@ -56,7 +55,7 @@ pub mod time;
 
 pub use backlog::Backlog;
 pub use dests::Dests;
-pub use engine::{ActorId, Recipients, Scheduler, SimConfig, Simulator, StopReason, World};
+pub use engine::{ActorId, Scheduler, SimConfig, Simulator, StopReason, World};
 pub use queue::EventQueue;
 pub use rankset::RankSet;
 pub use rng::{SimRng, SplitMix64};

@@ -140,15 +140,6 @@ impl<E> EventQueue<E> {
         Some((self.front_time, event))
     }
 
-    /// Time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if self.front.is_empty() {
-            self.times.peek().map(|&Reverse(t)| t)
-        } else {
-            Some(self.front_time)
-        }
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
@@ -208,15 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_reports_earliest() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.push(SimTime(42), ());
-        q.push(SimTime(7), ());
-        assert_eq!(q.peek_time(), Some(SimTime(7)));
-    }
-
-    #[test]
     fn earlier_push_goes_ahead_of_the_front() {
         let mut q = EventQueue::new();
         q.push(SimTime(20), "b1");
@@ -226,7 +208,6 @@ mod tests {
         // The front (20, holding b2) goes back behind the earlier instant.
         q.push(SimTime(10), "a");
         q.push(SimTime(20), "b3");
-        assert_eq!(q.peek_time(), Some(SimTime(10)));
         assert_eq!(q.pop(), Some((SimTime(10), "a")));
         assert_eq!(q.pop(), Some((SimTime(20), "b2")));
         assert_eq!(q.pop(), Some((SimTime(20), "b3")));

@@ -20,7 +20,7 @@ pub struct SimDuration(pub u64);
 impl SimTime {
     /// The origin of simulated time.
     pub const ZERO: SimTime = SimTime(0);
-    /// The largest representable instant; used as an "infinite" horizon.
+    /// The largest representable instant, where time arithmetic saturates.
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Nanoseconds since the start of the run.

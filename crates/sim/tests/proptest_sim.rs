@@ -1,8 +1,8 @@
 //! Property tests for the simulation substrate.
 
 use loadex_sim::{
-    ActorId, Backlog, Dests, EventQueue, RankSet, Recipients, Scheduler, SimConfig, SimDuration,
-    SimRng, SimTime, Simulator, SplitMix64, StopReason, Welford, World,
+    ActorId, Backlog, Dests, EventQueue, RankSet, Scheduler, SimConfig, SimDuration, SimRng,
+    SimTime, Simulator, SplitMix64, StopReason, Welford, World,
 };
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -96,11 +96,11 @@ impl World for Batched<'_> {
     fn handle_fanout(
         &mut self,
         now: SimTime,
-        recipients: &mut Recipients<'_>,
+        dests: &Dests,
         ev: &(u64, u8),
         sched: &mut Scheduler<'_, (u64, u8)>,
     ) {
-        for actor in recipients {
+        for actor in dests.iter() {
             self.0.deliver(now, actor, ev, sched);
         }
     }
@@ -134,7 +134,7 @@ impl Cascade {
             let child = (rng.next_u64(), depth - 1);
             if rng.next_u64().is_multiple_of(3) {
                 let to = ActorId((rng.next_u64() % ACTORS) as usize);
-                sched.schedule_in(SimDuration::from_nanos(delay), to, child);
+                sched.schedule_at(now + SimDuration::from_nanos(delay), to, child);
             } else {
                 let dests = dests_from(&mut rng);
                 self.send(now + SimDuration::from_nanos(delay), &dests, child, sched);
@@ -153,7 +153,7 @@ enum Mode {
     /// One `schedule_at` per destination.
     Expanded,
     /// One fan-out entry, handled by the provided `handle_fanout`.
-    Fanout,
+    Provided,
     /// One fan-out entry, handled by [`Batched`]'s override.
     Batched,
 }
@@ -184,7 +184,7 @@ fn run_cascade(
     loop {
         let reason = match mode {
             Mode::Batched => sim.run(&mut Batched(&mut world)),
-            Mode::Expanded | Mode::Fanout => sim.run(&mut world),
+            Mode::Expanded | Mode::Provided => sim.run(&mut world),
         };
         stops.push((reason, sim.now().as_nanos(), sim.processed()));
         if reason != StopReason::Requested {
@@ -250,9 +250,8 @@ impl Mailboxes {
 }
 
 /// Random operations on a [`Backlog`] and on per-reader FIFO queues side by
-/// side: fan-outs (some delivered in two parts, as when a stop cuts one
-/// short and a later step resumes it), single deliveries, busy flags
-/// switched, and one-at-a-time or full drains. Every read must match the
+/// side: fan-outs, single deliveries, busy flags switched, and
+/// one-at-a-time or full drains. Every read must match the
 /// reference, and once every reader has drained, nothing may be left.
 fn backlog_matches_fifo_mailboxes(seed: u64, n: usize, steps: usize) -> Result<(), TestCaseError> {
     let mut rng = SplitMix64::new(seed);
@@ -271,24 +270,11 @@ fn backlog_matches_fifo_mailboxes(seed: u64, n: usize, steps: usize) -> Result<(
             }
             1 | 2 => {
                 let dests = random_dests(&mut rng, n);
-                let order: Vec<ActorId> = dests.iter().collect();
-                // Cut after `cut` receivers, or not at all.
-                let cut = (rng.next_u64() % (order.len() as u64 + 1)) as usize;
-                for part in [&order[..cut], &order[cut..]] {
-                    for &q in part {
-                        let buffered = backlog.offer(q).is_some();
-                        prop_assert_eq!(buffered, model.deliver(q, msg));
-                    }
-                    let part = if cut == 0 || cut == order.len() {
-                        dests.clone()
-                    } else {
-                        Dests::List(part.into())
-                    };
-                    backlog.close_fanout(|| (msg, part));
-                    if cut == 0 || cut == order.len() {
-                        break;
-                    }
+                for q in dests.iter() {
+                    let buffered = backlog.offer(q).is_some();
+                    prop_assert_eq!(buffered, model.deliver(q, msg));
                 }
+                backlog.close_fanout(|| (msg, dests));
             }
             3 => {
                 let buffered = backlog.offer_single(r, || msg).is_some();
@@ -399,24 +385,23 @@ impl World for Readers {
     fn handle_fanout(
         &mut self,
         now: SimTime,
-        recipients: &mut Recipients<'_>,
+        dests: &Dests,
         ev: &ReaderEv,
         s: &mut Scheduler<'_, ReaderEv>,
     ) {
         let (ReaderEv::Msg(msg), true) = (*ev, self.backlog.is_some()) else {
-            for r in recipients {
+            for r in dests.iter() {
                 self.handle(now, r, *ev, s);
             }
             return;
         };
-        let start = recipients.taken();
-        for r in recipients.by_ref() {
+        for r in dests.iter() {
             if self.backlog.as_mut().unwrap().offer(r).is_none() {
                 self.read_now(r, msg, s);
             }
         }
         let backlog = self.backlog.as_mut().unwrap();
-        backlog.close_fanout(|| (msg, recipients.yielded_since(start)));
+        backlog.close_fanout(|| (msg, dests.clone()));
     }
 }
 
@@ -477,8 +462,8 @@ proptest! {
     /// Interleaved pushes and pops against a model that sorts by
     /// `(time, push index)`: few distinct instants, so buckets fill, drain
     /// and come back, and pushes at the instant just popped, as a world
-    /// scheduling "now" does. `len`, `peek_time` and `is_empty` agree with
-    /// the model after every step.
+    /// scheduling "now" does. `len` and `is_empty` agree with the model
+    /// after every step.
     #[test]
     fn event_queue_matches_a_stable_model_under_interleaving(
         ops in prop::collection::vec((0u8..4, 0u64..4), 1..300),
@@ -511,7 +496,6 @@ proptest! {
             }
             prop_assert_eq!(q.len(), model.len());
             prop_assert_eq!(q.is_empty(), model.is_empty());
-            prop_assert_eq!(q.peek_time(), model.iter().map(|&(time, _)| time).min());
         }
         let mut rest = Vec::new();
         while let Some(popped) = q.pop() {
@@ -549,32 +533,25 @@ proptest! {
     /// A fan-out entry delivers exactly as its destinations would one by one
     /// from back-to-back `schedule_at` calls: same `(time, actor, event)`
     /// sequence, including events scheduled at the same instant from inside
-    /// the fan-out, and the same stop when `request_stop`, `max_events` or
-    /// the horizon cuts a fan-out short.
+    /// the fan-out, and the same step count. (A stop inside a fan-out takes
+    /// effect after its last destination, so there the two may differ.)
     #[test]
     fn fanout_delivers_like_expanded_single_entries(
         seed in any::<u64>(),
         initial in prop::collection::vec((0u64..30, any::<u64>()), 1..8),
-        max_events in prop::option::of(0u64..120),
-        horizon in prop::option::of(0u64..60),
-        stop_at in prop::option::of(1u64..120),
     ) {
-        let config = SimConfig {
-            horizon: horizon.map_or(SimTime::MAX, SimTime),
-            max_events: max_events.unwrap_or(u64::MAX),
-        };
-        let expanded = run_cascade(Mode::Expanded, seed, &initial, config, stop_at);
-        let fanned = run_cascade(Mode::Fanout, seed, &initial, config, stop_at);
+        let config = SimConfig::default();
+        let expanded = run_cascade(Mode::Expanded, seed, &initial, config, None);
+        let fanned = run_cascade(Mode::Provided, seed, &initial, config, None);
         prop_assert_eq!(fanned, expanded);
     }
 
     /// A world whose `handle_fanout` treats the destinations in one loop
     /// delivers exactly what the provided one-`handle`-per-destination
     /// method does: the same `(time, actor, event)` log and the same
-    /// `processed()` count at every stop. A stop requested part-way through
-    /// a fan-out leaves the rest for the resumed run, which delivers it
-    /// before anything else; `max_events` reached part-way ends the run with
-    /// a prefix of the unlimited run's log.
+    /// `processed()` count at every stop. A stop requested inside a fan-out
+    /// takes effect after its last destination; `max_events` ends the run
+    /// between entries with a prefix of the unlimited run's log.
     #[test]
     fn batched_fanout_handler_matches_the_provided_one(
         seed in any::<u64>(),
@@ -584,9 +561,8 @@ proptest! {
     ) {
         let config = SimConfig {
             max_events: max_events.unwrap_or(u64::MAX),
-            ..SimConfig::default()
         };
-        let provided = run_cascade(Mode::Fanout, seed, &initial, config, stop_at);
+        let provided = run_cascade(Mode::Provided, seed, &initial, config, stop_at);
         let batched = run_cascade(Mode::Batched, seed, &initial, config, stop_at);
         prop_assert_eq!(&batched, &provided);
         let unlimited = run_cascade(Mode::Batched, seed, &initial, SimConfig::default(), stop_at);
@@ -613,12 +589,11 @@ proptest! {
     }
 
     /// A world that buffers fan-outs in a backlog reads what the
-    /// per-destination world reads, reader by reader, when requested stops
-    /// cut fan-outs short and later steps resume them, or the event limit
-    /// cuts one for good: each remaining receiver gets its copy once, and a
-    /// receiver served before the cut does not read it again.
+    /// per-destination world reads, reader by reader, across requested
+    /// stops and resumed runs, or when the event limit ends the run: each
+    /// receiver reads its copy once.
     #[test]
-    fn backlog_fanouts_cut_short_and_resumed_read_like_mailboxes(
+    fn backlog_fanouts_read_like_mailboxes_across_stops_and_the_event_limit(
         seed in any::<u64>(),
         n in 1usize..8,
         max_events in prop::option::of(1u64..200),
@@ -626,7 +601,6 @@ proptest! {
     ) {
         let config = SimConfig {
             max_events: max_events.unwrap_or(u64::MAX),
-            ..SimConfig::default()
         };
         let reference = run_readers(seed, n, false, config, stop_at);
         let batched = run_readers(seed, n, true, config, stop_at);
@@ -663,10 +637,10 @@ impl World for StopLog {
 }
 
 #[test]
-fn stop_and_event_limit_part_way_leave_the_rest_of_a_fanout_pending() {
+fn stop_and_event_limit_take_effect_after_the_whole_fanout() {
     let dests: Vec<ActorId> = [4, 0, 3, 1].map(ActorId).to_vec();
-    // A stop on the second destination: the resumed run delivers the other
-    // two before the later entry.
+    // A stop on the second destination: the fan-out is delivered whole, and
+    // the later entry waits for the next run.
     let mut sim = Simulator::new(SimConfig::default());
     sim.schedule_fanout_at(SimTime(5), dests.clone().into(), 1);
     sim.schedule_at(SimTime(5), ActorId(2), 2);
@@ -675,24 +649,26 @@ fn stop_and_event_limit_part_way_leave_the_rest_of_a_fanout_pending() {
         log: vec![],
     };
     assert_eq!(sim.run(&mut w), StopReason::Requested);
-    assert_eq!(sim.processed(), 2);
+    let order =
+        |w: &StopLog| -> Vec<(usize, u8)> { w.log.iter().map(|&(_, a, ev)| (a, ev)).collect() };
+    assert_eq!(order(&w), vec![(4, 1), (0, 1), (3, 1), (1, 1)]);
+    assert_eq!(sim.processed(), 4);
     assert_eq!(sim.run(&mut w), StopReason::Drained);
-    let order: Vec<(usize, u8)> = w.log.iter().map(|&(_, a, ev)| (a, ev)).collect();
-    assert_eq!(order, vec![(4, 1), (0, 1), (3, 1), (1, 1), (2, 2)]);
+    assert_eq!(order(&w), vec![(4, 1), (0, 1), (3, 1), (1, 1), (2, 2)]);
     assert_eq!(sim.processed(), 5);
-    // The event limit part-way: every later step reports it and delivers
-    // nothing more.
-    let mut sim = Simulator::new(SimConfig {
-        max_events: 3,
-        ..SimConfig::default()
-    });
+    // The event limit inside the fan-out: the entry completes, and every
+    // later run reports the limit and delivers nothing more.
+    let mut sim = Simulator::new(SimConfig { max_events: 3 });
     sim.schedule_fanout_at(SimTime(5), dests.into(), 1);
+    sim.schedule_at(SimTime(6), ActorId(2), 2);
     let mut w = StopLog {
         stops: vec![],
         log: vec![],
     };
     assert_eq!(sim.run(&mut w), StopReason::EventLimit);
-    assert_eq!(sim.step(&mut w), Err(StopReason::EventLimit));
-    assert_eq!(w.log.len(), 3);
-    assert_eq!(sim.processed(), 3);
+    assert_eq!(w.log.len(), 4);
+    assert_eq!(sim.processed(), 4);
+    assert_eq!(sim.run(&mut w), StopReason::EventLimit);
+    assert_eq!(w.log.len(), 4);
+    assert_eq!(sim.processed(), 4);
 }

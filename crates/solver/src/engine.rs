@@ -59,7 +59,7 @@ use crate::work::{self, Task};
 use loadex_core::{AnyMechanism, Mechanism, OutMsg, Outbox, StateMsg};
 use loadex_net::{Channel, SimNetwork};
 use loadex_obs::{MetricsRegistry, ProtocolEvent, Recorder, ViewAccuracyProbe};
-use loadex_sim::{ActorId, Backlog, Recipients, Scheduler, SimDuration, SimTime, World};
+use loadex_sim::{ActorId, Backlog, Dests, Scheduler, SimDuration, SimTime, World};
 use loadex_sparse::AssemblyTree;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -462,7 +462,7 @@ impl SimHost<'_, '_, '_> {
             let size = msg.wire_size();
             let msg = Rc::new(msg);
             let dests = dest.into_dests(from, nprocs);
-            net.multicast(now, from, dests, Channel::State, size, |at, group| {
+            net.multicast(now, from, dests, size, |at, group| {
                 if obs {
                     let latency = at.since(now).as_nanos() as f64;
                     for _ in 0..group.len() {
@@ -838,21 +838,18 @@ impl World for SolverWorld {
     fn handle_fanout(
         &mut self,
         now: SimTime,
-        recipients: &mut Recipients<'_>,
+        dests: &Dests,
         event: &Ev,
         sched: &mut Scheduler<'_, Ev>,
     ) {
         let Ev::State(from, msg) = event else {
-            for actor in recipients {
+            for actor in dests.iter() {
                 self.handle(now, actor, event.clone(), sched);
             }
             return;
         };
         let comm_thread = self.cfg.comm == CommMode::CommThread;
-        // A stop may cut this fan-out short, or this call may resume one:
-        // the kept entry names only the receivers this call reached.
-        let start = recipients.taken();
-        for actor in recipients.by_ref() {
+        for actor in dests.iter() {
             match self.st.inbox.offer(actor) {
                 Some(1) if comm_thread => sched.schedule_at(next_poll(now), actor, Ev::Poll),
                 Some(_) => {}
@@ -863,7 +860,7 @@ impl World for SolverWorld {
         }
         self.st
             .inbox
-            .close_fanout(|| ((*from, Rc::clone(msg)), recipients.yielded_since(start)));
+            .close_fanout(|| ((*from, Rc::clone(msg)), dests.clone()));
     }
 
     fn on_finish(&mut self, now: SimTime) {

@@ -99,10 +99,7 @@ fn run_sim(
     world.set_recorder(recorder);
     // Generous livelock valve: proportional to the task count.
     let max_events = 2_000 * (tree.len() as u64 + 64) * (cfg.nprocs as u64 + 4);
-    let mut sim = Simulator::new(SimConfig {
-        max_events,
-        ..Default::default()
-    });
+    let mut sim = Simulator::new(SimConfig { max_events });
     for p in 0..cfg.nprocs {
         sim.schedule_at(SimTime::ZERO, ActorId(p), Ev::Kick);
     }
@@ -116,7 +113,6 @@ fn run_sim(
             }
         }
         StopReason::EventLimit => return Err(RunError::Livelock { events: max_events }),
-        StopReason::Horizon => unreachable!("no horizon configured"),
     }
     Ok(world.report())
 }

@@ -34,15 +34,20 @@ CARGO_TARGET_DIR=.bench_build run cargo test --release --offline --locked \
     --manifest-path perfbench/Cargo.toml -q
 # Byte identity at full scale: one untimed pass of each benchmark workload
 # checks the run fingerprints at P=512 and P=1024 and Tables 3-7 cell by
-# cell, sizes `tables --all` (P <= 128) never reaches (~14 s in all).
-for workload in paper-tables incr-p512 snap-p1024 observed-p128; do
-    echo "==> perfbench --workload $workload --seconds 0"
+# cell, sizes `tables --all` (P <= 128) never reaches (~14 s in all). The
+# traced passes (`--trace 1`) of the two large runs also check that the
+# per-destination `World::handle_fanout` of perfbench's timed world and
+# `SolverWorld`'s one-loop override agree on 511- and 1023-wide fan-outs.
+for pass in paper-tables:0 incr-p512:0 incr-p512:1 snap-p1024:0 snap-p1024:1 \
+    observed-p128:0; do
+    workload=${pass%:*} trace=${pass#*:}
+    echo "==> perfbench --workload $workload --seconds 0 --trace $trace"
     result=$(CARGO_TARGET_DIR=.bench_build python3 perfbench/run.py \
-        --workload "$workload" --seed 1 --seconds 0 --trace 0 | tail -n 1)
+        --workload "$workload" --seed 1 --seconds 0 --trace "$trace" | tail -n 1)
     if ! python3 -c 'import json, sys
 r = json.loads(sys.argv[1])
 sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result"; then
-        echo "perfbench $workload is not correct: $result"
+        echo "perfbench $workload --trace $trace is not correct: $result"
         exit 1
     fi
 done
