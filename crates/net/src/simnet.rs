@@ -11,10 +11,10 @@
 //! event calendar. This keeps the crate independent of any particular event
 //! type.
 //!
-//! A one-to-many send goes through [`SimNetwork::multicast`]: each copy is
-//! routed on its own link exactly as [`SimNetwork::send`] would route it,
-//! but no payload is cloned and the destination set ([`Dests`]: one rank,
-//! an all-but-sender range, a shared rank set or a list) is not copied.
+//! A one-to-many send goes through [`SimNetwork::multicast`]: each copy
+//! arrives when [`SimNetwork::send`] would deliver it on its own link, but
+//! no payload is cloned and the destination set ([`Dests`]: one rank, an
+//! all-but-sender range, a shared rank set or a list) is not copied.
 //! Destinations are handed back grouped by arrival time, so the caller can
 //! put each group on the calendar as a single fan-out entry
 //! (`loadex_sim::Scheduler::schedule_fanout_at`). Usually every copy
@@ -25,9 +25,18 @@
 //! destinations keep their send order, which is the order separate
 //! same-instant calendar entries would have popped in.
 //!
-//! A state-channel multicast computes the copies' common arrival,
-//! `now + transfer_time(size)`, once per call and then routes each copy on
-//! its link, checking every destination as `send` does.
+//! State-channel FIFO needs no clock per link. Each sender keeps the
+//! groups it sent that may still be in flight, as `(arrival, Dests)` in
+//! send order. A send at `now` with `ready = now + transfer_time(size)`
+//! first forgets the groups that arrived by `now`: every later copy from
+//! that sender is ready at or after `now`, so none of them can hold it
+//! back. If no group left arrives after `ready`, every copy arrives at
+//! `ready`, with no work per destination. Otherwise the copy to `d` arrives
+//! at `ready` or with the newest group that contains `d`, whichever is
+//! later: arrivals on one link never decrease, so that group's arrival is
+//! the link's clock. This needs each sender's state-channel sends to come
+//! at nondecreasing times, which the DES guarantees (a debug build checks
+//! it). Memory is O(P + groups in flight) rather than O(P²).
 
 use crate::channel::{Channel, Envelope};
 use crate::model::NetworkModel;
@@ -68,10 +77,10 @@ pub struct Delivery<M> {
 pub struct SimNetwork {
     nprocs: usize,
     model: NetworkModel,
-    /// Earliest time the next state-channel message may arrive on each
-    /// (from, to) link, enforcing FIFO non-overtaking. The regular channel
-    /// needs no such clock (see `route`).
-    link_clear_at: Vec<SimTime>,
+    /// Each sender's state-channel groups that may still hold a later copy
+    /// back (see the module docs). The regular channel needs no such record
+    /// (see `route`).
+    state_sends: Vec<StateSends>,
     /// Regular-channel egress port occupancy per sender.
     egress_free: Vec<SimTime>,
     /// Regular-channel ingress port occupancy per receiver.
@@ -83,8 +92,17 @@ pub struct SimNetwork {
     bytes_state: u64,
     bytes_regular: u64,
     /// Scratch for [`SimNetwork::multicast`]: each copy's arrival, filled
-    /// only when some copy is held back.
+    /// only when a group in flight arrives after the new copies would.
     arrivals: Vec<(SimTime, ActorId)>,
+}
+
+/// One sender's state-channel record.
+#[derive(Default)]
+struct StateSends {
+    /// When the latest send left: sends come at nondecreasing times.
+    last: SimTime,
+    /// The groups sent that had not arrived by `last`, in send order.
+    in_flight: Vec<(SimTime, Dests)>,
 }
 
 impl SimNetwork {
@@ -93,7 +111,7 @@ impl SimNetwork {
         SimNetwork {
             nprocs,
             model,
-            link_clear_at: vec![SimTime::ZERO; nprocs * nprocs],
+            state_sends: (0..nprocs).map(|_| StateSends::default()).collect(),
             egress_free: vec![SimTime::ZERO; nprocs],
             ingress_free: vec![SimTime::ZERO; nprocs],
             sent_state: 0,
@@ -112,10 +130,6 @@ impl SimNetwork {
     /// The cost model in use.
     pub fn model(&self) -> &NetworkModel {
         &self.model
-    }
-
-    fn link_index(&self, from: ActorId, to: ActorId) -> usize {
-        from.index() * self.nprocs + to.index()
     }
 
     /// Send one message at time `now`; returns the delivery to schedule.
@@ -139,14 +153,15 @@ impl SimNetwork {
     }
 
     /// Send one state-channel message from `from` to each of `dests`, in
-    /// that order, at time `now`. Every copy is routed as
-    /// [`SimNetwork::send`] would route it on [`Channel::State`]; the
+    /// that order, at time `now`. Every copy arrives when
+    /// [`SimNetwork::send`] would deliver it on [`Channel::State`]; the
     /// payload stays with the caller. `deliver(at, group)` is called once
     /// per distinct arrival time, earliest first, with the destinations
     /// arriving then in `dests` order: when they all arrive together, the
     /// one group is `dests` itself.
     ///
-    /// Panics as [`SimNetwork::send`] does, for any destination.
+    /// Panics as [`SimNetwork::send`] does, for any destination. A sender's
+    /// state-channel sends must come at nondecreasing times.
     pub fn multicast(
         &mut self,
         now: SimTime,
@@ -155,40 +170,69 @@ impl SimNetwork {
         size: u64,
         mut deliver: impl FnMut(SimTime, Dests),
     ) {
+        if dests.is_empty() {
+            return;
+        }
+        self.check_dests(from, &dests);
+        let copies = dests.len() as u64;
+        self.sent_state += copies;
+        self.bytes_state += copies * size;
         let ready = now + self.model.transfer_time(size);
-        let mut first = None;
+        let sends = &mut self.state_sends[from.index()];
+        debug_assert!(
+            now >= sends.last,
+            "state send from {from} at {now} after one at {}",
+            sends.last
+        );
+        sends.last = now;
+        sends.in_flight.retain(|&(at, _)| at > now);
+        if sends.in_flight.is_empty() {
+            // Give back what a burst of sends grew; keep room for a few.
+            sends.in_flight.shrink_to(4);
+        }
+        if sends.in_flight.iter().all(|&(at, _)| at <= ready) {
+            // Nothing in flight can hold a copy back: the usual case.
+            sends.in_flight.push((ready, dests.clone()));
+            deliver(ready, dests);
+            return;
+        }
         let mut arrivals = std::mem::take(&mut self.arrivals);
         arrivals.clear();
-        for (i, to) in dests.iter().enumerate() {
-            let at = self.state_arrival(ready, from, to, size);
-            // `arrivals` stays empty while every copy so far arrives with
-            // the first; the first copy that arrives apart lists every copy
-            // so far, and each later one is listed too.
-            let first = *first.get_or_insert(at);
-            if at != first && arrivals.is_empty() {
-                arrivals.extend(dests.iter().take(i).map(|q| (first, q)));
+        arrivals.extend(dests.iter().map(|to| {
+            // The newest group to `to` holds the link's clock.
+            let held = sends.in_flight.iter().rev().find(|(_, d)| d.contains(to));
+            (held.map_or(ready, |&(at, _)| at.max(ready)), to)
+        }));
+        let mut hand_over = |at, group: Dests| {
+            sends.in_flight.push((at, group.clone()));
+            deliver(at, group);
+        };
+        let first = arrivals[0].0;
+        if arrivals.iter().all(|&(at, _)| at == first) {
+            hand_over(first, dests);
+        } else {
+            // The copies due at `ready` arrive first. Only the held-back
+            // ones are sorted, stably: a group keeps its send order.
+            let on_time: Vec<ActorId> = arrivals
+                .iter()
+                .filter(|&&(at, _)| at == ready)
+                .map(|&(_, to)| to)
+                .collect();
+            if !on_time.is_empty() {
+                hand_over(ready, on_time.into());
             }
-            if !arrivals.is_empty() {
-                arrivals.push((at, to));
-            }
-        }
-        match first {
-            None => {}
-            Some(at) if arrivals.is_empty() => deliver(at, dests),
-            Some(_) => {
-                // Stable: a group keeps its destinations in send order.
-                arrivals.sort_by_key(|&(at, _)| at);
-                for run in arrivals.chunk_by(|a, b| a.0 == b.0) {
-                    let group: Vec<ActorId> = run.iter().map(|&(_, to)| to).collect();
-                    deliver(run[0].0, group.into());
-                }
+            arrivals.retain(|&(at, _)| at > ready);
+            arrivals.sort_by_key(|&(at, _)| at);
+            for run in arrivals.chunk_by(|a, b| a.0 == b.0) {
+                let group: Vec<ActorId> = run.iter().map(|&(_, to)| to).collect();
+                hand_over(run[0].0, group.into());
             }
         }
         self.arrivals = arrivals;
     }
 
-    /// Account for one message and advance its link's clocks; returns when
-    /// it reaches `to`.
+    /// Account for one message and hold it to its channel's FIFO order;
+    /// returns when it reaches `to`.
     fn route(
         &mut self,
         now: SimTime,
@@ -199,7 +243,9 @@ impl SimNetwork {
     ) -> SimTime {
         match channel {
             Channel::State => {
-                self.state_arrival(now + self.model.transfer_time(size), from, to, size)
+                let mut arrival = now;
+                self.multicast(now, from, Dests::One(to), size, |at, _| arrival = at);
+                arrival
             }
             Channel::Regular => {
                 self.check_pair(from, to);
@@ -225,20 +271,6 @@ impl SimNetwork {
         }
     }
 
-    /// Account for one state-channel message that is ready to arrive at
-    /// `ready` and advance its link's FIFO clock; returns when it reaches
-    /// `to`.
-    fn state_arrival(&mut self, ready: SimTime, from: ActorId, to: ActorId, size: u64) -> SimTime {
-        self.check_pair(from, to);
-        self.sent_state += 1;
-        self.bytes_state += size;
-        // Dedicated control channel: per-pair FIFO only.
-        let idx = self.link_index(from, to);
-        let at = ready.max(self.link_clear_at[idx]);
-        self.link_clear_at[idx] = at;
-        at
-    }
-
     /// Panics unless both ranks exist and differ.
     fn check_pair(&self, from: ActorId, to: ActorId) {
         assert!(from.index() < self.nprocs, "sender out of range");
@@ -246,8 +278,30 @@ impl SimNetwork {
         assert_ne!(from, to, "self-send");
     }
 
+    /// Panics unless `check_pair` holds for `from` and every one of the
+    /// (non-empty) `dests`, checked by the set's form rather than per copy.
+    fn check_dests(&self, from: ActorId, dests: &Dests) {
+        match dests {
+            Dests::One(to) => self.check_pair(from, *to),
+            Dests::AllBut { n, except } => {
+                assert!(from.index() < self.nprocs, "sender out of range");
+                assert!(*n <= self.nprocs, "receiver out of range");
+                assert_eq!(*except, from, "self-send");
+            }
+            Dests::Set(set) => {
+                assert!(from.index() < self.nprocs, "sender out of range");
+                let last = set.last().expect("a non-empty set has a last rank");
+                assert!(last.index() < self.nprocs, "receiver out of range");
+                // `from` past the last rank may lie past the set's words.
+                assert!(from > last || !set.contains(from), "self-send");
+            }
+            Dests::List(list) => list.iter().for_each(|&to| self.check_pair(from, to)),
+        }
+    }
+
     /// Broadcast `msg` from `from` to every other process; returns one
-    /// delivery per destination. The payload must be `Clone`.
+    /// delivery per destination, in rank order. The payload must be `Clone`.
+    /// On the state channel this is one multicast.
     pub fn broadcast<M: Clone>(
         &mut self,
         now: SimTime,
@@ -256,10 +310,29 @@ impl SimNetwork {
         size: u64,
         msg: &M,
     ) -> Vec<Delivery<M>> {
-        (0..self.nprocs)
-            .filter(|&p| p != from.index())
-            .map(|p| self.send(now, from, ActorId(p), channel, size, msg.clone()))
-            .collect()
+        if channel == Channel::Regular {
+            return (0..self.nprocs)
+                .filter(|&p| p != from.index())
+                .map(|p| self.send(now, from, ActorId(p), channel, size, msg.clone()))
+                .collect();
+        }
+        let mut deliveries = Vec::with_capacity(self.nprocs.saturating_sub(1));
+        let others = Dests::AllBut {
+            n: self.nprocs,
+            except: from,
+        };
+        let mut groups = 0;
+        self.multicast(now, from, others, size, |at, group| {
+            groups += 1;
+            deliveries.extend(group.iter().map(|to| Delivery {
+                at,
+                envelope: Envelope::new(from, to, channel, size, msg.clone()),
+            }));
+        });
+        if groups > 1 {
+            deliveries.sort_by_key(|d| d.envelope.to);
+        }
+        deliveries
     }
 
     /// When the sender's regular-channel egress port next frees up. Proxy
@@ -293,13 +366,27 @@ impl SimNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use loadex_sim::SimDuration;
+    use loadex_sim::{RankSet, SimDuration};
+    use std::sync::Arc;
 
     fn fixed_model(lat_us: u64) -> NetworkModel {
         NetworkModel {
             latency: SimDuration::from_micros(lat_us),
             bandwidth: f64::INFINITY,
             overhead: SimDuration::ZERO,
+        }
+    }
+
+    /// Every link of `a` and `b` holds a message back alike: a zero-byte
+    /// state probe on each ordered pair at `now` (no earlier than any send
+    /// so far) arrives at the same time on both.
+    fn assert_same_links(a: &mut SimNetwork, b: &mut SimNetwork, now: SimTime) {
+        for from in (0..a.nprocs()).map(ActorId) {
+            for to in (0..a.nprocs()).map(ActorId).filter(|&to| to != from) {
+                let probe_a = a.send(now, from, to, Channel::State, 0, ()).at;
+                let probe_b = b.send(now, from, to, Channel::State, 0, ()).at;
+                assert_eq!(probe_a, probe_b, "link {from}->{to}");
+            }
         }
     }
 
@@ -372,8 +459,7 @@ mod tests {
     fn broadcast_reaches_everyone_but_sender() {
         let mut net = SimNetwork::new(4, fixed_model(1));
         let ds = net.broadcast(SimTime::ZERO, ActorId(2), Channel::State, 8, &42u32);
-        let mut dests: Vec<usize> = ds.iter().map(|d| d.envelope.to.index()).collect();
-        dests.sort_unstable();
+        let dests: Vec<usize> = ds.iter().map(|d| d.envelope.to.index()).collect();
         assert_eq!(dests, vec![0, 1, 3]);
         assert!(ds.iter().all(|d| d.envelope.msg == 42));
         assert_eq!(net.sent_state(), 3);
@@ -415,14 +501,14 @@ mod tests {
                 (SimTime(1_000_000), vec![ActorId(2)]),
             ]
         );
-        // Same arrivals, counters and link clocks as one send per peer.
+        // Same arrivals, counters and links as one send per peer.
         for &to in &dests {
             let d = twin.send(SimTime::ZERO, ActorId(0), to, Channel::State, 10, ());
             assert!(groups.iter().any(|(at, g)| *at == d.at && g.contains(&to)));
         }
         assert_eq!(net.sent_state(), twin.sent_state());
         assert_eq!(net.bytes_state(), twin.bytes_state());
-        assert_eq!(net.link_clear_at, twin.link_clear_at);
+        assert_same_links(&mut net, &mut twin, SimTime::ZERO);
     }
 
     #[test]
@@ -516,7 +602,7 @@ mod tests {
         assert_eq!(groups, vec![(d.at, vec![ActorId(0)])]);
         assert_eq!(net.sent_state(), twin.sent_state());
         assert_eq!(net.bytes_state(), twin.bytes_state());
-        assert_eq!(net.link_clear_at, twin.link_clear_at);
+        assert_same_links(&mut net, &mut twin, SimTime(7));
     }
 
     #[test]
@@ -545,6 +631,43 @@ mod tests {
             8,
             |_, _| {},
         );
+    }
+
+    #[test]
+    fn ranges_and_sets_are_checked_as_a_whole() {
+        let set = |capacity, ranks: &[usize]| {
+            let mut set = RankSet::new(capacity);
+            for &r in ranks {
+                set.insert(ActorId(r));
+            }
+            Dests::Set(Arc::new(set))
+        };
+        let panic_of = |dests: Dests| {
+            let err = std::panic::catch_unwind(move || {
+                let mut net = SimNetwork::new(70, fixed_model(1));
+                net.multicast(SimTime::ZERO, ActorId(5), dests, 8, |_, _| {});
+            })
+            .expect_err("the multicast must panic");
+            err.downcast_ref::<String>()
+                .cloned()
+                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap()
+        };
+        let range = |n, except| Dests::AllBut {
+            n,
+            except: ActorId(except),
+        };
+        assert!(panic_of(range(71, 5)).contains("receiver out of range"));
+        assert!(panic_of(range(70, 6)).contains("self-send"));
+        assert!(panic_of(set(128, &[3, 70])).contains("receiver out of range"));
+        assert!(panic_of(set(70, &[3, 5, 66])).contains("self-send"));
+        // A sender past a small set's last word is not in it.
+        let mut net = SimNetwork::new(130, fixed_model(1));
+        let mut groups = 0;
+        net.multicast(SimTime::ZERO, ActorId(100), set(64, &[1, 2]), 8, |_, _| {
+            groups += 1
+        });
+        assert_eq!((groups, net.sent_state()), (1, 2));
     }
 
     #[test]

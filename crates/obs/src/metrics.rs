@@ -95,15 +95,26 @@ impl Histogram {
 
     /// Record one sample.
     pub fn observe(&mut self, value: f64) {
+        self.observe_n(value, 1);
+    }
+
+    /// Record `n` samples of the same `value`: the bucket is found once,
+    /// and `sum` still adds `value` `n` times, so the result is bit for bit
+    /// that of `n` calls to [`Histogram::observe`].
+    pub fn observe_n(&mut self, value: f64, n: u64) {
         if value.is_nan() {
-            self.nan_count += 1;
+            self.nan_count += n;
             return;
         }
-        self.counts[Self::bucket_index(value)] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
+        self.counts[Self::bucket_index(value)] += n;
+        self.count += n;
+        for _ in 0..n {
+            self.sum += value;
+        }
+        if n > 0 {
+            self.min = self.min.min(value);
+            self.max = self.max.max(value);
+        }
     }
 
     /// Number of non-NaN samples.
@@ -238,7 +249,15 @@ impl MetricsRegistry {
 
     /// Record a sample into histogram `name` (creating it empty).
     pub fn observe(&mut self, name: &'static str, value: f64) {
-        self.histograms.entry(name).or_default().observe(value);
+        self.observe_n(name, value, 1);
+    }
+
+    /// Record `n` samples of `value` into histogram `name`, as `n` calls
+    /// to [`MetricsRegistry::observe`] would, with one lookup.
+    pub fn observe_n(&mut self, name: &'static str, value: f64, n: u64) {
+        if n > 0 {
+            self.histograms.entry(name).or_default().observe_n(value, n);
+        }
     }
 
     /// Histogram `name`, if any sample was recorded.
@@ -381,6 +400,37 @@ mod tests {
         assert_eq!(snap.histograms["latency_ns"].count, 1);
         let json = serde::json::to_string(&snap);
         assert!(json.contains(r#""latency_ns""#));
+    }
+
+    #[test]
+    fn observe_n_matches_repeated_observe() {
+        // Sums that round differently when added one by one than at once.
+        let values = [0.1, 1e-40, 3.0, 1e17 + 1.0, -2.5, f64::INFINITY, f64::NAN];
+        let mut one_by_one = MetricsRegistry::new();
+        let mut at_once = MetricsRegistry::new();
+        for (i, &value) in values.iter().enumerate() {
+            for n in [1, 0, 3, 7 + i as u64] {
+                for _ in 0..n {
+                    one_by_one.observe("x", value);
+                }
+                at_once.observe_n("x", value, n);
+                let (a, b) = (
+                    one_by_one.histogram("x").unwrap(),
+                    at_once.histogram("x").unwrap(),
+                );
+                assert_eq!(a.sum().to_bits(), b.sum().to_bits(), "{value} x{n}");
+                assert_eq!(a.min().to_bits(), b.min().to_bits());
+                assert_eq!(a.max().to_bits(), b.max().to_bits());
+                assert_eq!(a.count(), b.count());
+                assert_eq!(a.nan_count(), b.nan_count());
+                assert_eq!(a.buckets(), b.buckets());
+            }
+        }
+        at_once.observe_n("never", 1.0, 0);
+        assert!(
+            at_once.histogram("never").is_none(),
+            "no sample, no histogram"
+        );
     }
 
     #[test]

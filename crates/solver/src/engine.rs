@@ -465,9 +465,7 @@ impl SimHost<'_, '_, '_> {
             net.multicast(now, from, dests, size, |at, group| {
                 if obs {
                     let latency = at.since(now).as_nanos() as f64;
-                    for _ in 0..group.len() {
-                        metrics.observe("state_msg_latency_ns", latency);
-                    }
+                    metrics.observe_n("state_msg_latency_ns", latency, group.len() as u64);
                 }
                 sched.schedule_fanout_at(at, group, Ev::State(from, Rc::clone(&msg)));
             });

@@ -113,6 +113,23 @@ for pinned in \
     echo "$digest  $golden/twotone130_${mech}_$comm.jsonl" | run sha256sum -c -
 done
 
+# Run summaries where state-channel FIFO order often holds a copy back
+# behind a larger message on its link (a hundred to over a thousand
+# held-back multicasts per run), pinned by digest: CONV3D64/256 under each
+# paper mechanism, and AUDIKW_1/64 snapshot on a 100 us network (~1 s).
+for pinned in \
+    "be4e243870b7722d2ced2e9d9dc93dafe0011ee003327956d215fbbb757acf13 CONV3D64 256 naive" \
+    "624611be79bdfb0360f2d935d92626eb9da9bcb3eea60d954406a05bad9d5ffa CONV3D64 256 increments" \
+    "10c8cf40a59728ec02854a3bab08adf38ddf855268358918154a9c6008feb68d CONV3D64 256 snapshot" \
+    "5fa1524712db9b1daedfb160f81ffb1bde513b439bb5d7183784014be9d481e8 AUDIKW_1 64 snapshot --latency-us 100"; do
+    read -r digest matrix procs mech extra <<<"$pinned"
+    out="$golden/${matrix}_${procs}_$mech.txt"
+    echo "==> run --matrix $matrix --procs $procs --mech $mech $extra >$out"
+    cargo run --release --offline -q -p loadex-bench --bin run -- \
+        --matrix "$matrix" --procs "$procs" --mech "$mech" $extra >"$out"
+    echo "$digest  $out" | run sha256sum -c -
+done
+
 # Deterministic tables: `tables --all` (everything but the wall-clock §4.5
 # table, which only `--threaded` prints) must match the committed
 # tables_output.txt byte for byte (~1.2 s on 2 cores). Each table runs its
