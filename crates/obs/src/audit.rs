@@ -444,24 +444,25 @@ impl ProtocolAuditor {
             // the original stream; the sort below would hide it.
             let mut last: Vec<Option<SimTime>> = Vec::new();
             for rec in events {
-                let slot = slot(&mut last, rec.actor);
+                let (actor, t) = (rec.actor(), rec.time());
+                let slot = slot(&mut last, actor);
                 if let Some(prev) = *slot {
-                    if rec.time < prev {
+                    if t < prev {
                         v.push(Violation::NonMonotoneClock {
-                            actor: rec.actor,
-                            at: rec.time,
+                            actor,
+                            at: t,
                             before: prev,
                         });
                     }
                 }
-                *slot = Some(slot.map_or(rec.time, |prev| prev.max(rec.time)));
+                *slot = Some(slot.map_or(t, |prev| prev.max(t)));
             }
         }
-        if events.windows(2).all(|w| w[0].time <= w[1].time) {
+        if events.windows(2).all(|w| w[0].time() <= w[1].time()) {
             self.walk(events.iter(), &mut v);
         } else {
             let mut ordered: Vec<&EventRecord> = events.iter().collect();
-            ordered.sort_by_key(|r| r.time);
+            ordered.sort_by_key(|r| r.time());
             self.walk(ordered.into_iter(), &mut v);
         }
         AuditReport {
@@ -479,11 +480,11 @@ impl ProtocolAuditor {
         let mut has_m2a = false;
 
         for rec in ordered {
-            let actor = rec.actor;
-            let t = rec.time;
+            let actor = rec.actor();
+            let t = rec.time();
             let s = slot(&mut st, actor).get_or_insert_with(ActorState::default);
 
-            match rec.event {
+            match rec.event() {
                 ProtocolEvent::SnapshotStart { req } => {
                     if let Some(prev) = s.open_req {
                         if req <= prev {
@@ -686,11 +687,7 @@ mod tests {
     use super::*;
 
     fn rec(t: u64, p: usize, event: ProtocolEvent) -> EventRecord {
-        EventRecord {
-            time: SimTime(t),
-            actor: ActorId(p),
-            event,
-        }
+        EventRecord::new(SimTime(t), ActorId(p), event)
     }
 
     #[test]

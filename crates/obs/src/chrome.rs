@@ -104,12 +104,9 @@ fn write_instant(
 /// document is built whole: its spans need the entire stream anyway, and it
 /// is small next to the JSONL export.
 fn render(events: &[EventRecord]) -> String {
-    let nprocs = events
-        .iter()
-        .map(|e| e.actor.index() + 1)
-        .max()
-        .unwrap_or(0);
-    let horizon = events.iter().map(|e| e.time).max().unwrap_or(SimTime::ZERO);
+    let (nprocs, horizon) = events.iter().fold((0, SimTime::ZERO), |(n, h), e| {
+        (n.max(e.actor().index() + 1), h.max(e.time()))
+    });
 
     let mut out = String::new();
     out.push_str("{\"traceEvents\":[");
@@ -162,13 +159,14 @@ fn render(events: &[EventRecord]) -> String {
     // Snapshot intervals and decision markers.
     let mut open: HashMap<(usize, u64), SimTime> = HashMap::new();
     for rec in events {
-        let rank = rec.actor.index() as u64;
-        match rec.event {
+        let (actor, time) = (rec.actor().index(), rec.time());
+        let rank = actor as u64;
+        match rec.event() {
             ProtocolEvent::SnapshotStart { req } => {
-                open.entry((rec.actor.index(), req)).or_insert(rec.time);
+                open.entry((actor, req)).or_insert(time);
             }
             ProtocolEvent::SnapshotEnd { req } => {
-                if let Some(start) = open.remove(&(rec.actor.index(), req)) {
+                if let Some(start) = open.remove(&(actor, req)) {
                     push(&mut out, &|out| {
                         write_complete(
                             out,
@@ -176,7 +174,7 @@ fn render(events: &[EventRecord]) -> String {
                             "snapshot",
                             SNAPSHOT_TID_OFFSET + rank,
                             start,
-                            rec.time,
+                            time,
                             |args| {
                                 args.field("req", &req);
                             },
@@ -191,7 +189,7 @@ fn render(events: &[EventRecord]) -> String {
                         "election_lost",
                         "snapshot",
                         SNAPSHOT_TID_OFFSET + rank,
-                        rec.time,
+                        time,
                         |args| {
                             args.field("req", &req).field("winner", &winner);
                         },
@@ -200,7 +198,7 @@ fn render(events: &[EventRecord]) -> String {
             }
             ProtocolEvent::DecisionComplete { node, slaves } => {
                 push(&mut out, &|out| {
-                    write_instant(out, "decision", "decision", rank, rec.time, |args| {
+                    write_instant(out, "decision", "decision", rank, time, |args| {
                         args.field("node", &node).field("slaves", &slaves);
                     });
                 });
@@ -245,11 +243,7 @@ mod tests {
     use loadex_sim::ActorId;
 
     fn rec(t: u64, p: usize, event: ProtocolEvent) -> EventRecord {
-        EventRecord {
-            time: SimTime(t),
-            actor: ActorId(p),
-            event,
-        }
+        EventRecord::new(SimTime(t), ActorId(p), event)
     }
 
     #[test]

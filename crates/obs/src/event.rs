@@ -8,9 +8,10 @@
 //! A run can record millions of events, so each is kept small: message and
 //! task kinds are one-byte enums ([`MsgKind`], [`TaskKind`]) rather than
 //! strings, and ranks, node ids and byte counts are `u32`. A
-//! [`ProtocolEvent`] is 16 bytes and an [`EventRecord`] 32. The narrowing
-//! to `u32` is checked ([`rank`], [`narrow`]): a value that does not fit
-//! panics instead of being recorded wrong.
+//! [`ProtocolEvent`] is 16 bytes, and an [`EventRecord`] packs its stamp
+//! and event into 24 (snapshot request ids narrowed to `u32` as well). The
+//! narrowing to `u32` is checked ([`rank`], [`narrow`]): a value that does
+//! not fit panics instead of being recorded wrong.
 
 use loadex_sim::{ActorId, SimTime};
 use serde::{
@@ -248,15 +249,176 @@ impl ProtocolEvent {
     }
 }
 
+/// The [`ProtocolEvent`] variant a record holds, with its message or task
+/// kind; a broadcast [`ProtocolEvent::StateSend`] (`to: None`) has a tag of
+/// its own. Two bytes.
+#[derive(Clone, Copy)]
+enum Tag {
+    StateSendTo(MsgKind),
+    StateSendAll(MsgKind),
+    StateRecv(MsgKind),
+    SnapshotStart,
+    SnapshotEnd,
+    ElectionWon,
+    ElectionLost,
+    DelayedAnswer,
+    DecisionOpen,
+    DecisionComplete,
+    Blocked,
+    Resumed,
+    TaskStart(TaskKind),
+    TaskEnd,
+    MemAlloc,
+    MemFree,
+}
+
 /// A [`ProtocolEvent`] stamped with simulation time and emitting process.
-#[derive(Clone, Copy, Debug, PartialEq)]
+///
+/// The recorder holds one record per event of a run, so a record is packed
+/// into 24 bytes and decoded when read ([`EventRecord::event`]): the rank
+/// as a `u32`, the variant and its message or task kind in two bytes, and
+/// the payload in two 32-bit words (`to`/`from` and `bytes`; `node` and
+/// `slaves`; `req` and `winner` or `to`; the two halves of `entries`'
+/// bits). Snapshot request ids are narrowed to `u32` like the other fields.
+#[derive(Clone, Copy)]
 pub struct EventRecord {
+    time: SimTime,
+    actor: u32,
+    tag: Tag,
+    a: u32,
+    b: u32,
+}
+
+impl EventRecord {
+    /// `event`, stamped with `time` and `actor`.
+    ///
+    /// # Panics
+    /// If `actor`'s rank or a snapshot request id does not fit in a `u32`
+    /// ([`narrow`]).
+    pub fn new(time: SimTime, actor: ActorId, event: ProtocolEvent) -> Self {
+        let (tag, a, b) = match event {
+            ProtocolEvent::StateSend { to, kind, bytes } => match to {
+                Some(to) => (Tag::StateSendTo(kind), to, bytes),
+                None => (Tag::StateSendAll(kind), 0, bytes),
+            },
+            ProtocolEvent::StateRecv { from, kind, bytes } => (Tag::StateRecv(kind), from, bytes),
+            ProtocolEvent::SnapshotStart { req } => (Tag::SnapshotStart, narrow(req), 0),
+            ProtocolEvent::SnapshotEnd { req } => (Tag::SnapshotEnd, narrow(req), 0),
+            ProtocolEvent::ElectionWon { req } => (Tag::ElectionWon, narrow(req), 0),
+            ProtocolEvent::ElectionLost { req, winner } => (Tag::ElectionLost, narrow(req), winner),
+            ProtocolEvent::DelayedAnswer { to, req } => (Tag::DelayedAnswer, to, narrow(req)),
+            ProtocolEvent::DecisionOpen { node } => (Tag::DecisionOpen, node, 0),
+            ProtocolEvent::DecisionComplete { node, slaves } => {
+                (Tag::DecisionComplete, node, slaves)
+            }
+            ProtocolEvent::Blocked => (Tag::Blocked, 0, 0),
+            ProtocolEvent::Resumed => (Tag::Resumed, 0, 0),
+            ProtocolEvent::TaskStart { node, kind } => (Tag::TaskStart(kind), node, 0),
+            ProtocolEvent::TaskEnd { node } => (Tag::TaskEnd, node, 0),
+            ProtocolEvent::MemAlloc { entries } => {
+                let (lo, hi) = split_bits(entries);
+                (Tag::MemAlloc, lo, hi)
+            }
+            ProtocolEvent::MemFree { entries } => {
+                let (lo, hi) = split_bits(entries);
+                (Tag::MemFree, lo, hi)
+            }
+        };
+        EventRecord {
+            time,
+            actor: rank(actor),
+            tag,
+            a,
+            b,
+        }
+    }
+
     /// When the event happened.
-    pub time: SimTime,
+    #[inline]
+    pub fn time(&self) -> SimTime {
+        self.time
+    }
+
     /// The process it happened on.
-    pub actor: ActorId,
+    #[inline]
+    pub fn actor(&self) -> ActorId {
+        ActorId(self.actor as usize)
+    }
+
     /// What happened.
-    pub event: ProtocolEvent,
+    #[inline]
+    pub fn event(&self) -> ProtocolEvent {
+        let (a, b) = (self.a, self.b);
+        match self.tag {
+            Tag::StateSendTo(kind) => ProtocolEvent::StateSend {
+                to: Some(a),
+                kind,
+                bytes: b,
+            },
+            Tag::StateSendAll(kind) => ProtocolEvent::StateSend {
+                to: None,
+                kind,
+                bytes: b,
+            },
+            Tag::StateRecv(kind) => ProtocolEvent::StateRecv {
+                from: a,
+                kind,
+                bytes: b,
+            },
+            Tag::SnapshotStart => ProtocolEvent::SnapshotStart { req: a.into() },
+            Tag::SnapshotEnd => ProtocolEvent::SnapshotEnd { req: a.into() },
+            Tag::ElectionWon => ProtocolEvent::ElectionWon { req: a.into() },
+            Tag::ElectionLost => ProtocolEvent::ElectionLost {
+                req: a.into(),
+                winner: b,
+            },
+            Tag::DelayedAnswer => ProtocolEvent::DelayedAnswer {
+                to: a,
+                req: b.into(),
+            },
+            Tag::DecisionOpen => ProtocolEvent::DecisionOpen { node: a },
+            Tag::DecisionComplete => ProtocolEvent::DecisionComplete { node: a, slaves: b },
+            Tag::Blocked => ProtocolEvent::Blocked,
+            Tag::Resumed => ProtocolEvent::Resumed,
+            Tag::TaskStart(kind) => ProtocolEvent::TaskStart { node: a, kind },
+            Tag::TaskEnd => ProtocolEvent::TaskEnd { node: a },
+            Tag::MemAlloc => ProtocolEvent::MemAlloc {
+                entries: join_bits(a, b),
+            },
+            Tag::MemFree => ProtocolEvent::MemFree {
+                entries: join_bits(a, b),
+            },
+        }
+    }
+}
+
+/// `x`'s bits as (low, high) words.
+fn split_bits(x: f64) -> (u32, u32) {
+    let bits = x.to_bits();
+    (bits as u32, (bits >> 32) as u32)
+}
+
+/// The `f64` whose bits [`split_bits`] returned as `(lo, hi)`.
+fn join_bits(lo: u32, hi: u32) -> f64 {
+    f64::from_bits(u64::from(hi) << 32 | u64::from(lo))
+}
+
+/// Over the decoded `(time, actor, event)`.
+impl PartialEq for EventRecord {
+    fn eq(&self, other: &Self) -> bool {
+        (self.time, self.actor, self.event()) == (other.time, other.actor, other.event())
+    }
+}
+
+/// Shows the decoded `(time, actor, event)`.
+impl Debug for EventRecord {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EventRecord")
+            .field("time", &self.time)
+            .field("actor", &self.actor())
+            .field("event", &self.event())
+            .finish()
+    }
 }
 
 /// The JSONL encoding: `{"t":..,"p":..,"ev":"..",...payload}`.
@@ -270,8 +432,8 @@ impl Serialize for EventRecord {
         out.push_str("{\"t\":");
         write_u64(out, self.time.as_nanos());
         out.push_str(",\"p\":");
-        write_u64(out, self.actor.index() as u64);
-        match self.event {
+        write_u64(out, self.actor.into());
+        match self.event() {
             ProtocolEvent::StateSend { to, kind, bytes } => {
                 out.push_str(",\"ev\":\"state_send\",\"to\":");
                 match to {
@@ -358,11 +520,11 @@ mod tests {
     use serde::ser::JsonMap;
 
     #[test]
-    fn records_are_32_bytes() {
+    fn records_are_24_bytes() {
         // The recorder holds one record per event of a run (millions at
         // P=128): keep both sizes from growing back unnoticed.
         assert_eq!(std::mem::size_of::<ProtocolEvent>(), 16);
-        assert_eq!(std::mem::size_of::<EventRecord>(), 32);
+        assert_eq!(std::mem::size_of::<EventRecord>(), 24);
     }
 
     #[test]
@@ -379,13 +541,9 @@ mod tests {
             (MsgKind::Gossip, "gossip"),
         ];
         for (kind, name) in msgs {
-            let send = EventRecord {
-                time: SimTime(7),
-                actor: ActorId(1),
-                event: ProtocolEvent::state_send(Some(ActorId(2)), kind, 24),
-            };
+            let send = ProtocolEvent::state_send(Some(ActorId(2)), kind, 24);
             assert_eq!(
-                send.to_json(),
+                encode(7, 1, send),
                 format!(r#"{{"t":7,"p":1,"ev":"state_send","to":2,"kind":"{name}","bytes":24}}"#)
             );
         }
@@ -398,13 +556,9 @@ mod tests {
             (TaskKind::RootPart, "root_part"),
         ];
         for (kind, name) in tasks {
-            let start = EventRecord {
-                time: SimTime(7),
-                actor: ActorId(1),
-                event: ProtocolEvent::TaskStart { node: 3, kind },
-            };
+            let start = ProtocolEvent::TaskStart { node: 3, kind };
             assert_eq!(
-                start.to_json(),
+                encode(7, 1, start),
                 format!(r#"{{"t":7,"p":1,"ev":"task_start","node":3,"kind":"{name}"}}"#)
             );
         }
@@ -474,15 +628,102 @@ mod tests {
         assert_eq!(names.len(), evs.len());
     }
 
-    /// The record built field by field through `JsonMap`, names from
-    /// [`ProtocolEvent::name`]: the reference the direct encoder must match.
-    fn reference_json(rec: &EventRecord) -> String {
+    const MSG_KINDS: [MsgKind; 9] = [
+        MsgKind::Update,
+        MsgKind::UpdateDelta,
+        MsgKind::MasterToAll,
+        MsgKind::NoMoreMaster,
+        MsgKind::StartSnp,
+        MsgKind::Snp,
+        MsgKind::EndSnp,
+        MsgKind::MasterToSlave,
+        MsgKind::Gossip,
+    ];
+
+    const TASK_KINDS: [TaskKind; 6] = [
+        TaskKind::Subtree,
+        TaskKind::Type1,
+        TaskKind::Type2Master,
+        TaskKind::Type2Slave,
+        TaskKind::Type2Whole,
+        TaskKind::RootPart,
+    ];
+
+    /// Whether `x` and `y` are the same variant with the same fields, an
+    /// `entries` compared by its bits (so NaN payloads and -0.0 count).
+    fn same_bits(x: ProtocolEvent, y: ProtocolEvent) -> bool {
+        match (x, y) {
+            (ProtocolEvent::MemAlloc { entries: a }, ProtocolEvent::MemAlloc { entries: b })
+            | (ProtocolEvent::MemFree { entries: a }, ProtocolEvent::MemFree { entries: b }) => {
+                a.to_bits() == b.to_bits()
+            }
+            _ => x == y,
+        }
+    }
+
+    #[test]
+    fn records_round_trip_every_variant_bit_for_bit() {
+        let entries = [
+            -0.0,
+            f64::from_bits(1), // the smallest subnormal
+            f64::MAX,
+            f64::from_bits(0x7ff4_dead_beef_0001), // a NaN with a payload
+        ];
+        for (t, actor) in [(0, 0), (u64::MAX, u32::MAX as usize)] {
+            for small in [0, u32::MAX] {
+                for req in [0, u64::from(u32::MAX)] {
+                    for to in [None, Some(0), Some(u32::MAX)] {
+                        for &e in &entries {
+                            for (msg, task) in
+                                MSG_KINDS.into_iter().zip(TASK_KINDS.into_iter().cycle())
+                            {
+                                for event in every_variant(small, req, to, e, msg, task) {
+                                    let rec = EventRecord::new(SimTime(t), ActorId(actor), event);
+                                    assert_eq!(rec.time(), SimTime(t));
+                                    assert_eq!(rec.actor(), ActorId(actor));
+                                    assert!(same_bits(rec.event(), event), "{event:?} -> {rec:?}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit in an event's u32 field")]
+    fn new_panics_on_a_req_past_u32() {
+        EventRecord::new(
+            SimTime(0),
+            ActorId(0),
+            ProtocolEvent::DelayedAnswer {
+                to: 1,
+                req: u64::from(u32::MAX) + 1,
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit in an event's u32 field")]
+    fn new_panics_on_an_actor_past_u32() {
+        EventRecord::new(
+            SimTime(0),
+            ActorId(u32::MAX as usize + 1),
+            ProtocolEvent::Blocked,
+        );
+    }
+
+    /// `event` stamped `(t, actor)` and built field by field through
+    /// `JsonMap`, names from [`ProtocolEvent::name`]: the reference the
+    /// direct encoder must match.
+    fn reference_json(t: u64, actor: usize, event: ProtocolEvent) -> String {
         let mut out = String::new();
         let mut map = JsonMap::new(&mut out);
-        map.field("t", &rec.time.as_nanos())
-            .field("p", &(rec.actor.index() as u64))
-            .field("ev", rec.event.name());
-        match rec.event {
+        map.field("t", &t)
+            .field("p", &(actor as u64))
+            .field("ev", event.name());
+        match event {
             ProtocolEvent::StateSend { to, kind, bytes } => {
                 map.field("to", &to)
                     .field("kind", kind.name())
@@ -522,57 +763,33 @@ mod tests {
         out
     }
 
-    const MSG_KINDS: [MsgKind; 9] = [
-        MsgKind::Update,
-        MsgKind::UpdateDelta,
-        MsgKind::MasterToAll,
-        MsgKind::NoMoreMaster,
-        MsgKind::StartSnp,
-        MsgKind::Snp,
-        MsgKind::EndSnp,
-        MsgKind::MasterToSlave,
-        MsgKind::Gossip,
-    ];
-
-    const TASK_KINDS: [TaskKind; 6] = [
-        TaskKind::Subtree,
-        TaskKind::Type1,
-        TaskKind::Type2Master,
-        TaskKind::Type2Slave,
-        TaskKind::Type2Whole,
-        TaskKind::RootPart,
-    ];
+    /// The encoding of `event` stamped `(t, actor)`, through
+    /// [`EventRecord::new`].
+    fn encode(t: u64, actor: usize, event: ProtocolEvent) -> String {
+        EventRecord::new(SimTime(t), ActorId(actor), event).to_json()
+    }
 
     #[test]
     fn encoder_matches_reference_at_edge_values() {
         let wide = [0, u64::from(u32::MAX), u64::MAX];
-        let actors = [0, u32::MAX as usize, u32::MAX as usize + 1];
+        let actors = [0, 1, u32::MAX as usize];
+        let reqs = [0, 1, u64::from(u32::MAX)];
         let entries = [0.5, -0.0, 1e21, f64::NAN, f64::INFINITY];
         for (&t, &actor) in wide.iter().zip(&actors) {
-            for &req in &wide {
+            for &req in &reqs {
                 for &e in &entries {
                     for to in [None, Some(0), Some(u32::MAX)] {
                         let evs =
                             every_variant(u32::MAX, req, to, e, MsgKind::Gossip, TaskKind::Type1);
                         for event in evs {
-                            let rec = EventRecord {
-                                time: SimTime(t),
-                                actor: ActorId(actor),
-                                event,
-                            };
-                            assert_eq!(rec.to_json(), reference_json(&rec));
+                            assert_eq!(encode(t, actor, event), reference_json(t, actor, event));
                         }
                     }
                 }
             }
         }
-        let nan = EventRecord {
-            time: SimTime(1),
-            actor: ActorId(0),
-            event: ProtocolEvent::MemFree { entries: f64::NAN },
-        };
         assert_eq!(
-            nan.to_json(),
+            encode(1, 0, ProtocolEvent::MemFree { entries: f64::NAN }),
             r#"{"t":1,"p":0,"ev":"mem_free","entries":null}"#
         );
     }
@@ -582,8 +799,8 @@ mod tests {
 
         #[test]
         fn encoder_matches_field_by_field_reference(
-            wide_draw in (any::<u64>(), 0..64u32, any::<u64>(), 0..64u32),
-            small_draw in (any::<u32>(), 0..32u32, any::<usize>()),
+            wide_draw in (any::<u64>(), 0..64u32, any::<u32>(), 0..32u32),
+            small_draw in (any::<u32>(), 0..32u32, any::<u32>()),
             to in prop::option::of(any::<u32>()),
             entries in any::<f64>(),
             kinds in (0..MSG_KINDS.len(), 0..TASK_KINDS.len()),
@@ -591,45 +808,33 @@ mod tests {
             // Shifts spread the drawn integers over every digit count.
             let (t, t_shift, req, req_shift) = wide_draw;
             let (small, small_shift, actor) = small_draw;
+            let (t, actor) = (t >> t_shift, actor as usize);
             let evs = every_variant(
                 small >> small_shift,
-                req >> req_shift,
+                u64::from(req >> req_shift),
                 to,
                 entries,
                 MSG_KINDS[kinds.0],
                 TASK_KINDS[kinds.1],
             );
             for event in evs {
-                let rec = EventRecord {
-                    time: SimTime(t >> t_shift),
-                    actor: ActorId(actor),
-                    event,
-                };
-                prop_assert_eq!(rec.to_json(), reference_json(&rec));
+                prop_assert_eq!(encode(t, actor, event), reference_json(t, actor, event));
             }
         }
     }
 
     #[test]
     fn record_serializes_to_flat_json() {
-        let rec = EventRecord {
-            time: SimTime(1500),
-            actor: ActorId(2),
-            event: ProtocolEvent::state_send(Some(ActorId(1)), MsgKind::UpdateDelta, 32),
-        };
+        let send = ProtocolEvent::state_send(Some(ActorId(1)), MsgKind::UpdateDelta, 32);
         assert_eq!(
-            rec.to_json(),
+            encode(1500, 2, send),
             r#"{"t":1500,"p":2,"ev":"state_send","to":1,"kind":"update_delta","bytes":32}"#
         );
     }
 
     #[test]
     fn broadcast_send_serializes_null_dest() {
-        let rec = EventRecord {
-            time: SimTime(0),
-            actor: ActorId(0),
-            event: ProtocolEvent::state_send(None, MsgKind::EndSnp, 16),
-        };
-        assert!(rec.to_json().contains(r#""to":null"#));
+        let send = ProtocolEvent::state_send(None, MsgKind::EndSnp, 16);
+        assert!(encode(0, 0, send).contains(r#""to":null"#));
     }
 }

@@ -44,14 +44,16 @@ mod tests {
     /// More records than fit in several flushes of the buffer.
     fn long_stream() -> Vec<EventRecord> {
         (0..10_000u64)
-            .map(|n| EventRecord {
-                time: SimTime(n * 1_000),
-                actor: ActorId(n as usize % 7),
-                event: ProtocolEvent::state_send(
-                    Some(ActorId(n as usize % 5)),
-                    MsgKind::UpdateDelta,
-                    32,
-                ),
+            .map(|n| {
+                EventRecord::new(
+                    SimTime(n * 1_000),
+                    ActorId(n as usize % 7),
+                    ProtocolEvent::state_send(
+                        Some(ActorId(n as usize % 5)),
+                        MsgKind::UpdateDelta,
+                        32,
+                    ),
+                )
             })
             .collect()
     }
@@ -59,16 +61,8 @@ mod tests {
     #[test]
     fn one_object_per_line() {
         let events = vec![
-            EventRecord {
-                time: SimTime(1),
-                actor: ActorId(0),
-                event: ProtocolEvent::Blocked,
-            },
-            EventRecord {
-                time: SimTime(2),
-                actor: ActorId(1),
-                event: ProtocolEvent::Resumed,
-            },
+            EventRecord::new(SimTime(1), ActorId(0), ProtocolEvent::Blocked),
+            EventRecord::new(SimTime(2), ActorId(1), ProtocolEvent::Resumed),
         ];
         assert_eq!(
             render(&events),

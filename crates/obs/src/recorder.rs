@@ -9,9 +9,9 @@
 //! reports what an enabled recorder adds to a run (`obs.record_overhead_s`;
 //! `python3 perfbench/run.py`, see `perfbench/NOTES.md`).
 //!
-//! Each held event is one 32-byte [`EventRecord`]. An enabled log reserves
+//! Each held event is one 24-byte [`EventRecord`]. An enabled log reserves
 //! its whole capacity when it is created — [`DEFAULT_CAPACITY`] is 4M
-//! events, about 128 MB of virtual memory — so it never grows by copying.
+//! events, about 96 MB of virtual memory — so it never grows by copying.
 //! The operating system maps those pages only as events land in them, so
 //! resident memory counts the events actually held, not the reservation.
 
@@ -89,7 +89,8 @@ impl Recorder {
     #[inline]
     pub fn emit(&self, time: SimTime, actor: ActorId, event: ProtocolEvent) {
         if let Some(log) = &self.inner {
-            log.lock().unwrap().push(EventRecord { time, actor, event });
+            let rec = EventRecord::new(time, actor, event);
+            log.lock().unwrap().push(rec);
         }
     }
 
@@ -110,7 +111,7 @@ impl Recorder {
         }
         let mut log = log.lock().unwrap();
         for event in events {
-            log.push(EventRecord { time, actor, event });
+            log.push(EventRecord::new(time, actor, event));
         }
     }
 
@@ -174,7 +175,7 @@ mod tests {
         r2.emit(SimTime(5), ActorId(1), ProtocolEvent::Resumed);
         assert_eq!(r.len(), 1);
         let evs = r.take();
-        assert_eq!(evs[0].actor, ActorId(1));
+        assert_eq!(evs[0].actor(), ActorId(1));
         assert!(r2.is_empty(), "take drains the shared log");
     }
 
@@ -191,7 +192,7 @@ mod tests {
         assert_eq!(r.dropped(), 3);
         let evs = r.take();
         assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].time, SimTime(3));
+        assert_eq!(evs[0].time(), SimTime(3));
     }
 
     #[test]
@@ -209,11 +210,11 @@ mod tests {
         assert_eq!(
             evs,
             (0..3u32)
-                .map(|node| EventRecord {
-                    time: SimTime(2),
-                    actor: ActorId(4),
-                    event: ProtocolEvent::TaskEnd { node },
-                })
+                .map(|node| EventRecord::new(
+                    SimTime(2),
+                    ActorId(4),
+                    ProtocolEvent::TaskEnd { node }
+                ))
                 .collect::<Vec<_>>()
         );
         Recorder::disabled().emit_all(SimTime(0), ActorId(0), [ProtocolEvent::Resumed]);

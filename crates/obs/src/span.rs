@@ -109,21 +109,22 @@ pub fn spans_from_events(
         .collect();
 
     for rec in events {
-        let Some(p) = procs.get_mut(rec.actor.index()) else {
+        let Some(p) = procs.get_mut(rec.actor().index()) else {
             continue;
         };
-        match rec.event {
+        let time = rec.time();
+        match rec.event() {
             ProtocolEvent::TaskStart { .. } => {
-                p.transition(rec.time, |p| p.task_depth += 1);
+                p.transition(time, |p| p.task_depth += 1);
             }
             ProtocolEvent::TaskEnd { .. } => {
-                p.transition(rec.time, |p| p.task_depth = p.task_depth.saturating_sub(1));
+                p.transition(time, |p| p.task_depth = p.task_depth.saturating_sub(1));
             }
             ProtocolEvent::Blocked => {
-                p.transition(rec.time, |p| p.blocked = true);
+                p.transition(time, |p| p.blocked = true);
             }
             ProtocolEvent::Resumed => {
-                p.transition(rec.time, |p| p.blocked = false);
+                p.transition(time, |p| p.blocked = false);
             }
             _ => {}
         }
@@ -177,11 +178,7 @@ mod tests {
     use loadex_sim::ActorId;
 
     fn rec(t: u64, p: usize, event: ProtocolEvent) -> EventRecord {
-        EventRecord {
-            time: SimTime(t),
-            actor: ActorId(p),
-            event,
-        }
+        EventRecord::new(SimTime(t), ActorId(p), event)
     }
 
     #[test]

@@ -942,7 +942,7 @@ mod tests {
         assert_eq!(master.kind, TaskKind::Type2Master);
         assert_eq!(master.remaining, work::master_flops(&tree, v));
         assert_eq!(h.proc.true_mem, node.npiv as f64 * node.nfront as f64 * ef);
-        let events: Vec<ProtocolEvent> = h.recorder.take().into_iter().map(|r| r.event).collect();
+        let events: Vec<ProtocolEvent> = h.recorder.take().into_iter().map(|r| r.event()).collect();
         assert!(matches!(events[0], ProtocolEvent::DecisionOpen { node } if node == v));
         assert!(events.iter().any(
             |e| matches!(*e, ProtocolEvent::DecisionComplete { node, slaves } if node == v && slaves == k)

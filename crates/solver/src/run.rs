@@ -314,7 +314,7 @@ mod tests {
             "mem_free",
         ] {
             assert!(
-                events.iter().any(|e| e.event.name() == kind),
+                events.iter().any(|e| e.event().name() == kind),
                 "missing event kind {kind}"
             );
         }

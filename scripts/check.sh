@@ -130,6 +130,41 @@ for pinned in \
     echo "$digest  $out" | run sha256sum -c -
 done
 
+# The observed-p128 benchmark's configuration at full scale, pinned by digest
+# (~2 s): CONV3D64/128 snapshot's JSONL and Chrome exports (22 MB and
+# 2.5 MB) and the Chrome trace of increments' 3.08M events, then the strict
+# `--audit` output of both runs, stdout and stderr together (snapshot's
+# lists 34 violations and exits 1).
+run cargo run --release --offline -q -p loadex-bench --bin run -- \
+    --matrix CONV3D64 --procs 128 --mech snapshot \
+    --events-out "$golden/conv3d64_128_snapshot.jsonl" \
+    --trace-out "$golden/conv3d64_128_snapshot.trace.json"
+run cargo run --release --offline -q -p loadex-bench --bin run -- \
+    --matrix CONV3D64 --procs 128 --mech increments \
+    --trace-out "$golden/conv3d64_128_increments.trace.json"
+for pinned in \
+    "5d2bbba12bc460e83c87a88449c7d0b3e9cf4f051aeb909b48c76af570e8f4b7 snapshot.jsonl" \
+    "b1e02d8f2b6cf90446c7da06d858618bb990788b0e22eafc5da0eb6d56e9a30d snapshot.trace.json" \
+    "249e5441862ded78fb309acfa5ae46643f07d00d162d697726c7e88dbd34d7c9 increments.trace.json"; do
+    read -r digest file <<<"$pinned"
+    echo "$digest  $golden/conv3d64_128_$file" | run sha256sum -c -
+done
+for pinned in \
+    "67754412769df567a5b275a358b1dab318e2096f3323bfb1e1b477e647f45bcc snapshot 1" \
+    "72e42c4787d6649f5092db36cda6c5cf3986e6fdb4d1f6433d489b9d028c655a increments 0"; do
+    read -r digest mech want <<<"$pinned"
+    out="$golden/conv3d64_128_${mech}_audit.txt"
+    echo "==> run --matrix CONV3D64 --procs 128 --mech $mech --audit >$out 2>&1"
+    status=0
+    target/release/run --matrix CONV3D64 --procs 128 --mech "$mech" --audit \
+        >"$out" 2>&1 || status=$?
+    if [ "$status" -ne "$want" ]; then
+        echo "run --audit exited with $status, expected $want"
+        exit 1
+    fi
+    echo "$digest  $out" | run sha256sum -c -
+done
+
 # Deterministic tables: `tables --all` (everything but the wall-clock §4.5
 # table, which only `--threaded` prints) must match the committed
 # tables_output.txt byte for byte (~1.2 s on 2 cores). Each table runs its

@@ -198,11 +198,11 @@ fn during_compute(events: &[EventRecord], hit: impl Fn(&ProtocolEvent) -> bool) 
     let mut computing = Vec::new();
     let mut hits = 0;
     for e in events {
-        let p = e.actor.index();
+        let p = e.actor().index();
         if computing.len() <= p {
             computing.resize(p + 1, false);
         }
-        match e.event {
+        match e.event() {
             ProtocolEvent::TaskStart { .. } => computing[p] = true,
             ProtocolEvent::TaskEnd { .. } => computing[p] = false,
             ref ev if computing[p] && hit(ev) => hits += 1,
@@ -234,7 +234,7 @@ fn one_comm_mode_switch_drives_both_backends() {
         assert!(
             events
                 .iter()
-                .any(|e| matches!(e.event, ProtocolEvent::StateRecv { .. })),
+                .any(|e| matches!(e.event(), ProtocolEvent::StateRecv { .. })),
             "{:?} {:?}: no state traffic",
             c.backend,
             c.comm
