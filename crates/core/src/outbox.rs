@@ -140,7 +140,7 @@ impl Outbox {
         if self.observe {
             let (kind, bytes) = (msg.kind(), event::narrow(msg.wire_size()));
             self.events.extend(dests.map(|to| ProtocolEvent::StateSend {
-                to: Some(event::rank(to)),
+                to: event::rank(to),
                 kind,
                 bytes,
             }));
@@ -281,12 +281,11 @@ mod tests {
             events,
             vec![
                 ProtocolEvent::StateSend {
-                    to: Some(1),
+                    to: 1,
                     kind: MsgKind::EndSnp,
                     bytes: event::narrow(StateMsg::EndSnp.wire_size()),
                 },
-                ProtocolEvent::StateSend {
-                    to: None,
+                ProtocolEvent::StateBroadcast {
                     kind: MsgKind::NoMoreMaster,
                     bytes: event::narrow(StateMsg::NoMoreMaster.wire_size()),
                 },

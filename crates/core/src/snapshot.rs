@@ -209,7 +209,9 @@ impl SnapshotMechanism {
         self.phase = Phase::Gathering;
         self.abandoned = false;
         let my_req = self.request[self.me.index()];
-        out.note(|| ProtocolEvent::SnapshotStart { req: my_req });
+        out.note(|| ProtocolEvent::SnapshotStart {
+            req: event::narrow(my_req),
+        });
         let msg = StateMsg::StartSnp {
             req: self.request[self.me.index()],
             partial: self.my_partial,
@@ -259,11 +261,13 @@ impl SnapshotMechanism {
             self.stats.delayed_answers += 1;
             if self.phase == Phase::Gathering {
                 let my_req = self.request[self.me.index()];
-                out.note(|| ProtocolEvent::ElectionWon { req: my_req });
+                out.note(|| ProtocolEvent::ElectionWon {
+                    req: event::narrow(my_req),
+                });
             }
             out.note(|| ProtocolEvent::DelayedAnswer {
                 to: event::rank(pi),
-                req,
+                req: event::narrow(req),
             });
             return None;
         }
@@ -293,7 +297,7 @@ impl SnapshotMechanism {
                 self.abandoned = true;
                 let my_req = self.request[self.me.index()];
                 out.note(|| ProtocolEvent::ElectionLost {
-                    req: my_req,
+                    req: event::narrow(my_req),
                     winner: event::rank(pi),
                 });
             }
@@ -305,7 +309,7 @@ impl SnapshotMechanism {
                 self.stats.delayed_answers += 1;
                 out.note(|| ProtocolEvent::DelayedAnswer {
                     to: event::rank(pi),
-                    req,
+                    req: event::narrow(req),
                 });
             } else {
                 let answer = StateMsg::Snp {
@@ -351,7 +355,9 @@ impl SnapshotMechanism {
                     if self.phase == Phase::Gathering && self.abandoned {
                         self.abandoned = false;
                         let my_req = self.request[self.me.index()];
-                        out.note(|| ProtocolEvent::ElectionWon { req: my_req });
+                        out.note(|| ProtocolEvent::ElectionWon {
+                            req: event::narrow(my_req),
+                        });
                         if self.nb_msgs == self.gather_set.len() {
                             return self.gathering_complete();
                         }
@@ -474,7 +480,9 @@ impl Mechanism for SnapshotMechanism {
         assert_eq!(self.phase, Phase::ReadyToDecide, "no decision in flight");
         self.stats.decisions += 1;
         let my_req = self.request[self.me.index()];
-        out.note(|| ProtocolEvent::SnapshotEnd { req: my_req });
+        out.note(|| ProtocolEvent::SnapshotEnd {
+            req: event::narrow(my_req),
+        });
         // Algorithm 4 lines 3–5: tell each selected slave its share.
         for &(p, dl) in assignments {
             debug_assert_ne!(p, self.me);

@@ -372,7 +372,7 @@ enum ElectionState {
 #[derive(Clone)]
 struct ActorState {
     /// Latest `snapshot_start` request id.
-    open_req: Option<u64>,
+    open_req: Option<u32>,
     election: ElectionState,
     /// Start of the would-be committed window: the latest
     /// election-establishing event for `open_req`.
@@ -488,7 +488,11 @@ impl ProtocolAuditor {
                 ProtocolEvent::SnapshotStart { req } => {
                     if let Some(prev) = s.open_req {
                         if req <= prev {
-                            v.push(Violation::SnapshotReqNotIncreasing { actor, req, prev });
+                            v.push(Violation::SnapshotReqNotIncreasing {
+                                actor,
+                                req: req.into(),
+                                prev: prev.into(),
+                            });
                         }
                     }
                     s.open_req = Some(req);
@@ -500,8 +504,8 @@ impl ProtocolAuditor {
                         v.push(Violation::ElectionReqMismatch {
                             actor,
                             event: "election_won",
-                            req,
-                            open_req: s.open_req,
+                            req: req.into(),
+                            open_req: s.open_req.map(u64::from),
                         });
                     }
                     s.election = ElectionState::Won;
@@ -512,8 +516,8 @@ impl ProtocolAuditor {
                         v.push(Violation::ElectionReqMismatch {
                             actor,
                             event: "election_lost",
-                            req,
-                            open_req: s.open_req,
+                            req: req.into(),
+                            open_req: s.open_req.map(u64::from),
                         });
                     }
                     s.election = ElectionState::Lost;
@@ -522,12 +526,16 @@ impl ProtocolAuditor {
                     if s.open_req != Some(req) {
                         v.push(Violation::SnapshotEndMismatch {
                             actor,
-                            end_req: req,
-                            open_req: s.open_req,
+                            end_req: req.into(),
+                            open_req: s.open_req.map(u64::from),
                         });
                     }
                     if s.election == ElectionState::Lost {
-                        v.push(Violation::CommitAfterLostElection { actor, req, at: t });
+                        v.push(Violation::CommitAfterLostElection {
+                            actor,
+                            req: req.into(),
+                            at: t,
+                        });
                     }
                     if let Some(a) = s.anchor {
                         windows.push((a, t, actor));
@@ -547,7 +555,11 @@ impl ProtocolAuditor {
                         .and_then(|o| o.as_ref()?.open_req)
                         .is_some_and(|latest| req <= latest);
                     if !known {
-                        v.push(Violation::DelayedAnswerUnknownReq { actor, to, req });
+                        v.push(Violation::DelayedAnswerUnknownReq {
+                            actor,
+                            to,
+                            req: req.into(),
+                        });
                     }
                 }
                 ProtocolEvent::DecisionOpen { node } => {
@@ -597,7 +609,8 @@ impl ProtocolAuditor {
                         s.received_start_snp = true;
                     }
                 }
-                ProtocolEvent::StateSend { kind, .. } => match kind {
+                ProtocolEvent::StateSend { kind, .. }
+                | ProtocolEvent::StateBroadcast { kind, .. } => match kind {
                     MsgKind::Snp if !s.received_start_snp => {
                         v.push(Violation::SnpBeforeStartSnp { actor, at: t });
                     }
@@ -621,11 +634,11 @@ impl ProtocolAuditor {
                     _ => {}
                 },
                 ProtocolEvent::MemAlloc { entries } => {
-                    s.mem_balance += entries;
+                    s.mem_balance += entries.get();
                     s.mem_peak = s.mem_peak.max(s.mem_balance);
                 }
                 ProtocolEvent::MemFree { entries } => {
-                    s.mem_balance -= entries;
+                    s.mem_balance -= entries.get();
                     let eps = 1e-6 * s.mem_peak.max(1.0);
                     if s.mem_balance < -eps {
                         v.push(Violation::NegativeMemory {
@@ -704,8 +717,7 @@ mod tests {
             rec(
                 10,
                 0,
-                ProtocolEvent::StateSend {
-                    to: None,
+                ProtocolEvent::StateBroadcast {
                     kind: MsgKind::StartSnp,
                     bytes: 32,
                 },
@@ -724,7 +736,7 @@ mod tests {
                 20,
                 1,
                 ProtocolEvent::StateSend {
-                    to: Some(0),
+                    to: 0,
                     kind: MsgKind::Snp,
                     bytes: 40,
                 },
@@ -733,8 +745,7 @@ mod tests {
             rec(
                 30,
                 0,
-                ProtocolEvent::StateSend {
-                    to: None,
+                ProtocolEvent::StateBroadcast {
                     kind: MsgKind::EndSnp,
                     bytes: 16,
                 },
@@ -873,8 +884,7 @@ mod tests {
             rec(
                 5,
                 0,
-                ProtocolEvent::StateSend {
-                    to: None,
+                ProtocolEvent::StateBroadcast {
                     kind: MsgKind::MasterToAll,
                     bytes: 64,
                 },
@@ -882,8 +892,7 @@ mod tests {
             rec(
                 9,
                 0,
-                ProtocolEvent::StateSend {
-                    to: None,
+                ProtocolEvent::StateBroadcast {
                     kind: MsgKind::MasterToAll,
                     bytes: 64,
                 },
@@ -898,8 +907,7 @@ mod tests {
 
     #[test]
     fn reservation_imbalance_lists_emitting_ranks_in_rank_order() {
-        let m2a = ProtocolEvent::StateSend {
-            to: None,
+        let m2a = ProtocolEvent::StateBroadcast {
             kind: MsgKind::MasterToAll,
             bytes: 64,
         };
@@ -955,8 +963,20 @@ mod tests {
     #[test]
     fn negative_memory_is_flagged() {
         let evs = vec![
-            rec(0, 0, ProtocolEvent::MemAlloc { entries: 10.0 }),
-            rec(5, 0, ProtocolEvent::MemFree { entries: 25.0 }),
+            rec(
+                0,
+                0,
+                ProtocolEvent::MemAlloc {
+                    entries: 10.0.into(),
+                },
+            ),
+            rec(
+                5,
+                0,
+                ProtocolEvent::MemFree {
+                    entries: 25.0.into(),
+                },
+            ),
         ];
         let r = ProtocolAuditor::new().audit(&evs);
         assert!(r.violations.iter().any(|v| v.name() == "negative_memory"));

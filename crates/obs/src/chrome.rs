@@ -157,7 +157,7 @@ fn render(events: &[EventRecord]) -> String {
     }
 
     // Snapshot intervals and decision markers.
-    let mut open: HashMap<(usize, u64), SimTime> = HashMap::new();
+    let mut open: HashMap<(usize, u32), SimTime> = HashMap::new();
     for rec in events {
         let (actor, time) = (rec.actor().index(), rec.time());
         let rank = actor as u64;
@@ -209,7 +209,7 @@ fn render(events: &[EventRecord]) -> String {
 
     // Snapshots never finalized (abandoned runs): close them at the horizon
     // so the interval still shows, sorted for deterministic output.
-    let mut dangling: Vec<((usize, u64), SimTime)> = open.into_iter().collect();
+    let mut dangling: Vec<((usize, u32), SimTime)> = open.into_iter().collect();
     dangling.sort_unstable();
     for ((actor, req), start) in dangling {
         push(&mut out, &|out| {

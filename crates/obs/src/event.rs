@@ -7,11 +7,11 @@
 //!
 //! A run can record millions of events, so each is kept small: message and
 //! task kinds are one-byte enums ([`MsgKind`], [`TaskKind`]) rather than
-//! strings, and ranks, node ids and byte counts are `u32`. A
-//! [`ProtocolEvent`] is 16 bytes, and an [`EventRecord`] packs its stamp
-//! and event into 24 (snapshot request ids narrowed to `u32` as well). The
-//! narrowing to `u32` is checked ([`rank`], [`narrow`]): a value that does
-//! not fit panics instead of being recorded wrong.
+//! strings, ranks, node ids, byte counts and snapshot request ids are `u32`,
+//! and memory amounts are [`Entries`]. A [`ProtocolEvent`] is 12 bytes with
+//! a 4-byte alignment, so an [`EventRecord`] (time, rank and event) is 24.
+//! The narrowing to `u32` is checked ([`rank`], [`narrow`]): a value that
+//! does not fit panics instead of being recorded wrong.
 
 use loadex_sim::{ActorId, SimTime};
 use serde::{
@@ -35,8 +35,14 @@ pub fn rank(p: ActorId) -> u32 {
 /// If `x` does not fit in a `u32`.
 #[inline]
 pub fn narrow<T: TryInto<u32> + Copy + Debug>(x: T) -> u32 {
-    x.try_into()
-        .unwrap_or_else(|_| panic!("{x:?} does not fit in an event's u32 field"))
+    x.try_into().unwrap_or_else(|_| too_wide(x))
+}
+
+/// The panic of [`narrow`], out of line: emit sites sit in hot handlers.
+#[cold]
+#[inline(never)]
+fn too_wide(x: impl Debug) -> ! {
+    panic!("{x:?} does not fit in an event's u32 field")
 }
 
 /// The kind of a state message, as [`ProtocolEvent::StateSend`] and
@@ -111,14 +117,52 @@ impl TaskKind {
     }
 }
 
+/// An amount of factor entries, as [`ProtocolEvent::MemAlloc`] and
+/// [`ProtocolEvent::MemFree`] record it: the bits of an `f64`, held as two
+/// `u32` halves so that events keep a 4-byte alignment. The value is exact,
+/// and two amounts are equal when their bits are.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Entries([u32; 2]);
+
+impl Entries {
+    /// The amount.
+    #[inline]
+    pub fn get(self) -> f64 {
+        let [lo, hi] = self.0;
+        f64::from_bits(u64::from(hi) << 32 | u64::from(lo))
+    }
+}
+
+impl From<f64> for Entries {
+    #[inline]
+    fn from(x: f64) -> Self {
+        let bits = x.to_bits();
+        Entries([bits as u32, (bits >> 32) as u32])
+    }
+}
+
+/// Shows the `f64`.
+impl Debug for Entries {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
 /// One protocol-level occurrence, as emitted at the instrumentation sites.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProtocolEvent {
-    /// A state message was handed to the transport. `to` is `None` for a
-    /// broadcast staged as a single logical send.
+    /// A state message to one peer was handed to the transport.
     StateSend {
-        /// Destination rank (`None` = all others).
-        to: Option<u32>,
+        /// Destination rank.
+        to: u32,
+        /// Message kind (`StateMsg::kind`).
+        kind: MsgKind,
+        /// Modeled wire size.
+        bytes: u32,
+    },
+    /// A state message to all other processes was handed to the transport,
+    /// staged as a single logical send.
+    StateBroadcast {
         /// Message kind (`StateMsg::kind`).
         kind: MsgKind,
         /// Modeled wire size.
@@ -136,23 +180,23 @@ pub enum ProtocolEvent {
     /// The emitter initiated (or re-initiated) snapshot `req` (§3).
     SnapshotStart {
         /// Request identifier.
-        req: u64,
+        req: u32,
     },
     /// The emitter finalized its snapshot `req` (decision taken, `end_snp`
     /// broadcast).
     SnapshotEnd {
         /// Request identifier.
-        req: u64,
+        req: u32,
     },
     /// The emitter won the leader election among concurrent initiators.
     ElectionWon {
         /// The emitter's request identifier.
-        req: u64,
+        req: u32,
     },
     /// The emitter lost the election to `winner` and must wait.
     ElectionLost {
         /// The emitter's request identifier.
-        req: u64,
+        req: u32,
         /// The preferred rival initiator's rank.
         winner: u32,
     },
@@ -162,7 +206,7 @@ pub enum ProtocolEvent {
         /// The rank of the initiator whose answer is being delayed.
         to: u32,
         /// That initiator's request identifier.
-        req: u64,
+        req: u32,
     },
     /// A dynamic scheduling decision was opened for tree node `node`.
     DecisionOpen {
@@ -195,23 +239,27 @@ pub enum ProtocolEvent {
     /// Active memory grew by `entries` real entries.
     MemAlloc {
         /// Size of the allocation, in factor entries.
-        entries: f64,
+        entries: Entries,
     },
     /// Active memory shrank by `entries` real entries.
     MemFree {
         /// Size of the release, in factor entries.
-        entries: f64,
+        entries: Entries,
     },
 }
 
 impl ProtocolEvent {
-    /// A [`ProtocolEvent::StateSend`] of `bytes` bytes to `to` (`None` = all
-    /// others), with each field narrowed to its stored width.
+    /// A send of `bytes` bytes to `to`, or a [`ProtocolEvent::StateBroadcast`]
+    /// for `None` (all others), with each field narrowed to its stored width.
     pub fn state_send(to: Option<ActorId>, kind: MsgKind, bytes: u64) -> Self {
-        ProtocolEvent::StateSend {
-            to: to.map(rank),
-            kind,
-            bytes: narrow(bytes),
+        let bytes = narrow(bytes);
+        match to {
+            Some(to) => ProtocolEvent::StateSend {
+                to: rank(to),
+                kind,
+                bytes,
+            },
+            None => ProtocolEvent::StateBroadcast { kind, bytes },
         }
     }
 
@@ -225,12 +273,11 @@ impl ProtocolEvent {
         }
     }
 
-    /// Stable snake_case name of the event variant: the Chrome trace event
-    /// name, and the JSONL `ev` field (which the JSONL encoder writes as a
-    /// literal; its tests check the two agree).
+    /// Stable snake_case name of the event variant, the JSONL `ev` field.
+    /// Both send variants are `state_send`.
     pub fn name(&self) -> &'static str {
         match self {
-            ProtocolEvent::StateSend { .. } => "state_send",
+            ProtocolEvent::StateSend { .. } | ProtocolEvent::StateBroadcast { .. } => "state_send",
             ProtocolEvent::StateRecv { .. } => "state_recv",
             ProtocolEvent::SnapshotStart { .. } => "snapshot_start",
             ProtocolEvent::SnapshotEnd { .. } => "snapshot_end",
@@ -249,87 +296,25 @@ impl ProtocolEvent {
     }
 }
 
-/// The [`ProtocolEvent`] variant a record holds, with its message or task
-/// kind; a broadcast [`ProtocolEvent::StateSend`] (`to: None`) has a tag of
-/// its own. Two bytes.
-#[derive(Clone, Copy)]
-enum Tag {
-    StateSendTo(MsgKind),
-    StateSendAll(MsgKind),
-    StateRecv(MsgKind),
-    SnapshotStart,
-    SnapshotEnd,
-    ElectionWon,
-    ElectionLost,
-    DelayedAnswer,
-    DecisionOpen,
-    DecisionComplete,
-    Blocked,
-    Resumed,
-    TaskStart(TaskKind),
-    TaskEnd,
-    MemAlloc,
-    MemFree,
-}
-
-/// A [`ProtocolEvent`] stamped with simulation time and emitting process.
-///
-/// The recorder holds one record per event of a run, so a record is packed
-/// into 24 bytes and decoded when read ([`EventRecord::event`]): the rank
-/// as a `u32`, the variant and its message or task kind in two bytes, and
-/// the payload in two 32-bit words (`to`/`from` and `bytes`; `node` and
-/// `slaves`; `req` and `winner` or `to`; the two halves of `entries`'
-/// bits). Snapshot request ids are narrowed to `u32` like the other fields.
-#[derive(Clone, Copy)]
+/// A [`ProtocolEvent`] stamped with simulation time and emitting process:
+/// 24 bytes, the rank held as a `u32`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EventRecord {
     time: SimTime,
     actor: u32,
-    tag: Tag,
-    a: u32,
-    b: u32,
+    event: ProtocolEvent,
 }
 
 impl EventRecord {
     /// `event`, stamped with `time` and `actor`.
     ///
     /// # Panics
-    /// If `actor`'s rank or a snapshot request id does not fit in a `u32`
-    /// ([`narrow`]).
+    /// If `actor`'s rank does not fit in a `u32` ([`rank`]).
     pub fn new(time: SimTime, actor: ActorId, event: ProtocolEvent) -> Self {
-        let (tag, a, b) = match event {
-            ProtocolEvent::StateSend { to, kind, bytes } => match to {
-                Some(to) => (Tag::StateSendTo(kind), to, bytes),
-                None => (Tag::StateSendAll(kind), 0, bytes),
-            },
-            ProtocolEvent::StateRecv { from, kind, bytes } => (Tag::StateRecv(kind), from, bytes),
-            ProtocolEvent::SnapshotStart { req } => (Tag::SnapshotStart, narrow(req), 0),
-            ProtocolEvent::SnapshotEnd { req } => (Tag::SnapshotEnd, narrow(req), 0),
-            ProtocolEvent::ElectionWon { req } => (Tag::ElectionWon, narrow(req), 0),
-            ProtocolEvent::ElectionLost { req, winner } => (Tag::ElectionLost, narrow(req), winner),
-            ProtocolEvent::DelayedAnswer { to, req } => (Tag::DelayedAnswer, to, narrow(req)),
-            ProtocolEvent::DecisionOpen { node } => (Tag::DecisionOpen, node, 0),
-            ProtocolEvent::DecisionComplete { node, slaves } => {
-                (Tag::DecisionComplete, node, slaves)
-            }
-            ProtocolEvent::Blocked => (Tag::Blocked, 0, 0),
-            ProtocolEvent::Resumed => (Tag::Resumed, 0, 0),
-            ProtocolEvent::TaskStart { node, kind } => (Tag::TaskStart(kind), node, 0),
-            ProtocolEvent::TaskEnd { node } => (Tag::TaskEnd, node, 0),
-            ProtocolEvent::MemAlloc { entries } => {
-                let (lo, hi) = split_bits(entries);
-                (Tag::MemAlloc, lo, hi)
-            }
-            ProtocolEvent::MemFree { entries } => {
-                let (lo, hi) = split_bits(entries);
-                (Tag::MemFree, lo, hi)
-            }
-        };
         EventRecord {
             time,
             actor: rank(actor),
-            tag,
-            a,
-            b,
+            event,
         }
     }
 
@@ -348,165 +333,78 @@ impl EventRecord {
     /// What happened.
     #[inline]
     pub fn event(&self) -> ProtocolEvent {
-        let (a, b) = (self.a, self.b);
-        match self.tag {
-            Tag::StateSendTo(kind) => ProtocolEvent::StateSend {
-                to: Some(a),
-                kind,
-                bytes: b,
-            },
-            Tag::StateSendAll(kind) => ProtocolEvent::StateSend {
-                to: None,
-                kind,
-                bytes: b,
-            },
-            Tag::StateRecv(kind) => ProtocolEvent::StateRecv {
-                from: a,
-                kind,
-                bytes: b,
-            },
-            Tag::SnapshotStart => ProtocolEvent::SnapshotStart { req: a.into() },
-            Tag::SnapshotEnd => ProtocolEvent::SnapshotEnd { req: a.into() },
-            Tag::ElectionWon => ProtocolEvent::ElectionWon { req: a.into() },
-            Tag::ElectionLost => ProtocolEvent::ElectionLost {
-                req: a.into(),
-                winner: b,
-            },
-            Tag::DelayedAnswer => ProtocolEvent::DelayedAnswer {
-                to: a,
-                req: b.into(),
-            },
-            Tag::DecisionOpen => ProtocolEvent::DecisionOpen { node: a },
-            Tag::DecisionComplete => ProtocolEvent::DecisionComplete { node: a, slaves: b },
-            Tag::Blocked => ProtocolEvent::Blocked,
-            Tag::Resumed => ProtocolEvent::Resumed,
-            Tag::TaskStart(kind) => ProtocolEvent::TaskStart { node: a, kind },
-            Tag::TaskEnd => ProtocolEvent::TaskEnd { node: a },
-            Tag::MemAlloc => ProtocolEvent::MemAlloc {
-                entries: join_bits(a, b),
-            },
-            Tag::MemFree => ProtocolEvent::MemFree {
-                entries: join_bits(a, b),
-            },
-        }
+        self.event
     }
 }
 
-/// `x`'s bits as (low, high) words.
-fn split_bits(x: f64) -> (u32, u32) {
-    let bits = x.to_bits();
-    (bits as u32, (bits >> 32) as u32)
+/// `key` (a literal `,"key":`) and the value `v`.
+fn write_field(out: &mut String, key: &str, v: u32) {
+    out.push_str(key);
+    write_u64(out, v.into());
 }
 
-/// The `f64` whose bits [`split_bits`] returned as `(lo, hi)`.
-fn join_bits(lo: u32, hi: u32) -> f64 {
-    f64::from_bits(u64::from(hi) << 32 | u64::from(lo))
-}
-
-/// Over the decoded `(time, actor, event)`.
-impl PartialEq for EventRecord {
-    fn eq(&self, other: &Self) -> bool {
-        (self.time, self.actor, self.event()) == (other.time, other.actor, other.event())
-    }
-}
-
-/// Shows the decoded `(time, actor, event)`.
-impl Debug for EventRecord {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventRecord")
-            .field("time", &self.time)
-            .field("actor", &self.actor())
-            .field("event", &self.event())
-            .finish()
-    }
+/// The `"kind"` and `"bytes"` fields of a state-message event.
+fn write_kind_bytes(out: &mut String, kind: MsgKind, bytes: u32) {
+    out.push_str(",\"kind\":\"");
+    out.push_str(kind.name());
+    write_field(out, "\",\"bytes\":", bytes);
 }
 
 /// The JSONL encoding: `{"t":..,"p":..,"ev":"..",...payload}`.
 ///
-/// A run exports millions of records, so each is written directly: one
-/// match on the variant, pre-joined key fragments, and integers through
-/// [`write_u64`]. `tests::encoder_matches_field_by_field_reference` pins it
-/// to a field-by-field rendering of the same record.
+/// A run exports millions of records, so each is written directly: literal
+/// key fragments and integers through [`write_u64`], one match on the
+/// variant for its payload. `tests::encoder_matches_field_by_field_reference`
+/// pins it to a field-by-field rendering of the same record.
 impl Serialize for EventRecord {
     fn serialize_json(&self, out: &mut String) {
         out.push_str("{\"t\":");
         write_u64(out, self.time.as_nanos());
-        out.push_str(",\"p\":");
-        write_u64(out, self.actor.into());
-        match self.event() {
+        write_field(out, ",\"p\":", self.actor);
+        out.push_str(",\"ev\":\"");
+        out.push_str(self.event.name());
+        out.push('"');
+        match self.event {
             ProtocolEvent::StateSend { to, kind, bytes } => {
-                out.push_str(",\"ev\":\"state_send\",\"to\":");
-                match to {
-                    Some(to) => write_u64(out, to.into()),
-                    None => out.push_str("null"),
-                }
-                out.push_str(",\"kind\":\"");
-                out.push_str(kind.name());
-                out.push_str("\",\"bytes\":");
-                write_u64(out, bytes.into());
+                write_field(out, ",\"to\":", to);
+                write_kind_bytes(out, kind, bytes);
+            }
+            ProtocolEvent::StateBroadcast { kind, bytes } => {
+                out.push_str(",\"to\":null");
+                write_kind_bytes(out, kind, bytes);
             }
             ProtocolEvent::StateRecv { from, kind, bytes } => {
-                out.push_str(",\"ev\":\"state_recv\",\"from\":");
-                write_u64(out, from.into());
-                out.push_str(",\"kind\":\"");
-                out.push_str(kind.name());
-                out.push_str("\",\"bytes\":");
-                write_u64(out, bytes.into());
+                write_field(out, ",\"from\":", from);
+                write_kind_bytes(out, kind, bytes);
             }
-            ProtocolEvent::SnapshotStart { req } => {
-                out.push_str(",\"ev\":\"snapshot_start\",\"req\":");
-                write_u64(out, req);
-            }
-            ProtocolEvent::SnapshotEnd { req } => {
-                out.push_str(",\"ev\":\"snapshot_end\",\"req\":");
-                write_u64(out, req);
-            }
-            ProtocolEvent::ElectionWon { req } => {
-                out.push_str(",\"ev\":\"election_won\",\"req\":");
-                write_u64(out, req);
-            }
+            ProtocolEvent::SnapshotStart { req }
+            | ProtocolEvent::SnapshotEnd { req }
+            | ProtocolEvent::ElectionWon { req } => write_field(out, ",\"req\":", req),
             ProtocolEvent::ElectionLost { req, winner } => {
-                out.push_str(",\"ev\":\"election_lost\",\"req\":");
-                write_u64(out, req);
-                out.push_str(",\"winner\":");
-                write_u64(out, winner.into());
+                write_field(out, ",\"req\":", req);
+                write_field(out, ",\"winner\":", winner);
             }
             ProtocolEvent::DelayedAnswer { to, req } => {
-                out.push_str(",\"ev\":\"delayed_answer\",\"to\":");
-                write_u64(out, to.into());
-                out.push_str(",\"req\":");
-                write_u64(out, req);
+                write_field(out, ",\"to\":", to);
+                write_field(out, ",\"req\":", req);
             }
-            ProtocolEvent::DecisionOpen { node } => {
-                out.push_str(",\"ev\":\"decision_open\",\"node\":");
-                write_u64(out, node.into());
+            ProtocolEvent::DecisionOpen { node } | ProtocolEvent::TaskEnd { node } => {
+                write_field(out, ",\"node\":", node);
             }
             ProtocolEvent::DecisionComplete { node, slaves } => {
-                out.push_str(",\"ev\":\"decision_complete\",\"node\":");
-                write_u64(out, node.into());
-                out.push_str(",\"slaves\":");
-                write_u64(out, slaves.into());
+                write_field(out, ",\"node\":", node);
+                write_field(out, ",\"slaves\":", slaves);
             }
-            ProtocolEvent::Blocked => out.push_str(",\"ev\":\"blocked\""),
-            ProtocolEvent::Resumed => out.push_str(",\"ev\":\"resumed\""),
+            ProtocolEvent::Blocked | ProtocolEvent::Resumed => {}
             ProtocolEvent::TaskStart { node, kind } => {
-                out.push_str(",\"ev\":\"task_start\",\"node\":");
-                write_u64(out, node.into());
+                write_field(out, ",\"node\":", node);
                 out.push_str(",\"kind\":\"");
                 out.push_str(kind.name());
                 out.push('"');
             }
-            ProtocolEvent::TaskEnd { node } => {
-                out.push_str(",\"ev\":\"task_end\",\"node\":");
-                write_u64(out, node.into());
-            }
-            ProtocolEvent::MemAlloc { entries } => {
-                out.push_str(",\"ev\":\"mem_alloc\",\"entries\":");
-                write_f64(out, entries);
-            }
-            ProtocolEvent::MemFree { entries } => {
-                out.push_str(",\"ev\":\"mem_free\",\"entries\":");
-                write_f64(out, entries);
+            ProtocolEvent::MemAlloc { entries } | ProtocolEvent::MemFree { entries } => {
+                out.push_str(",\"entries\":");
+                write_f64(out, entries.get());
             }
         }
         out.push('}');
@@ -523,7 +421,7 @@ mod tests {
     fn records_are_24_bytes() {
         // The recorder holds one record per event of a run (millions at
         // P=128): keep both sizes from growing back unnoticed.
-        assert_eq!(std::mem::size_of::<ProtocolEvent>(), 16);
+        assert_eq!(std::mem::size_of::<ProtocolEvent>(), 12);
         assert_eq!(std::mem::size_of::<EventRecord>(), 24);
     }
 
@@ -576,19 +474,24 @@ mod tests {
         narrow(u64::from(u32::MAX) + 1);
     }
 
-    /// One event of each of the 15 variants, built from the given field
-    /// values.
+    /// One event of each of the 16 variants, built from the given field
+    /// values; the two send variants first.
     fn every_variant(
         small: u32,
-        req: u64,
-        to: Option<u32>,
+        req: u32,
+        to: u32,
         entries: f64,
         msg: MsgKind,
         task: TaskKind,
-    ) -> [ProtocolEvent; 15] {
+    ) -> [ProtocolEvent; 16] {
+        let entries = Entries::from(entries);
         [
             ProtocolEvent::StateSend {
                 to,
+                kind: msg,
+                bytes: small,
+            },
+            ProtocolEvent::StateBroadcast {
                 kind: msg,
                 bytes: small,
             },
@@ -621,11 +524,13 @@ mod tests {
 
     #[test]
     fn names_are_distinct() {
-        let evs = every_variant(0, 1, None, 1.0, MsgKind::Update, TaskKind::Type2Master);
+        let evs = every_variant(0, 1, 0, 1.0, MsgKind::Update, TaskKind::Type2Master);
         let mut names: Vec<_> = evs.iter().map(|e| e.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), evs.len());
+        // Only the two send variants share a name.
+        assert_eq!(names.len(), evs.len() - 1);
+        assert_eq!((evs[0].name(), evs[1].name()), ("state_send", "state_send"));
     }
 
     const MSG_KINDS: [MsgKind; 9] = [
@@ -649,59 +554,16 @@ mod tests {
         TaskKind::RootPart,
     ];
 
-    /// Whether `x` and `y` are the same variant with the same fields, an
-    /// `entries` compared by its bits (so NaN payloads and -0.0 count).
-    fn same_bits(x: ProtocolEvent, y: ProtocolEvent) -> bool {
-        match (x, y) {
-            (ProtocolEvent::MemAlloc { entries: a }, ProtocolEvent::MemAlloc { entries: b })
-            | (ProtocolEvent::MemFree { entries: a }, ProtocolEvent::MemFree { entries: b }) => {
-                a.to_bits() == b.to_bits()
-            }
-            _ => x == y,
-        }
-    }
-
     #[test]
-    fn records_round_trip_every_variant_bit_for_bit() {
-        let entries = [
+    fn entries_round_trip_bit_for_bit() {
+        for x in [
             -0.0,
             f64::from_bits(1), // the smallest subnormal
             f64::MAX,
             f64::from_bits(0x7ff4_dead_beef_0001), // a NaN with a payload
-        ];
-        for (t, actor) in [(0, 0), (u64::MAX, u32::MAX as usize)] {
-            for small in [0, u32::MAX] {
-                for req in [0, u64::from(u32::MAX)] {
-                    for to in [None, Some(0), Some(u32::MAX)] {
-                        for &e in &entries {
-                            for (msg, task) in
-                                MSG_KINDS.into_iter().zip(TASK_KINDS.into_iter().cycle())
-                            {
-                                for event in every_variant(small, req, to, e, msg, task) {
-                                    let rec = EventRecord::new(SimTime(t), ActorId(actor), event);
-                                    assert_eq!(rec.time(), SimTime(t));
-                                    assert_eq!(rec.actor(), ActorId(actor));
-                                    assert!(same_bits(rec.event(), event), "{event:?} -> {rec:?}");
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+        ] {
+            assert_eq!(Entries::from(x).get().to_bits(), x.to_bits(), "{x:?}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "does not fit in an event's u32 field")]
-    fn new_panics_on_a_req_past_u32() {
-        EventRecord::new(
-            SimTime(0),
-            ActorId(0),
-            ProtocolEvent::DelayedAnswer {
-                to: 1,
-                req: u64::from(u32::MAX) + 1,
-            },
-        );
     }
 
     #[test]
@@ -726,6 +588,11 @@ mod tests {
         match event {
             ProtocolEvent::StateSend { to, kind, bytes } => {
                 map.field("to", &to)
+                    .field("kind", kind.name())
+                    .field("bytes", &bytes);
+            }
+            ProtocolEvent::StateBroadcast { kind, bytes } => {
+                map.field("to", &None::<u32>)
                     .field("kind", kind.name())
                     .field("bytes", &bytes);
             }
@@ -756,7 +623,7 @@ mod tests {
                 map.field("node", &node).field("kind", kind.name());
             }
             ProtocolEvent::MemAlloc { entries } | ProtocolEvent::MemFree { entries } => {
-                map.field("entries", &entries);
+                map.field("entries", &entries.get());
             }
         }
         map.end();
@@ -773,12 +640,12 @@ mod tests {
     fn encoder_matches_reference_at_edge_values() {
         let wide = [0, u64::from(u32::MAX), u64::MAX];
         let actors = [0, 1, u32::MAX as usize];
-        let reqs = [0, 1, u64::from(u32::MAX)];
+        let reqs = [0, 1, u32::MAX];
         let entries = [0.5, -0.0, 1e21, f64::NAN, f64::INFINITY];
         for (&t, &actor) in wide.iter().zip(&actors) {
             for &req in &reqs {
                 for &e in &entries {
-                    for to in [None, Some(0), Some(u32::MAX)] {
+                    for to in [0, u32::MAX] {
                         let evs =
                             every_variant(u32::MAX, req, to, e, MsgKind::Gossip, TaskKind::Type1);
                         for event in evs {
@@ -789,7 +656,13 @@ mod tests {
             }
         }
         assert_eq!(
-            encode(1, 0, ProtocolEvent::MemFree { entries: f64::NAN }),
+            encode(
+                1,
+                0,
+                ProtocolEvent::MemFree {
+                    entries: f64::NAN.into()
+                }
+            ),
             r#"{"t":1,"p":0,"ev":"mem_free","entries":null}"#
         );
     }
@@ -801,7 +674,7 @@ mod tests {
         fn encoder_matches_field_by_field_reference(
             wide_draw in (any::<u64>(), 0..64u32, any::<u32>(), 0..32u32),
             small_draw in (any::<u32>(), 0..32u32, any::<u32>()),
-            to in prop::option::of(any::<u32>()),
+            to in any::<u32>(),
             entries in any::<f64>(),
             kinds in (0..MSG_KINDS.len(), 0..TASK_KINDS.len()),
         ) {
@@ -811,7 +684,7 @@ mod tests {
             let (t, actor) = (t >> t_shift, actor as usize);
             let evs = every_variant(
                 small >> small_shift,
-                u64::from(req >> req_shift),
+                req >> req_shift,
                 to,
                 entries,
                 MSG_KINDS[kinds.0],

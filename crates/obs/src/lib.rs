@@ -6,11 +6,11 @@
 //! of that is captured:
 //!
 //! * [`ProtocolEvent`] — a typed event taxonomy replacing stringly-typed
-//!   trace records, 16 bytes each (message and task kinds are the one-byte
+//!   trace records, 12 bytes each (message and task kinds are the one-byte
 //!   [`MsgKind`] and [`TaskKind`]). The mechanisms (`loadex-core`) stage their events and
 //!   the solver (`loadex-solver`) stamps them, with its own, into the run's
 //!   [`Recorder`]: that is the one event source. The recorder keeps each
-//!   stamped event as a packed 24-byte [`EventRecord`].
+//!   event, stamped with its time and rank, as a 24-byte [`EventRecord`].
 //! * [`Recorder`] — a cloneable event sink. Disabled recorders are a single
 //!   pointer-is-none check per emission site, so instrumented hot paths cost
 //!   nothing in the default configuration.

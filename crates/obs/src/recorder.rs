@@ -9,7 +9,8 @@
 //! reports what an enabled recorder adds to a run (`obs.record_overhead_s`;
 //! `python3 perfbench/run.py`, see `perfbench/NOTES.md`).
 //!
-//! Each held event is one 24-byte [`EventRecord`]. An enabled log reserves
+//! Each held event is one 24-byte [`EventRecord`]: the 12-byte
+//! [`ProtocolEvent`], its time and its rank. An enabled log reserves
 //! its whole capacity when it is created — [`DEFAULT_CAPACITY`] is 4M
 //! events, about 96 MB of virtual memory — so it never grows by copying.
 //! The operating system maps those pages only as events land in them, so

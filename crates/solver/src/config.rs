@@ -17,6 +17,13 @@ use std::time::Duration;
 /// bounds the check period rather than adding latency.
 pub(crate) const COMM_POLL_PERIOD: SimDuration = SimDuration::from_micros(50);
 
+/// The most OS threads a threaded run may start: one worker per process,
+/// plus one comm thread per process under [`CommMode::CommThread`] when
+/// there is more than one process. [`SolverConfig::validate`] refuses a run
+/// that wants more, before any thread is spawned. The repository's threaded
+/// runs use at most 8 processes; 512 allows 256 with comm threads.
+pub const MAX_THREADS: usize = 512;
+
 /// Which dynamic scheduling strategy drives slave/task selection (§4.2).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Strategy {
@@ -352,8 +359,28 @@ impl SolverConfig {
             if t.wall_timeout.is_zero() {
                 return Err(ConfigError::BadWallTimeout);
             }
+            let comm_threads = if self.spawns_comm_threads() {
+                self.nprocs
+            } else {
+                0
+            };
+            let wanted = self.nprocs.saturating_add(comm_threads);
+            if wanted > MAX_THREADS {
+                return Err(ConfigError::TooManyThreads {
+                    wanted,
+                    allowed: MAX_THREADS,
+                });
+            }
         }
         Ok(())
+    }
+
+    /// Whether the threaded backend gives each process a comm thread: under
+    /// [`CommMode::CommThread`], except in a one-process run. There nothing
+    /// will ever arrive on the state channel, so a comm thread would only
+    /// observe the (benign) permanent disconnect.
+    pub(crate) fn spawns_comm_threads(&self) -> bool {
+        self.comm == CommMode::CommThread && self.nprocs > 1
     }
 }
 
@@ -452,5 +479,35 @@ mod tests {
             ThreadedBackend::new().with_time_scale(0.0),
         ));
         assert!(matches!(c.validate(), Err(ConfigError::BadTimeScale(_))));
+    }
+
+    #[test]
+    fn threaded_runs_past_the_thread_limit_are_refused() {
+        // Checked by `validate` alone: no thread is started.
+        let threaded = |nprocs, comm| {
+            SolverConfig::new(nprocs)
+                .with_comm(comm)
+                .with_backend(ExecBackend::Threaded(ThreadedBackend::new()))
+                .validate()
+        };
+        let half = MAX_THREADS / 2;
+        assert_eq!(threaded(half, CommMode::CommThread), Ok(()));
+        assert_eq!(
+            threaded(half + 1, CommMode::CommThread),
+            Err(ConfigError::TooManyThreads {
+                wanted: 2 * (half + 1),
+                allowed: MAX_THREADS,
+            })
+        );
+        assert_eq!(threaded(MAX_THREADS, CommMode::MainLoop), Ok(()));
+        assert_eq!(
+            threaded(usize::MAX, CommMode::CommThread),
+            Err(ConfigError::TooManyThreads {
+                wanted: usize::MAX,
+                allowed: MAX_THREADS,
+            })
+        );
+        // The simulator starts no thread per process.
+        assert_eq!(SolverConfig::new(1 << 20).validate(), Ok(()));
     }
 }

@@ -74,6 +74,14 @@ pub enum ConfigError {
     ZeroGossipFanout,
     /// Partial snapshots need at least one candidate process.
     ZeroSnapshotCandidates,
+    /// A threaded run would start more OS threads than
+    /// [`MAX_THREADS`](crate::config::MAX_THREADS).
+    TooManyThreads {
+        /// Workers plus comm threads the run would start.
+        wanted: usize,
+        /// The limit.
+        allowed: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -125,6 +133,11 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroSnapshotCandidates => {
                 write!(f, "snapshot_candidates must be >= 1 when set")
             }
+            ConfigError::TooManyThreads { wanted, allowed } => write!(
+                f,
+                "the threaded backend would start {wanted} OS threads, \
+                 more than the limit of {allowed}"
+            ),
         }
     }
 }

@@ -773,9 +773,13 @@ fn set_mem<'a, H: Host<'a>>(h: &mut H, delta: f64) {
     proc.mem_peak = proc.mem_peak.max(proc.true_mem);
     h.recorder().emit_with(now, ActorId(h.rank()), || {
         if delta >= 0.0 {
-            ProtocolEvent::MemAlloc { entries: delta }
+            ProtocolEvent::MemAlloc {
+                entries: delta.into(),
+            }
         } else {
-            ProtocolEvent::MemFree { entries: -delta }
+            ProtocolEvent::MemFree {
+                entries: (-delta).into(),
+            }
         }
     });
     touch_truth(h);

@@ -34,7 +34,7 @@
 //! The report uses the simulator's counter and gauge keys, so table code is
 //! backend-agnostic.
 
-use crate::config::{CommMode, SolverConfig, ThreadedBackend, COMM_POLL_PERIOD};
+use crate::config::{SolverConfig, ThreadedBackend, COMM_POLL_PERIOD};
 use crate::engine::AppMsg;
 use crate::error::RunError;
 use crate::mapping::TreePlan;
@@ -799,10 +799,7 @@ pub(crate) fn run(
         };
         let mut comms = Vec::new();
         let mut workers = Vec::new();
-        // A single-process network has no peers: nothing will ever arrive on
-        // the state channel, so a comm thread would only observe the (benign)
-        // permanent disconnect. Skip it.
-        let comm_enabled = cfg.comm == CommMode::CommThread && nprocs > 1;
+        let comm_enabled = cfg.spawns_comm_threads();
         for (p, ep) in endpoints.into_iter().enumerate() {
             let cell = Arc::clone(&cells[p]);
             if comm_enabled {

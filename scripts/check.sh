@@ -100,12 +100,16 @@ done
 # The event streams of the two multicasting mechanisms at P = 130, where a
 # rank set spans three 64-bit words, pinned by digest in both comm modes:
 # naive sends to its shared set of interested peers, and gossip is the one
-# mechanism whose multicast order is not rank order (3-13 MB each).
+# mechanism whose multicast order is not rank order (3-13 MB each). The
+# periodic mechanism, naive's absolute loads sent on a timer, is pinned the
+# same way (7-8 MB each).
 for pinned in \
     "gossip off bf698853a719385c3027b281eea3e8fbf28e69c633a30e44f5afedf2b9e0409a" \
     "gossip on fcd0dcb7e33d1090084273bd7cc696fb17980d320812474765d6e1dc8ea6779b" \
     "naive off 497f37ca2092fee18c564769db327e63951e630dd721e9f6a904d1e5f52937b9" \
-    "naive on 6f8960271bd850d0881258f3ddc984647b353a713c7dc244a5d4a10c327b593c"; do
+    "naive on 6f8960271bd850d0881258f3ddc984647b353a713c7dc244a5d4a10c327b593c" \
+    "periodic off ec10ea6a8b2e68999cd3a7cdea5e471388fa43d03e5f2342ac320ba17e3bf95d" \
+    "periodic on 4bac135c29362609a07e8935ad034cfbc043cc1b1a8e439d0cff6ac0c6708e98"; do
     read -r mech comm digest <<<"$pinned"
     run cargo run --release --offline -q -p loadex-bench --bin run -- \
         --matrix TWOTONE --procs 130 --mech "$mech" --comm-thread "$comm" \
